@@ -37,9 +37,13 @@ class IntegerMatrix:
     nonzero entries are kept so that the large, sparse differentials of the
     cycle complexes stay cheap.  Zero-row and zero-column matrices are
     first-class and represent maps to or from the zero group.
+
+    The nonzero Smith diagonal is memoised on the matrix the first time
+    ``snf_diagonal`` or ``rank`` asks for it.  It is derived from the
+    entries, so it takes no part in equality.
     """
 
-    __slots__ = ("rows", "cols", "_d")
+    __slots__ = ("rows", "cols", "_d", "_diag")
 
     def __init__(self, rows: int, cols: int, data: dict):
         if rows < 0 or cols < 0:
@@ -47,6 +51,7 @@ class IntegerMatrix:
         self.rows = rows
         self.cols = cols
         self._d = {k: v for k, v in data.items() if v}
+        self._diag: Optional[tuple] = None if self._d else ()
 
     # -- constructors -------------------------------------------------
     @classmethod
@@ -189,9 +194,6 @@ class IntegerMatrix:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self._d == other._d
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, frozenset(self._d.items())))
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 64:
@@ -466,16 +468,19 @@ def smith_normal_form(a: IntegerMatrix) -> SmithNormalForm:
 
 
 def snf_diagonal(a: IntegerMatrix) -> list:
-    """The nonzero diagonal of the Smith normal form, without transforms."""
-    red = _Reduction(a)
-    red.run()
-    return [p for _, _, p in red.pivots]
+    """The nonzero diagonal of the Smith normal form, without transforms.
+
+    The matrix is reduced at most once; later calls reuse its memoised diagonal.
+    """
+    if a._diag is None:
+        red = _Reduction(a)
+        red.run()
+        a._diag = tuple(p for _, _, p in red.pivots)
+    return list(a._diag)
 
 
 def rank(a: IntegerMatrix) -> int:
-    red = _Reduction(a)
-    red.run()
-    return len(red.pivots)
+    return len(snf_diagonal(a))
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -579,7 +584,11 @@ def is_prime(n: int) -> bool:
 
 
 def rank_mod(a: IntegerMatrix, m: int) -> int:
-    """Rank of A over the field Z/m (m prime)."""
+    """Rank of A over the field Z/m (m prime).
+
+    Mod 2 this is a bitset elimination.  For odd m it counts the Smith
+    invariants that m does not divide: U and V stay invertible mod m.
+    """
     if m == 2:
         # bitset elimination
         rows = [0] * a.rows
@@ -604,28 +613,7 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
             if r == a.rows:
                 break
         return r
-    rows = [row[:] for row in a.to_rows()]
-    for i in range(a.rows):
-        for j in range(a.cols):
-            rows[i][j] %= m
-    r = 0
-    for col in range(a.cols):
-        piv = None
-        for i in range(r, a.rows):
-            if rows[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], -1, m)
-        rows[r] = [(x * inv) % m for x in rows[r]]
-        for i in range(a.rows):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(x - c * y) % m for x, y in zip(rows[i], rows[r])]
-        r += 1
-    return r
+    return sum(1 for d in snf_diagonal(a) if d % m)
 
 
 # ----------------------------------------------------------------------
@@ -859,12 +847,27 @@ class CohomologyPresentation:
     surviving: tuple
 
 
-def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix) -> CohomologyPresentation:
+def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
+                            m: int = 0) -> CohomologyPresentation:
+    """H = ker(d_out)/im(d_in) with explicit generators, over Z or Z/m.
+
+    For m > 0 the cycles are {x : d_out x = 0 mod m} and the boundaries are
+    im(d_in) + m Z^n, so the integral machinery presents H(C; Z/m) as well.
+
+    >>> six = IntegerMatrix.from_rows([[6]])
+    >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 1), 3).group)
+    Z/3
+    """
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("d_out @ d_in is not zero")
-    k = kernel_basis(d_out)
+    if any(v % m if m else v for _, v in (d_out @ d_in).items()):
+        raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
+    if m:
+        n = d_in.rows
+        k = _top_rows(kernel_basis(d_out.hstack(IntegerMatrix.identity(d_out.rows).scale(m))), n)
+        d_in = d_in.hstack(IntegerMatrix.identity(n).scale(m))
+    else:
+        k = kernel_basis(d_out)
     x = solve(k, d_in)
     if x is None:
         raise ValueError("image does not lie in the kernel; not a complex")
@@ -938,12 +941,12 @@ def congruent_mod_relations(m: IntegerMatrix, target: PresentedGroup) -> bool:
 
 def kernel_lattice(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> IntegerMatrix:
     """Generators (columns) of {x : f x = 0 in the target group} in Z^source."""
-    rel = target.relation_matrix()
-    big = f.hstack(rel)
-    k = kernel_basis(big)
-    top = IntegerMatrix(source.size, k.cols,
-                        {(i, j): v for (i, j), v in k.items() if i < source.size})
-    return top.hstack(source.relation_matrix())
+    k = kernel_basis(f.hstack(target.relation_matrix()))
+    return _top_rows(k, source.size).hstack(source.relation_matrix())
+
+
+def _top_rows(a: IntegerMatrix, n: int) -> IntegerMatrix:
+    return IntegerMatrix(n, a.cols, {(i, j): v for (i, j), v in a.items() if i < n})
 
 
 def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:

@@ -26,7 +26,7 @@ Z/2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 from .abgrp import (
     CohomologyPresentation,
@@ -58,7 +58,7 @@ class CochainComplex:
                  check: bool = True):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
-        self._pres_cache: Dict[int, CohomologyPresentation] = {}
+        self._pres_cache: Dict[tuple[int, int], CohomologyPresentation] = {}
         if check:
             validate(self)
 
@@ -69,7 +69,7 @@ class CochainComplex:
     def degrees(self) -> list:
         return sorted(self.components)
 
-    def support(self) -> Tuple[int, int]:
+    def support(self) -> tuple[int, int]:
         ds = self.degrees()
         if not ds:
             return (0, -1)
@@ -121,11 +121,12 @@ class CochainComplex:
             diffs[d] = IntegerMatrix.from_flat(rows, cols, flat)
         return cls(comps, diffs)
 
-    def _presentation(self, degree: int) -> CohomologyPresentation:
-        pres = self._pres_cache.get(degree)
+    def _presentation(self, degree: int, m: int = 0) -> CohomologyPresentation:
+        pres = self._pres_cache.get((degree, m))
         if pres is None:
-            pres = cohomology_presentation(self.differential(degree - 1), self.differential(degree))
-            self._pres_cache[degree] = pres
+            pres = cohomology_presentation(self.differential(degree - 1),
+                                           self.differential(degree), m)
+            self._pres_cache[(degree, m)] = pres
         return pres
 
 
@@ -413,7 +414,7 @@ class InducedMap:
 
 
 def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
-    """The induced map on cohomology at the given degree.
+    """The induced map on cohomology at the given degree, over Z or Z/m.
 
     >>> c = two_term_complex(2)
     >>> induced_map(ChainMap.identity(c), 0).is_multiplication_by(1)
@@ -421,95 +422,15 @@ def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
     >>> induced_map(ChainMap.identity(c).scale(0), 0).is_zero()
     True
     """
-    if m == 0:
-        sp = f.source._presentation(degree)
-        tp = f.target._presentation(degree)
-        mat = map_on_cohomology(f.component(degree), sp, tp)
-        return InducedMap(degree, sp.group, tp.group, mat,
-                          tuple(sp.orders[i] for i in sp.surviving),
-                          tuple(tp.orders[i] for i in tp.surviving))
-    sb, sm = _mod_m_basis(f.source, degree, m)
-    tb, tm = _mod_m_basis(f.target, degree, m)
-    mat = _mod_m_induced(f.component(degree), sb, tb, sm, tm, m)
-    src = FgAbelianGroup(0, (m,) * len(sb))
-    tgt = FgAbelianGroup(0, (m,) * len(tb))
-    return InducedMap(degree, src, tgt, mat, (m,) * len(sb), (m,) * len(tb))
+    return _induced(f.component(degree), degree, f.source._presentation(degree, m),
+                    f.target._presentation(degree, m))
 
 
-def _mod_m_reduce(rows: list, m: int) -> Tuple[list, list]:
-    """Row-reduce over Z/m; returns (reduced rows, pivot column list)."""
-    rows = [r[:] for r in rows]
-    pivots = []
-    r = 0
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][col] % m:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col] % m, -1, m)
-        rows[r] = [(x * inv) % m for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col] % m:
-                c0 = rows[i][col] % m
-                rows[i] = [(x - c0 * y) % m for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-    return rows[:r], pivots
-
-
-def _mod_m_basis(c: CochainComplex, degree: int, m: int):
-    """A basis of H^degree(C; Z/m): cycle representatives and boundary data."""
-    d_out = c.differential(degree)
-    d_in = c.differential(degree - 1)
-    n = c.rank(degree)
-    # kernel of d_out mod m
-    reduced, pivots = _mod_m_reduce(d_out.to_rows(), m) if d_out.rows else ([], [])
-    free_cols = [j for j in range(n) if j not in pivots]
-    kernel = []
-    for j in free_cols:
-        vec = [0] * n
-        vec[j] = 1
-        for r, pc in enumerate(pivots):
-            vec[pc] = (-reduced[r][j]) % m
-        kernel.append(vec)
-    # image of d_in in kernel coordinates: coordinates on free_cols recover them
-    img = []
-    din_rows = d_in.to_rows()
-    for col in range(d_in.cols):
-        v = [din_rows[i][col] % m for i in range(n)]
-        img.append([v[j] for j in free_cols])
-    img_reduced, img_pivots = _mod_m_reduce(img, m) if img else ([], [])
-    basis_cols = [j for j in range(len(free_cols)) if j not in img_pivots]
-    return (basis_cols, {"kernel": kernel, "free_cols": free_cols,
-                         "img_reduced": img_reduced, "img_pivots": img_pivots})
-
-
-def _mod_m_coords(vec: list, data: dict, m: int) -> list:
-    """Coordinates of a cycle on the homology basis (mod the image)."""
-    coords = [vec[j] % m for j in data["free_cols"]]
-    for r, pc in enumerate(data["img_pivots"]):
-        c0 = coords[pc]
-        if c0:
-            coords = [(x - c0 * y) % m for x, y in zip(coords, data["img_reduced"][r])]
-    return coords
-
-
-def _mod_m_induced(f: IntegerMatrix, sb, tb, sdata, tdata, m: int) -> IntegerMatrix:
-    entries = {}
-    frows = f.to_rows()
-    for cidx, j in enumerate(sb):
-        cyc = sdata["kernel"][j]
-        img = [sum(frows[i][k] * cyc[k] for k in range(len(cyc))) % m for i in range(f.rows)]
-        coords = _mod_m_coords(img, tdata, m)
-        for ridx, jj in enumerate(tb):
-            if coords[jj]:
-                entries[(ridx, cidx)] = coords[jj]
-    return IntegerMatrix.from_entries(len(tb), len(sb), entries)
+def _induced(component: IntegerMatrix, degree: int, sp: CohomologyPresentation,
+             tp: CohomologyPresentation) -> InducedMap:
+    mat = map_on_cohomology(component, sp, tp)
+    return InducedMap(degree, sp.group, tp.group, mat,
+                      PresentedGroup.of(sp).orders, PresentedGroup.of(tp).orders)
 
 
 # ---------------------------------------------------------------------------
@@ -534,12 +455,8 @@ def check_cone_les(f: ChainMap) -> bool:
         seq.append(("C", i, induced_map(proj, i)))
         # connecting map H^i(S[1]) = H^{i+1}(S) --f--> H^{i+1}(T), expressed on
         # the same presentations the neighbouring maps use
-        sp = shifted._presentation(i)
-        tp = f.target._presentation(i + 1)
-        mat = map_on_cohomology(f.component(i + 1), sp, tp)
-        conn = InducedMap(i, sp.group, tp.group, mat,
-                          tuple(sp.orders[k] for k in sp.surviving),
-                          tuple(tp.orders[k] for k in tp.surviving))
+        conn = _induced(f.component(i + 1), i, shifted._presentation(i),
+                        f.target._presentation(i + 1))
         seq.append(("S", i, conn))
     for k in range(1, len(seq)):
         _, i1, g1 = seq[k - 1]

@@ -36,15 +36,18 @@ def _build_parser() -> argparse.ArgumentParser:
     w0.add_argument("--p", type=int, required=True)
     w0.add_argument("--coeff", type=_coeff, default=0)
 
-    grid = sub.add_parser("grid", help="render a grid of groups")
-    grid.add_argument("--weight", choices=["0", "1", "sigma"], default="0")
-    grid.add_argument("--p-range", type=int, default=3)
-    grid.add_argument("--a-min", type=int, default=None)
-    grid.add_argument("--a-max", type=int, default=None)
-    grid.add_argument("--coeff", type=_coeff, default=0)
-    grid.add_argument("--profile", default="general",
-                      choices=["qclosed", "euclidean", "freal", "general"])
-    grid.add_argument("--source", default=None, choices=["computed", "fixture", "derived"])
+    # options shared by grid and export; each keeps its own --format default
+    table = argparse.ArgumentParser(add_help=False)
+    table.add_argument("--weight", choices=["0", "1", "sigma"], default="0")
+    table.add_argument("--p-range", type=int, default=3)
+    table.add_argument("--a-min", type=int, default=None)
+    table.add_argument("--a-max", type=int, default=None)
+    table.add_argument("--coeff", type=_coeff, default=0)
+    table.add_argument("--profile", default="general",
+                       choices=["qclosed", "euclidean", "freal", "general"])
+    table.add_argument("--source", default=None, choices=["computed", "fixture", "derived"])
+
+    grid = sub.add_parser("grid", parents=[table], help="render a grid of groups")
     grid.add_argument("--format", dest="fmt", default="text",
                       choices=["text", "json", "csv"])
 
@@ -64,15 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--n-max", type=int, default=16)
     chk.add_argument("--verbose", action="store_true")
 
-    exp = sub.add_parser("export", help="write a grid to a file")
-    exp.add_argument("--weight", choices=["0", "1", "sigma"], default="0")
-    exp.add_argument("--p-range", type=int, default=3)
-    exp.add_argument("--a-min", type=int, default=None)
-    exp.add_argument("--a-max", type=int, default=None)
-    exp.add_argument("--coeff", type=_coeff, default=0)
-    exp.add_argument("--profile", default="general",
-                     choices=["qclosed", "euclidean", "freal", "general"])
-    exp.add_argument("--source", default=None, choices=["computed", "fixture", "derived"])
+    exp = sub.add_parser("export", parents=[table], help="write a grid to a file")
     exp.add_argument("--format", dest="fmt", default="json", choices=["text", "json", "csv"])
     exp.add_argument("--out", default=None, help="output path (default: stdout)")
     return parser
@@ -92,7 +87,16 @@ def _spec_from_args(args) -> GridSpec:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except KeyError as exc:     # unknown check suite
+        print(f"bredon: error: {exc.args[0]}", file=sys.stderr)
+    except ValueError as exc:   # out-of-range shift, bad table or fixture input
+        print(f"bredon: error: {exc}", file=sys.stderr)
+    return 2
 
+
+def _dispatch(args) -> int:
     if args.command == "weight0":
         group = sigmacx.weight0(args.a, args.p, args.coeff)
         print(group.render())

@@ -236,7 +236,11 @@ class FixtureRow:
 
 
 class FixtureTable:
-    """An ordered case table with disjointness and totality checking."""
+    """An ordered case table whose rows are checked for disjointness.
+
+    Coverage is checked for disjointness only: a cell that no row matches
+    falls through to the final catch-all row, which every table must have.
+    """
 
     def __init__(self, data: dict):
         self.table_id = data["table"]

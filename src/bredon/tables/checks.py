@@ -179,8 +179,6 @@ def _compare_derived(report: CheckReport, weight: str, profile_name: str,
                             + "; ".join(table.notes[-2:]))
             continue
         for p in shifts:
-            if cone == "positive" and p == 0 and weight == "1" and coeff == 2:
-                pass  # the mod-2 positive cone is stated from shift 0 on
             for a in range(-n_max - 2, n_max + 3):
                 entry = table.entry(a, p)
                 if entry.group is None:

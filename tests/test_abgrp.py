@@ -15,6 +15,7 @@ from bredon.abgrp import (
     kernel_basis,
     mod_m_cohomology_at,
     rank,
+    rank_mod,
     smith_normal_form,
     snf_diagonal,
     solve,
@@ -80,6 +81,14 @@ class TestSmithNormalForm:
         a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
         assert snf_diagonal(a) == [2, 4]
         assert_snf_contract(a)
+
+    def test_memoised_diagonal_is_not_shared(self):
+        a = IntegerMatrix.from_rows([[2, 4], [6, 8]])
+        first = snf_diagonal(a)
+        first[0] = 0
+        first.append(99)
+        assert snf_diagonal(a) == [2, 4] and rank(a) == 2
+        assert a == IntegerMatrix.from_rows([[2, 4], [6, 8]])
 
     def test_empty_shapes(self):
         for a in (IntegerMatrix.zeros(0, 3), IntegerMatrix.zeros(3, 0), IntegerMatrix.zeros(0, 0)):
@@ -206,6 +215,17 @@ class TestModM:
         d_in = IntegerMatrix.from_rows([[1, 1], [-1, -1]])
         d_out = IntegerMatrix.from_rows([[2, 2]])
         assert mod_m_cohomology_at(d_in, d_out, 2) == Z2
+
+    def test_rank_mod_against_minors_oracle(self, rng):
+        # rank over F_l = largest k with l not dividing the gcd of the k x k minors
+        for _ in range(120):
+            r, c = rng.randint(0, 5), rng.randint(0, 5)
+            a = IntegerMatrix.from_rows(
+                [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)], cols=c)
+            gcds = [minors_gcd_oracle(a, k) for k in range(1, min(r, c) + 1)]
+            for ell in (2, 3, 5):
+                expected = max((k for k, g in enumerate(gcds, 1) if g % ell), default=0)
+                assert rank_mod(a, ell) == expected
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):

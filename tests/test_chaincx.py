@@ -2,6 +2,7 @@
 
 import pytest
 
+from bredon import abgrp
 from bredon.abgrp import FgAbelianGroup, IntegerMatrix
 from bredon.chaincx import (
     ChainMap,
@@ -118,6 +119,16 @@ class TestCohomologyAndEuler:
         c2 = build_sigma_complex(SigmaSpec(2, FIXED))
         assert cohomology(c2, -2) == FgAbelianGroup.free(1)
 
+    def test_each_differential_reduced_once(self, monkeypatch):
+        c = build_sigma_complex.__wrapped__(SigmaSpec(4))
+        reductions = []
+        run = abgrp._Reduction.run
+        monkeypatch.setattr(abgrp._Reduction, "run",
+                            lambda red: reductions.append(red) or run(red))
+        groups = all_cohomology(c)
+        assert 0 < len(reductions) <= len(c.differentials)
+        assert groups == {-4: FgAbelianGroup.free(1), -2: Z2, 0: Z2}
+
     def test_euler(self):
         assert euler_characteristic(build_sigma_complex(SigmaSpec(1, FIXED))) == 0
         assert euler_characteristic(unit_complex()) == 1
@@ -148,8 +159,20 @@ class TestInducedMap:
         assert doubled.is_multiplication_by(2)
         assert doubled.is_zero()
 
-    def test_mod_two_induced(self):
+    def test_mod_two_induced(self, rng):
         c = two_term_complex(2)
         ind = induced_map(ChainMap.identity(c), 0, 2)
         assert ind.source_group == Z2
         assert ind.is_multiplication_by(1)
+        # k times the identity mod l: zero iff l | k, an isomorphism iff l does not divide k
+        for _ in range(20):
+            c = random_complex(rng)
+            lo, hi = c.support()
+            for ell in (2, 3):
+                for k in (-1, 0, 2, 3, 6):
+                    for a in range(lo, hi + 1):
+                        ind = induced_map(ChainMap.identity(c).scale(k), a, ell)
+                        group = cohomology(c, a, ell)
+                        assert ind.source_group == group == ind.target_group
+                        assert ind.is_zero() == (k % ell == 0 or group.is_trivial())
+                        assert ind.is_isomorphism() == (k % ell != 0 or group.is_trivial())

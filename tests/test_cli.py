@@ -77,3 +77,17 @@ def test_export_writes_file(capsys, tmp_path):
                   "--format", "csv", "--out", str(out_file))
     assert code == 0
     assert out_file.read_text().startswith("p\\a")
+
+
+def test_shift_beyond_bound_is_one_line_exit_two(capsys):
+    code = main(["weight0", "--a", "0", "--p", "13"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "exceeds the configured bound" in err
+
+
+def test_unknown_suite_is_one_line_exit_two(capsys):
+    code = main(["check", "nosuch"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and "unknown suite 'nosuch'" in err
