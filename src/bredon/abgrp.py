@@ -38,9 +38,9 @@ class IntegerMatrix:
     cycle complexes stay cheap.  Zero-row and zero-column matrices are
     first-class and represent maps to or from the zero group.
 
-    The nonzero Smith diagonal is memoised on the matrix the first time
-    ``snf_diagonal`` or ``rank`` asks for it.  It is derived from the
-    entries, so it takes no part in equality.
+    The nonzero Smith diagonal is memoised on the matrix by the first
+    reduction of it, whichever entry point runs that reduction.  It is
+    derived from the entries, so it takes no part in equality.
     """
 
     __slots__ = ("rows", "cols", "_d", "_diag")
@@ -130,9 +130,6 @@ class IntegerMatrix:
     def diagonal(self) -> list:
         return [self._d.get((i, i), 0) for i in range(min(self.rows, self.cols))]
 
-    def column(self, j: int) -> list:
-        return [self._d.get((i, j), 0) for i in range(self.rows)]
-
     # -- algebra ---------------------------------------------------------
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
@@ -205,38 +202,37 @@ class IntegerMatrix:
 # Sparse unimodular reduction engine
 # ----------------------------------------------------------------------
 
+def _add_scaled(target: dict, source: dict, c: int):
+    """target += c * source, for sparse vectors stored as dicts of nonzeros."""
+    for k, v in source.items():
+        s = target.get(k, 0) + c * v
+        if s:
+            target[k] = s
+        else:
+            target.pop(k, None)
+
+
 class _Reduction:
     """Bring a matrix to diagonal form by unimodular row/column operations.
 
-    Maintains the invariant  A_current = U @ A_original @ V  where the row
-    operations are accumulated in U (and optionally its inverse) and the
-    column operations in V.  Pivoting prefers entries of minimal absolute
-    value, with a Markowitz fill estimate as tiebreak, which keeps
-    intermediate entries small (fraction-free: only integer row/column
-    combinations are ever applied).
+    Maintains the invariant  A_current = U @ A_original @ V.  Every row and
+    column operation is logged, and U, U^-1, V and V^-1 are built from the
+    logs when asked for, so a reduction that only needs its diagonal builds
+    no transform.  Pivoting prefers entries of minimal absolute value,
+    with a Markowitz fill estimate as tiebreak, which keeps intermediate
+    entries small (fraction-free: only integer row/column combinations are
+    ever applied).
     """
 
-    def __init__(self, a: IntegerMatrix, want_u=False, want_v=False,
-                 aug: Optional[IntegerMatrix] = None):
+    def __init__(self, a: IntegerMatrix):
         self.m, self.n = a.rows, a.cols
         self.rows = [dict() for _ in range(self.m)]
         self.colnz = [set() for _ in range(self.n)]
         for (i, j), v in a.items():
             self.rows[i][j] = v
             self.colnz[j].add(i)
-        self.want_u = want_u
-        self.want_v = want_v
-        self.u = [dict({i: 1}) for i in range(self.m)] if want_u else None
-        self.uinv_cols = [dict({i: 1}) for i in range(self.m)] if want_u else None
-        self.v_cols = [dict({j: 1}) for j in range(self.n)] if want_v else None
-        self.aug = None
-        if aug is not None:
-            if aug.rows != self.m:
-                raise ValueError("augment row mismatch")
-            self.aug = [dict() for _ in range(self.m)]
-            for (i, j), v in aug.items():
-                self.aug[i][j] = v
-            self.aug_cols = aug.cols
+        self.row_ops: list = []  # (k, i, q): row_k -= q * row_i; (i, i, 0): row_i = -row_i
+        self.col_ops: list = []  # (l, j, q): col_l -= q * col_j
         self.pivots: list = []  # (row, col, value)
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
@@ -252,30 +248,7 @@ class _Reduction:
             else:
                 rk.pop(j, None)
                 self.colnz[j].discard(k)
-        if self.want_u:
-            uk, ui = self.u[k], self.u[i]
-            for j, v in ui.items():
-                s = uk.get(j, 0) - q * v
-                if s:
-                    uk[j] = s
-                else:
-                    uk.pop(j, None)
-            # inverse gets the inverse column operation: col_i += q * col_k
-            ci, ck = self.uinv_cols[i], self.uinv_cols[k]
-            for r, v in ck.items():
-                s = ci.get(r, 0) + q * v
-                if s:
-                    ci[r] = s
-                else:
-                    ci.pop(r, None)
-        if self.aug is not None:
-            ak, ai = self.aug[k], self.aug[i]
-            for j, v in ai.items():
-                s = ak.get(j, 0) - q * v
-                if s:
-                    ak[j] = s
-                else:
-                    ak.pop(j, None)
+        self.row_ops.append((k, i, q))
 
     # col_l -= q * col_j
     def _col_axpy(self, l: int, j: int, q: int):
@@ -288,30 +261,13 @@ class _Reduction:
             else:
                 ri.pop(l, None)
                 self.colnz[l].discard(i)
-        if self.want_v:
-            cl, cj = self.v_cols[l], self.v_cols[j]
-            for r, v in cj.items():
-                s = cl.get(r, 0) - q * v
-                if s:
-                    cl[r] = s
-                else:
-                    cl.pop(r, None)
+        self.col_ops.append((l, j, q))
 
     def _negate_row(self, i: int):
         ri = self.rows[i]
         for j in ri:
             ri[j] = -ri[j]
-        if self.want_u:
-            ui = self.u[i]
-            for j in ui:
-                ui[j] = -ui[j]
-            ci = self.uinv_cols[i]
-            for r in ci:
-                ci[r] = -ci[r]
-        if self.aug is not None:
-            ai = self.aug[i]
-            for j in ai:
-                ai[j] = -ai[j]
+        self.row_ops.append((i, i, 0))
 
     def _find_pivot(self):
         best = None
@@ -408,42 +364,61 @@ class _Reduction:
         order += sorted(self.live_cols)
         return order
 
+    # Replaying a log on the identity, in the order it was applied, builds a
+    # transform: a row operation acts on the rows of U and, inverted, on the
+    # columns of U^-1; a column operation acts on the columns of V and,
+    # inverted, on the rows of V^-1.
+    def _row_transform(self, inverse: bool) -> list:
+        vecs = [{i: 1} for i in range(self.m)]
+        for k, i, q in self.row_ops:
+            if k == i:
+                vecs[k] = {c: -v for c, v in vecs[k].items()}
+            elif inverse:
+                _add_scaled(vecs[i], vecs[k], q)
+            else:
+                _add_scaled(vecs[k], vecs[i], -q)
+        return [vecs[i] for i in self.row_order()]
+
+    def _col_transform(self, inverse: bool, cols: list) -> list:
+        vecs = [{j: 1} for j in range(self.n)]
+        for l, j, q in self.col_ops:
+            if inverse:
+                _add_scaled(vecs[j], vecs[l], q)
+            else:
+                _add_scaled(vecs[l], vecs[j], -q)
+        return [vecs[j] for j in cols]
+
     def matrix_u(self) -> IntegerMatrix:
-        d = {}
-        for t, i in enumerate(self.row_order()):
-            for j, v in self.u[i].items():
-                d[(t, j)] = v
-        return IntegerMatrix(self.m, self.m, d)
+        return _from_rows(self._row_transform(False), self.m)
 
     def matrix_u_inverse(self) -> IntegerMatrix:
-        d = {}
-        pos = {i: t for t, i in enumerate(self.row_order())}
-        for i, col in enumerate(self.uinv_cols):
-            for r, v in col.items():
-                d[(r, pos[i])] = v
-        return IntegerMatrix(self.m, self.m, d)
+        return _from_rows(self._row_transform(True), self.m).transpose()
 
-    def matrix_v(self) -> IntegerMatrix:
-        d = {}
-        for t, j in enumerate(self.col_order()):
-            for r, v in self.v_cols[j].items():
-                d[(r, t)] = v
-        return IntegerMatrix(self.n, self.n, d)
+    def matrix_v(self, cols: Optional[list] = None) -> IntegerMatrix:
+        """V, or its columns at the given original column indices."""
+        cols = self.col_order() if cols is None else cols
+        return _from_rows(self._col_transform(False, cols), self.n).transpose()
+
+    def matrix_v_inverse(self, cols: list) -> IntegerMatrix:
+        """The rows of V^-1 that belong to the given original column indices."""
+        return _from_rows(self._col_transform(True, cols), self.n)
 
     def matrix_d(self) -> IntegerMatrix:
         return IntegerMatrix.from_diagonal([p for _, _, p in self.pivots], self.m, self.n)
 
-    def kernel_columns(self) -> IntegerMatrix:
-        pivot_cols = {j for _, j, _ in self.pivots}
-        free = [j for j in range(self.n) if j not in pivot_cols]
-        d = {}
-        for t, j in enumerate(free):
-            for r, v in self.v_cols[j].items():
-                d[(r, t)] = v
-        return IntegerMatrix(self.n, len(free), d)
 
-    def aug_matrix_rows(self) -> list:
-        return self.aug
+def _from_rows(rows: list, width: int) -> IntegerMatrix:
+    return IntegerMatrix(len(rows), width,
+                         {(t, j): v for t, row in enumerate(rows) for j, v in row.items()})
+
+
+def _reduce(a: IntegerMatrix) -> _Reduction:
+    """Reduce A once and memoise its nonzero Smith diagonal on A."""
+    red = _Reduction(a)
+    if not a.is_zero():
+        red.run()
+    a._diag = tuple(p for _, _, p in red.pivots)
+    return red
 
 
 class SmithNormalForm(NamedTuple):
@@ -462,20 +437,18 @@ def smith_normal_form(a: IntegerMatrix) -> SmithNormalForm:
     >>> D.to_rows(), U.to_rows(), V.to_rows()
     ([[2]], [[1]], [[1]])
     """
-    red = _Reduction(a, want_u=True, want_v=True)
-    red.run()
+    red = _reduce(a)
     return SmithNormalForm(red.matrix_u(), red.matrix_d(), red.matrix_v())
 
 
 def snf_diagonal(a: IntegerMatrix) -> list:
-    """The nonzero diagonal of the Smith normal form, without transforms.
+    """The nonzero diagonal of the Smith normal form.
 
-    The matrix is reduced at most once; later calls reuse its memoised diagonal.
+    The matrix is reduced at most once; later calls, and calls after any
+    other reduction of it, reuse its memoised diagonal.
     """
     if a._diag is None:
-        red = _Reduction(a)
-        red.run()
-        a._diag = tuple(p for _, _, p in red.pivots)
+        _reduce(a)
     return list(a._diag)
 
 
@@ -486,50 +459,29 @@ def rank(a: IntegerMatrix) -> int:
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
     """Columns form a basis of the integer kernel {x : A x = 0}.
 
-    The basis spans a saturated sublattice (kernels of integer matrices are
-    pure), so any integer vector in the rational kernel is an integer
-    combination of these columns.
+    These are the trailing n - r columns of V.  The basis spans a saturated
+    sublattice (kernels of integer matrices are pure), so any integer vector
+    in the rational kernel is an integer combination of these columns.
     """
-    red = _Reduction(a, want_v=True)
-    red.run()
-    return red.kernel_columns()
+    red = _reduce(a)
+    return red.matrix_v(sorted(red.live_cols))
 
 
 def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     """An integer solution X of A @ X = B, or None if none exists.
 
-    Row operations are applied to B alongside the reduction of A, so no
-    full-size transform is ever materialized.
+    With D = U @ A @ V of rank r, a solution exists iff row t of U @ B is
+    divisible by d_t for t < r and zero for t >= r; then X = V[:, :r] @ Y
+    with Y the quotients.
     """
-    if a.rows != b.rows:
-        raise ValueError("shape mismatch in solve")
-    red = _Reduction(a, want_v=True, aug=b)
-    red.run()
-    aug = red.aug_matrix_rows()
-    y: dict = {}
-    used = set()
-    for (i, j, d) in red.pivots:
-        used.add(i)
-        for c, v in aug[i].items():
-            if v % d:
-                return None
-            q = v // d
-            if q:
-                y[(j, c)] = q
-    for i in range(red.m):
-        if i not in used and aug[i]:
+    red = _reduce(a)
+    r = len(red.pivots)
+    y = {}
+    for (t, c), w in (red.matrix_u() @ b).items():
+        if t >= r or w % red.pivots[t][2]:
             return None
-    # X = V @ Y, with Y supported on pivot columns of the reduced matrix
-    x: dict = {}
-    for (j, c), q in y.items():
-        for r, v in red.v_cols[j].items():
-            key = (r, c)
-            s = x.get(key, 0) + q * v
-            if s:
-                x[key] = s
-            else:
-                x.pop(key, None)
-    return IntegerMatrix(a.cols, b.cols, x)
+        y[(t, c)] = w // red.pivots[t][2]
+    return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix(r, b.cols, y)
 
 
 def determinant(a: IntegerMatrix) -> int:
@@ -829,18 +781,50 @@ def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> Fg
 # Presentations and maps between cohomology groups
 # ----------------------------------------------------------------------
 
+class _Cycles:
+    """The cycles {b : d_out @ b = 0 mod m}, a basis of them, and coordinates.
+
+    One reduction D = U @ A @ V of A = d_out, or of A = [d_out | m I] for
+    m > 0, gives both: the kernel of A is spanned by the columns of V past
+    the pivots, and the coordinates of a kernel vector c in that basis are
+    the rows of V^-1 @ c past the pivots.  The cycles are the top rows of
+    the kernel; a cycle b lifts to the kernel vector (b, -(d_out @ b) / m).
+    """
+
+    __slots__ = ("d_out", "m", "basis", "inverse")
+
+    def __init__(self, d_out: IntegerMatrix, m: int):
+        self.d_out, self.m = d_out, m
+        a = d_out.hstack(IntegerMatrix.identity(d_out.rows).scale(m)) if m else d_out
+        red = _reduce(a)
+        free = sorted(red.live_cols)
+        self.basis = _top_rows(red.matrix_v(free), d_out.cols)
+        self.inverse = red.matrix_v_inverse(free)
+
+    def coordinates(self, b: IntegerMatrix) -> Optional[IntegerMatrix]:
+        """Y with basis @ Y = B, or None if a column of B is not a cycle."""
+        m, n = self.m, self.d_out.cols
+        lift = dict(b.items())
+        for (i, j), v in (self.d_out @ b).items():
+            if v % m if m else v:
+                return None
+            lift[(n + i, j)] = -v // m
+        return self.inverse @ IntegerMatrix(self.inverse.cols, b.cols, lift)
+
+
 @dataclass
 class CohomologyPresentation:
     """A cohomology group with explicit canonical generators.
 
-    ``kernel`` columns span ker(d_out) in chain coordinates;
-    ``transform`` carries kernel coordinates to canonical coordinates in
-    which the relation matrix is diag(orders); generator i survives in the
-    canonical form iff orders[i] != 1 (0 marks a free generator).
+    ``cycles.basis`` columns span the cycles in chain coordinates, and
+    ``cycles.coordinates`` reads a cycle in that basis; ``transform``
+    carries basis coordinates to canonical coordinates in which the
+    relation matrix is diag(orders); generator i survives in the canonical
+    form iff orders[i] != 1 (0 marks a free generator).
     """
 
     group: FgAbelianGroup
-    kernel: IntegerMatrix
+    cycles: _Cycles
     transform: IntegerMatrix
     inverse: IntegerMatrix
     orders: tuple
@@ -860,28 +844,20 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
     """
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
-    if any(v % m if m else v for _, v in (d_out @ d_in).items()):
-        raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
-    if m:
-        n = d_in.rows
-        k = _top_rows(kernel_basis(d_out.hstack(IntegerMatrix.identity(d_out.rows).scale(m))), n)
-        d_in = d_in.hstack(IntegerMatrix.identity(n).scale(m))
-    else:
-        k = kernel_basis(d_out)
-    x = solve(k, d_in)
+    cycles = _Cycles(d_out, m)
+    x = cycles.coordinates(d_in.hstack(IntegerMatrix.identity(d_in.rows).scale(m)) if m else d_in)
     if x is None:
-        raise ValueError("image does not lie in the kernel; not a complex")
-    red = _Reduction(x, want_u=True)
-    red.run()
-    s = k.cols
-    orders = [0] * s
-    for t, (_, _, d) in enumerate(red.pivots):
-        orders[t] = d
-    u = red.matrix_u()
-    uinv = red.matrix_u_inverse()
+        raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
+    red = _reduce(x)
+    if not m:
+        # d_in = basis @ x and the basis spans a saturated sublattice, so d_in
+        # and x have the same Smith diagonal
+        d_in._diag = x._diag
+    orders = x._diag + (0,) * (x.rows - len(x._diag))
     surviving = tuple(i for i, o in enumerate(orders) if o != 1)
     grp = FgAbelianGroup.from_cyclic_orders([orders[i] for i in surviving])
-    return CohomologyPresentation(grp, k, u, uinv, tuple(orders), surviving)
+    return CohomologyPresentation(grp, cycles, red.matrix_u(), red.matrix_u_inverse(),
+                                  orders, surviving)
 
 
 def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
@@ -891,8 +867,7 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
     ``f`` is a chain-level map sending ker(d_out) of the source into the
     kernel at the target.  Torsion rows are reduced modulo their orders.
     """
-    image = f @ source.kernel
-    coords = solve(target.kernel, image)
+    coords = target.cycles.coordinates(f @ source.cycles.basis)
     if coords is None:
         raise ValueError("chain map does not preserve kernels")
     m = target.transform @ coords @ source.inverse
@@ -927,9 +902,6 @@ class PresentedGroup:
         d = {(i, t): self.orders[i] for t, i in enumerate(cols)}
         return IntegerMatrix(self.size, len(cols), d)
 
-    def group(self) -> FgAbelianGroup:
-        return FgAbelianGroup.from_cyclic_orders([o for o in self.orders])
-
 
 def congruent_mod_relations(m: IntegerMatrix, target: PresentedGroup) -> bool:
     for (i, _), v in m.items():
@@ -953,7 +925,7 @@ def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:
     return solve(generators, vectors) is not None
 
 
-def image_lattice(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> IntegerMatrix:
+def image_lattice(f: IntegerMatrix, target: PresentedGroup) -> IntegerMatrix:
     return f.hstack(target.relation_matrix())
 
 
@@ -963,7 +935,7 @@ def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix,
     if not congruent_mod_relations(f2 @ f1, c):
         return False
     ker = kernel_lattice(f2, b, c)
-    img = image_lattice(f1, a, b)
+    img = image_lattice(f1, b)
     return lattice_contains(img, ker)
 
 
@@ -977,7 +949,7 @@ def map_is_injective(f: IntegerMatrix, source: PresentedGroup, target: Presented
 
 
 def map_is_surjective(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> bool:
-    img = image_lattice(f, source, target)
+    img = image_lattice(f, target)
     return lattice_contains(img, IntegerMatrix.identity(target.size))
 
 

@@ -144,10 +144,6 @@ def validate(c: CochainComplex) -> bool:
     return True
 
 
-def zero_complex() -> CochainComplex:
-    return CochainComplex({}, {})
-
-
 def unit_complex() -> CochainComplex:
     """Z concentrated in degree 0."""
     return CochainComplex({0: 1}, {})

@@ -321,19 +321,26 @@ def fixture_dir() -> str:
     return os.environ.get(FIXTURE_ENV, _DEFAULT_DIR)
 
 
+def _read_fixture(path: str) -> dict:
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except OSError as exc:
+        raise FixtureError(f"cannot read fixture {path}: {exc.strerror} "
+                           f"(the directory comes from {FIXTURE_ENV} when it is set)") from exc
+
+
 def load_table(name: str) -> FixtureTable:
     key = os.path.join(fixture_dir(), name)
     if key not in _CACHE:
-        with open(key) as f:
-            _CACHE[key] = FixtureTable(json.load(f))
+        _CACHE[key] = FixtureTable(_read_fixture(key))
     return _CACHE[key]
 
 
 def load_cells(name: str) -> list:
     key = os.path.join(fixture_dir(), name)
     if key not in _CELL_CACHE:
-        with open(key) as f:
-            data = json.load(f)
+        data = _read_fixture(key)
         cells = []
         for cell in data["cells"]:
             if not cell.get("source", "").strip():
@@ -429,6 +436,14 @@ class GridSpec:
     a_max: Optional[int] = None
     profile: str = "general"
     source: str = "computed"   # "computed" | "fixture" | "derived"
+
+    def __post_init__(self):
+        # only weight 0 is computed from complexes, only the others are derived
+        if self.source == "computed" and self.weight != "0":
+            raise ValueError(f"weight {self.weight} has no computed source; "
+                             "use source 'fixture' or 'derived'")
+        if self.source == "derived" and self.weight == "0":
+            raise ValueError("weight 0 has no derived source; use source 'computed' or 'fixture'")
 
     def a_bounds(self) -> Tuple[int, int]:
         lo = self.a_min if self.a_min is not None else -self.p_range

@@ -10,9 +10,11 @@ from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
     cohomology_at,
+    cohomology_presentation,
     determinant,
     is_prime,
     kernel_basis,
+    map_on_cohomology,
     mod_m_cohomology_at,
     rank,
     rank_mod,
@@ -130,6 +132,53 @@ class TestKernelAndSolve:
         assert solve(a, IntegerMatrix.from_rows([[1]])) is None
 
 
+def sparse_unimodular(rng: random.Random, n: int, ops: int) -> IntegerMatrix:
+    """A product of ``ops`` elementary operations row_t += c * row_s, t in T, s in S.
+
+    T and S split range(n) at random.  The source rows are never changed, so
+    the operations commute and the product is I + N with N supported on
+    T x S (N @ N = 0): unimodular and sparse.
+    """
+    idx = list(range(n))
+    rng.shuffle(idx)
+    sources, targets = idx[: n // 2], idx[n // 2:]
+    d = {(i, i): 1 for i in range(n)}
+    for _ in range(ops):
+        key = (rng.choice(targets), rng.choice(sources))
+        d[key] = d.get(key, 0) + rng.choice((-2, -1, 1, 2))
+    return IntegerMatrix(n, n, d)
+
+
+class TestKnownSmithFormAtScale:
+    """A = P @ D @ Q with a chosen Smith form D, at production width."""
+
+    M, N = 180, 200
+    DIAGONAL = [1] * 100 + [2] * 40 + [6] * 20 + [12] * 10 + [0] * 10
+
+    @pytest.fixture(scope="class")
+    def factors(self):
+        rng = random.Random(20261018)
+        d = IntegerMatrix.from_diagonal(self.DIAGONAL, self.M, self.N)
+        p = sparse_unimodular(rng, self.M, 2 * self.M)
+        q = sparse_unimodular(rng, self.N, 2 * self.N)
+        x = IntegerMatrix.from_rows([[rng.randint(-3, 3) for _ in range(2)]
+                                     for _ in range(self.N)])
+        return p, p @ d @ q, x
+
+    def test_diagonal_kernel_and_solve(self, factors):
+        p, a, x = factors
+        k = kernel_basis(a)
+        assert snf_diagonal(a) == [d for d in self.DIAGONAL if d]
+        assert k.cols == self.N - rank(a) == 30
+        assert (a @ k).is_zero()
+        b = a @ x
+        x2 = solve(a, b)
+        assert x2 is not None and a @ x2 == b
+        t = self.DIAGONAL.index(2)
+        e_t = IntegerMatrix(self.M, 1, {(t, 0): 1})
+        assert solve(a, p @ e_t) is None
+
+
 class TestCanonicalForm:
     def test_divisibility_chain_enforced(self):
         with pytest.raises(ValueError):
@@ -199,6 +248,21 @@ class TestCohomologyAt:
                     p = p @ e
             p_inv = solve(p, IntegerMatrix.identity(n))
             assert cohomology_at(p @ d_in, d_out @ p_inv) == h1
+
+
+class TestPresentation:
+    def test_rejects_non_complexes_and_maps_off_the_cycles(self):
+        one = IntegerMatrix.from_rows([[1]])
+        with pytest.raises(ValueError, match="not zero$"):
+            cohomology_presentation(one, one)
+        with pytest.raises(ValueError, match="not zero mod 3"):
+            cohomology_presentation(one, one, 3)
+        # H of Z alone is Z; in Z --1--> Z the middle has no cycles
+        source = cohomology_presentation(IntegerMatrix.zeros(1, 0), IntegerMatrix.zeros(0, 1))
+        target = cohomology_presentation(IntegerMatrix.zeros(1, 0), one)
+        assert source.group == Z and target.group == ZERO
+        with pytest.raises(ValueError, match="does not preserve kernels"):
+            map_on_cohomology(one, source, target)
 
 
 class TestModM:

@@ -26,6 +26,15 @@ from conftest import random_chain_map, random_complex
 Z2 = FgAbelianGroup.cyclic(2)
 
 
+@pytest.fixture
+def reductions(monkeypatch):
+    """Every run of the reduction engine, recorded as it starts."""
+    seen = []
+    run = abgrp._Reduction.run
+    monkeypatch.setattr(abgrp._Reduction, "run", lambda red: seen.append(red) or run(red))
+    return seen
+
+
 class TestValidation:
     def test_two_term_validates(self):
         assert validate(two_term_complex(2))
@@ -119,15 +128,19 @@ class TestCohomologyAndEuler:
         c2 = build_sigma_complex(SigmaSpec(2, FIXED))
         assert cohomology(c2, -2) == FgAbelianGroup.free(1)
 
-    def test_each_differential_reduced_once(self, monkeypatch):
+    def test_each_differential_reduced_once(self, reductions):
         c = build_sigma_complex.__wrapped__(SigmaSpec(4))
-        reductions = []
-        run = abgrp._Reduction.run
-        monkeypatch.setattr(abgrp._Reduction, "run",
-                            lambda red: reductions.append(red) or run(red))
         groups = all_cohomology(c)
         assert 0 < len(reductions) <= len(c.differentials)
         assert groups == {-4: FgAbelianGroup.free(1), -2: Z2, 0: Z2}
+
+    def test_presentation_leaves_cohomology_nothing_to_reduce(self, reductions):
+        for degree in range(-4, 1):
+            c = build_sigma_complex.__wrapped__(SigmaSpec(4))
+            group = c._presentation(degree).group
+            before = len(reductions)
+            assert cohomology(c, degree) == group
+            assert len(reductions) == before
 
     def test_euler(self):
         assert euler_characteristic(build_sigma_complex(SigmaSpec(1, FIXED))) == 0
@@ -158,6 +171,15 @@ class TestInducedMap:
         # on Z/2 doubling is the zero map, and that is multiplication by 2
         assert doubled.is_multiplication_by(2)
         assert doubled.is_zero()
+
+    def test_repeated_induced_map_reduces_nothing(self, reductions):
+        c = build_sigma_complex.__wrapped__(SigmaSpec(3))
+        for degree in range(-3, 1):
+            first = induced_map(ChainMap.identity(c), degree)
+            before = len(reductions)
+            second = induced_map(ChainMap.identity(c).scale(2), degree)
+            assert len(reductions) == before
+            assert first.is_multiplication_by(1) and second.is_multiplication_by(2)
 
     def test_mod_two_induced(self, rng):
         c = two_term_complex(2)

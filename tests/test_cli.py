@@ -91,3 +91,23 @@ def test_unknown_suite_is_one_line_exit_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "unknown suite 'nosuch'" in err
+
+
+def test_source_must_exist_for_the_weight(capsys):
+    code = main(["export", "--weight", "1", "--source", "computed"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "weight 1 has no computed source" in captured.err
+    code = main(["grid", "--weight", "0", "--source", "derived"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "weight 0 has no derived source" in captured.err
+
+
+def test_missing_fixture_directory_is_one_line_exit_two(capsys, tmp_path, monkeypatch):
+    missing = tmp_path / "missing"
+    monkeypatch.setenv("BREDON_FIXTURE_DIR", str(missing))
+    code = main(["grid", "--source", "fixture"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1 and str(missing) in err and "BREDON_FIXTURE_DIR" in err
