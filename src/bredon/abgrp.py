@@ -26,6 +26,7 @@ normal form of A is a triple (U, D, V) of integer matrices with
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush, heapreplace
 from math import gcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -222,6 +223,15 @@ class _Reduction:
     with a Markowitz fill estimate as tiebreak, which keeps intermediate
     entries small (fraction-free: only integer row/column combinations are
     ever applied).
+
+    Pivot candidates live in a heap keyed by (|v|, (row nnz - 1) * (col
+    nnz - 1)).  Every entry is a candidate at the start, and every nonzero
+    entry a row or column combination writes is pushed again (a negation
+    keeps |v|), so each live entry has a candidate with its current |v|.  Candidates are checked only when they
+    reach the top: one in a dead row, on a zeroed entry or with a stale |v|
+    is dropped, and one whose cost has grown is pushed back with the new
+    cost.  A cost that has shrunk since its push is not seen, so the
+    tiebreak is approximate; the pivot always has the smallest |v| left.
     """
 
     def __init__(self, a: IntegerMatrix):
@@ -236,6 +246,10 @@ class _Reduction:
         self.pivots: list = []  # (row, col, value)
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
+        # pivot candidates (|v|, Markowitz cost, row, col), validated when popped
+        self.heap = [(abs(v), (len(self.rows[i]) - 1) * (len(self.colnz[j]) - 1), i, j)
+                     for (i, j), v in a.items()]
+        heapify(self.heap)
 
     # row_k -= q * row_i
     def _row_axpy(self, k: int, i: int, q: int):
@@ -245,6 +259,7 @@ class _Reduction:
             if s:
                 rk[j] = s
                 self.colnz[j].add(k)
+                heappush(self.heap, (abs(s), (len(rk) - 1) * (len(self.colnz[j]) - 1), k, j))
             else:
                 rk.pop(j, None)
                 self.colnz[j].discard(k)
@@ -258,6 +273,7 @@ class _Reduction:
             if s:
                 ri[l] = s
                 self.colnz[l].add(i)
+                heappush(self.heap, (abs(s), (len(ri) - 1) * (len(self.colnz[l]) - 1), i, l))
             else:
                 ri.pop(l, None)
                 self.colnz[l].discard(i)
@@ -270,20 +286,19 @@ class _Reduction:
         self.row_ops.append((i, i, 0))
 
     def _find_pivot(self):
-        best = None
-        best_key = None
-        for i in self.live_rows:
-            ri = self.rows[i]
-            if not ri:
+        heap, rows = self.heap, self.rows
+        while heap:
+            a, cost, i, j = heap[0]
+            v = rows[i].get(j, 0) if i in self.live_rows else 0
+            if v != a and v != -a:
+                heappop(heap)  # stale: dead row, zeroed entry or new |v|
                 continue
-            for j, v in ri.items():
-                a = v if v > 0 else -v
-                key = (a, (len(ri) - 1) * (len(self.colnz[j]) - 1))
-                if best_key is None or key < best_key:
-                    best_key, best = key, (i, j)
-                    if key[0] == 1 and key[1] == 0:
-                        return best
-        return best
+            now = (len(rows[i]) - 1) * (len(self.colnz[j]) - 1)
+            if now > cost:
+                heapreplace(heap, (a, now, i, j))
+                continue
+            return i, j
+        return None
 
     def run(self):
         while True:
@@ -538,33 +553,24 @@ def is_prime(n: int) -> bool:
 def rank_mod(a: IntegerMatrix, m: int) -> int:
     """Rank of A over the field Z/m (m prime).
 
-    Mod 2 this is a bitset elimination.  For odd m it counts the Smith
+    Mod 2 this is an xor basis of the row bitsets, keyed by lowest set bit,
+    which does not use the integral engine.  For odd m it counts the Smith
     invariants that m does not divide: U and V stay invertible mod m.
     """
     if m == 2:
-        # bitset elimination
         rows = [0] * a.rows
         for (i, j), v in a.items():
             if v & 1:
                 rows[i] |= 1 << j
-        r = 0
-        for col in range(a.cols):
-            mask = 1 << col
-            piv = None
-            for i in range(r, a.rows):
-                if rows[i] & mask:
-                    piv = i
+        basis: dict = {}
+        for x in rows:
+            while x:
+                low = x & -x
+                if low not in basis:
+                    basis[low] = x
                     break
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            for i in range(a.rows):
-                if i != r and rows[i] & mask:
-                    rows[i] ^= rows[r]
-            r += 1
-            if r == a.rows:
-                break
-        return r
+                x ^= basis[low]
+        return len(basis)
     return sum(1 for d in snf_diagonal(a) if d % m)
 
 

@@ -459,6 +459,7 @@ SEEDS: Dict[str, str] = {
 # ---------------------------------------------------------------------------
 
 FULL = "full"  # sentinel: the whole group at that node
+_MAX_PASSES = 50  # solve_window reports a window still changing after this many
 
 
 @dataclass
@@ -532,6 +533,9 @@ _MULT2_TABLE = {
 def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
     """Propagate exactness and tags to a fixed point; never guess.
 
+    A window still changing after ``_MAX_PASSES`` passes is reported as a
+    contradiction that names it.
+
     >>> w = LesWindow.build([("0", ZERO_FG), (), ("X", None), (), ("0", ZERO_FG)])
     >>> print(solve_window(w, PROFILES["general"]).values["X"])
     0
@@ -549,33 +553,26 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         if nodes[k].group is None:
             nodes[k].group = value
             trails[nodes[k].label] = why
-            return True
-        if norm(nodes[k].group) != value:
+        elif norm(nodes[k].group) != value:
             contradictions.append(
                 f"node {nodes[k].label} forced to {value} but holds {norm(nodes[k].group)}")
-        return False
 
     def merge_slot(k: int, current, incoming, why: Tuple[str, ...]):
         """Merge a kernel/image slot at node k; returns the merged value."""
         if incoming is None:
-            return current, False
-        if current is None:
-            return incoming, True
-        if current == incoming:
-            return current, False
-        cur_full, inc_full = current == FULL, incoming == FULL
-        if cur_full or inc_full:
-            other = incoming if cur_full else current
-            if other == FULL:
-                return FULL, False
+            return current
+        if current is None or current == incoming:
+            return incoming
+        if FULL in (current, incoming):
             # FULL meets a value: the node must BE that value
+            other = incoming if current == FULL else current
             set_node(k, other if isinstance(other, FormalGroup) else ZERO_FG, why)
-            return other, True
+            return other
         a, b = norm(current), norm(incoming)
         if a != b:
             contradictions.append(
                 f"exactness at {nodes[k].label}: image {a} differs from kernel {b}")
-        return a, False
+        return a
 
     # apply the declared tags once
     for idx, ar in enumerate(arrows):
@@ -604,31 +601,27 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
             else:
                 raise ValueError(f"unknown arrow tag {tag!r}")
 
-    changed = True
-    passes = 0
-    while changed and passes < 50:
-        changed = False
-        passes += 1
+    def state():
+        return ([n.group for n in nodes], [(a.kernel, a.image, a.cokernel) for a in arrows])
+
+    # The rules below may rewrite a slot to another name for the same
+    # subgroup (FULL at a zero node, say, and back to ZERO_FG), so a pass
+    # counts as a change only when the state it leaves differs from the one
+    # it found.  Passes are deterministic, so that state is the fixed point.
+    for _ in range(_MAX_PASSES):
+        before = state()
         # zero nodes kill their arrows: a map into 0 has full kernel and zero
         # image, a map out of 0 likewise
         for k, node in enumerate(nodes):
             if node.group is not None and norm(node.group).is_zero():
                 for idx in (k - 1, k):
                     if 0 <= idx < len(arrows):
-                        ar = arrows[idx]
-                        if ar.kernel != FULL:
-                            ar.kernel = FULL
-                            changed = True
-                        if ar.image != ZERO_FG:
-                            ar.image = ZERO_FG
-                            changed = True
+                        arrows[idx].kernel, arrows[idx].image = FULL, ZERO_FG
         # exactness links at interior nodes
         for k in range(1, len(nodes) - 1):
             f, g = arrows[k - 1], arrows[k]
             why = tuple(f.trail + g.trail) + ("LES",)
-            merged, ch = merge_slot(k, f.image, g.kernel, why)
-            f.image = g.kernel = merged
-            changed |= ch
+            f.image = g.kernel = merge_slot(k, f.image, g.kernel, why)
         # value productions
         for k in range(len(nodes)):
             if nodes[k].group is not None:
@@ -637,27 +630,32 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
             inc = arrows[k - 1] if k > 0 else None
             # injective with known image
             if out is not None and out.kernel == ZERO_FG and isinstance(out.image, FormalGroup):
-                changed |= set_node(k, out.image, out.trail + ("LES",))
+                set_node(k, out.image, out.trail + ("LES",))
                 continue
             # iso transport, in both directions
             if out is not None and out.kernel == ZERO_FG and out.image == FULL \
                     and nodes[k + 1].group is not None:
-                changed |= set_node(k, nodes[k + 1].group, out.trail + ("LES",))
+                set_node(k, nodes[k + 1].group, out.trail + ("LES",))
                 continue
             if inc is not None and inc.kernel == ZERO_FG and inc.image == FULL \
                     and nodes[k - 1].group is not None:
-                changed |= set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
+                set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
                 continue
             # surjection whose kernel is the image of a tagged arrow
             if inc is not None and inc.image == FULL and k >= 2:
                 prev = arrows[k - 2]
                 if prev.cokernel is not None:
-                    changed |= set_node(k, prev.cokernel,
-                                        prev.trail + inc.trail + ("LES",))
+                    set_node(k, prev.cokernel, prev.trail + inc.trail + ("LES",))
                     continue
                 if inc.kernel == ZERO_FG and nodes[k - 1].group is not None:
-                    changed |= set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
+                    set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
                     continue
+        if state() == before:
+            break
+    else:
+        contradictions.append(
+            f"window {' -> '.join(n.label for n in nodes)}: no fixed point "
+            f"after {_MAX_PASSES} passes")
 
     # post-fixpoint validation of fully known five-term shapes
     for k in range(1, len(nodes) - 1):

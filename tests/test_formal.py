@@ -2,6 +2,7 @@
 
 import pytest
 
+from bredon import formal
 from bredon.formal import (
     AXIOMS,
     ConditionalGroup,
@@ -156,6 +157,29 @@ class TestSolveWindow:
         w = LesWindow.build([("A", fg(Z2)), ("mult2:Kstar",), ("B", fg(KSTAR))])
         sol = solve_window(w, GEN)
         assert not sol.ok
+
+    def test_pass_cap_is_reported(self, monkeypatch):
+        # the zero flanks settle X in the first pass; the second confirms it
+        monkeypatch.setattr(formal, "_MAX_PASSES", 1)
+        w = LesWindow.build([("0", ZERO_FG), (), ("X", None), (), ("0", ZERO_FG)])
+        sol = solve_window(w, GEN)
+        assert sol.contradictions == ["window 0 -> X -> 0: no fixed point after 1 passes"]
+        monkeypatch.setattr(formal, "_MAX_PASSES", 2)
+        assert solve_window(w, GEN).ok
+
+    @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+    @pytest.mark.parametrize("coeff", [0, 2])
+    def test_derivation_windows_reach_their_fixed_point(self, monkeypatch, derive, coeff):
+        solutions = []
+
+        def recording(window, profile):
+            solutions.append(solve_window(window, profile))
+            return solutions[-1]
+
+        monkeypatch.setattr(formal, "solve_window", recording)
+        for profile in (QC, EU, FR):
+            derive(profile, 6, coeff)
+        assert solutions and all(sol.ok for sol in solutions)
 
 
 def column(table, p, lo=-12, hi=14):

@@ -2,7 +2,14 @@
 
 import pytest
 
-from bredon.abgrp import FgAbelianGroup, IntegerMatrix
+from bredon import abgrp
+from bredon.abgrp import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    rank_mod,
+    smith_normal_form,
+    snf_diagonal,
+)
 from bredon.chaincx import all_cohomology, cohomology
 from bredon.sigmacx import (
     FIXED,
@@ -267,3 +274,68 @@ class TestConeTower:
         assert cone_tower_check(2)
         c3 = build_sigma_complex(SigmaSpec(3, FIXED))
         assert {d: str(g) for d, g in all_cohomology(c3).items()} == {0: "Z/2", -2: "Z/2"}
+
+
+# -- the reduction engine on the orbit differentials ------------------------
+
+def _differentials(shifts):
+    for p in shifts:
+        for orbit_type in (FIXED, FREE):
+            c = build_sigma_complex(SigmaSpec(p, orbit_type))
+            for degree in c.degrees():
+                a = c.differential(degree)
+                if not a.is_zero():
+                    yield (p, orbit_type, degree), a
+
+
+def rank_mod_oracle(a: IntegerMatrix, ell: int) -> int:
+    """Rank over Z/ell by sparse row echelon form, independent of the engine.
+
+    Each stored row is monic at its lowest column and keyed by it; a new row
+    is reduced by the stored row at its lowest column until it is zero or
+    has a lowest column no stored row has.
+    """
+    rows = [dict() for _ in range(a.rows)]
+    for (i, j), v in a.items():
+        if v % ell:
+            rows[i][j] = v % ell
+    echelon = {}
+    for row in rows:
+        while row:
+            low = min(row)
+            if low not in echelon:
+                inv = pow(row[low], -1, ell)
+                echelon[low] = {j: v * inv % ell for j, v in row.items()}
+                break
+            c = row[low]
+            for j, v in echelon[low].items():
+                s = (row.get(j, 0) - c * v) % ell
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+    return len(echelon)
+
+
+class TestEngineOnOrbitDifferentials:
+    """The Smith engine against independent oracles at production size."""
+
+    def test_diagonal_prime_by_prime(self):
+        for where, a in _differentials([p for p in range(-7, 8) if p]):
+            diag = snf_diagonal(a)
+            assert all(d > 0 for d in diag), where
+            assert all(hi % lo == 0 for lo, hi in zip(diag, diag[1:])), where
+            for ell in (2, 3, 5, 2**31 - 1):
+                assert sum(1 for d in diag if d % ell) == rank_mod_oracle(a, ell), (where, ell)
+            assert sum(1 for d in diag if d % 2) == rank_mod(a, 2), where
+
+    @pytest.mark.parametrize("p", [5, -5, 7, -7])
+    def test_smith_identity_and_inverse_transforms(self, p):
+        for where, a in _differentials((p,)):
+            u, d, v = smith_normal_form(a)
+            assert u @ a @ v == d, where
+            red = abgrp._reduce(a)
+            assert (red.matrix_u(), red.matrix_d(), red.matrix_v()) == (u, d, v), where
+            assert u @ red.matrix_u_inverse() == IntegerMatrix.identity(a.rows), where
+            v_inverse = red.matrix_v_inverse(red.col_order())
+            assert v @ v_inverse == IntegerMatrix.identity(a.cols), where
