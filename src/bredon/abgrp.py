@@ -180,14 +180,6 @@ class IntegerMatrix:
             d[(i, j + self.cols)] = v
         return IntegerMatrix(self.rows, self.cols + other.cols, d)
 
-    def submatrix_columns(self, cols: Sequence[int]) -> "IntegerMatrix":
-        pos = {c: k for k, c in enumerate(cols)}
-        d = {}
-        for (i, j), v in self._d.items():
-            if j in pos:
-                d[(i, pos[j])] = v
-        return IntegerMatrix(self.rows, len(cols), d)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented

@@ -483,10 +483,6 @@ class WindowArrow:
     trail: Tuple[str, ...] = ()
 
 
-class WindowContradiction(Exception):
-    """An exactness constraint of the window cannot be satisfied."""
-
-
 @dataclass
 class LesWindow:
     """A finite exact-sequence fragment: nodes joined by consecutive arrows."""

@@ -218,14 +218,15 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
         for j in range(m, 0, -1):
             src_blocks, src_size, src_off = _component_layout(m, j, orbit_type)
             _, tgt_size, tgt_off = _component_layout(m, j - 1, orbit_type)
+            push = [push_matrix(j, idx, orbit_type) for idx in range(1, j + 1)]
             entries: dict = {}
             for subset in src_blocks:
                 base = src_off[subset]
-                for idx, s in enumerate(subset, start=1):
+                for idx, s in enumerate(subset):
                     rest = tuple(t for t in subset if t != s)
                     sign = _koszul_sign(subset, s)
                     tbase = tgt_off[rest]
-                    for (r, c), v in push_matrix(j, idx, orbit_type).items():
+                    for (r, c), v in push[idx].items():
                         key = (tbase + r, base + c)
                         entries[key] = entries.get(key, 0) + sign * v
             diffs[-j] = IntegerMatrix.from_entries(comps[-(j - 1)], comps[-j], entries)
@@ -233,6 +234,7 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
         for j in range(m):
             src_blocks, _, src_off = _component_layout(m, j, orbit_type)
             _, _, tgt_off = _component_layout(m, j + 1, orbit_type)
+            pull = [pull_matrix(j + 1, idx, orbit_type) for idx in range(1, j + 2)]
             entries = {}
             for subset in src_blocks:
                 base = src_off[subset]
@@ -240,10 +242,9 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
                     if s in subset:
                         continue
                     bigger = tuple(sorted(subset + (s,)))
-                    idx = bigger.index(s) + 1
                     sign = _koszul_sign(subset, s)
                     tbase = tgt_off[bigger]
-                    for (r, c), v in pull_matrix(j + 1, idx, orbit_type).items():
+                    for (r, c), v in pull[bigger.index(s)].items():
                         key = (tbase + r, base + c)
                         entries[key] = entries.get(key, 0) + sign * v
             diffs[j] = IntegerMatrix.from_entries(comps[j + 1], comps[j], entries)

@@ -5,7 +5,9 @@ directory with the BREDON_FIXTURE_DIR environment variable).  Each row
 carries a predicate over the bidegree, a group value, and a human-readable
 source note; the loader refuses fixtures with missing source notes, and a
 mechanical checker verifies that the rows of a table are pairwise disjoint
-and, together with the catch-all row, cover the declared range.
+over the declared range.  Coverage is not checked: a cell that no row
+matches falls through to the catch-all row.  Each predicate is checked whole
+against a small grammar when it is loaded (see ``Predicate``).
 
 Rendering grammar for exact groups: ``0``, ``Z``, ``Z^r``, ``Z/d``, joined
 by `` (+) ``; formal atoms render as ``k*``, ``k*2``, ``k*/k*2``,
@@ -106,67 +108,45 @@ def borel_reduce(a: int, p: int, weight: str) -> Tuple[str, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Safe predicate evaluation and group parsing
+# Predicates and group parsing
 # ---------------------------------------------------------------------------
 
-_ALLOWED_BINOPS = (ast.Add, ast.Sub, ast.Mult, ast.Mod, ast.FloorDiv)
-_ALLOWED_CMPOPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-
-
-def _eval_node(node, env):
-    if isinstance(node, ast.Expression):
-        return _eval_node(node.body, env)
-    if isinstance(node, ast.BoolOp):
-        vals = (_eval_node(v, env) for v in node.values)
-        return all(vals) if isinstance(node.op, ast.And) else any(vals)
-    if isinstance(node, ast.UnaryOp):
-        if isinstance(node.op, ast.USub):
-            return -_eval_node(node.operand, env)
-        if isinstance(node.op, ast.Not):
-            return not _eval_node(node.operand, env)
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_BINOPS):
-        left, right = _eval_node(node.left, env), _eval_node(node.right, env)
-        if isinstance(node.op, ast.Add):
-            return left + right
-        if isinstance(node.op, ast.Sub):
-            return left - right
-        if isinstance(node.op, ast.Mult):
-            return left * right
-        if isinstance(node.op, ast.Mod):
-            return left % right
-        return left // right
-    if isinstance(node, ast.Compare):
-        left = _eval_node(node.left, env)
-        for op, rhs in zip(node.ops, node.comparators):
-            if not isinstance(op, _ALLOWED_CMPOPS):
-                raise FixtureError(f"operator {op!r} not allowed in predicates")
-            right = _eval_node(rhs, env)
-            ok = {ast.Lt: left < right, ast.LtE: left <= right,
-                  ast.Gt: left > right, ast.GtE: left >= right,
-                  ast.Eq: left == right, ast.NotEq: left != right}[type(op)]
-            if not ok:
-                return False
-            left = right
-        return True
-    if isinstance(node, ast.Name):
-        if node.id in env:
-            return env[node.id]
-        raise FixtureError(f"unknown variable {node.id!r} in predicate")
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, bool)):
-        return node.value
-    raise FixtureError(f"disallowed syntax in predicate: {ast.dump(node)}")
+# the whole predicate grammar: the names a and p, int and bool constants,
+# + - * % //, unary -, not/and/or and the six comparisons
+_GRAMMAR = (ast.Expression, ast.Name, ast.Load, ast.Constant,
+            ast.BinOp, ast.Add, ast.Sub, ast.Mult, ast.Mod, ast.FloorDiv,
+            ast.UnaryOp, ast.USub, ast.Not, ast.BoolOp, ast.And, ast.Or,
+            ast.Compare, ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
+_NAMES = ("a", "p")
 
 
 class Predicate:
-    """A whitelisted arithmetic/boolean expression over named integers."""
+    """A whitelisted arithmetic/boolean expression over the integers a and p.
+
+    The whole tree is checked against the grammar once, at construction;
+    Python then evaluates the compiled tree with no builtins.
+    """
 
     def __init__(self, text: str):
         self.text = text
-        self._tree = ast.parse(text, mode="eval")
-        _eval_node(self._tree, {"a": 0, "p": 0})  # fail fast on bad syntax
+        try:
+            tree = ast.parse(text, mode="eval")
+        except SyntaxError as exc:
+            raise FixtureError(f"predicate {text!r} is outside the predicate grammar: "
+                               f"{exc.msg}") from None
+        for node in ast.walk(tree):
+            if (not isinstance(node, _GRAMMAR)
+                    or isinstance(node, ast.Name) and node.id not in _NAMES
+                    or isinstance(node, ast.Constant) and not isinstance(node.value, int)):
+                what = ast.unparse(node) or type(node).__name__
+                raise FixtureError(f"predicate {text!r}: {what} is outside the predicate grammar")
+        self._code = compile(tree, "<predicate>", "eval")
 
-    def __call__(self, **env) -> bool:
-        return bool(_eval_node(self._tree, env))
+    def __call__(self, a: int, p: int) -> bool:
+        try:
+            return bool(eval(self._code, {"__builtins__": {}}, {"a": a, "p": p}))
+        except ArithmeticError as exc:
+            raise FixtureError(f"predicate {self.text!r} fails at (a={a}, p={p}): {exc}") from None
 
     def __repr__(self):
         return f"Predicate({self.text!r})"
@@ -275,6 +255,10 @@ class FixtureTable:
         cone = "positive" if p > 0 else "negative" if p < 0 else "zero"
         return self.cone_profiles[cone]
 
+    def _matching(self, a: int, p: int) -> List[FixtureRow]:
+        """The rows, catch-all excluded, whose predicate holds at (a, p)."""
+        return [r for r in self.rows if r.predicate is not None and r.predicate(a=a, p=p)]
+
     def lookup(self, a: int, p: int, profile: Optional[FieldProfile] = None):
         allowed = self.profiles_for(p)
         if allowed is not None:
@@ -284,7 +268,7 @@ class FixtureTable:
                 raise TheoremRangeError(
                     f"{self.table_id} at shift {p} is stated only for {allowed}, "
                     f"not {profile.name}")
-        matched = [r for r in self.rows if r.predicate is not None and r.predicate(a=a, p=p)]
+        matched = self._matching(a, p)
         if len(matched) > 1:
             raise FixtureError(
                 f"{self.table_id}: rows overlap at (a={a}, p={p}): "
@@ -304,8 +288,7 @@ class FixtureTable:
         (p_lo, p_hi) = self.range.get("p", [-8, 8])
         for p in range(p_lo, p_hi + 1):
             for a in range(a_lo, a_hi + 1):
-                hits = [r for r in self.rows
-                        if r.predicate is not None and r.predicate(a=a, p=p)]
+                hits = self._matching(a, p)
                 if len(hits) > 1:
                     findings.append(
                         f"{self.table_id}: overlap at (a={a}, p={p}): "

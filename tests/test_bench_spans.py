@@ -9,7 +9,9 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from bredon import abgrp
+import bredon
+from bredon import abgrp, chaincx, formal, sigmacx
+from bredon.tables import checks
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -35,3 +37,13 @@ def test_reduction_counter_hooks_exist():
     red = abgrp._Reduction(abgrp.IntegerMatrix.from_rows([[2, 4], [6, 8]]))
     assert (red.m, red.n) == (2, 2)
     assert red.rows == [{0: 2, 1: 4}, {0: 6, 1: 8}] and red.pivots == []
+
+
+def test_names_imported_elsewhere_are_the_home_objects():
+    # the tracer rebinds every reference to a wrapped function, so these
+    # aliases must stay plain re-imports of the same objects
+    aliases = [(chaincx, "cohomology_at", abgrp), (chaincx, "cohomology_presentation", abgrp),
+               (sigmacx, "cohomology", chaincx), (checks, "derive_weight1", formal),
+               (bredon, "build_sigma_complex", sigmacx), (bredon, "smith_normal_form", abgrp)]
+    for user, name, home in aliases:
+        assert getattr(user, name) is getattr(home, name), f"{user.__name__}.{name}"

@@ -56,16 +56,21 @@ def test_check_pass_exit_zero(capsys):
     assert out.count("PASS") == 2
 
 
-def test_check_failure_exit_one(capsys, tmp_path, monkeypatch):
+def use_edited_fixtures(tmp_path, monkeypatch, first_row):
+    """Point BREDON_FIXTURE_DIR at a copy whose first weight-0 row is updated."""
     from bredon.tables import fixture_dir
     src = fixture_dir()
     for name in os.listdir(src):
         shutil.copy(os.path.join(src, name), tmp_path / name)
     path = tmp_path / "weight0_integral.json"
     data = json.loads(path.read_text())
-    data["rows"][0]["group"] = "Z/2"  # wrong corner value
+    data["rows"][0].update(first_row)
     path.write_text(json.dumps(data))
     monkeypatch.setenv("BREDON_FIXTURE_DIR", str(tmp_path))
+
+
+def test_check_failure_exit_one(capsys, tmp_path, monkeypatch):
+    use_edited_fixtures(tmp_path, monkeypatch, {"group": "Z/2"})  # wrong corner value
     code, out = run(capsys, "check", "weight0-integral", "--p-max", "2")
     assert code == 1
     assert "FAIL" in out
@@ -111,3 +116,12 @@ def test_missing_fixture_directory_is_one_line_exit_two(capsys, tmp_path, monkey
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and str(missing) in err and "BREDON_FIXTURE_DIR" in err
+
+
+def test_predicate_arithmetic_error_is_one_line_exit_two(capsys, tmp_path, monkeypatch):
+    use_edited_fixtures(tmp_path, monkeypatch, {"when": "a % (p - p) == 0"})
+    code = main(["grid", "--weight", "0", "--source", "fixture"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1
+    assert "a % (p - p) == 0" in captured.err

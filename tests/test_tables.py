@@ -40,10 +40,24 @@ class TestPredicate:
         assert p(a=-2, p=4) and not p(a=-1, p=4) and not p(a=-2, p=3)
 
     def test_rejects_calls_and_names(self):
-        with pytest.raises(Exception):
+        with pytest.raises(FixtureError):
             Predicate("__import__('os').system('true')")
-        with pytest.raises(Exception):
+        with pytest.raises(FixtureError):
             Predicate("q + 1 == 2")
+
+    @pytest.mark.parametrize("text", ["a > 0 and q == 1", "a > 0 and len(a) == 1",
+                                      "a > 0 and a ** 2 == 1", "a > 0 and a.real == 1",
+                                      "a > 0 and a == 1.5", "a >"])
+    def test_checks_the_whole_tree_at_construction(self, text):
+        # all but the last evaluate cleanly at a = p = 0, where `and` short-circuits
+        with pytest.raises(FixtureError, match="outside the predicate grammar") as info:
+            Predicate(text)
+        assert repr(text) in str(info.value)
+
+    def test_arithmetic_error_names_predicate_and_point(self):
+        pred = Predicate("a % (p - p) == 0")
+        with pytest.raises(FixtureError, match=r"'a % \(p - p\) == 0' fails at \(a=3, p=-1\)"):
+            pred(a=3, p=-1)
 
 
 class TestGroupGrammar:
