@@ -728,13 +728,40 @@ def two_torsion_group(g: FgAbelianGroup) -> FgAbelianGroup:
 # Cohomology of a two-step window of free abelian groups
 # ----------------------------------------------------------------------
 
-def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
-    """ker(d_out)/im(d_in) for maps Z^m --d_in--> Z^n --d_out--> Z^k.
+def window_cohomology(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int = 0) -> FgAbelianGroup:
+    """ker(d_out)/im(d_in) over Z (m = 0) or Z/m (m prime), trusting its input.
 
-    Requires d_out @ d_in = 0.  Uses the lattice fact that the torsion of
-    ker/im equals the torsion of Z^n/im(d_in) (any class with a multiple in
-    the image already lies in the kernel), so only ranks and the diagonal of
-    d_in are needed.
+    The shapes must match and d_out @ d_in must vanish (mod m): a
+    ``CochainComplex`` is verified when it is built, and ``cohomology_at``
+    and ``mod_m_cohomology_at`` check raw windows first.  Over Z the torsion
+    of ker/im is that of Z^n/im(d_in) (a class with a multiple in the image
+    lies in the kernel), so the diagonal of d_in and the rank of d_out
+    suffice.  No rank can come out negative: im d_in lies in ker d_out, so
+    rank d_in + rank d_out <= n, over Z and over Z/m.
+    """
+    if m:
+        if not is_prime(m):
+            raise ValueError(f"{m} is not prime")
+        return FgAbelianGroup(0, (m,) * (d_in.rows - rank_mod(d_out, m) - rank_mod(d_in, m)))
+    diag = snf_diagonal(d_in)
+    free = d_in.rows - rank(d_out) - len(diag)
+    return FgAbelianGroup.from_cyclic_orders([0] * free + [d for d in diag if d != 1])
+
+
+def _check_window(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int):
+    """Reject a raw window whose shapes differ or with d_out @ d_in not zero (mod m)."""
+    if d_in.rows != d_out.cols:
+        raise ValueError(
+            f"window mismatch: d_in lands in rank {d_in.rows}, d_out leaves rank {d_out.cols}")
+    if any(v % m if m else v for _, v in (d_out @ d_in).items()):
+        raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
+
+
+def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
+    """ker(d_out)/im(d_in) for a raw window, checked first to be a complex.
+
+    The cohomology of a ``CochainComplex`` skips this check: the complex was
+    verified when it was built.
 
     >>> print(cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1)))
     Z/2
@@ -742,37 +769,20 @@ def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
     >>> print(cohomology_at(z3, IntegerMatrix.zeros(0, 3)))
     Z^3
     """
-    if d_in.rows != d_out.cols:
-        raise ValueError(
-            f"window mismatch: d_in lands in rank {d_in.rows}, d_out leaves rank {d_out.cols}")
-    if not (d_out @ d_in).is_zero():
-        raise ValueError("d_out @ d_in is not zero; not a complex at this spot")
-    diag = snf_diagonal(d_in)
-    free = d_in.rows - rank(d_out) - len(diag)
-    if free < 0:
-        raise ValueError("inconsistent ranks; input was not a complex")
-    torsion = [d for d in diag if d != 1]
-    group = FgAbelianGroup.from_cyclic_orders([0] * free + torsion)
-    return group
+    _check_window(d_in, d_out, 0)
+    return window_cohomology(d_in, d_out)
 
 
 def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> FgAbelianGroup:
-    """Cohomology with Z/m coefficients (m prime): an elementary m-group.
+    """Cohomology with Z/m coefficients (m prime) of a raw window, checked first.
 
     >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2))
     Z/2
     """
-    if not is_prime(m):
+    if not is_prime(m):  # first, so that m = 0 is refused, not read as Z
         raise ValueError(f"{m} is not prime")
-    if d_in.rows != d_out.cols:
-        raise ValueError("window mismatch in mod-m cohomology")
-    comp = d_out @ d_in
-    if any(v % m for _, v in comp.items()):
-        raise ValueError("d_out @ d_in is not zero mod m")
-    r = d_in.rows - rank_mod(d_out, m) - rank_mod(d_in, m)
-    if r < 0:
-        raise ValueError("inconsistent mod-m ranks")
-    return FgAbelianGroup(0, (m,) * r)
+    _check_window(d_in, d_out, m)
+    return window_cohomology(d_in, d_out, m)
 
 
 # ----------------------------------------------------------------------
@@ -901,14 +911,6 @@ class PresentedGroup:
         return IntegerMatrix(self.size, len(cols), d)
 
 
-def congruent_mod_relations(m: IntegerMatrix, target: PresentedGroup) -> bool:
-    for (i, _), v in m.items():
-        o = target.orders[i]
-        if (v % o) if o else v:
-            return False
-    return True
-
-
 def kernel_lattice(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> IntegerMatrix:
     """Generators (columns) of {x : f x = 0 in the target group} in Z^source."""
     k = kernel_basis(f.hstack(target.relation_matrix()))
@@ -923,22 +925,19 @@ def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:
     return solve(generators, vectors) is not None
 
 
-def image_lattice(f: IntegerMatrix, target: PresentedGroup) -> IntegerMatrix:
-    return f.hstack(target.relation_matrix())
-
-
-def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix,
-                a: PresentedGroup, b: PresentedGroup, c: PresentedGroup) -> bool:
+def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix, b: PresentedGroup, c: PresentedGroup) -> bool:
     """Exactness of A --f1--> B --f2--> C at B (image = kernel)."""
-    if not congruent_mod_relations(f2 @ f1, c):
+    if not map_is_zero(f2 @ f1, c):
         return False
-    ker = kernel_lattice(f2, b, c)
-    img = image_lattice(f1, b)
-    return lattice_contains(img, ker)
+    return lattice_contains(f1.hstack(b.relation_matrix()), kernel_lattice(f2, b, c))
 
 
 def map_is_zero(f: IntegerMatrix, target: PresentedGroup) -> bool:
-    return congruent_mod_relations(f, target)
+    for (i, _), v in f.items():
+        o = target.orders[i]
+        if (v % o) if o else v:
+            return False
+    return True
 
 
 def map_is_injective(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> bool:
@@ -946,9 +945,8 @@ def map_is_injective(f: IntegerMatrix, source: PresentedGroup, target: Presented
     return lattice_contains(source.relation_matrix(), ker)
 
 
-def map_is_surjective(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> bool:
-    img = image_lattice(f, target)
-    return lattice_contains(img, IntegerMatrix.identity(target.size))
+def map_is_surjective(f: IntegerMatrix, target: PresentedGroup) -> bool:
+    return lattice_contains(f.hstack(target.relation_matrix()), IntegerMatrix.identity(target.size))
 
 
 def map_is_multiplication_by(f: IntegerMatrix, n: int,
@@ -956,4 +954,4 @@ def map_is_multiplication_by(f: IntegerMatrix, n: int,
     if source.orders != target.orders:
         return False
     diff = f + IntegerMatrix.from_diagonal([-n] * source.size, source.size, source.size)
-    return congruent_mod_relations(diff, target)
+    return map_is_zero(diff, target)

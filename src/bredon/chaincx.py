@@ -33,7 +33,7 @@ from .abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
     PresentedGroup,
-    cohomology_at,
+    cohomology_at,  # unused here; the benchmark tracer pins chaincx.cohomology_at as an alias
     cohomology_presentation,
     is_exact_at,
     map_is_injective,
@@ -41,7 +41,7 @@ from .abgrp import (
     map_is_surjective,
     map_is_zero,
     map_on_cohomology,
-    mod_m_cohomology_at,
+    window_cohomology,
 )
 
 
@@ -50,17 +50,19 @@ class ComplexError(ValueError):
 
 
 class CochainComplex:
-    """A bounded complex of free abelian groups with integer differentials."""
+    """A bounded complex of free abelian groups with integer differentials.
+
+    Every complex is validated once, when it is built (shapes and d.d = 0,
+    raising ComplexError), so nothing that reads its windows checks again.
+    """
 
     __slots__ = ("components", "differentials", "_pres_cache")
 
-    def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix],
-                 check: bool = True):
+    def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
         self._pres_cache: Dict[tuple[int, int], CohomologyPresentation] = {}
-        if check:
-            validate(self)
+        validate(self)
 
     # -- shape -----------------------------------------------------------
     def rank(self, degree: int) -> int:
@@ -101,7 +103,7 @@ class CochainComplex:
         comps = {d - n: r for d, r in self.components.items()}
         sign = -1 if n % 2 else 1
         diffs = {d - n: (m if sign == 1 else -m) for d, m in self.differentials.items()}
-        return CochainComplex(comps, diffs, check=False)
+        return CochainComplex(comps, diffs)
 
     # -- serialization -----------------------------------------------------
     def to_json(self) -> dict:
@@ -159,12 +161,11 @@ def euler_characteristic(c: CochainComplex) -> int:
 
 
 def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
-    """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients."""
-    d_in = c.differential(degree - 1)
-    d_out = c.differential(degree)
-    if m == 0:
-        return cohomology_at(d_in, d_out)
-    return mod_m_cohomology_at(d_in, d_out, m)
+    """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients.
+
+    C was verified when it was built, so no product d.d is formed here.
+    """
+    return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
 
 
 def all_cohomology(c: CochainComplex, m: int = 0) -> Dict[int, FgAbelianGroup]:
@@ -383,30 +384,24 @@ class InducedMap:
     source_group: FgAbelianGroup
     target_group: FgAbelianGroup
     matrix: IntegerMatrix
-    source_orders: tuple
-    target_orders: tuple
-
-    def _src(self) -> PresentedGroup:
-        return PresentedGroup(self.source_orders)
-
-    def _tgt(self) -> PresentedGroup:
-        return PresentedGroup(self.target_orders)
+    source: PresentedGroup
+    target: PresentedGroup
 
     def is_zero(self) -> bool:
-        return map_is_zero(self.matrix, self._tgt())
+        return map_is_zero(self.matrix, self.target)
 
     def is_injective(self) -> bool:
-        return map_is_injective(self.matrix, self._src(), self._tgt())
+        return map_is_injective(self.matrix, self.source, self.target)
 
     def is_surjective(self) -> bool:
-        return map_is_surjective(self.matrix, self._src(), self._tgt())
+        return map_is_surjective(self.matrix, self.target)
 
     def is_isomorphism(self) -> bool:
         return self.is_injective() and self.is_surjective()
 
     def is_multiplication_by(self, n: int) -> bool:
         """True when source and target forms agree and the map is x -> n x."""
-        return map_is_multiplication_by(self.matrix, n, self._src(), self._tgt())
+        return map_is_multiplication_by(self.matrix, n, self.source, self.target)
 
 
 def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
@@ -425,8 +420,7 @@ def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
 def _induced(component: IntegerMatrix, degree: int, sp: CohomologyPresentation,
              tp: CohomologyPresentation) -> InducedMap:
     mat = map_on_cohomology(component, sp, tp)
-    return InducedMap(degree, sp.group, tp.group, mat,
-                      PresentedGroup.of(sp).orders, PresentedGroup.of(tp).orders)
+    return InducedMap(degree, sp.group, tp.group, mat, PresentedGroup.of(sp), PresentedGroup.of(tp))
 
 
 # ---------------------------------------------------------------------------
@@ -457,11 +451,8 @@ def check_cone_les(f: ChainMap) -> bool:
     for k in range(1, len(seq)):
         _, i1, g1 = seq[k - 1]
         node, i2, g2 = seq[k]
-        a = PresentedGroup(g1.source_orders)
-        b = PresentedGroup(g1.target_orders)
-        c = PresentedGroup(g2.target_orders)
-        if g1.target_orders != g2.source_orders:
+        if g1.target != g2.source:
             raise ComplexError(f"node mismatch at {node} degree {i2}")
-        if not is_exact_at(g1.matrix, g2.matrix, a, b, c):
+        if not is_exact_at(g1.matrix, g2.matrix, g1.target, g2.target):
             raise ComplexError(f"cone sequence inexact at {node} in degree {i2}")
     return True

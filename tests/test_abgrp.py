@@ -226,6 +226,16 @@ class TestCohomologyAt:
         with pytest.raises(ValueError):
             cohomology_at(IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(1, 3))
 
+    def test_raw_windows_are_checked_mod_m(self):
+        one, three = IntegerMatrix.from_rows([[1]]), IntegerMatrix.from_rows([[3]])
+        with pytest.raises(ValueError, match="not zero"):
+            cohomology_at(one, three)
+        with pytest.raises(ValueError, match="not zero mod 2"):
+            mod_m_cohomology_at(one, three, 2)
+        assert mod_m_cohomology_at(one, three, 3) == ZERO
+        with pytest.raises(ValueError, match="mismatch"):
+            mod_m_cohomology_at(IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(1, 3), 2)
+
     def test_unimodular_invariance(self, rng):
         # conjugating both differentials by unimodular matrices keeps the form
         for _ in range(40):
@@ -292,8 +302,9 @@ class TestModM:
                 assert rank_mod(a, ell) == expected
 
     def test_rejects_composite_modulus(self):
-        with pytest.raises(ValueError):
-            mod_m_cohomology_at(IntegerMatrix.zeros(1, 0), IntegerMatrix.zeros(0, 1), 4)
+        for m in (4, 0):
+            with pytest.raises(ValueError, match=f"{m} is not prime"):
+                mod_m_cohomology_at(IntegerMatrix.zeros(1, 0), IntegerMatrix.zeros(0, 1), m)
         assert is_prime(2) and is_prime(97) and not is_prime(91)
 
 

@@ -19,7 +19,7 @@ from bredon.chaincx import (
     unit_complex,
     validate,
 )
-from bredon.sigmacx import FIXED, SigmaSpec, build_sigma_complex
+from bredon.sigmacx import FIXED, FREE, SigmaSpec, build_sigma_complex
 
 from conftest import random_chain_map, random_complex
 
@@ -133,6 +133,23 @@ class TestCohomologyAndEuler:
         groups = all_cohomology(c)
         assert 0 < len(reductions) <= len(c.differentials)
         assert groups == {-4: FgAbelianGroup.free(1), -2: Z2, 0: Z2}
+
+    @pytest.mark.parametrize("spec", [SigmaSpec(p, orbit)
+                                      for p in (4, -4) for orbit in (FIXED, FREE)])
+    def test_built_complex_cohomology_multiplies_nothing(self, monkeypatch, spec):
+        # the complex was verified when it was built; its windows are not checked again
+        c = build_sigma_complex.__wrapped__(spec)
+        products = []
+        matmul = IntegerMatrix.__matmul__
+        monkeypatch.setattr(IntegerMatrix, "__matmul__",
+                            lambda a, b: products.append((a, b)) or matmul(a, b))
+        all_cohomology(c)
+        all_cohomology(c, 2)
+        assert products == []
+
+    def test_composite_modulus_rejected(self):
+        with pytest.raises(ValueError, match="4 is not prime"):
+            cohomology(build_sigma_complex(SigmaSpec(2, FIXED)), 0, 4)
 
     def test_presentation_leaves_cohomology_nothing_to_reduce(self, reductions):
         for degree in range(-4, 1):
