@@ -291,10 +291,6 @@ class ChainMap:
         return cls(c, c, {d: IntegerMatrix.identity(r) for d, r in c.components.items()},
                    check=False)
 
-    @classmethod
-    def zero(cls, source: CochainComplex, target: CochainComplex) -> "ChainMap":
-        return cls(source, target, {}, check=False)
-
     def compose(self, other: "ChainMap") -> "ChainMap":
         """self . other (other applied first)."""
         if other.target is not self.source and other.target.components != self.source.components:

@@ -88,10 +88,14 @@ def _spec_from_args(args) -> GridSpec:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        for name in ("p_max", "n_max", "p_range"):
+            if getattr(args, name, 0) < 0:
+                raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
+                                 f"got {getattr(args, name)}")
         return _dispatch(args)
     except KeyError as exc:     # unknown check suite
         print(f"bredon: error: {exc.args[0]}", file=sys.stderr)
-    except ValueError as exc:   # out-of-range shift, bad table or fixture input
+    except ValueError as exc:   # negative range, out-of-range shift, bad table or fixture input
         print(f"bredon: error: {exc}", file=sys.stderr)
     return 2
 

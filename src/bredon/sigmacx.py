@@ -4,9 +4,17 @@ Everything here is orbit combinatorics.  Sections of the transfer presheaf on
 a j-fold product of free orbits, taken at a point, have a basis indexed by
 orbits of the flip action on bit strings {0,1}^j (the class of v is {v, v~}
 with v~ the complement); at the free orbit one extra coordinate is appended.
-Pushforward deletes a coordinate, pullback inserts one, and the complex for a
-shift by n copies of the sign representation assembles these maps over the
-subset lattice of {1..n} with Koszul signs.
+
+Every map between these bases follows one cycle rule (``_orbit_block``): a
+class is the cycle {v, v~}, or the single point () for the fixed arity-0
+class; carry each point along a map of points, or take both of its lifts for
+a pullback, and the coefficient of a target class is the number of images
+equal to its canonical representative.  Pushforward deletes a coordinate,
+pullback inserts one, the transfer forgets the free coordinate, the
+restriction prepends both values of it, and the involution flips it.  The
+complex for a shift by n copies of the sign representation assembles the
+pushforwards (n > 0) or pullbacks (n < 0) over the subset lattice of {1..n}
+with Koszul signs.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -49,30 +57,6 @@ class SigmaSpec:
             raise ValueError(f"orbit_type must be 'fixed' or 'free', got {self.orbit_type!r}")
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """The flip-orbit of a bit string, stored by its canonical representative.
-
-    The canonical representative is the lexicographically smaller of the pair
-    {v, complement(v)}; for positive arity that is exactly the string starting
-    with 0.  Arity 0 has the single empty class.
-    """
-
-    bits: Tuple[int, ...]
-
-    def __post_init__(self):
-        if self.bits and self.bits[0] == 1:
-            raise ValueError("orbit representative must be canonical (leading 0)")
-
-    @classmethod
-    def of(cls, bits: Tuple[int, ...]) -> "Orbit":
-        return cls(canonical_bits(bits))
-
-    @property
-    def arity(self) -> int:
-        return len(self.bits)
-
-
 def canonical_bits(bits: Tuple[int, ...]) -> Tuple[int, ...]:
     """The lexicographically smaller of a bit string and its complement."""
     if bits and bits[0] == 1:
@@ -104,17 +88,29 @@ def orbit_basis(j: int, orbit_type: str = FIXED) -> List[Tuple[int, ...]]:
     return out
 
 
-def _basis_index(j: int, orbit_type: str) -> Dict[Tuple[int, ...], int]:
-    return {b: i for i, b in enumerate(orbit_basis(j, orbit_type))}
+def _orbit_block(src, tgt, image) -> IntegerMatrix:
+    """The block of a map of orbit classes, from basis labels src to tgt.
+
+    The cycle of a source class is its orbit {v, complement(v)}, or the single
+    point () of the fixed arity-0 class.  image sends a point to its images:
+    one for a map of points, both lifts for a pullback.  The coefficient of a
+    target class is the number of images equal to its canonical representative.
+    """
+    row = {b: i for i, b in enumerate(tgt)}
+    entries: dict = {}
+    for col, bits in enumerate(src):
+        for point in ((bits, tuple(1 - b for b in bits)) if bits else ((),)):
+            for q in image(point):
+                if q in row:
+                    entries[(row[q], col)] = entries.get((row[q], col), 0) + 1
+    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
 
 
 def push_matrix(j: int, drop_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
     """Cycle pushforward deleting the drop_index-th coordinate (1-based).
 
-    Each orbit class maps to the class of the shortened string with
-    coefficient 1, except that at the fixed point the arity-1 classes map
-    onto the empty class with coefficient 2 (both points of the orbit land
-    on the single point).
+    At the fixed point both points of an arity-1 orbit land on the single
+    point, so the arity-1 classes map onto the empty class with coefficient 2.
 
     >>> push_matrix(1, 1).to_rows()
     [[2]]
@@ -123,19 +119,9 @@ def push_matrix(j: int, drop_index: int, orbit_type: str = FIXED) -> IntegerMatr
     """
     if not 1 <= drop_index <= j:
         raise ValueError(f"drop index {drop_index} out of range for arity {j}")
-    free = orbit_type == FREE
-    src = orbit_basis(j, orbit_type)
-    tgt_index = _basis_index(j - 1, orbit_type)
-    pos = drop_index - 1 + (1 if free else 0)
-    entries: dict = {}
-    for col, bits in enumerate(src):
-        shorter = bits[:pos] + bits[pos + 1:]
-        if not free and j == 1:
-            entries[(tgt_index[()], col)] = 2
-        else:
-            entries[(tgt_index[canonical_bits(shorter)], col)] = entries.get(
-                (tgt_index[canonical_bits(shorter)], col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt_index), len(src), entries)
+    pos = drop_index - 1 + (1 if orbit_type == FREE else 0)
+    return _orbit_block(orbit_basis(j, orbit_type), orbit_basis(j - 1, orbit_type),
+                        lambda v: (v[:pos] + v[pos + 1:],))
 
 
 def pull_matrix(j: int, insert_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
@@ -152,22 +138,9 @@ def pull_matrix(j: int, insert_index: int, orbit_type: str = FIXED) -> IntegerMa
     """
     if not 1 <= insert_index <= j:
         raise ValueError(f"insert index {insert_index} out of range for arity {j}")
-    free = orbit_type == FREE
-    src = orbit_basis(j - 1, orbit_type)
-    tgt_index = _basis_index(j, orbit_type)
-    pos = insert_index - 1 + (1 if free else 0)
-    entries: dict = {}
-    for col, bits in enumerate(src):
-        if not free and j == 1:
-            # the fixed arity-0 class is a single point; its preimage is the
-            # whole orbit, i.e. the one class with coefficient 1
-            entries[(tgt_index[(0,)], col)] = 1
-            continue
-        for b in (0, 1):
-            longer = bits[:pos] + (b,) + bits[pos:]
-            row = tgt_index[canonical_bits(longer)]
-            entries[(row, col)] = entries.get((row, col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt_index), len(src), entries)
+    pos = insert_index - 1 + (1 if orbit_type == FREE else 0)
+    return _orbit_block(orbit_basis(j - 1, orbit_type), orbit_basis(j, orbit_type),
+                        lambda v: (v[:pos] + (0,) + v[pos:], v[:pos] + (1,) + v[pos:]))
 
 
 def _subset_blocks(n: int, j: int) -> List[Tuple[int, ...]]:
@@ -179,12 +152,7 @@ def _component_layout(n: int, j: int, orbit_type: str):
     """Offsets of the subset blocks inside the degree component."""
     blocks = _subset_blocks(n, j)
     size = len(orbit_basis(j, orbit_type))
-    offsets = {s: k * size for k, s in enumerate(blocks)}
-    return blocks, size, offsets
-
-
-def _koszul_sign(subset: Tuple[int, ...], s: int) -> int:
-    return -1 if sum(1 for t in subset if t > s) % 2 else 1
+    return blocks, {s: k * size for k, s in enumerate(blocks)}
 
 
 @lru_cache(maxsize=None)
@@ -214,40 +182,24 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
         size = len(orbit_basis(j, orbit_type)) * len(_subset_blocks(m, j))
         comps[-j if n > 0 else j] = size
     diffs: Dict[int, IntegerMatrix] = {}
-    if n > 0:
-        for j in range(m, 0, -1):
-            src_blocks, src_size, src_off = _component_layout(m, j, orbit_type)
-            _, tgt_size, tgt_off = _component_layout(m, j - 1, orbit_type)
-            push = [push_matrix(j, idx, orbit_type) for idx in range(1, j + 1)]
-            entries: dict = {}
-            for subset in src_blocks:
-                base = src_off[subset]
-                for idx, s in enumerate(subset):
-                    rest = tuple(t for t in subset if t != s)
-                    sign = _koszul_sign(subset, s)
-                    tbase = tgt_off[rest]
-                    for (r, c), v in push[idx].items():
-                        key = (tbase + r, base + c)
-                        entries[key] = entries.get(key, 0) + sign * v
-            diffs[-j] = IntegerMatrix.from_entries(comps[-(j - 1)], comps[-j], entries)
-    else:
-        for j in range(m):
-            src_blocks, _, src_off = _component_layout(m, j, orbit_type)
-            _, _, tgt_off = _component_layout(m, j + 1, orbit_type)
-            pull = [pull_matrix(j + 1, idx, orbit_type) for idx in range(1, j + 2)]
-            entries = {}
-            for subset in src_blocks:
-                base = src_off[subset]
-                for s in range(1, m + 1):
-                    if s in subset:
-                        continue
-                    bigger = tuple(sorted(subset + (s,)))
-                    sign = _koszul_sign(subset, s)
-                    tbase = tgt_off[bigger]
-                    for (r, c), v in pull[bigger.index(s)].items():
-                        key = (tbase + r, base + c)
-                        entries[key] = entries.get(key, 0) + sign * v
-            diffs[j] = IntegerMatrix.from_entries(comps[j + 1], comps[j], entries)
+    push = n > 0
+    block = push_matrix if push else pull_matrix
+    for j in range(m):
+        # d joins arity j + 1 and arity j: slot idx of the larger subset has
+        # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
+        _, small_off = _component_layout(m, j, orbit_type)
+        big_blocks, big_off = _component_layout(m, j + 1, orbit_type)
+        blocks = [block(j + 1, idx, orbit_type) for idx in range(1, j + 2)]
+        entries: dict = {}
+        for big in big_blocks:
+            for idx in range(j + 1):
+                small = small_off[big[:idx] + big[idx + 1:]]
+                row, col = (small, big_off[big]) if push else (big_off[big], small)
+                sign = -1 if (j - idx) % 2 else 1
+                for (r, c), v in blocks[idx].items():
+                    entries[(row + r, col + c)] = sign * v
+        src, tgt = (-(j + 1), -j) if push else (j, j + 1)
+        diffs[src] = IntegerMatrix.from_entries(comps[tgt], comps[src], entries)
     return CochainComplex(comps, diffs)
 
 
@@ -275,85 +227,52 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # Transfer and restriction
 # ---------------------------------------------------------------------------
 
-def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str, arity_map) -> Dict[int, IntegerMatrix]:
-    """Assemble a degreewise map from a per-arity block (same subset layout)."""
+def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
+                   image) -> Dict[int, IntegerMatrix]:
+    """Assemble a degreewise map from the orbit block of image (same subset layout)."""
     m = abs(n)
     maps = {}
     for j in range(m + 1):
         deg = -j if n > 0 else j
-        src_blocks, src_size, src_off = _component_layout(m, j, orbit_type_src)
-        _, tgt_size, tgt_off = _component_layout(m, j, orbit_type_tgt)
-        block = arity_map(j)
+        src_blocks, src_off = _component_layout(m, j, orbit_type_src)
+        _, tgt_off = _component_layout(m, j, orbit_type_tgt)
+        block = _orbit_block(orbit_basis(j, orbit_type_src), orbit_basis(j, orbit_type_tgt), image)
         entries = {}
         for subset in src_blocks:
             sb, tb = src_off[subset], tgt_off[subset]
             for (r, c), v in block.items():
                 entries[(tb + r, sb + c)] = v
-        rows = tgt_size * len(src_blocks)
-        cols = src_size * len(src_blocks)
-        maps[deg] = IntegerMatrix.from_entries(rows, cols, entries)
+        maps[deg] = IntegerMatrix.from_entries(block.rows * len(src_blocks),
+                                               block.cols * len(src_blocks), entries)
     return maps
 
 
-def _transfer_block(j: int) -> IntegerMatrix:
-    """Orbit sum: a free class maps to the class of its non-free part."""
-    src = orbit_basis(j, FREE)
-    tgt_index = _basis_index(j, FIXED)
-    entries: dict = {}
-    for col, bits in enumerate(src):
-        rest = bits[1:]
-        if j == 0:
-            entries[(tgt_index[()], col)] = 2
-        else:
-            row = tgt_index[canonical_bits(rest)]
-            entries[(row, col)] = entries.get((row, col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt_index), len(src), entries)
-
-
-def _restriction_block(j: int) -> IntegerMatrix:
-    """Orbit expansion: a fixed class pulls back to the classes over it."""
-    src = orbit_basis(j, FIXED)
-    tgt_index = _basis_index(j, FREE)
-    entries: dict = {}
-    for col, bits in enumerate(src):
-        if j == 0:
-            entries[(tgt_index[(0,)], col)] = 1
-            continue
-        for rep in (bits, tuple(1 - b for b in bits)):
-            row = tgt_index[canonical_bits((0,) + rep)]
-            entries[(row, col)] = entries.get((row, col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt_index), len(src), entries)
-
-
-def _involution_block(j: int) -> IntegerMatrix:
-    """Flip the free coordinate (identity at arity 0)."""
-    src = orbit_basis(j, FREE)
-    index = _basis_index(j, FREE)
-    entries = {}
-    for col, bits in enumerate(src):
-        flipped = canonical_bits((1 - bits[0],) + bits[1:])
-        entries[(index[flipped], col)] = 1
-    return IntegerMatrix.from_entries(len(src), len(src), entries)
-
-
 def transfer_map(p: int) -> ChainMap:
-    """The transfer from the free-orbit complex to the fixed-point complex."""
+    """The transfer from the free-orbit complex to the fixed-point complex.
+
+    Orbit sum: forget the free bit.
+    """
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
     fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(free_cx, fixed_cx, _per_arity_map(p, FREE, FIXED, _transfer_block))
+    return ChainMap(free_cx, fixed_cx, _per_arity_map(p, FREE, FIXED, lambda v: (v[1:],)))
 
 
 def restriction_map(p: int) -> ChainMap:
-    """The restriction from the fixed-point complex to the free-orbit complex."""
+    """The restriction from the fixed-point complex to the free-orbit complex.
+
+    Orbit expansion: prepend a free bit 0 and 1.
+    """
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
     fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(fixed_cx, free_cx, _per_arity_map(p, FIXED, FREE, _restriction_block))
+    return ChainMap(fixed_cx, free_cx,
+                    _per_arity_map(p, FIXED, FREE, lambda v: ((0,) + v, (1,) + v)))
 
 
 def involution_map(p: int) -> ChainMap:
     """The free-coordinate flip on the free-orbit complex."""
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
-    return ChainMap(free_cx, free_cx, _per_arity_map(p, FREE, FREE, _involution_block))
+    return ChainMap(free_cx, free_cx,
+                    _per_arity_map(p, FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)))
 
 
 class CheckFailure(AssertionError):
@@ -425,8 +344,8 @@ def cone_identification(p: int):
     perms = {}
     for j in range(m + 2):
         deg = -j
-        tgt_blocks, tgt_size, tgt_off = _component_layout(m + 1, j, FIXED)
-        tgt_index_arity = _basis_index(j, FIXED)
+        _, tgt_off = _component_layout(m + 1, j, FIXED)
+        tgt_index_arity = {b: i for i, b in enumerate(orbit_basis(j, FIXED))}
         perm = []
         # fixed block: subsets of {1..p} of size j
         if j <= m:

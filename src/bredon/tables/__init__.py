@@ -152,7 +152,6 @@ class Predicate:
         return f"Predicate({self.text!r})"
 
 
-_EXACT_ATOMS = {"Z": 0}
 _FORMAL_ATOMS = {"Z": ZA, "Z/2": Z2, "k*": KSTAR, "k*2": KSQ,
                  "k*/k*2": KMODSQ, "k*2/k*4": KSQMOD4, "_2k*": TORS2K}
 

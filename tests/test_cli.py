@@ -125,3 +125,18 @@ def test_predicate_arithmetic_error_is_one_line_exit_two(capsys, tmp_path, monke
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1
     assert "a % (p - p) == 0" in captured.err
+
+
+def test_negative_range_is_one_line_exit_two(capsys):
+    for argv, option in (
+            (["check", "weight0-integral", "free-orbit", "cone-tower", "--p-max", "-1"],
+             "--p-max"),
+            (["check", "weight1-derived", "--n-max", "-1"], "--n-max"),
+            (["grid", "--p-range", "-2"], "--p-range"),
+            (["export", "--p-range", "-1", "--format", "csv"], "--p-range"),
+            (["derive", "--weight", "1", "--profile", "euclidean", "--n-max", "-3"], "--n-max")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
+        assert option in captured.err, argv

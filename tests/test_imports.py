@@ -1,20 +1,23 @@
-"""Every name a module of the package imports is used there.
+"""Every name a module of the package imports is used there, and every
+top-level name it defines is used somewhere.
 
 Checked on the syntax tree with the standard library alone: an imported
-name must appear as a name in the module body or be listed in ``__all__``.
+name must appear as a name in the module body or be listed in ``__all__``;
+a top-level definition must be loaded by name in the package, the tests,
+the benchmark or the demos.
 """
 
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bredon"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "bredon"
 
 # (module, name) imported on purpose without a use
 ALLOWED = {
     # the benchmark tracer rebinds chaincx.cohomology_at as an alias of abgrp's
     ("chaincx.py", "cohomology_at"),
 }
-
 
 def unused_imports(tree: ast.Module) -> set:
     imported = set()
@@ -37,3 +40,51 @@ def test_no_unused_imports():
         tree = ast.parse(path.read_text(), str(path))
         found |= {(path.relative_to(PACKAGE).as_posix(), name) for name in unused_imports(tree)}
     assert found <= ALLOWED, sorted(found - ALLOWED)
+
+
+def top_level_names(tree: ast.Module) -> set:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                elts = target.elts if isinstance(target, ast.Tuple) else [target]
+                names |= {t.id for t in elts if isinstance(t, ast.Name)}
+    return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
+
+
+def loaded_names(tree: ast.Module) -> set:
+    loads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loads.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loads.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            loads |= {part for a in node.names for part in a.name.split(".")}
+    return loads
+
+
+def span_bindings(tree: ast.Module) -> set:
+    """The names in the benchmark's SPAN_GROUPS bindings, read without importing it."""
+    for node in tree.body:
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "SPAN_GROUPS":
+            groups = ast.literal_eval(node.value)
+            return {part for _, bindings in groups.values()
+                    for binding in bindings for part in binding.split(".")}
+    raise AssertionError("bench/spans.py has no SPAN_GROUPS table")
+
+
+def test_no_dead_definitions():
+    loads = span_bindings(ast.parse((ROOT / "bench" / "spans.py").read_text()))
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            loads |= loaded_names(ast.parse(path.read_text(), str(path)))
+    found = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        module = path.relative_to(PACKAGE).as_posix()
+        found |= {(module, name) for name in top_level_names(tree) - loads}
+    assert not found, sorted(found)

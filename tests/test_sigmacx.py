@@ -1,5 +1,7 @@
 """Orbit combinatorics, the shift complexes, and the structural checks."""
 
+from itertools import combinations, product
+
 import pytest
 
 from bredon import abgrp
@@ -10,7 +12,7 @@ from bredon.abgrp import (
     smith_normal_form,
     snf_diagonal,
 )
-from bredon.chaincx import all_cohomology, cohomology
+from bredon.chaincx import CochainComplex, all_cohomology, cohomology, tensor, unit_complex
 from bredon.sigmacx import (
     FIXED,
     FREE,
@@ -34,12 +36,14 @@ Z2 = FgAbelianGroup.cyclic(2)
 ZERO = FgAbelianGroup.zero()
 
 
-# -- independent enumeration oracle for the push/pull coefficients ---------
+# -- enumeration oracle for the push/pull coefficients ----------------------
 #
 # A basis class is a cycle: the pair {v, complement(v)} of bit strings, or a
 # single point for the fixed arity-0 class.  Pushing forward (or pulling
 # back) the cycle gives a multiset of points, and the coefficient of a basis
 # class in that multiset is the multiplicity of its canonical representative.
+# This is the rule sigmacx._orbit_block implements; the tensor-power oracle
+# below checks it independently.
 
 def _cycle_points(bits, free):
     if not free and not bits:
@@ -274,6 +278,90 @@ class TestConeTower:
         assert cone_tower_check(2)
         c3 = build_sigma_complex(SigmaSpec(3, FIXED))
         assert {d: str(g) for d, g in all_cohomology(c3).items()} == {0: "Z/2", -2: "Z/2"}
+
+
+# -- tensor-power oracle ------------------------------------------------------
+#
+# An independent model of the orbit complexes.  K is Z^2 -> Z on degrees -1, 0
+# (basis E0, E1 and U, d = [1 1]) and K_DUAL is Z -> Z^2 on degrees 0, 1; the
+# free complex at p is the |p|-fold tensor power T, the new factor first, and
+# the fixed complex is its invariants under the swap E0 <-> E1.  A label
+# (S, bits) is the word with E_b at each s in S (b the bit of that slot, after
+# the free bit at the free orbit) and U elsewhere, with sign (-1)^(j(j-1)/2)
+# in degree -+j; a fixed label is the orbit sum of its word.
+
+K = CochainComplex({-1: 2, 0: 1}, {-1: IntegerMatrix.from_rows([[1, 1]])})
+K_DUAL = CochainComplex({0: 1, 1: 2}, {0: IntegerMatrix.from_rows([[1], [1]])})
+
+
+def tensor_power(p):
+    t = unit_complex()
+    for _ in range(abs(p)):
+        t = tensor(K if p > 0 else K_DUAL, t)
+    return t
+
+
+def tensor_power_model(p):
+    """T, and per degree the matrices of the free labels, the fixed orbit sums
+    and the swap in T's basis: T's words in lexicographic order with
+    U < E0 < E1 for p > 0 and E0 < E1 < U for p < 0 (E_b is the letter b)."""
+    m, u = abs(p), (-1 if p > 0 else 2)
+    t = tensor_power(p)
+    free, fixed, swap = {}, {}, {}
+    for d in t.degrees():
+        j = abs(d)
+        sign = -1 if j * (j - 1) // 2 % 2 else 1
+        words = sorted(w for w in product((u, 0, 1), repeat=m)
+                       if sum(x != u for x in w) == j)
+        assert len(words) == t.rank(d)
+        index = {w: i for i, w in enumerate(words)}
+
+        def word(subset, slot_bits):
+            w = [u] * m
+            for s, b in zip(subset, slot_bits):
+                w[s - 1] = b
+            return tuple(w)
+
+        def flip(w):
+            return tuple(x if x == u else 1 - x for x in w)
+
+        def labels(orbit_type):
+            return [(subset, bits) for subset in combinations(range(1, m + 1), j)
+                    for bits in orbit_basis(j, orbit_type)]
+
+        free_labels, fixed_labels = labels(FREE), labels(FIXED)
+        free[d] = IntegerMatrix.from_entries(len(words), len(free_labels), {
+            (index[word(s, bits[1:])], col): sign
+            for col, (s, bits) in enumerate(free_labels)})
+        fixed[d] = IntegerMatrix.from_entries(len(words), len(fixed_labels), {
+            (index[w], col): sign
+            for col, (s, bits) in enumerate(fixed_labels)
+            for w in {word(s, bits), flip(word(s, bits))}})
+        swap[d] = IntegerMatrix.from_entries(len(words), len(words), {
+            (index[flip(w)], i): 1 for i, w in enumerate(words)})
+    return t, free, fixed, swap
+
+
+def check_tensor_power_model(p):
+    t, free, fixed, swap = tensor_power_model(p)
+    free_cx = build_sigma_complex(SigmaSpec(p, FREE))
+    fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
+    assert free_cx.components == t.components
+    for d in t.degrees()[:-1]:
+        assert t.differential(d) @ free[d] == free[d + 1] @ free_cx.differential(d), d
+        assert t.differential(d) @ fixed[d] == fixed[d + 1] @ fixed_cx.differential(d), d
+    tr, res, inv = transfer_map(p), restriction_map(p), involution_map(p)
+    for d in t.degrees():
+        norm = swap[d] + IntegerMatrix.identity(t.rank(d))
+        assert fixed[d] @ tr.component(d) == norm @ free[d], d
+        assert free[d] @ res.component(d) == fixed[d], d
+        assert free[d] @ inv.component(d) == swap[d] @ free[d], d
+
+
+class TestTensorPowerOracle:
+    @pytest.mark.parametrize("p", [p for p in range(-7, 8) if p])
+    def test_free_and_fixed_complexes_and_maps(self, p):
+        check_tensor_power_model(p)
 
 
 # -- the reduction engine on the orbit differentials ------------------------
