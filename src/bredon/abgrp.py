@@ -34,51 +34,55 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 class IntegerMatrix:
     """An immutable integer matrix with exact arithmetic.
 
-    Entries are conceptually stored in row-major order; internally only
-    nonzero entries are kept so that the large, sparse differentials of the
-    cycle complexes stay cheap.  Zero-row and zero-column matrices are
+    ``rows`` and ``cols`` are the shape.  The entries are stored sparse, one
+    dict {column: value} of nonzero entries per row (``_rows``), which is
+    the layout the reduction engine works in, so the large, sparse
+    differentials of the cycle complexes stay cheap.  Callers pass and read
+    entries keyed by (row, column): the constructor's ``data``,
+    ``from_entries`` and ``items()``.  Zero-row and zero-column matrices are
     first-class and represent maps to or from the zero group.
+
+    Matrices may share row dicts (a row slice does); no row dict is mutated
+    once it belongs to a matrix, and the reduction engine works on copies.
 
     The nonzero Smith diagonal is memoised on the matrix by the first
     reduction of it, whichever entry point runs that reduction.  It is
     derived from the entries, so it takes no part in equality.
     """
 
-    __slots__ = ("rows", "cols", "_d", "_diag")
+    __slots__ = ("rows", "cols", "_rows", "_diag")
 
     def __init__(self, rows: int, cols: int, data: dict):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        self.rows = rows
-        self.cols = cols
-        self._d = {k: v for k, v in data.items() if v}
-        self._diag: Optional[tuple] = None if self._d else ()
+        by_row = [{} for _ in range(rows)]
+        for (i, j), v in data.items():
+            if v:
+                by_row[i][j] = v
+        self.rows, self.cols, self._rows = rows, cols, by_row
+        self._diag: Optional[tuple] = None if any(by_row) else ()
+
+    @classmethod
+    def _adopt(cls, rows: list, cols: int) -> "IntegerMatrix":
+        """The matrix whose row i is the dict rows[i], which holds no zero; not copied."""
+        a = cls.__new__(cls)
+        a.rows, a.cols, a._rows = len(rows), cols, rows
+        a._diag = None if any(rows) else ()
+        return a
 
     # -- constructors -------------------------------------------------
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntegerMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else (cols or 0)
-        d = {}
-        for i, row in enumerate(rows):
-            if len(row) != c:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                if v:
-                    d[(i, j)] = int(v)
-        return cls(r, c, d)
+        c = len(rows[0]) if rows else (cols or 0)
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls._adopt([{j: int(v) for j, v in enumerate(row) if v} for row in rows], c)
 
     @classmethod
     def from_flat(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntegerMatrix":
         if len(entries) != rows * cols:
             raise ValueError("entry count must be rows*cols")
-        d = {}
-        for i in range(rows):
-            for j in range(cols):
-                v = entries[i * cols + j]
-                if v:
-                    d[(i, j)] = int(v)
-        return cls(rows, cols, d)
+        return cls.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols)
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "IntegerMatrix":
@@ -93,7 +97,7 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls(n, n, {(i, i): 1 for i in range(n)})
+        return cls._adopt([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_diagonal(cls, diag: Sequence[int], rows: int, cols: int) -> "IntegerMatrix":
@@ -103,11 +107,11 @@ class IntegerMatrix:
     def entry(self, i: int, j: int) -> int:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry index out of range")
-        return self._d.get((i, j), 0)
+        return self._rows[i].get(j, 0)
 
     def to_rows(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self._d.items():
+        for (i, j), v in self.items():
             out[i][j] = v
         return out
 
@@ -115,75 +119,72 @@ class IntegerMatrix:
     def entries(self) -> list:
         """Row-major flat entry list (materializes zeros; use on small matrices)."""
         out = [0] * (self.rows * self.cols)
-        for (i, j), v in self._d.items():
+        for (i, j), v in self.items():
             out[i * self.cols + j] = v
         return out
 
     def items(self):
-        return self._d.items()
+        """The nonzero entries as ((row, column), value) pairs, row by row."""
+        return (((i, j), v) for i, row in enumerate(self._rows) for j, v in row.items())
 
     def nnz(self) -> int:
-        return len(self._d)
+        return sum(map(len, self._rows))
 
     def is_zero(self) -> bool:
-        return not self._d
+        return not any(self._rows)
 
     def diagonal(self) -> list:
-        return [self._d.get((i, i), 0) for i in range(min(self.rows, self.cols))]
+        return [self._rows[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 
     # -- algebra ---------------------------------------------------------
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_col = {}
-        for (i, j), v in self._d.items():
-            by_col.setdefault(j, []).append((i, v))
-        out: dict = {}
-        for (k, j), w in other._d.items():
-            for i, v in by_col.get(k, ()):
-                key = (i, j)
-                s = out.get(key, 0) + v * w
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-        return IntegerMatrix(self.rows, other.cols, out)
+        right = other._rows
+        out = []
+        for row in self._rows:
+            acc: dict = {}
+            for k, v in row.items():
+                _add_scaled(acc, right[k], v)
+            out.append(acc)
+        return IntegerMatrix._adopt(out, other.cols)
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in addition")
-        out = dict(self._d)
-        for k, v in other._d.items():
-            s = out.get(k, 0) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return IntegerMatrix(self.rows, self.cols, out)
+        out = [dict(row) for row in self._rows]
+        for acc, row in zip(out, other._rows):
+            _add_scaled(acc, row, 1)
+        return IntegerMatrix._adopt(out, self.cols)
 
     def __neg__(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.rows, self.cols, {k: -v for k, v in self._d.items()})
+        return self.scale(-1)
 
     def scale(self, c: int) -> "IntegerMatrix":
         if c == 0:
             return IntegerMatrix.zeros(self.rows, self.cols)
-        return IntegerMatrix(self.rows, self.cols, {k: c * v for k, v in self._d.items()})
+        return IntegerMatrix._adopt([{j: c * v for j, v in row.items()} for row in self._rows],
+                                    self.cols)
 
     def transpose(self) -> "IntegerMatrix":
-        return IntegerMatrix(self.cols, self.rows, {(j, i): v for (i, j), v in self._d.items()})
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return IntegerMatrix._adopt(out, self.rows)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
-        d = dict(self._d)
-        for (i, j), v in other._d.items():
-            d[(i, j + self.cols)] = v
-        return IntegerMatrix(self.rows, self.cols + other.cols, d)
+        c = self.cols
+        return IntegerMatrix._adopt(
+            [left | {j + c: v for j, v in right.items()}
+             for left, right in zip(self._rows, other._rows)], c + other.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
             return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and self._d == other._d
+        return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 64:
@@ -228,19 +229,19 @@ class _Reduction:
 
     def __init__(self, a: IntegerMatrix):
         self.m, self.n = a.rows, a.cols
-        self.rows = [dict() for _ in range(self.m)]
+        self.rows = [dict(row) for row in a._rows]
         self.colnz = [set() for _ in range(self.n)]
-        for (i, j), v in a.items():
-            self.rows[i][j] = v
-            self.colnz[j].add(i)
+        for i, row in enumerate(self.rows):
+            for j in row:
+                self.colnz[j].add(i)
         self.row_ops: list = []  # (k, i, q): row_k -= q * row_i; (i, i, 0): row_i = -row_i
         self.col_ops: list = []  # (l, j, q): col_l -= q * col_j
         self.pivots: list = []  # (row, col, value)
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
         # pivot candidates (|v|, Markowitz cost, row, col), validated when popped
-        self.heap = [(abs(v), (len(self.rows[i]) - 1) * (len(self.colnz[j]) - 1), i, j)
-                     for (i, j), v in a.items()]
+        self.heap = [(abs(v), (len(row) - 1) * (len(self.colnz[j]) - 1), i, j)
+                     for i, row in enumerate(self.rows) for j, v in row.items()]
         heapify(self.heap)
 
     # row_k -= q * row_i
@@ -396,27 +397,22 @@ class _Reduction:
         return [vecs[j] for j in cols]
 
     def matrix_u(self) -> IntegerMatrix:
-        return _from_rows(self._row_transform(False), self.m)
+        return IntegerMatrix._adopt(self._row_transform(False), self.m)
 
     def matrix_u_inverse(self) -> IntegerMatrix:
-        return _from_rows(self._row_transform(True), self.m).transpose()
+        return IntegerMatrix._adopt(self._row_transform(True), self.m).transpose()
 
     def matrix_v(self, cols: Optional[list] = None) -> IntegerMatrix:
         """V, or its columns at the given original column indices."""
         cols = self.col_order() if cols is None else cols
-        return _from_rows(self._col_transform(False, cols), self.n).transpose()
+        return IntegerMatrix._adopt(self._col_transform(False, cols), self.n).transpose()
 
     def matrix_v_inverse(self, cols: list) -> IntegerMatrix:
         """The rows of V^-1 that belong to the given original column indices."""
-        return _from_rows(self._col_transform(True, cols), self.n)
+        return IntegerMatrix._adopt(self._col_transform(True, cols), self.n)
 
     def matrix_d(self) -> IntegerMatrix:
         return IntegerMatrix.from_diagonal([p for _, _, p in self.pivots], self.m, self.n)
-
-
-def _from_rows(rows: list, width: int) -> IntegerMatrix:
-    return IntegerMatrix(len(rows), width,
-                         {(t, j): v for t, row in enumerate(rows) for j, v in row.items()})
 
 
 def _reduce(a: IntegerMatrix) -> _Reduction:
@@ -482,13 +478,16 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     with Y the quotients.
     """
     red = _reduce(a)
+    ub = (red.matrix_u() @ b)._rows
     r = len(red.pivots)
-    y = {}
-    for (t, c), w in (red.matrix_u() @ b).items():
-        if t >= r or w % red.pivots[t][2]:
+    if any(ub[r:]):
+        return None
+    y = []
+    for row, (_, _, d) in zip(ub, red.pivots):
+        if any(w % d for w in row.values()):
             return None
-        y[(t, c)] = w // red.pivots[t][2]
-    return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix(r, b.cols, y)
+        y.append({c: w // d for c, w in row.items()})
+    return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix._adopt(y, b.cols)
 
 
 def determinant(a: IntegerMatrix) -> int:
@@ -550,12 +549,12 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
     invariants that m does not divide: U and V stay invertible mod m.
     """
     if m == 2:
-        rows = [0] * a.rows
-        for (i, j), v in a.items():
-            if v & 1:
-                rows[i] |= 1 << j
         basis: dict = {}
-        for x in rows:
+        for row in a._rows:
+            x = 0
+            for j, v in row.items():
+                if v & 1:
+                    x |= 1 << j
             while x:
                 low = x & -x
                 if low not in basis:
@@ -569,19 +568,6 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
 # ----------------------------------------------------------------------
 # Finitely generated abelian groups in canonical form
 # ----------------------------------------------------------------------
-
-def _factorint(n: int) -> dict:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
 
 @dataclass(frozen=True)
 class FgAbelianGroup:
@@ -624,33 +610,21 @@ class FgAbelianGroup:
 
     @classmethod
     def from_cyclic_orders(cls, orders: Iterable[int]) -> "FgAbelianGroup":
-        """Canonicalize a direct sum of cyclic groups Z/o (o = 0 meaning Z)."""
-        rank = 0
-        primary: dict = {}
-        for o in orders:
-            o = abs(int(o))
-            if o == 0:
-                rank += 1
-                continue
-            if o == 1:
-                continue
-            for p, e in _factorint(o).items():
-                primary.setdefault(p, []).append(e)
-        for exps in primary.values():
-            exps.sort(reverse=True)
-        factors = []
-        k = 0
-        while True:
-            f = 1
-            for p, exps in primary.items():
-                if k < len(exps):
-                    f *= p ** exps[k]
-            if f == 1:
-                break
-            factors.append(f)
-            k += 1
-        factors.reverse()
-        return cls(rank, tuple(factors))
+        """Canonicalize a direct sum of cyclic groups Z/o (o = 0 meaning Z).
+
+        Z/x (+) Z/y is Z/gcd (+) Z/lcm, so replacing each pair i < j by its
+        gcd and lcm keeps the group.  After the pass over j, entry i divides
+        every later entry, and later gcds and lcms of multiples of it stay
+        multiples, so one pass leaves a divisibility chain; the 1s it leaves
+        come first and are dropped.  No order is factored.
+        """
+        orders = [abs(int(o)) for o in orders]
+        fs = [o for o in orders if o > 1]
+        for i in range(len(fs)):
+            for j in range(i + 1, len(fs)):
+                g = gcd(fs[i], fs[j])
+                fs[i], fs[j] = g, fs[i] // g * fs[j]
+        return cls(orders.count(0), tuple(f for f in fs if f > 1))
 
     # -- structure -------------------------------------------------------
     def is_trivial(self) -> bool:
@@ -811,13 +785,13 @@ class _Cycles:
 
     def coordinates(self, b: IntegerMatrix) -> Optional[IntegerMatrix]:
         """Y with basis @ Y = B, or None if a column of B is not a cycle."""
-        m, n = self.m, self.d_out.cols
-        lift = dict(b.items())
-        for (i, j), v in (self.d_out @ b).items():
-            if v % m if m else v:
-                return None
-            lift[(n + i, j)] = -v // m
-        return self.inverse @ IntegerMatrix(self.inverse.cols, b.cols, lift)
+        m, image = self.m, (self.d_out @ b)._rows
+        if any(v % m if m else v for row in image for v in row.values()):
+            return None
+        if m:
+            b = IntegerMatrix._adopt(b._rows + [{j: -v // m for j, v in row.items()}
+                                                for row in image], b.cols)
+        return self.inverse @ b
 
 
 @dataclass
@@ -878,17 +852,18 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
     coords = target.cycles.coordinates(f @ source.cycles.basis)
     if coords is None:
         raise ValueError("chain map does not preserve kernels")
-    m = target.transform @ coords @ source.inverse
-    d = {}
-    row_of = {gi: r for r, gi in enumerate(target.surviving)}
-    col_of = {gi: c for c, gi in enumerate(source.surviving)}
-    for (i, j), v in m.items():
-        if i in row_of and j in col_of:
-            o = target.orders[i]
-            w = v % o if o else v
-            if w:
-                d[(row_of[i], col_of[j])] = w
-    return IntegerMatrix(len(target.surviving), len(source.surviving), d)
+    m = (target.transform @ coords @ source.inverse)._rows
+    col_of = {gj: c for c, gj in enumerate(source.surviving)}
+    rows = []
+    for i in target.surviving:
+        o, row = target.orders[i], {}
+        for j, v in m[i].items():
+            if j in col_of:
+                w = v % o if o else v
+                if w:
+                    row[col_of[j]] = w
+        rows.append(row)
+    return IntegerMatrix._adopt(rows, len(source.surviving))
 
 
 @dataclass
@@ -918,7 +893,7 @@ def kernel_lattice(f: IntegerMatrix, source: PresentedGroup, target: PresentedGr
 
 
 def _top_rows(a: IntegerMatrix, n: int) -> IntegerMatrix:
-    return IntegerMatrix(n, a.cols, {(i, j): v for (i, j), v in a.items() if i < n})
+    return IntegerMatrix._adopt(a._rows[:n], a.cols)
 
 
 def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:
@@ -933,11 +908,8 @@ def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix, b: PresentedGroup, c: Pres
 
 
 def map_is_zero(f: IntegerMatrix, target: PresentedGroup) -> bool:
-    for (i, _), v in f.items():
-        o = target.orders[i]
-        if (v % o) if o else v:
-            return False
-    return True
+    return not any(v % o if o else v
+                   for row, o in zip(f._rows, target.orders) for v in row.values())
 
 
 def map_is_injective(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> bool:

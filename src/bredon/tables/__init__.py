@@ -332,12 +332,26 @@ def load_cells(name: str) -> list:
     return _CELL_CACHE[key]
 
 
-ALL_TABLE_FILES = [
-    "point_integral.json", "point_mod2.json",
-    "weight0_integral.json", "weight0_mod2.json",
-    "weight1_integral.json", "weight1_mod2.json",
-    "weight_sigma_integral.json", "weight_sigma_mod2.json",
-]
+# (table, coefficient) -> fixture file: the weight-0, weight-1 and sign-weight
+# tables and the topological fixed-point table, over Z (0) and Z/2 (2)
+_TABLE_FILES = {
+    ("point", 0): "point_integral.json", ("point", 2): "point_mod2.json",
+    ("0", 0): "weight0_integral.json", ("0", 2): "weight0_mod2.json",
+    ("1", 0): "weight1_integral.json", ("1", 2): "weight1_mod2.json",
+    ("sigma", 0): "weight_sigma_integral.json", ("sigma", 2): "weight_sigma_mod2.json",
+}
+ALL_TABLE_FILES = list(_TABLE_FILES.values())
+
+
+def _check_coeff(coeff: int):
+    if coeff not in (0, 2):
+        raise ValueError(f"coefficient {coeff} is neither 0 (Z) nor 2 (Z/2), "
+                         "the coefficients of the case tables and grids")
+
+
+def _table(table: str, coeff: int) -> FixtureTable:
+    _check_coeff(coeff)
+    return load_table(_TABLE_FILES[(table, coeff)])
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +368,7 @@ def bredon_point_closed_form(a: int, p: int, coeff: int = 0) -> FgAbelianGroup:
     >>> print(bredon_point_closed_form(0, 0))
     Z
     """
-    name = "point_integral.json" if coeff == 0 else "point_mod2.json"
-    value, _ = load_table(name).lookup(a, p)
+    value, _ = _table("point", coeff).lookup(a, p)
     return value
 
 
@@ -369,8 +382,7 @@ def weight0_closed_form(a: int, p: int, coeff: int = 0) -> FgAbelianGroup:
     >>> print(weight0_closed_form(2, -2, coeff=2))
     Z/2
     """
-    name = "weight0_integral.json" if coeff == 0 else "weight0_mod2.json"
-    value, _ = load_table(name).lookup(a, p)
+    value, _ = _table("0", coeff).lookup(a, p)
     return value
 
 
@@ -386,8 +398,7 @@ def weight1_closed_form(a: int, p: int, coeff: int = 0,
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    name = "weight1_integral.json" if coeff == 0 else "weight1_mod2.json"
-    value, _ = load_table(name).lookup(a, p, profile)
+    value, _ = _table("1", coeff).lookup(a, p, profile)
     return value
 
 
@@ -400,8 +411,7 @@ def weight_sigma_closed_form(a: int, p: int, coeff: int = 0,
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    name = "weight_sigma_integral.json" if coeff == 0 else "weight_sigma_mod2.json"
-    value, _ = load_table(name).lookup(a, p, profile)
+    value, _ = _table("sigma", coeff).lookup(a, p, profile)
     return value
 
 
@@ -426,6 +436,10 @@ class GridSpec:
                              "use source 'fixture' or 'derived'")
         if self.source == "derived" and self.weight == "0":
             raise ValueError("weight 0 has no derived source; use source 'computed' or 'fixture'")
+        _check_coeff(self.coeff)
+        lo, hi = self.a_bounds()
+        if lo > hi:
+            raise ValueError(f"the a-range {lo}..{hi} is empty")
 
     def a_bounds(self) -> Tuple[int, int]:
         lo = self.a_min if self.a_min is not None else -self.p_range
@@ -443,29 +457,21 @@ def grid_cells(spec: GridSpec) -> List[dict]:
     coeff_str = "Z" if spec.coeff == 0 else "Z/2"
     cells = []
     derived = None
-    if spec.weight != "0" and spec.source == "derived":
+    if spec.source == "derived":
         deriver = derive_weight1 if spec.weight == "1" else derive_weight_sigma
         derived = deriver(prof, spec.p_range + 1, coeff=spec.coeff)
     for p in range(-spec.p_range, spec.p_range + 1):
         for a in range(a_lo, a_hi + 1):
             citation = ""
-            if spec.weight == "0":
-                if spec.source == "fixture":
-                    name = "weight0_integral.json" if spec.coeff == 0 else "weight0_mod2.json"
-                    group, citation = load_table(name).lookup(a, p)
-                else:
-                    group = sigmacx.weight0(a, p, spec.coeff)
+            if spec.source == "computed":
+                group = sigmacx.weight0(a, p, spec.coeff)
             elif spec.source == "derived":
                 cone = derived["positive"] if p >= 0 else derived["negative"]
                 group = cone.entry(a, p).group
                 citation = ", ".join(cone.entry(a, p).trail)
             else:
-                name = {("1", 0): "weight1_integral.json",
-                        ("1", 2): "weight1_mod2.json",
-                        ("sigma", 0): "weight_sigma_integral.json",
-                        ("sigma", 2): "weight_sigma_mod2.json"}[(spec.weight, spec.coeff)]
                 try:
-                    group, citation = load_table(name).lookup(a, p, prof)
+                    group, citation = _table(spec.weight, spec.coeff).lookup(a, p, prof)
                 except TheoremRangeError as exc:
                     group, citation = None, str(exc)
             cells.append({

@@ -328,3 +328,175 @@ class TestTwoPrimaryFunctors:
             t = tensor_Z2_group(g)
             s = two_torsion_group(g)
             assert len(t.invariant_factors) == len(s.invariant_factors) + g.free_rank
+
+
+def dense(rng: random.Random, r: int, c: int, density: float = 0.5) -> list:
+    return [[rng.randint(-5, 5) if rng.random() < density else 0 for _ in range(c)]
+            for _ in range(r)]
+
+
+def dense_matmul(a: list, b: list, inner: int, cols: int) -> list:
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(len(a))]
+
+
+class TestMatrixAlgebraAgainstDenseOracle:
+    """Every IntegerMatrix operation against the same operation on lists of lists."""
+
+    SHAPES = [(0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2), (4, 4), (6, 3)]
+
+    def shapes(self, rng):
+        return self.SHAPES + [(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(30)]
+
+    def test_construction_and_access(self, rng):
+        for r, c in self.shapes(rng):
+            rows = dense(rng, r, c)
+            a = IntegerMatrix.from_rows(rows, cols=c)
+            flat = [v for row in rows for v in row]
+            nonzero = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+            assert (a.rows, a.cols) == (r, c)
+            assert a.to_rows() == rows and a.entries == flat
+            assert IntegerMatrix.from_flat(r, c, flat) == a
+            assert IntegerMatrix.from_entries(r, c, nonzero) == a
+            assert IntegerMatrix(r, c, nonzero) == a
+            assert dict(a.items()) == nonzero and len(list(a.items())) == len(nonzero)
+            assert a.nnz() == len(nonzero) and a.is_zero() == (not nonzero)
+            assert a.diagonal() == [rows[i][i] for i in range(min(r, c))]
+            for i in range(r):
+                for j in range(c):
+                    assert a.entry(i, j) == rows[i][j]
+
+    def test_zero_entries_are_dropped(self):
+        a = IntegerMatrix(2, 2, {(0, 0): 0, (1, 0): 3})
+        assert a.nnz() == 1 and dict(a.items()) == {(1, 0): 3}
+        assert IntegerMatrix(2, 2, {(0, 1): 0}).is_zero()
+        assert IntegerMatrix(2, 2, {(0, 1): 0}) == IntegerMatrix.zeros(2, 2)
+
+    def test_unary_operations(self, rng):
+        for r, c in self.shapes(rng):
+            rows = dense(rng, r, c)
+            a = IntegerMatrix.from_rows(rows, cols=c)
+            assert (-a).to_rows() == [[-v for v in row] for row in rows]
+            for k in (-3, -1, 0, 1, 2):
+                s = a.scale(k)
+                assert s.to_rows() == [[k * v for v in row] for row in rows]
+                assert s.nnz() == (0 if k == 0 else a.nnz())
+            t = a.transpose()
+            assert (t.rows, t.cols) == (c, r)
+            assert t.to_rows() == [[rows[i][j] for i in range(r)] for j in range(c)]
+            assert t.transpose() == a
+
+    def test_binary_operations(self, rng):
+        for r, c in self.shapes(rng):
+            x, y = dense(rng, r, c), dense(rng, r, c)
+            a, b = IntegerMatrix.from_rows(x, cols=c), IntegerMatrix.from_rows(y, cols=c)
+            total = a + b
+            assert total.to_rows() == [[u + v for u, v in zip(p, q)] for p, q in zip(x, y)]
+            assert total.nnz() == sum(1 for row in total.to_rows() for v in row if v)
+            assert (a + (-a)).is_zero() and a + (-a) == IntegerMatrix.zeros(r, c)
+            assert (a == b) == (x == y) and a == IntegerMatrix.from_rows(x, cols=c)
+            k = rng.randint(0, 4)
+            z = dense(rng, r, k)
+            h = a.hstack(IntegerMatrix.from_rows(z, cols=k))
+            assert (h.rows, h.cols) == (r, c + k)
+            assert h.to_rows() == [p + q for p, q in zip(x, z)]
+            for inner_cols in (0, 1, rng.randint(2, 5)):
+                w = dense(rng, c, inner_cols)
+                prod = a @ IntegerMatrix.from_rows(w, cols=inner_cols)
+                assert (prod.rows, prod.cols) == (r, inner_cols)
+                assert prod.to_rows() == dense_matmul(x, w, c, inner_cols)
+                assert prod.nnz() == sum(1 for row in prod.to_rows() for v in row if v)
+
+    def test_product_that_cancels(self):
+        a = IntegerMatrix.from_rows([[1, 1], [2, 2], [0, 0]])
+        b = IntegerMatrix.from_rows([[3, -1, 0], [-3, 1, 0]])
+        prod = a @ b
+        assert prod.is_zero() and prod.nnz() == 0 and list(prod.items()) == []
+        assert prod == IntegerMatrix.zeros(3, 3) and snf_diagonal(prod) == []
+
+    def test_equality_ignores_the_memo_and_checks_shape(self):
+        a, b = IntegerMatrix.from_rows([[2, 4], [6, 8]]), IntegerMatrix.from_rows([[2, 4], [6, 8]])
+        snf_diagonal(a)
+        assert a == b
+        assert IntegerMatrix.zeros(0, 3) != IntegerMatrix.zeros(3, 0)
+        assert IntegerMatrix.zeros(2, 3) != IntegerMatrix.zeros(2, 2)
+
+    def test_shape_errors(self):
+        a = IntegerMatrix.zeros(2, 3)
+        for bad in (lambda: a @ a, lambda: a + IntegerMatrix.zeros(3, 2),
+                    lambda: a.hstack(IntegerMatrix.zeros(3, 1)),
+                    lambda: IntegerMatrix.from_rows([[1, 2], [3]]),
+                    lambda: IntegerMatrix.from_flat(2, 2, [1, 2, 3]),
+                    lambda: IntegerMatrix.from_entries(2, 2, {(2, 0): 1})):
+            with pytest.raises(ValueError):
+                bad()
+        with pytest.raises(IndexError):
+            a.entry(2, 0)
+
+
+class TestPivotHeapInvariant:
+    """Every entry of a live row keeps a heap candidate with its current |v|.
+
+    The pivot search only sees entries through the heap, so an entry without
+    such a candidate could never become a pivot.
+    """
+
+    def test_after_every_row_and_column_operation(self, rng, monkeypatch):
+        from bredon import abgrp
+
+        def missing(red) -> list:
+            candidates = {(a, i, j) for a, _, i, j in red.heap}
+            return [(i, j, v) for i in red.live_rows for j, v in red.rows[i].items()
+                    if (abs(v), i, j) not in candidates]
+
+        violations, calls = [], [0]
+
+        def checked(name):
+            operation = getattr(abgrp._Reduction, name)
+
+            def wrapper(red, *args):
+                operation(red, *args)
+                calls[0] += 1
+                violations.extend((name,) + v for v in missing(red))
+            monkeypatch.setattr(abgrp._Reduction, name, wrapper)
+
+        for name in ("_row_axpy", "_col_axpy", "_negate_row"):
+            checked(name)
+        for _ in range(60):
+            r, c = rng.randint(1, 9), rng.randint(1, 9)
+            a = IntegerMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+            red = abgrp._Reduction(a)
+            assert not missing(red)
+            red.run()
+            assert sorted(abs(p) for _, _, p in red.pivots) == snf_diagonal(a)
+        assert calls[0] > 500 and violations == []
+
+
+def torsion_count(orders, d: int) -> int:
+    """|G[d]|, the number of x with d x = 0, of the sum of Z/o over nonzero orders o."""
+    count = 1
+    for o in orders:
+        if o:
+            count *= gcd(d, o)
+    return count
+
+
+class TestCanonicalFormWithoutFactoring:
+    def test_large_orders_return(self):
+        m31, m61 = 2 ** 31 - 1, 2 ** 61 - 1
+        assert FgAbelianGroup.cyclic(m31 ** 2).invariant_factors == (m31 ** 2,)
+        assert FgAbelianGroup.cyclic(m61) == FgAbelianGroup(0, (m61,))
+        assert FgAbelianGroup.from_cyclic_orders([m61, m31, 0, m61]) == \
+            FgAbelianGroup(1, (m61, m31 * m61))
+        window = cohomology_at(IntegerMatrix.from_rows([[m61]]), IntegerMatrix.zeros(0, 1))
+        assert window == FgAbelianGroup.cyclic(m61)
+
+    def test_torsion_counts_oracle(self, rng):
+        # |G[d]| and the free rank determine G; neither the factoring nor the
+        # gcd/lcm sweep is used to compute them
+        for _ in range(300):
+            orders = [rng.choice([0, rng.randint(1, 60)]) for _ in range(rng.randint(0, 8))]
+            g = FgAbelianGroup.from_cyclic_orders(orders)
+            assert g.free_rank == orders.count(0)
+            for d in range(1, 61):
+                assert torsion_count(g.invariant_factors, d) == torsion_count(orders, d)

@@ -140,3 +140,14 @@ def test_negative_range_is_one_line_exit_two(capsys):
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
         assert option in captured.err, argv
+
+
+def test_empty_a_range_is_one_line_exit_two(capsys):
+    for argv in (["grid", "--a-min", "3", "--a-max", "-3"],
+                 ["export", "--a-min", "3", "--a-max", "-3"],
+                 ["grid", "--p-range", "1", "--a-min", "2"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
+        assert "is empty" in captured.err, argv

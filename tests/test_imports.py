@@ -1,5 +1,6 @@
-"""Every name a module of the package imports is used there, and every
-top-level name it defines is used somewhere.
+"""Every name a module of the package imports is used there, every
+top-level name it defines is used somewhere, and no file outside abgrp.py
+touches IntegerMatrix's private storage.
 
 Checked on the syntax tree with the standard library alone: an imported
 name must appear as a name in the module body or be listed in ``__all__``;
@@ -88,3 +89,34 @@ def test_no_dead_definitions():
         module = path.relative_to(PACKAGE).as_posix()
         found |= {(module, name) for name in top_level_names(tree) - loads}
     assert not found, sorted(found)
+
+
+def matrix_private_names() -> set:
+    """IntegerMatrix's private slots and private methods, read from abgrp.py."""
+    tree = ast.parse((PACKAGE / "abgrp.py").read_text())
+    cls = next(node for node in tree.body
+               if isinstance(node, ast.ClassDef) and node.name == "IntegerMatrix")
+    names = set()
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets):
+            names |= set(ast.literal_eval(node.value))
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_matrix_layout_stays_in_abgrp():
+    # the sparse row layout is abgrp's own: every other module reads entries
+    # through the public accessors, so the storage can change in one place
+    private = matrix_private_names()
+    assert {"_rows", "_diag", "_adopt"} <= private
+    found = []
+    for folder in ("src", "tests", "bench", "demos"):
+        for path in sorted((ROOT / folder).rglob("*.py")):
+            if path == PACKAGE / "abgrp.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    found.append(f"{path.relative_to(ROOT)}:{node.lineno} .{node.attr}")
+    assert not found, found

@@ -185,6 +185,37 @@ class TestGridAndExport:
         assert lookup[(-1, 2)]["citation"]  # derived cells carry their trail
 
 
+    @pytest.mark.parametrize("spec", [{"coeff": 3},
+                                      {"weight": "1", "coeff": 3, "source": "fixture"},
+                                      {"weight": "0", "coeff": -2, "source": "fixture"}])
+    def test_rejects_coefficients_without_a_table(self, spec):
+        # Z/3 groups must not be computed and labelled Z/2, nor fail with a bare KeyError
+        with pytest.raises(ValueError, match=f"coefficient {spec['coeff']} "):
+            grid_cells(GridSpec(**spec))
+
+    def test_rejects_an_empty_a_range(self):
+        with pytest.raises(ValueError, match="a-range 3..-3 is empty"):
+            GridSpec(a_min=3, a_max=-3)
+        with pytest.raises(ValueError, match="a-range 2..1 is empty"):
+            GridSpec(p_range=1, a_min=2)
+        assert len(grid_cells(GridSpec(p_range=0, a_min=0, a_max=0))) == 1
+
+
+class TestCoefficients:
+    @pytest.mark.parametrize("closed_form", [bredon_point_closed_form, weight0_closed_form,
+                                             weight1_closed_form, weight_sigma_closed_form])
+    @pytest.mark.parametrize("coeff", [3, 1, -2])
+    def test_only_z_and_z2_have_tables(self, closed_form, coeff):
+        # the mod-2 table used to answer for every nonzero coefficient
+        with pytest.raises(ValueError, match=f"coefficient {coeff} "):
+            closed_form(0, 1, coeff=coeff)
+
+    def test_each_coefficient_reads_its_own_table(self):
+        assert weight0_closed_form(0, 1, coeff=2) == C2
+        assert weight0_closed_form(-1, 1, coeff=0) == ZERO
+        assert weight0_closed_form(-1, 1, coeff=2) == C2
+
+
 class TestFixtureHygiene:
     def test_missing_source_note_rejected(self):
         data = {"table": "t", "kind": "exact", "rows": [
