@@ -38,9 +38,10 @@ class IntegerMatrix:
     dict {column: value} of nonzero entries per row (``_rows``), which is
     the layout the reduction engine works in, so the large, sparse
     differentials of the cycle complexes stay cheap.  Callers pass and read
-    entries keyed by (row, column): the constructor's ``data``,
-    ``from_entries`` and ``items()``.  Zero-row and zero-column matrices are
-    first-class and represent maps to or from the zero group.
+    entries keyed by (row, column): the constructor's ``data``, whose keys
+    must lie inside the shape, ``from_entries`` and ``items()``.  Zero-row
+    and zero-column matrices are first-class and represent maps to or from
+    the zero group.
 
     Matrices may share row dicts (a row slice does); no row dict is mutated
     once it belongs to a matrix, and the reduction engine works on copies.
@@ -57,6 +58,8 @@ class IntegerMatrix:
             raise ValueError("matrix dimensions must be nonnegative")
         by_row = [{} for _ in range(rows)]
         for (i, j), v in data.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError("entry index out of range")
             if v:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
@@ -86,9 +89,6 @@ class IntegerMatrix:
 
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "IntegerMatrix":
-        for (i, j) in entries:
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ValueError("entry index out of range")
         return cls(rows, cols, entries)
 
     @classmethod

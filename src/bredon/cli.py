@@ -95,7 +95,7 @@ def main(argv=None) -> int:
         return _dispatch(args)
     except KeyError as exc:     # unknown check suite
         print(f"bredon: error: {exc.args[0]}", file=sys.stderr)
-    except ValueError as exc:   # negative range, out-of-range shift, bad table or fixture input
+    except ValueError as exc:   # bad range, shift, table or fixture input; unwritable --out
         print(f"bredon: error: {exc}", file=sys.stderr)
     return 2
 

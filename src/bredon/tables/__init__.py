@@ -9,6 +9,10 @@ over the declared range.  Coverage is not checked: a cell that no row
 matches falls through to the catch-all row.  Each predicate is checked whole
 against a small grammar when it is loaded (see ``Predicate``).
 
+A table compiles all its predicates into one expression, and resolves each
+cell once: the row that holds at (a, p), and that row's value under each
+field profile, are memoised on the table the first time they are asked for.
+
 Rendering grammar for exact groups: ``0``, ``Z``, ``Z^r``, ``Z/d``, joined
 by `` (+) ``; formal atoms render as ``k*``, ``k*2``, ``k*/k*2``,
 ``k*2/k*4``, ``_2k*``.
@@ -17,6 +21,7 @@ by `` (+) ``; formal atoms render as ``k*``, ``k*2``, ``k*/k*2``,
 from __future__ import annotations
 
 import ast
+import functools
 import json
 import os
 from dataclasses import dataclass
@@ -123,8 +128,10 @@ _NAMES = ("a", "p")
 class Predicate:
     """A whitelisted arithmetic/boolean expression over the integers a and p.
 
-    The whole tree is checked against the grammar once, at construction;
-    Python then evaluates the compiled tree with no builtins.
+    The whole tree is checked against the grammar once, at construction.
+    A ``FixtureTable`` evaluates its predicates together from their texts;
+    a predicate called on its own compiles its text on the first call, and
+    Python evaluates it with no builtins.
     """
 
     def __init__(self, text: str):
@@ -140,7 +147,10 @@ class Predicate:
                     or isinstance(node, ast.Constant) and not isinstance(node.value, int)):
                 what = ast.unparse(node) or type(node).__name__
                 raise FixtureError(f"predicate {text!r}: {what} is outside the predicate grammar")
-        self._code = compile(tree, "<predicate>", "eval")
+
+    @functools.cached_property
+    def _code(self):
+        return compile(self.text, "<predicate>", "eval")
 
     def __call__(self, a: int, p: int) -> bool:
         try:
@@ -219,6 +229,12 @@ class FixtureTable:
 
     Coverage is checked for disjointness only: a cell that no row matches
     falls through to the final catch-all row, which every table must have.
+
+    All guarded predicates are compiled into one expression that yields their
+    truth values, so a cell costs one evaluation.  The row that holds at each
+    (a, p) and the value of each row under each profile are memoised on the
+    table; both derive from its immutable rows, so the memos are idempotent.
+    An overlap is never stored and raises on every call.
     """
 
     def __init__(self, data: dict):
@@ -244,6 +260,13 @@ class FixtureTable:
             self.rows.append(FixtureRow(pred, value, source))
         if self.rows and self.rows[-1].predicate is not None:
             raise FixtureError(f"{self.table_id}: final row must be the catch-all")
+        self._guarded = [i for i, r in enumerate(self.rows) if r.predicate is not None]
+        # each text ends its own line, so a trailing comment cannot swallow the rest
+        self._truths = compile(
+            "(" + "".join(f"({self.rows[i].predicate.text}\n)," for i in self._guarded) + ")",
+            f"<{self.table_id} predicates>", "eval")
+        self._row_at: Dict[Tuple[int, int], int] = {}
+        self._resolved: Dict[Tuple[int, Optional[FieldProfile]], tuple] = {}
 
     def profiles_for(self, p: int) -> Optional[List[str]]:
         if self.cone_profiles is None:
@@ -254,9 +277,26 @@ class FixtureTable:
         cone = "positive" if p > 0 else "negative" if p < 0 else "zero"
         return self.cone_profiles[cone]
 
-    def _matching(self, a: int, p: int) -> List[FixtureRow]:
-        """The rows, catch-all excluded, whose predicate holds at (a, p)."""
-        return [r for r in self.rows if r.predicate is not None and r.predicate(a=a, p=p)]
+    def _matching(self, a: int, p: int) -> List[int]:
+        """The indices of the rows, catch-all excluded, whose predicate holds at (a, p)."""
+        try:
+            truths = eval(self._truths, {"__builtins__": {}}, {"a": a, "p": p})
+        except ArithmeticError:
+            # row by row, so that the error names the failing predicate and the point
+            truths = [self.rows[i].predicate(a=a, p=p) for i in self._guarded]
+        return [i for i, holds in zip(self._guarded, truths) if holds]
+
+    def _row_index(self, a: int, p: int) -> int:
+        """The index of the row that holds at (a, p), memoised unless rows overlap there."""
+        index = self._row_at.get((a, p))
+        if index is None:
+            matched = self._matching(a, p)
+            if len(matched) > 1:
+                raise FixtureError(
+                    f"{self.table_id}: rows overlap at (a={a}, p={p}): "
+                    + "; ".join(self.rows[i].source for i in matched))
+            index = self._row_at[(a, p)] = matched[0] if matched else len(self.rows) - 1
+        return index
 
     def lookup(self, a: int, p: int, profile: Optional[FieldProfile] = None):
         allowed = self.profiles_for(p)
@@ -267,18 +307,17 @@ class FixtureTable:
                 raise TheoremRangeError(
                     f"{self.table_id} at shift {p} is stated only for {allowed}, "
                     f"not {profile.name}")
-        matched = self._matching(a, p)
-        if len(matched) > 1:
-            raise FixtureError(
-                f"{self.table_id}: rows overlap at (a={a}, p={p}): "
-                + "; ".join(r.source for r in matched))
-        row = matched[0] if matched else self.rows[-1]
-        value = row.value
-        if isinstance(value, ConditionalGroup) and profile is not None:
-            value = value.resolve(profile)
-        if isinstance(value, FormalGroup) and profile is not None:
-            value = normalize(value, profile)
-        return value, row.source
+        index = self._row_index(a, p)
+        cell = self._resolved.get((index, profile))
+        if cell is None:
+            row = self.rows[index]
+            value = row.value
+            if isinstance(value, ConditionalGroup) and profile is not None:
+                value = value.resolve(profile)
+            if isinstance(value, FormalGroup) and profile is not None:
+                value = normalize(value, profile)
+            cell = self._resolved[(index, profile)] = (value, row.source)
+        return cell
 
     def coverage_findings(self) -> List[str]:
         """Mechanically check disjointness over the declared range."""
@@ -291,12 +330,13 @@ class FixtureTable:
                 if len(hits) > 1:
                     findings.append(
                         f"{self.table_id}: overlap at (a={a}, p={p}): "
-                        + " | ".join(r.source for r in hits))
+                        + " | ".join(self.rows[i].source for i in hits))
         return findings
 
 
-_CACHE: Dict[str, FixtureTable] = {}
-_CELL_CACHE: Dict[str, list] = {}
+# keyed by (directory, file name), so BREDON_FIXTURE_DIR takes effect mid-process
+_CACHE: Dict[Tuple[str, str], FixtureTable] = {}
+_CELL_CACHE: Dict[Tuple[str, str], list] = {}
 
 
 def fixture_dir() -> str:
@@ -313,16 +353,17 @@ def _read_fixture(path: str) -> dict:
 
 
 def load_table(name: str) -> FixtureTable:
-    key = os.path.join(fixture_dir(), name)
-    if key not in _CACHE:
-        _CACHE[key] = FixtureTable(_read_fixture(key))
-    return _CACHE[key]
+    key = (fixture_dir(), name)
+    table = _CACHE.get(key)
+    if table is None:
+        table = _CACHE[key] = FixtureTable(_read_fixture(os.path.join(*key)))
+    return table
 
 
 def load_cells(name: str) -> list:
-    key = os.path.join(fixture_dir(), name)
+    key = (fixture_dir(), name)
     if key not in _CELL_CACHE:
-        data = _read_fixture(key)
+        data = _read_fixture(os.path.join(*key))
         cells = []
         for cell in data["cells"]:
             if not cell.get("source", "").strip():
@@ -511,6 +552,9 @@ def render_grid(spec: GridSpec, fmt: str = "text") -> str:
 def export_grid(spec: GridSpec, fmt: str, path: Optional[str] = None) -> str:
     text = render_grid(spec, fmt)
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
     return text

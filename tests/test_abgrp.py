@@ -433,6 +433,13 @@ class TestMatrixAlgebraAgainstDenseOracle:
         with pytest.raises(IndexError):
             a.entry(2, 0)
 
+    @pytest.mark.parametrize("key", [(-1, 0), (0, 7), (2, 0), (0, -1)])
+    def test_constructor_rejects_keys_outside_the_shape(self, key):
+        # (-1, 0) used to land in the last row, (0, 7) to stay outside the shape
+        # (so repr raised IndexError), and (2, 0) to raise a bare IndexError
+        with pytest.raises(ValueError, match="entry index out of range"):
+            IntegerMatrix(2, 2, {key: 5})
+
 
 class TestPivotHeapInvariant:
     """Every entry of a live row keeps a heap candidate with its current |v|.

@@ -84,6 +84,15 @@ def test_export_writes_file(capsys, tmp_path):
     assert out_file.read_text().startswith("p\\a")
 
 
+def test_export_to_a_missing_directory_is_one_line_exit_two(capsys, tmp_path):
+    out_file = tmp_path / "missing" / "grid.json"
+    code = main(["export", "--p-range", "1", "--out", str(out_file)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("bredon: error: cannot write")
+    assert captured.err.count("\n") == 1 and str(out_file) in captured.err
+
+
 def test_shift_beyond_bound_is_one_line_exit_two(capsys):
     code = main(["weight0", "--a", "0", "--p", "13"])
     err = capsys.readouterr().err

@@ -1,14 +1,21 @@
 """Fixture tables, closed forms, reductions, grids, and exports."""
 
+import importlib.util
 import json
 import os
 import shutil
+import sys
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+from bredon import tables
 from bredon.abgrp import FgAbelianGroup
-from bredon.formal import FormalGroup, KMODSQ, KSQ, KSTAR, Z2, ZERO_FG
+from bredon.formal import (PROFILES, ConditionalGroup, FormalGroup, KMODSQ, KSQ, KSTAR, Z2,
+                           ZERO_FG, get_profile, normalize)
 from bredon.tables import (
+    ALL_TABLE_FILES,
     Bidegree,
     FixtureError,
     FixtureTable,
@@ -20,6 +27,7 @@ from bredon.tables import (
     export_grid,
     fixture_dir,
     grid_cells,
+    load_cells,
     parse_exact_group,
     parse_formal_group,
     reduce_bidegree,
@@ -254,3 +262,87 @@ class TestFixtureHygiene:
         assert weight0_closed_form(-2, 2, 0) == C2  # the corrupted corner
         monkeypatch.delenv("BREDON_FIXTURE_DIR")
         assert weight0_closed_form(-2, 2, 0) == Z
+
+
+def _row_by_row(table, a, p, profile):
+    """The (value, source) of a cell from each row's own Predicate, with no memo."""
+    matched = [r for r in table.rows if r.predicate is not None and r.predicate(a=a, p=p)]
+    assert len(matched) <= 1, f"{table.table_id}: overlap at (a={a}, p={p})"
+    row = matched[0] if matched else table.rows[-1]
+    value = row.value
+    if profile is not None:
+        if isinstance(value, ConditionalGroup):
+            value = value.resolve(profile)
+        if isinstance(value, FormalGroup):
+            value = normalize(value, profile)
+    return value, row.source
+
+
+def _table_data(*whens):
+    rows = [{"when": when, "group": "Z", "source": f"row {i}"} for i, when in enumerate(whens)]
+    return {"table": "t", "kind": "exact",
+            "rows": rows + [{"otherwise": True, "group": "0", "source": "rest"}]}
+
+
+class TestCellMemo:
+    @pytest.mark.parametrize("name", ALL_TABLE_FILES)
+    def test_memoised_lookup_matches_row_by_row_evaluation(self, name):
+        with open(os.path.join(fixture_dir(), name)) as f:
+            table = FixtureTable(json.load(f))  # a fresh table, so its memos start empty
+        (a_lo, a_hi), (p_lo, p_hi) = table.range["a"], table.range["p"]
+        for p in range(p_lo, p_hi + 1):
+            allowed = table.profiles_for(p)
+            profiles = ([None] + list(PROFILES.values()) if allowed is None
+                        else [get_profile(n) for n in allowed])
+            for a in range(a_lo, a_hi + 1):
+                for profile in profiles:
+                    expected = _row_by_row(table, a, p, profile)
+                    assert table.lookup(a, p, profile) == expected
+                    assert table.lookup(a, p, profile) == expected
+
+    def test_overlap_raises_on_every_call(self):
+        table = FixtureTable(_table_data("a >= 0", "a == 0"))
+        for _ in range(2):
+            with pytest.raises(FixtureError, match=r"rows overlap at \(a=0, p=0\): row 0; row 1"):
+                table.lookup(0, 0)
+        assert table.lookup(1, 0) == (Z, "row 0")
+        assert table.lookup(-1, 0) == (ZERO, "rest")
+
+    def test_arithmetic_error_names_predicate_and_point_on_every_call(self):
+        table = FixtureTable(_table_data("a == 0", "a % (p - p) == 0"))
+        for _ in range(2):
+            with pytest.raises(FixtureError,
+                               match=r"'a % \(p - p\) == 0' fails at \(a=3, p=-1\)"):
+                table.lookup(3, -1)
+
+    def test_a_trailing_comment_ends_with_its_predicate(self):
+        table = FixtureTable(_table_data("a == 0  # the first row", "a == 1"))
+        assert table.lookup(0, 0) == (Z, "row 0")
+        assert table.lookup(1, 0) == (Z, "row 1")
+        assert table.lookup(2, 0) == (ZERO, "rest")
+
+
+def test_derive_requests_evaluate_each_cell_once(monkeypatch):
+    # the benchmark's derive requests at n_max 6: the derivations and the
+    # closed-form sweeps, which ask for many cells more than once
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    derive = workloads.WORKLOADS["derive"]
+
+    monkeypatch.setattr(tables, "_CACHE", {})  # fresh tables, so every memo starts empty
+    evaluations, matching = Counter(), FixtureTable._matching
+
+    def counted(table, a, p):
+        evaluations[(table.table_id, a, p)] += 1
+        return matching(table, a, p)
+
+    monkeypatch.setattr(FixtureTable, "_matching", counted)
+    size = {"n_max": 6}
+    fixtures = {"corner_values.json": load_cells("corner_values.json")}
+    for request in derive.plan(size, fixtures):
+        for cell in derive.run(request, size, fixtures):
+            assert cell.ok, cell
+    assert evaluations and max(evaluations.values()) == 1
