@@ -225,11 +225,17 @@ class _Reduction:
     is dropped, and one whose cost has grown is pushed back with the new
     cost.  A cost that has shrunk since its push is not seen, so the
     tiebreak is approximate; the pivot always has the smallest |v| left.
+
+    ``units`` counts the leading pivots taken while the smallest |v| left
+    was 1, before the first pivot taken with |v| > 1.  Each of them cleared
+    its row and column by exact Gaussian elimination, with no remainder
+    step and no divisibility repair.
     """
 
-    def __init__(self, a: IntegerMatrix):
+    def __init__(self, a: IntegerMatrix, drop: frozenset = frozenset()):
         self.m, self.n = a.rows, a.cols
-        self.rows = [dict(row) for row in a._rows]
+        self.rows = [{j: v for j, v in row.items() if j not in drop} for row in a._rows] \
+            if drop else [dict(row) for row in a._rows]
         self.colnz = [set() for _ in range(self.n)]
         for i, row in enumerate(self.rows):
             for j in row:
@@ -237,6 +243,7 @@ class _Reduction:
         self.row_ops: list = []  # (k, i, q): row_k -= q * row_i; (i, i, 0): row_i = -row_i
         self.col_ops: list = []  # (l, j, q): col_l -= q * col_j
         self.pivots: list = []  # (row, col, value)
+        self.units = 0
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
         # pivot candidates (|v|, Markowitz cost, row, col), validated when popped
@@ -299,6 +306,7 @@ class _Reduction:
             if piv is None:
                 break
             i, j = piv
+            unit = self.units == len(self.pivots) and self.rows[i][j] in (1, -1)
             # isolate the pivot at (i, j)
             while True:
                 # clear column j
@@ -358,6 +366,7 @@ class _Reduction:
                         continue
                 break
             self.pivots.append((i, j, self.rows[i][j]))
+            self.units += unit
             self.live_rows.discard(i)
             self.live_cols.discard(j)
 
@@ -415,9 +424,13 @@ class _Reduction:
         return IntegerMatrix.from_diagonal([p for _, _, p in self.pivots], self.m, self.n)
 
 
-def _reduce(a: IntegerMatrix) -> _Reduction:
-    """Reduce A once and memoise its nonzero Smith diagonal on A."""
-    red = _Reduction(a)
+def _reduce(a: IntegerMatrix, drop: frozenset = frozenset()) -> _Reduction:
+    """Reduce A once and memoise its nonzero Smith diagonal on A.
+
+    The columns in ``drop`` are left out of the reduction; the caller
+    guarantees that they do not change the diagonal.
+    """
+    red = _Reduction(a, drop)
     if not a.is_zero():
         red.run()
     a._diag = tuple(p for _, _, p in red.pivots)
@@ -457,6 +470,34 @@ def snf_diagonal(a: IntegerMatrix) -> list:
 
 def rank(a: IntegerMatrix) -> int:
     return len(snf_diagonal(a))
+
+
+def has_snf_diagonal(a: IntegerMatrix) -> bool:
+    """Whether A's Smith diagonal is memoised, so asking for it reduces nothing."""
+    return a._diag is not None
+
+
+def sweep_diagonals(differentials: Sequence[IntegerMatrix]):
+    """Memoise the Smith diagonals of a complex's differentials, lowest degree first.
+
+    ``differentials`` are d^k for consecutive degrees k, with
+    d^{k+1} @ d^k = 0.  A unit pivot of d^k at (row b, column a), taken
+    before its first pivot with |v| > 1, splits off a contractible summand
+    Z --(+-1)--> Z on a and b by Gaussian elimination (Kaczynski-Mrozek-
+    Slusarek): the row operations that clear column a change only column b
+    of d^{k+1}, which then vanishes.  So d^{k+1} without column b has the
+    same Smith diagonal, and each differential is reduced once, without the
+    columns that the unit pivots of the one below it paired.  A matrix
+    whose diagonal is already memoised is skipped, and the next one is
+    reduced whole.
+    """
+    paired: frozenset = frozenset()
+    for a in differentials:
+        if a._diag is not None:
+            paired = frozenset()
+            continue
+        red = _reduce(a, paired)
+        paired = frozenset(i for i, _, _ in red.pivots[:red.units])
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:

@@ -35,12 +35,14 @@ from .abgrp import (
     PresentedGroup,
     cohomology_at,  # unused here; the benchmark tracer pins chaincx.cohomology_at as an alias
     cohomology_presentation,
+    has_snf_diagonal,
     is_exact_at,
     map_is_injective,
     map_is_multiplication_by,
     map_is_surjective,
     map_is_zero,
     map_on_cohomology,
+    sweep_diagonals,
     window_cohomology,
 )
 
@@ -164,8 +166,15 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
+    Over Z, a window whose diagonals are not yet known has the diagonals of
+    every differential of C computed in one sweep from the lowest degree
+    up, which drops what the unit pivots below already paired.
     """
-    return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
+    d_in, d_out = c.differential(degree - 1), c.differential(degree)
+    if not m and not (has_snf_diagonal(d_in) and has_snf_diagonal(d_out)):
+        lo, hi = c.support()
+        sweep_diagonals([c.differential(k) for k in range(lo, hi)])
+    return window_cohomology(d_in, d_out, m)
 
 
 def all_cohomology(c: CochainComplex, m: int = 0) -> Dict[int, FgAbelianGroup]:

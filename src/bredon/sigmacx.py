@@ -22,8 +22,14 @@ degrees -2, -1, 0; for the dual complex g(a) = (a,a) and f(a,b) = (a-b, a-b)
 on degrees 0, 1, 2.  The Koszul sign for acting in slot s of a subset S is
 (-1)^(number of elements of S greater than s).
 
-The per-degree ranks grow like binomial(n, j) * 2^(j-1); the default grid
-bound keeps n at most 8 (total rank 3281 at the fixed point).
+The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
+about triples per step in n; the default grid bound keeps n at most 8
+(total rank 3281 at the fixed point).  Building a complex and its integral
+cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
+rate.  At the fixed point, measured in a fresh Python 3.11 process on a
+2-core host: n = 11 takes about 3 s of CPU to build and 3 s for all
+integral groups, within 140 MB; n = 12 (total rank 265721, the
+``SHIFT_BOUND``) about 10 s each, within 410 MB.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ from math import gcd
 
 import pytest
 
+from bredon import chaincx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -24,6 +25,8 @@ from bredon.abgrp import (
     tensor_Z2_group,
     two_torsion_group,
 )
+
+from conftest import random_complex
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -236,8 +239,11 @@ class TestCohomologyAt:
         with pytest.raises(ValueError, match="mismatch"):
             mod_m_cohomology_at(IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(1, 3), 2)
 
-    def test_unimodular_invariance(self, rng):
-        # conjugating both differentials by unimodular matrices keeps the form
+    @staticmethod
+    def _windows(rng):
+        """(d_in, d_out, group): raw windows with their group from ``cohomology_at``,
+        then every window of random complexes and their tensor squares with its
+        group from ``chaincx.cohomology``, which sweeps each complex bottom up."""
         for _ in range(40):
             n, m = rng.randint(1, 4), rng.randint(0, 3)
             d_in = IntegerMatrix.from_rows(
@@ -248,7 +254,18 @@ class TestCohomologyAt:
                 [[rng.randint(-2, 2) for _ in range(left_kernel.cols)] for _ in range(k)],
                 cols=left_kernel.cols)
             d_out = coeffs @ left_kernel.transpose()
-            h1 = cohomology_at(d_in, d_out)
+            yield d_in, d_out, cohomology_at(d_in, d_out)
+        for _ in range(20):
+            c = random_complex(rng, max_deg=3, max_rank=3, emax=2)
+            for cx in (c, chaincx.tensor(c, c)):
+                lo, hi = cx.support()
+                for n in filter(cx.rank, range(lo, hi + 1)):
+                    yield cx.differential(n - 1), cx.differential(n), chaincx.cohomology(cx, n)
+
+    def test_unimodular_invariance(self, rng):
+        # conjugating both differentials by unimodular matrices keeps the form
+        for d_in, d_out, h1 in self._windows(rng):
+            n = d_in.rows
             p = IntegerMatrix.identity(n)
             for _ in range(6):
                 i, j = rng.randrange(n), rng.randrange(n)

@@ -159,6 +159,38 @@ class TestCohomologyAndEuler:
             assert cohomology(c, degree) == group
             assert len(reductions) == before
 
+    def test_unit_found_by_a_remainder_step_pairs_nothing(self):
+        # Z --(2,3)--> Z^2 --(3,-2)--> Z: the engine takes the 2 first and records
+        # the pivot 1 only after a remainder step; pairing that pivot's row would
+        # drop column 1 of d^1 and leave Z/3 in degree 2
+        c = CochainComplex({0: 1, 1: 2, 2: 1}, {0: IntegerMatrix.from_rows([[2], [3]]),
+                                                1: IntegerMatrix.from_rows([[3, -2]])})
+        assert cohomology(c, 2) == FgAbelianGroup.zero()
+        assert abgrp.snf_diagonal(c.differential(1)) == [1]
+        assert all_cohomology(c) == {}
+
+    def test_pivot_above_one_pairs_nothing(self):
+        # d^-2 has Smith diagonal (1, 2) and its first pivot is a 2; pairing the
+        # 2's row would drop a column of d^-1 = (3, 2)^T (0, -2, 3) and leave Z/2
+        # next to the Z in degree 0
+        c = CochainComplex({-2: 2, -1: 3, 0: 2},
+                           {-2: IntegerMatrix.from_rows([[2, -2], [0, 3], [0, 2]]),
+                            -1: IntegerMatrix.from_rows([[0, -6, 9], [0, -4, 6]])})
+        assert cohomology(c, 0) == FgAbelianGroup.free(1)
+        assert abgrp.snf_diagonal(c.differential(-1)) == [1]
+        assert all_cohomology(c) == {-1: Z2, 0: FgAbelianGroup.free(1)}
+
+    def test_sweep_hands_the_engine_less_than_the_differentials(self, monkeypatch):
+        # the unit pivots of each differential drop their rows' columns from the next
+        c = build_sigma_complex.__wrapped__(SigmaSpec(7, FREE))
+        handed = []
+        run = abgrp._Reduction.run
+        monkeypatch.setattr(abgrp._Reduction, "run",
+                            lambda red: handed.append(sum(map(len, red.rows))) or run(red))
+        assert all_cohomology(c) == {-7: FgAbelianGroup.free(1)}
+        assert len(handed) <= len(c.differentials)
+        assert sum(handed) < 0.7 * sum(a.nnz() for a in c.differentials.values())
+
     def test_euler(self):
         assert euler_characteristic(build_sigma_complex(SigmaSpec(1, FIXED))) == 0
         assert euler_characteristic(unit_complex()) == 1

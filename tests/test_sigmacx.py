@@ -8,11 +8,20 @@ from bredon import abgrp
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
+    has_snf_diagonal,
     rank_mod,
     smith_normal_form,
     snf_diagonal,
+    sweep_diagonals,
 )
-from bredon.chaincx import CochainComplex, all_cohomology, cohomology, tensor, unit_complex
+from bredon.chaincx import (
+    CochainComplex,
+    all_cohomology,
+    cohomology,
+    cone,
+    tensor,
+    unit_complex,
+)
 from bredon.sigmacx import (
     FIXED,
     FREE,
@@ -30,6 +39,7 @@ from bredon.sigmacx import (
     transfer_restriction_check,
     weight0,
 )
+from bredon.tables import bredon_point_closed_form, weight0_closed_form
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -217,6 +227,13 @@ class TestWeight0:
         for a in range(-6, 7):
             g2 = weight0(a, -a, 2)
             assert g2 == (ZERO if a == 1 else Z2)
+
+    @pytest.mark.parametrize("p", [9, -9])
+    def test_direct_reach_past_the_check_grid(self, p):
+        # `check all` stops at |p| = 8; the complex-level sweep reaches p = +-9 directly
+        for a in range(-11, 12):
+            computed = weight0(a, p)
+            assert computed == weight0_closed_form(a, p) == bredon_point_closed_form(a, p), (a, p)
 
 
 class TestFreeOrbit:
@@ -427,3 +444,29 @@ class TestEngineOnOrbitDifferentials:
             assert u @ red.matrix_u_inverse() == IntegerMatrix.identity(a.rows), where
             v_inverse = red.matrix_v_inverse(red.col_order())
             assert v @ v_inverse == IntegerMatrix.identity(a.cols), where
+
+
+def _fresh_complexes(p):
+    """The fixed and free complexes at p, unreduced; for p >= 0 also cone(tr) at p."""
+    for orbit_type in (FIXED, FREE):
+        yield (p, orbit_type), build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type))
+    if 0 <= p <= 6:
+        yield (p, "cone"), cone(transfer_map(p))
+
+
+class TestComplexSweep:
+    """The bottom-up sweep against the per-matrix engine and the prime oracle."""
+
+    @pytest.mark.parametrize("p", range(-8, 9))
+    def test_diagonals_match_the_engine_and_the_oracle(self, p):
+        for where, c in _fresh_complexes(p):
+            lo, hi = c.support()
+            ds = [c.differential(k) for k in range(lo, hi)]
+            copies = [IntegerMatrix.from_entries(a.rows, a.cols, dict(a.items())) for a in ds]
+            sweep_diagonals(ds)
+            assert all(has_snf_diagonal(a) for a in ds), where
+            for k, (a, copy) in enumerate(zip(ds, copies), start=lo):
+                diag = snf_diagonal(a)
+                assert diag == snf_diagonal(copy), (where, k)
+                for ell in (2, 3, 5, 2**31 - 1):
+                    assert sum(1 for d in diag if d % ell) == rank_mod_oracle(a, ell), (where, k, ell)
