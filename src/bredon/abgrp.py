@@ -47,11 +47,12 @@ class IntegerMatrix:
     once it belongs to a matrix, and the reduction engine works on copies.
 
     The nonzero Smith diagonal is memoised on the matrix by the first
-    reduction of it, whichever entry point runs that reduction.  It is
-    derived from the entries, so it takes no part in equality.
+    reduction of it, whichever entry point runs that reduction, together
+    with the rows that its unit pivots paired (see ``sweep_diagonals``).
+    Both are derived from the entries, so they take no part in equality.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_diag")
+    __slots__ = ("rows", "cols", "_rows", "_diag", "_paired")
 
     def __init__(self, rows: int, cols: int, data: dict):
         if rows < 0 or cols < 0:
@@ -64,6 +65,7 @@ class IntegerMatrix:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
         self._diag: Optional[tuple] = None if any(by_row) else ()
+        self._paired: frozenset = frozenset()
 
     @classmethod
     def _adopt(cls, rows: list, cols: int) -> "IntegerMatrix":
@@ -71,6 +73,7 @@ class IntegerMatrix:
         a = cls.__new__(cls)
         a.rows, a.cols, a._rows = len(rows), cols, rows
         a._diag = None if any(rows) else ()
+        a._paired = frozenset()
         return a
 
     # -- constructors -------------------------------------------------
@@ -428,11 +431,13 @@ def _reduce(a: IntegerMatrix, drop: frozenset = frozenset()) -> _Reduction:
     """Reduce A once and memoise its nonzero Smith diagonal on A.
 
     The columns in ``drop`` are left out of the reduction; the caller
-    guarantees that they do not change the diagonal.
+    guarantees that they do not change the diagonal.  The rows of the unit
+    pivots are memoised with the diagonal, for ``sweep_diagonals``.
     """
     red = _Reduction(a, drop)
     if not a.is_zero():
         red.run()
+    a._paired = frozenset(i for i, _, _ in red.pivots[:red.units])
     a._diag = tuple(p for _, _, p in red.pivots)
     return red
 
@@ -484,20 +489,22 @@ def sweep_diagonals(differentials: Sequence[IntegerMatrix]):
     d^{k+1} @ d^k = 0.  A unit pivot of d^k at (row b, column a), taken
     before its first pivot with |v| > 1, splits off a contractible summand
     Z --(+-1)--> Z on a and b by Gaussian elimination (Kaczynski-Mrozek-
-    Slusarek): the row operations that clear column a change only column b
-    of d^{k+1}, which then vanishes.  So d^{k+1} without column b has the
-    same Smith diagonal, and each differential is reduced once, without the
-    columns that the unit pivots of the one below it paired.  A matrix
-    whose diagonal is already memoised is skipped, and the next one is
-    reduced whole.
+    Slusarek): the row operations that clear column a change only the basis
+    vector b of the target, which becomes an image under d^k, so column b
+    of d^{k+1} vanishes and the other columns stay as they are.  So d^{k+1}
+    without column b has the same Smith diagonal, and each differential is
+    reduced once, without the columns that the unit pivots of the one below
+    it paired.  Those row operations do not depend on the columns that the
+    reduction of d^k left out, so the rows paired by each reduction are
+    memoised with its diagonal, and a matrix whose diagonal is already
+    memoised is skipped and hands its paired rows on.  A sweep may thus stop
+    at any degree and a later one go on from there.
     """
     paired: frozenset = frozenset()
     for a in differentials:
-        if a._diag is not None:
-            paired = frozenset()
-            continue
-        red = _reduce(a, paired)
-        paired = frozenset(i for i, _, _ in red.pivots[:red.units])
+        if a._diag is None:
+            _reduce(a, paired)
+        paired = a._paired
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:

@@ -167,13 +167,16 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
 
     C was verified when it was built, so no product d.d is formed here.
     Over Z, a window whose diagonals are not yet known has the diagonals of
-    every differential of C computed in one sweep from the lowest degree
-    up, which drops what the unit pivots below already paired.
+    the differentials of C up to d_out computed in one sweep from the
+    lowest degree up, which drops what the unit pivots below already
+    paired.  The sweep helps callers that ask for many degrees of one
+    complex, in any order: each differential is reduced once.  A single
+    query at the top of a complex whose top differential is small reduces
+    every differential below it, where reducing d_in alone would be cheap.
     """
     d_in, d_out = c.differential(degree - 1), c.differential(degree)
     if not m and not (has_snf_diagonal(d_in) and has_snf_diagonal(d_out)):
-        lo, hi = c.support()
-        sweep_diagonals([c.differential(k) for k in range(lo, hi)])
+        sweep_diagonals([c.differential(k) for k in range(c.support()[0], degree + 1)])
     return window_cohomology(d_in, d_out, m)
 
 

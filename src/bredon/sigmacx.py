@@ -28,8 +28,8 @@ about triples per step in n; the default grid bound keeps n at most 8
 cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
 rate.  At the fixed point, measured in a fresh Python 3.11 process on a
 2-core host: n = 11 takes about 3 s of CPU to build and 3 s for all
-integral groups, within 140 MB; n = 12 (total rank 265721, the
-``SHIFT_BOUND``) about 10 s each, within 410 MB.
+integral groups, within 120 MB; n = 12 (total rank 265721, the
+``SHIFT_BOUND``) about 10 s each, within 350 MB.
 """
 
 from __future__ import annotations

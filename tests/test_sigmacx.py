@@ -39,7 +39,7 @@ from bredon.sigmacx import (
     transfer_restriction_check,
     weight0,
 )
-from bredon.tables import bredon_point_closed_form, weight0_closed_form
+from bredon.tables import weight0_closed_form
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -230,10 +230,11 @@ class TestWeight0:
 
     @pytest.mark.parametrize("p", [9, -9])
     def test_direct_reach_past_the_check_grid(self, p):
-        # `check all` stops at |p| = 8; the complex-level sweep reaches p = +-9 directly
+        # `check all` stops at |p| = 8; the complex-level sweep reaches p = +-9
+        # directly.  tests/test_tables.py pins weight0_closed_form to
+        # bredon_point_closed_form on these cells.
         for a in range(-11, 12):
-            computed = weight0(a, p)
-            assert computed == weight0_closed_form(a, p) == bredon_point_closed_form(a, p), (a, p)
+            assert weight0(a, p) == weight0_closed_form(a, p), (a, p)
 
 
 class TestFreeOrbit:
@@ -393,6 +394,30 @@ def _differentials(shifts):
                     yield (p, orbit_type, degree), a
 
 
+def _copy(a: IntegerMatrix) -> IntegerMatrix:
+    """A with no memoised diagonal, so asking for it runs the per-matrix engine."""
+    return IntegerMatrix.from_entries(a.rows, a.cols, dict(a.items()))
+
+
+def _swept_diagonals(shifts):
+    """(where, d, diagonal) for each differential d of fresh complexes at each
+    shift: fixed and free, and cone(tr) for 0 <= p <= 6, with the diagonals
+    that the bottom-up sweep memoised on them."""
+    for p in shifts:
+        complexes = [(orbit_type, build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type)))
+                     for orbit_type in (FIXED, FREE)]
+        if 0 <= p <= 6:
+            complexes.append(("cone", cone(transfer_map(p))))
+        for kind, c in complexes:
+            lo, hi = c.support()
+            ds = {k: c.differential(k) for k in range(lo, hi)}
+            sweep_diagonals(list(ds.values()))
+            for k, a in ds.items():
+                if not a.is_zero():
+                    assert has_snf_diagonal(a), (p, kind, k)
+                    yield (p, kind, k), a, snf_diagonal(a)
+
+
 def rank_mod_oracle(a: IntegerMatrix, ell: int) -> int:
     """Rank over Z/ell by sparse row echelon form, independent of the engine.
 
@@ -426,8 +451,8 @@ class TestEngineOnOrbitDifferentials:
     """The Smith engine against independent oracles at production size."""
 
     def test_diagonal_prime_by_prime(self):
-        for where, a in _differentials([p for p in range(-7, 8) if p]):
-            diag = snf_diagonal(a)
+        for where, a, diag in _swept_diagonals(range(-8, 9)):
+            assert diag == snf_diagonal(_copy(a)), where
             assert all(d > 0 for d in diag), where
             assert all(hi % lo == 0 for lo, hi in zip(diag, diag[1:])), where
             for ell in (2, 3, 5, 2**31 - 1):
@@ -444,29 +469,3 @@ class TestEngineOnOrbitDifferentials:
             assert u @ red.matrix_u_inverse() == IntegerMatrix.identity(a.rows), where
             v_inverse = red.matrix_v_inverse(red.col_order())
             assert v @ v_inverse == IntegerMatrix.identity(a.cols), where
-
-
-def _fresh_complexes(p):
-    """The fixed and free complexes at p, unreduced; for p >= 0 also cone(tr) at p."""
-    for orbit_type in (FIXED, FREE):
-        yield (p, orbit_type), build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type))
-    if 0 <= p <= 6:
-        yield (p, "cone"), cone(transfer_map(p))
-
-
-class TestComplexSweep:
-    """The bottom-up sweep against the per-matrix engine and the prime oracle."""
-
-    @pytest.mark.parametrize("p", range(-8, 9))
-    def test_diagonals_match_the_engine_and_the_oracle(self, p):
-        for where, c in _fresh_complexes(p):
-            lo, hi = c.support()
-            ds = [c.differential(k) for k in range(lo, hi)]
-            copies = [IntegerMatrix.from_entries(a.rows, a.cols, dict(a.items())) for a in ds]
-            sweep_diagonals(ds)
-            assert all(has_snf_diagonal(a) for a in ds), where
-            for k, (a, copy) in enumerate(zip(ds, copies), start=lo):
-                diag = snf_diagonal(a)
-                assert diag == snf_diagonal(copy), (where, k)
-                for ell in (2, 3, 5, 2**31 - 1):
-                    assert sum(1 for d in diag if d % ell) == rank_mod_oracle(a, ell), (where, k, ell)
