@@ -47,12 +47,11 @@ class IntegerMatrix:
     once it belongs to a matrix, and the reduction engine works on copies.
 
     The nonzero Smith diagonal is memoised on the matrix by the first
-    reduction of it, whichever entry point runs that reduction, together
-    with the rows that its unit pivots paired (see ``sweep_diagonals``).
-    Both are derived from the entries, so they take no part in equality.
+    reduction of it, whichever entry point runs that reduction.  It is
+    derived from the entries, so it takes no part in equality.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_diag", "_paired")
+    __slots__ = ("rows", "cols", "_rows", "_diag")
 
     def __init__(self, rows: int, cols: int, data: dict):
         if rows < 0 or cols < 0:
@@ -65,7 +64,6 @@ class IntegerMatrix:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
         self._diag: Optional[tuple] = None if any(by_row) else ()
-        self._paired: frozenset = frozenset()
 
     @classmethod
     def _adopt(cls, rows: list, cols: int) -> "IntegerMatrix":
@@ -73,7 +71,6 @@ class IntegerMatrix:
         a = cls.__new__(cls)
         a.rows, a.cols, a._rows = len(rows), cols, rows
         a._diag = None if any(rows) else ()
-        a._paired = frozenset()
         return a
 
     # -- constructors -------------------------------------------------
@@ -232,7 +229,11 @@ class _Reduction:
     ``units`` counts the leading pivots taken while the smallest |v| left
     was 1, before the first pivot taken with |v| > 1.  Each of them cleared
     its row and column by exact Gaussian elimination, with no remainder
-    step and no divisibility repair.
+    step and no divisibility repair: every row operation of this unit phase
+    subtracts a multiple of a pivot row, and every column operation a
+    multiple of a pivot column.  ``unit_phase`` notes where it ended: the
+    lengths of the two logs then, and a copy of the live rows, whose
+    entries lie in the live columns (see ``MorseRecord``).
     """
 
     def __init__(self, a: IntegerMatrix, drop: frozenset = frozenset()):
@@ -247,6 +248,7 @@ class _Reduction:
         self.col_ops: list = []  # (l, j, q): col_l -= q * col_j
         self.pivots: list = []  # (row, col, value)
         self.units = 0
+        self.unit_phase: Optional[tuple] = None  # (row log length, column log length, live rows)
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
         # pivot candidates (|v|, Markowitz cost, row, col), validated when popped
@@ -306,10 +308,13 @@ class _Reduction:
     def run(self):
         while True:
             piv = self._find_pivot()
+            if self.unit_phase is None and (piv is None or self.rows[piv[0]][piv[1]] not in (1, -1)):
+                self.unit_phase = (len(self.row_ops), len(self.col_ops),
+                                   {i: dict(self.rows[i]) for i in self.live_rows if self.rows[i]})
             if piv is None:
                 break
             i, j = piv
-            unit = self.units == len(self.pivots) and self.rows[i][j] in (1, -1)
+            unit = self.unit_phase is None
             # isolate the pivot at (i, j)
             while True:
                 # clear column j
@@ -431,13 +436,11 @@ def _reduce(a: IntegerMatrix, drop: frozenset = frozenset()) -> _Reduction:
     """Reduce A once and memoise its nonzero Smith diagonal on A.
 
     The columns in ``drop`` are left out of the reduction; the caller
-    guarantees that they do not change the diagonal.  The rows of the unit
-    pivots are memoised with the diagonal, for ``sweep_diagonals``.
+    guarantees that they do not change the diagonal.
     """
     red = _Reduction(a, drop)
     if not a.is_zero():
         red.run()
-    a._paired = frozenset(i for i, _, _ in red.pivots[:red.units])
     a._diag = tuple(p for _, _, p in red.pivots)
     return red
 
@@ -482,29 +485,139 @@ def has_snf_diagonal(a: IntegerMatrix) -> bool:
     return a._diag is not None
 
 
-def sweep_diagonals(differentials: Sequence[IntegerMatrix]):
-    """Memoise the Smith diagonals of a complex's differentials, lowest degree first.
+class _Swept(NamedTuple):
+    """The positions a ``MorseRecord`` has reduced, published as one value."""
 
-    ``differentials`` are d^k for consecutive degrees k, with
-    d^{k+1} @ d^k = 0.  A unit pivot of d^k at (row b, column a), taken
-    before its first pivot with |v| > 1, splits off a contractible summand
-    Z --(+-1)--> Z on a and b by Gaussian elimination (Kaczynski-Mrozek-
-    Slusarek): the row operations that clear column a change only the basis
-    vector b of the target, which becomes an image under d^k, so column b
-    of d^{k+1} vanishes and the other columns stay as they are.  So d^{k+1}
-    without column b has the same Smith diagonal, and each differential is
-    reduced once, without the columns that the unit pivots of the one below
-    it paired.  Those row operations do not depend on the columns that the
-    reduction of d^k left out, so the rows paired by each reduction are
-    memoised with its diagonal, and a matrix whose diagonal is already
-    memoised is skipped and hands its paired rows on.  A sweep may thus stop
-    at any degree and a later one go on from there.
+    f: tuple            # f^t: M^t x C^t for each reduced position
+    g: tuple            # g^t: C^t x M^t
+    d: tuple            # d_M^t: M^(t+1) x M^t, one position behind until the top
+    units: tuple        # the number of unit pivots of each reduced d^t
+    paired: frozenset   # the rows of the last reduced d^t's unit pivots
+    pending: Optional[tuple]  # its unit-phase row log, live rows and M^t, until d^(t+1) is reduced
+
+
+class MorseRecord:
+    """The Morse complex M that the unit pivots of a bottom-up sweep leave, with f and g.
+
+    ``differentials`` are d^t: C^t -> C^(t+1) at consecutive positions
+    t = 0..n with d^(t+1) @ d^t = 0; a complex passes all of its degrees,
+    the top one into the zero group.  ``sweep(t)`` reduces the positions up
+    to t, each once and in order, and memoises each Smith diagonal on its
+    matrix; a later call goes on from where the last one stopped.
+
+    A unit pivot of d^t at (row b, column a), taken before its first pivot
+    with |v| > 1, splits off a contractible summand Z --(+-1)--> Z on a and
+    b by Gaussian elimination (Kaczynski-Mrozek-Slusarek; an algebraic
+    Morse matching in Skoldberg's sense): the row operations that clear
+    column a change only the basis vector b of the target, which becomes an
+    image under d^t, so column b of d^(t+1) vanishes and the other columns
+    stay as they are.  So d^(t+1) is reduced without the columns P^(t+1)
+    that the unit pivots of d^t paired, and has the same Smith diagonal.
+
+    What the unit pivots leave is a deformation retract M of C.  M^t is C^t
+    without P^t and without the unit-pivot columns of d^t; d_M^t is the
+    live part of d^t when its unit phase ended, on the columns M^t and the
+    rows M^(t+1).  With D_t = U_t @ d^t @ V_t the unit phase of d^t, the
+    chain maps are g^t = V_t[:, M^t]: M -> C and f^(t+1) = U_t[M^(t+1), :]:
+    C -> M, and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are
+    read off the logs by replaying them in reverse on M's generators alone,
+    and each log is dropped once it has been read.
+
+    The reduced positions are published as one immutable value, so a
+    record shared between threads is at worst swept twice, with equal
+    results.
     """
-    paired: frozenset = frozenset()
-    for a in differentials:
-        if a._diag is None:
-            _reduce(a, paired)
-        paired = a._paired
+
+    __slots__ = ("differentials", "_swept")
+
+    def __init__(self, differentials: Sequence[IntegerMatrix]):
+        self.differentials = tuple(differentials)
+        self._swept = _Swept((), (), (), (), frozenset(), None)
+
+    def sweep(self, t: int) -> _Swept:
+        """Reduce the positions up to t (at most n) that no earlier sweep reduced."""
+        swept = self._swept
+        while len(swept.g) <= min(t, len(self.differentials) - 1):
+            swept = self._step(swept)
+            self._swept = swept
+        return swept
+
+    def window(self, t: int) -> tuple:
+        """(d_M^(t-1), d_M^t, f^t, g^t), sweeping through t + 1; all 0 x 0 outside 0..n."""
+        if not 0 <= t < len(self.differentials):
+            zero = IntegerMatrix.zeros(0, 0)
+            return zero, zero, zero, zero
+        s = self.sweep(t + 1)
+        d_in = s.d[t - 1] if t else IntegerMatrix.zeros(s.g[0].cols, 0)
+        return d_in, s.d[t], s.f[t], s.g[t]
+
+    def _step(self, s: _Swept) -> _Swept:
+        t = len(s.g)
+        a = self.differentials[t]
+        red = _reduce(a, s.paired)
+        rows_done, cols_done, live = red.unit_phase or (0, 0, {})
+        units = red.pivots[:red.units]
+        unit_cols = {j for _, j, _ in units}
+        keep = [j for j in range(a.cols) if j not in s.paired and j not in unit_cols]
+        del red.row_ops[rows_done:], red.col_ops[cols_done:]
+        g = _replay_columns(red.col_ops, keep, a.cols)
+        if t:
+            row_ops, below, below_keep = s.pending
+            f, d = _replay_rows(row_ops, keep, a.cols), s.d + (_submatrix(below, keep, below_keep),)
+        else:
+            f, d = IntegerMatrix._adopt([{j: 1} for j in keep], a.cols), s.d
+        paired = frozenset(i for i, _, _ in units)
+        pending = (red.row_ops, live, keep)
+        if t == len(self.differentials) - 1:
+            d += (_submatrix(live, [i for i in range(a.rows) if i not in paired], keep),)
+            pending = None
+        return _Swept(s.f + (f,), s.g + (g,), d, s.units + (len(units),), paired, pending)
+
+
+def _replay_columns(col_ops: list, keep: list, n: int) -> IntegerMatrix:
+    """V[:, keep] for the column log of V, as an n x len(keep) matrix.
+
+    V is the product of the logged operations in order, so its column at a
+    generator is that generator's unit vector with the operations applied
+    last to first: (l, j, q) does x_j -= q x_l.  All the columns go at once,
+    held as the rows {generator: value} of V[:, keep].
+    """
+    rows: dict = {j: {t: 1} for t, j in enumerate(keep)}
+    for l, j, q in reversed(col_ops):
+        src = rows.get(l)
+        if src:
+            _add_scaled(rows.setdefault(j, {}), src, -q)
+    return IntegerMatrix._adopt([rows.get(c, {}) for c in range(n)], len(keep))
+
+
+def _replay_rows(row_ops: list, keep: list, m: int) -> IntegerMatrix:
+    """U[keep, :] for the row log of U, as a len(keep) x m matrix.
+
+    A row of U is that row's unit vector with the operations applied last
+    to first: (k, i, q) does w_i -= q w_k, and (i, i, 0) negates w_i.  All
+    the rows go at once, held as the columns {generator: value} of U[keep, :].
+    """
+    cols: dict = {i: {t: 1} for t, i in enumerate(keep)}
+    for k, i, q in reversed(row_ops):
+        src = cols.get(k)
+        if not src:
+            continue
+        if k == i:
+            cols[i] = {t: -v for t, v in src.items()}
+        else:
+            _add_scaled(cols.setdefault(i, {}), src, -q)
+    rows: list = [{} for _ in keep]
+    for c in sorted(cols):
+        for t, v in cols[c].items():
+            rows[t][c] = v
+    return IntegerMatrix._adopt(rows, m)
+
+
+def _submatrix(rows: dict, keep_rows: list, keep_cols: list) -> IntegerMatrix:
+    """The rows {row: {column: value}} on keep_rows x keep_cols, renumbered in that order."""
+    at = {j: t for t, j in enumerate(keep_cols)}
+    return IntegerMatrix._adopt([{at[j]: v for j, v in rows.get(i, {}).items()}
+                                 for i in keep_rows], len(keep_cols))
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -819,6 +932,8 @@ class _Cycles:
     the pivots, and the coordinates of a kernel vector c in that basis are
     the rows of V^-1 @ c past the pivots.  The cycles are the top rows of
     the kernel; a cycle b lifts to the kernel vector (b, -(d_out @ b) / m).
+    It sees raw windows and the windows of a complex's Morse model only,
+    never a complex's own differentials.
     """
 
     __slots__ = ("d_out", "m", "basis", "inverse")
@@ -867,6 +982,9 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
 
     For m > 0 the cycles are {x : d_out x = 0 mod m} and the boundaries are
     im(d_in) + m Z^n, so the integral machinery presents H(C; Z/m) as well.
+    A ``CochainComplex`` hands it the windows of its Morse model M (see
+    ``MorseRecord``), not its own: the cohomology of M is that of C, and
+    M's windows are small.  Raw windows come here as they are.
 
     >>> six = IntegerMatrix.from_rows([[6]])
     >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 1), 3).group)
@@ -879,10 +997,6 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
     if x is None:
         raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
     red = _reduce(x)
-    if not m:
-        # d_in = basis @ x and the basis spans a saturated sublattice, so d_in
-        # and x have the same Smith diagonal
-        d_in._diag = x._diag
     orders = x._diag + (0,) * (x.rows - len(x._diag))
     surviving = tuple(i for i, o in enumerate(orders) if o != 1)
     grp = FgAbelianGroup.from_cyclic_orders([orders[i] for i in surviving])

@@ -11,7 +11,19 @@ Sign conventions are calibrated once and fixed:
   summands C^p (x) D^q at total degree n concatenated in decreasing order of
   p (increasing homological degree of the first factor);
 * cone(f: S -> T): Cone^i = T^i (+) S^{i+1} with block differential
-  [[d_T, f], [0, -d_S]], so that cone(2: Z -> Z) lives on degrees -1, 0.
+  [[d_T, f], [0, -d_S]], so that cone(2: Z -> Z) lives on degrees -1, 0;
+* the Morse retraction: the sweep of a complex C (``abgrp.MorseRecord``)
+  leaves a complex M with chain maps f: C -> M and g: M -> C, f.g = 1 on M.
+  With U_k d^k V_k the unit phase of d^k and (B_k, A_k) the rows and
+  columns of its unit pivots, each +1 after the logged negations, the
+  homotopy is h^{k+1} = -V_k[:, A_k] U_k[B_k, :]: C^{k+1} -> C^k, so that
+  g.f = 1 + d h + h d, and h.h = 0, f.h = 0 and h.g = 0.
+
+Cohomology presentations and induced maps are computed on M: H^k(C) is
+presented as H^k(M), over Z and over Z/m, and a chain map phi: S -> T
+induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Groups of C
+itself come from the Smith diagonals of C's differentials over Z (the same
+sweep) and from their ranks mod m.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -26,12 +38,14 @@ Z/2
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from itertools import groupby
+from typing import Dict, List, Optional
 
 from .abgrp import (
     CohomologyPresentation,
     FgAbelianGroup,
     IntegerMatrix,
+    MorseRecord,
     PresentedGroup,
     cohomology_at,  # unused here; the benchmark tracer pins chaincx.cohomology_at as an alias
     cohomology_presentation,
@@ -42,7 +56,8 @@ from .abgrp import (
     map_is_surjective,
     map_is_zero,
     map_on_cohomology,
-    sweep_diagonals,
+    rank_mod,
+    snf_diagonal,
     window_cohomology,
 )
 
@@ -56,14 +71,17 @@ class CochainComplex:
 
     Every complex is validated once, when it is built (shapes and d.d = 0,
     raising ComplexError), so nothing that reads its windows checks again.
+    It owns one ``MorseRecord`` of its differentials, from its lowest degree
+    to its highest, made when something first sweeps it.
     """
 
-    __slots__ = ("components", "differentials", "_pres_cache")
+    __slots__ = ("components", "differentials", "_pres_cache", "_morse")
 
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
         self._pres_cache: Dict[tuple[int, int], CohomologyPresentation] = {}
+        self._morse: Optional[MorseRecord] = None
         validate(self)
 
     # -- shape -----------------------------------------------------------
@@ -125,11 +143,22 @@ class CochainComplex:
             diffs[d] = IntegerMatrix.from_flat(rows, cols, flat)
         return cls(comps, diffs)
 
+    def _record(self) -> MorseRecord:
+        if self._morse is None:
+            lo, hi = self.support()
+            self._morse = MorseRecord([self.differential(k) for k in range(lo, hi + 1)])
+        return self._morse
+
+    def _model(self, degree: int) -> tuple:
+        """(d_M^(k-1), d_M^k, f^k, g^k) of the Morse model at degree k."""
+        return self._record().window(degree - self.support()[0])
+
     def _presentation(self, degree: int, m: int = 0) -> CohomologyPresentation:
+        """H^degree(M) over Z or Z/m, which is H^degree(C) read through f and g."""
         pres = self._pres_cache.get((degree, m))
         if pres is None:
-            pres = cohomology_presentation(self.differential(degree - 1),
-                                           self.differential(degree), m)
+            d_in, d_out, _, _ = self._model(degree)
+            pres = cohomology_presentation(d_in, d_out, m)
             self._pres_cache[(degree, m)] = pres
         return pres
 
@@ -167,17 +196,45 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
 
     C was verified when it was built, so no product d.d is formed here.
     Over Z, a window whose diagonals are not yet known has the diagonals of
-    the differentials of C up to d_out computed in one sweep from the
-    lowest degree up, which drops what the unit pivots below already
-    paired.  The sweep helps callers that ask for many degrees of one
-    complex, in any order: each differential is reduced once.  A single
-    query at the top of a complex whose top differential is small reduces
-    every differential below it, where reducing d_in alone would be cheap.
+    the differentials of C up to d_out computed by the complex's Morse
+    record, in one sweep from the lowest degree up, which drops what the
+    unit pivots below already paired.  The sweep helps callers that ask for
+    many degrees of one complex, in any order: each differential is reduced
+    once.  A single query at the top of a complex whose top differential is
+    small reduces every differential below it, where reducing d_in alone
+    would be cheap.  Over Z/m the ranks of C's own differentials are used,
+    independent of the sweep.
     """
     d_in, d_out = c.differential(degree - 1), c.differential(degree)
     if not m and not (has_snf_diagonal(d_in) and has_snf_diagonal(d_out)):
-        sweep_diagonals([c.differential(k) for k in range(c.support()[0], degree + 1)])
+        c._record().sweep(degree - c.support()[0])
     return window_cohomology(d_in, d_out, m)
+
+
+def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
+    """How H^degree(C) is computed, one line each.
+
+    The ranks of C and of its Morse model M per degree, then the Smith
+    diagonals of d_in and d_out, each with the number of unit pivots that
+    the sweep took in it, and over Z/m also its rank mod m.
+    """
+    lo, hi = c.support()
+    swept = c._record().sweep(hi - lo)
+    model = {lo + t: g.cols for t, g in enumerate(swept.g)}
+    lines = [f"complex: ranks {_by_degree(c.components)} (total {c.total_rank()})",
+             f"Morse model: ranks {_by_degree(model)} (total {sum(model.values())})"]
+    for name, k in (("d_in", degree - 1), ("d_out", degree)):
+        a = c.differential(k)
+        units = swept.units[k - lo] if lo <= k <= hi else 0
+        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(snf_diagonal(a)))
+        line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
+                f"{units} unit pivots")
+        lines.append(line + (f"; rank mod {m} {rank_mod(a, m)}" if m else ""))
+    return lines
+
+
+def _by_degree(ranks: Dict[int, int]) -> str:
+    return " ".join(f"{d}:{r}" for d, r in sorted(ranks.items()))
 
 
 def all_cohomology(c: CochainComplex, m: int = 0) -> Dict[int, FgAbelianGroup]:
@@ -421,13 +478,15 @@ def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
     >>> induced_map(ChainMap.identity(c).scale(0), 0).is_zero()
     True
     """
-    return _induced(f.component(degree), degree, f.source._presentation(degree, m),
-                    f.target._presentation(degree, m))
+    return _induced(f.component(degree), degree, f.source, degree, f.target, degree, m)
 
 
-def _induced(component: IntegerMatrix, degree: int, sp: CohomologyPresentation,
-             tp: CohomologyPresentation) -> InducedMap:
-    mat = map_on_cohomology(component, sp, tp)
+def _induced(component: IntegerMatrix, degree: int, source: CochainComplex, s_degree: int,
+             target: CochainComplex, t_degree: int, m: int = 0) -> InducedMap:
+    """The map on cohomology of ``component``: C^s_degree -> C^t_degree, as f_T . phi . g_S on M."""
+    sp, tp = source._presentation(s_degree, m), target._presentation(t_degree, m)
+    on_model = target._model(t_degree)[2] @ component @ source._model(s_degree)[3]
+    mat = map_on_cohomology(on_model, sp, tp)
     return InducedMap(degree, sp.group, tp.group, mat, PresentedGroup.of(sp), PresentedGroup.of(tp))
 
 
@@ -453,8 +512,7 @@ def check_cone_les(f: ChainMap) -> bool:
         seq.append(("C", i, induced_map(proj, i)))
         # connecting map H^i(S[1]) = H^{i+1}(S) --f--> H^{i+1}(T), expressed on
         # the same presentations the neighbouring maps use
-        conn = _induced(f.component(i + 1), i, shifted._presentation(i),
-                        f.target._presentation(i + 1))
+        conn = _induced(f.component(i + 1), i, shifted, i, f.target, i + 1)
         seq.append(("S", i, conn))
     for k in range(1, len(seq)):
         _, i1, g1 = seq[k - 1]

@@ -12,6 +12,7 @@ import argparse
 import sys
 
 from . import sigmacx
+from .chaincx import explain
 from .formal import derive_weight1, derive_weight_sigma, get_profile
 from .tables import GridSpec, export_grid, render_grid
 from .tables.checks import SUITES, check
@@ -35,6 +36,9 @@ def _build_parser() -> argparse.ArgumentParser:
     w0.add_argument("--a", type=int, required=True)
     w0.add_argument("--p", type=int, required=True)
     w0.add_argument("--coeff", type=_coeff, default=0)
+    w0.add_argument("--explain", action="store_true",
+                    help="also print the complex, its Morse model, the Smith diagonals "
+                         "and the provenance")
 
     # options shared by grid and export; each keeps its own --format default
     table = argparse.ArgumentParser(add_help=False)
@@ -104,6 +108,14 @@ def _dispatch(args) -> int:
     if args.command == "weight0":
         group = sigmacx.weight0(args.a, args.p, args.coeff)
         print(group.render())
+        if args.explain:
+            c = sigmacx.build_sigma_complex(sigmacx.SigmaSpec(args.p, sigmacx.FIXED))
+            print(f"fixed-point complex of the shift p = {args.p}, degree a = {args.a}")
+            for line in explain(c, args.a, args.coeff):
+                print(line)
+            print("provenance: computed, from "
+                  + ("the ranks mod 2" if args.coeff else "the Smith diagonals")
+                  + " of d_in and d_out")
         return 0
 
     if args.command == "grid":

@@ -3,11 +3,19 @@
 import pytest
 
 from bredon import abgrp
-from bredon.abgrp import FgAbelianGroup, IntegerMatrix
+from bredon.abgrp import (
+    FgAbelianGroup,
+    IntegerMatrix,
+    PresentedGroup,
+    cohomology_at,
+    cohomology_presentation,
+    map_on_cohomology,
+)
 from bredon.chaincx import (
     ChainMap,
     CochainComplex,
     ComplexError,
+    InducedMap,
     all_cohomology,
     check_cone_les,
     cohomology,
@@ -19,7 +27,15 @@ from bredon.chaincx import (
     unit_complex,
     validate,
 )
-from bredon.sigmacx import FIXED, FREE, SigmaSpec, build_sigma_complex
+from bredon.sigmacx import (
+    FIXED,
+    FREE,
+    SigmaSpec,
+    build_sigma_complex,
+    involution_map,
+    restriction_map,
+    transfer_map,
+)
 
 from conftest import random_chain_map, random_complex
 
@@ -265,3 +281,140 @@ class TestInducedMap:
                         assert ind.source_group == group == ind.target_group
                         assert ind.is_zero() == (k % ell == 0 or group.is_trivial())
                         assert ind.is_isomorphism() == (k % ell != 0 or group.is_trivial())
+
+
+# -- the Morse retraction of each complex, at matrix level -------------------
+
+def retraction_homotopy(c: CochainComplex) -> dict:
+    """h^(k+1) = -V_k[:, A_k] U_k[B_k, :] for every degree k, rebuilt from scratch.
+
+    Each unit phase is run again, without the rows B of the one below it as
+    the sweep runs it, and U_k and V_k are built whole from its logs, cut
+    where the phase ended; (B_k, A_k) are its unit pivots, each +1 after the
+    logged negations (the sign convention of the ``chaincx`` docstring).
+    """
+    lo, hi = c.support()
+    h, paired = {}, frozenset()
+    for k in range(lo, hi + 1):
+        a = c.differential(k)
+        red = abgrp._Reduction(a, paired)
+        if not a.is_zero():
+            red.run()
+        rows_done, cols_done, _ = red.unit_phase or (0, 0, {})
+        del red.row_ops[rows_done:], red.col_ops[cols_done:]
+        red.pivots = units = red.pivots[:red.units]
+        assert all(v == 1 for _, _, v in units)
+        u = red.matrix_u()  # the unit pivots' rows come first, in pivot order
+        u_units = IntegerMatrix.from_entries(len(units), a.rows,
+                                             {(i, j): v for (i, j), v in u.items() if i < len(units)})
+        h[k + 1] = -(red.matrix_v([j for _, j, _ in units]) @ u_units)
+        paired = frozenset(i for i, _, _ in units)
+    return h
+
+
+def check_retraction(c: CochainComplex, homotopy: bool = True):
+    """f and g are chain maps with f.g = 1 and H(M) = H(C); with ``homotopy``
+    also g.f = 1 + dh + hd, h.h = 0, f.h = 0 and h.g = 0, all as matrices."""
+    lo, hi = c.support()
+    h = retraction_homotopy(c) if homotopy else {}
+
+    def h_at(k):
+        return h.get(k, IntegerMatrix.zeros(c.rank(k - 1), c.rank(k)))
+
+    for k in range(lo, hi + 1):
+        d_in, d_out, f, g = c._model(k)
+        f_next, g_next = c._model(k + 1)[2:]
+        d = c.differential(k)
+        assert f @ g == IntegerMatrix.identity(f.rows), k
+        assert d @ g == g_next @ d_out, k
+        assert f_next @ d == d_out @ f, k
+        assert (d_out @ d_in).is_zero(), k
+        assert cohomology_at(d_in, d_out) == cohomology(c, k), k
+        if homotopy:
+            assert g @ f == IntegerMatrix.identity(c.rank(k)) + c.differential(k - 1) @ h_at(k) \
+                + h_at(k + 1) @ d, k
+            assert (h_at(k) @ h_at(k + 1)).is_zero(), k
+            assert (f @ h_at(k + 1)).is_zero(), k
+            assert (h_at(k + 1) @ g_next).is_zero(), k
+
+
+class TestMorseRetraction:
+    @pytest.mark.parametrize("p", range(-6, 7))
+    def test_orbit_complexes(self, p):
+        for orbit_type in (FIXED, FREE):
+            check_retraction(build_sigma_complex(SigmaSpec(p, orbit_type)))
+
+    @pytest.mark.parametrize("p", [-8, -7, 7, 8])
+    def test_large_orbit_complexes_without_h(self, p):
+        for orbit_type in (FIXED, FREE):
+            c = build_sigma_complex(SigmaSpec(p, orbit_type))
+            check_retraction(c, homotopy=False)
+            assert sum(c._model(k)[3].cols for k in c.degrees()) <= abs(p) + 1
+
+    @pytest.mark.parametrize("p", range(0, 6))
+    def test_transfer_cones(self, p):
+        check_retraction(cone(transfer_map(p)))
+
+    def test_random_complexes(self, rng):
+        for _ in range(40):
+            check_retraction(random_complex(rng))
+            check_retraction(random_complex(rng, max_deg=3, max_rank=5))
+
+    def test_presentations_reduce_only_the_model(self, reductions):
+        # once the groups are known, presenting every degree over Z and Z/2 and
+        # inducing a map reduce M's windows, never a differential of C
+        c = build_sigma_complex.__wrapped__(SigmaSpec(7))
+        all_cohomology(c)
+        assert sum(c._model(k)[3].cols for k in c.degrees()) == 8
+        reductions.clear()
+        for degree in c.degrees():
+            for m in (0, 2):
+                c._presentation(degree, m)
+            assert induced_map(ChainMap.identity(c).scale(3), degree).is_multiplication_by(3)
+        assert reductions and max(red.n for red in reductions) <= 8
+
+
+# -- the Morse path against presentations of C's own windows -----------------
+
+def _copy(a: IntegerMatrix) -> IntegerMatrix:
+    return IntegerMatrix.from_entries(a.rows, a.cols, dict(a.items()))
+
+
+def raw_induced(phi: ChainMap, degree: int, m: int) -> InducedMap:
+    """The induced map on presentations of the raw windows of C (the path
+    before the Morse model), on copies, so no memo is shared."""
+    sp, tp = (cohomology_presentation(_copy(c.differential(degree - 1)),
+                                      _copy(c.differential(degree)), m)
+              for c in (phi.source, phi.target))
+    return InducedMap(degree, sp.group, tp.group, map_on_cohomology(phi.component(degree), sp, tp),
+                      PresentedGroup.of(sp), PresentedGroup.of(tp))
+
+
+def assert_same_verdicts(phi: ChainMap):
+    lo = min(phi.source.support()[0], phi.target.support()[0])
+    hi = max(phi.source.support()[1], phi.target.support()[1])
+    for degree in range(lo - 1, hi + 2):
+        for m in (0, 2, 3):
+            new, old = induced_map(phi, degree, m), raw_induced(phi, degree, m)
+            where = (degree, m)
+            assert (new.source_group, new.target_group) == (old.source_group, old.target_group), where
+            assert new.is_zero() == old.is_zero(), where
+            assert new.is_injective() == old.is_injective(), where
+            assert new.is_surjective() == old.is_surjective(), where
+            if phi.source is phi.target:
+                for n in (-1, 0, 1, 2, 3):
+                    assert new.is_multiplication_by(n) == old.is_multiplication_by(n), (where, n)
+
+
+class TestInducedMapsAgainstRawWindows:
+    def test_random_chain_maps(self, rng):
+        for _ in range(25):
+            s, t = random_complex(rng), random_complex(rng)
+            assert_same_verdicts(random_chain_map(rng, s, t))
+            assert_same_verdicts(random_chain_map(rng, s, s))
+
+    @pytest.mark.parametrize("p", range(-4, 5))
+    def test_transfer_restriction_and_involution(self, p):
+        tr, res = transfer_map(p), restriction_map(p)
+        for phi in (tr.compose(res), res.compose(tr), involution_map(p), tr, res):
+            assert_same_verdicts(phi)

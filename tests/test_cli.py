@@ -20,6 +20,29 @@ def test_weight0_single_value(capsys):
     assert code == 0 and out.strip() == "Z/2"
 
 
+def test_weight0_explain_names_ranks_model_and_diagonals(capsys):
+    code, out = run(capsys, "weight0", "--a", "0", "--p", "8", "--explain")
+    lines = out.strip().split("\n")
+    assert code == 0 and lines[0] == "Z/2"
+    assert ("complex: ranks -8:128 -7:512 -6:896 -5:896 -4:560 -3:224 -2:56 -1:8 0:1 "
+            "(total 3281)") in lines
+    assert "Morse model: ranks " + " ".join(f"{d}:1" for d in range(-8, 1)) + " (total 9)" in lines
+    assert "d_in = d^-1 (1x8): Smith diagonal 2 x 1; 0 unit pivots" in lines
+    assert "d_out = d^0 (0x1): Smith diagonal empty; 0 unit pivots" in lines
+    assert lines[-1].startswith("provenance: computed")
+    code, out = run(capsys, "weight0", "--a", "-3", "--p", "8", "--coeff", "2", "--explain")
+    assert code == 0 and out.startswith("Z/2\n")
+    assert "d_out = d^-3 (56x224): Smith diagonal 1 x 48, 2 x 1; 48 unit pivots; rank mod 2 48" \
+        in out.split("\n")
+
+
+def test_weight0_explain_bad_shift_is_one_line_exit_two(capsys):
+    code = main(["weight0", "--a", "0", "--p", "-13", "--explain"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and "exceeds the configured bound" in captured.err
+
+
 def test_grid_csv_seven_rows(capsys):
     code, out = run(capsys, "grid", "--weight", "0", "--p-range", "3",
                     "--coeff", "Z", "--format", "csv")

@@ -8,11 +8,11 @@ from bredon import abgrp
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
+    MorseRecord,
     has_snf_diagonal,
     rank_mod,
     smith_normal_form,
     snf_diagonal,
-    sweep_diagonals,
 )
 from bredon.chaincx import (
     CochainComplex,
@@ -411,7 +411,7 @@ def _swept_diagonals(shifts):
         for kind, c in complexes:
             lo, hi = c.support()
             ds = {k: c.differential(k) for k in range(lo, hi)}
-            sweep_diagonals(list(ds.values()))
+            MorseRecord(list(ds.values())).sweep(len(ds))
             for k, a in ds.items():
                 if not a.is_zero():
                     assert has_snf_diagonal(a), (p, kind, k)
