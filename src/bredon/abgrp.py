@@ -210,21 +210,25 @@ class _Reduction:
     """Bring a matrix to diagonal form by unimodular row/column operations.
 
     Maintains the invariant  A_current = U @ A_original @ V.  Every row and
-    column operation is logged, and U, U^-1, V and V^-1 are built from the
-    logs when asked for, so a reduction that only needs its diagonal builds
-    no transform.  Pivoting prefers entries of minimal absolute value,
-    with a Markowitz fill estimate as tiebreak, which keeps intermediate
-    entries small (fraction-free: only integer row/column combinations are
-    ever applied).
+    column operation is logged.  U, U^-1, V and V^-1 are built when asked
+    for, on the rows or columns asked for only, by the one reverse replay of
+    a log (``_replay``) that also reads the Morse maps f and g, so a
+    reduction that only needs its diagonal builds no transform.  Rows of U
+    and columns of V are ordered as in ``row_order`` and ``col_order``; a
+    subset is asked for by original row or column index.  Pivoting prefers
+    entries of minimal absolute value, with a Markowitz fill estimate as
+    tiebreak, which keeps intermediate entries small (fraction-free: only
+    integer row/column combinations are ever applied).
 
     Pivot candidates live in a heap keyed by (|v|, (row nnz - 1) * (col
     nnz - 1)).  Every entry is a candidate at the start, and every nonzero
     entry a row or column combination writes is pushed again (a negation
-    keeps |v|), so each live entry has a candidate with its current |v|.  Candidates are checked only when they
-    reach the top: one in a dead row, on a zeroed entry or with a stale |v|
-    is dropped, and one whose cost has grown is pushed back with the new
-    cost.  A cost that has shrunk since its push is not seen, so the
-    tiebreak is approximate; the pivot always has the smallest |v| left.
+    keeps |v|), so each live entry has a candidate with its current |v|.
+    Candidates are checked only when they reach the top: one in a dead row,
+    on a zeroed entry or with a stale |v| is dropped, and one whose cost has
+    grown is pushed back with the new cost.  A cost that has shrunk since
+    its push is not seen, so the tiebreak is approximate; the pivot always
+    has the smallest |v| left.
 
     ``units`` counts the leading pivots taken while the smallest |v| left
     was 1, before the first pivot taken with |v| > 1.  Each of them cleared
@@ -389,44 +393,24 @@ class _Reduction:
         order += sorted(self.live_cols)
         return order
 
-    # Replaying a log on the identity, in the order it was applied, builds a
-    # transform: a row operation acts on the rows of U and, inverted, on the
-    # columns of U^-1; a column operation acts on the columns of V and,
-    # inverted, on the rows of V^-1.
-    def _row_transform(self, inverse: bool) -> list:
-        vecs = [{i: 1} for i in range(self.m)]
-        for k, i, q in self.row_ops:
-            if k == i:
-                vecs[k] = {c: -v for c, v in vecs[k].items()}
-            elif inverse:
-                _add_scaled(vecs[i], vecs[k], q)
-            else:
-                _add_scaled(vecs[k], vecs[i], -q)
-        return [vecs[i] for i in self.row_order()]
+    def matrix_u(self, rows: Optional[list] = None) -> IntegerMatrix:
+        """U, or its rows at the given original row indices."""
+        rows = self.row_order() if rows is None else rows
+        return _replay(self.row_ops, rows, self.m, transpose=True)
 
-    def _col_transform(self, inverse: bool, cols: list) -> list:
-        vecs = [{j: 1} for j in range(self.n)]
-        for l, j, q in self.col_ops:
-            if inverse:
-                _add_scaled(vecs[j], vecs[l], q)
-            else:
-                _add_scaled(vecs[l], vecs[j], -q)
-        return [vecs[j] for j in cols]
-
-    def matrix_u(self) -> IntegerMatrix:
-        return IntegerMatrix._adopt(self._row_transform(False), self.m)
-
-    def matrix_u_inverse(self) -> IntegerMatrix:
-        return IntegerMatrix._adopt(self._row_transform(True), self.m).transpose()
+    def matrix_u_inverse(self, cols: Optional[list] = None) -> IntegerMatrix:
+        """U^-1, or its columns at the given original row indices."""
+        cols = self.row_order() if cols is None else cols
+        return _replay([(y, x, -q) for x, y, q in self.row_ops], cols, self.m)
 
     def matrix_v(self, cols: Optional[list] = None) -> IntegerMatrix:
         """V, or its columns at the given original column indices."""
         cols = self.col_order() if cols is None else cols
-        return IntegerMatrix._adopt(self._col_transform(False, cols), self.n).transpose()
+        return _replay(self.col_ops, cols, self.n)
 
     def matrix_v_inverse(self, cols: list) -> IntegerMatrix:
         """The rows of V^-1 that belong to the given original column indices."""
-        return IntegerMatrix._adopt(self._col_transform(True, cols), self.n)
+        return _replay([(y, x, -q) for x, y, q in self.col_ops], cols, self.n, transpose=True)
 
     def matrix_d(self) -> IntegerMatrix:
         return IntegerMatrix.from_diagonal([p for _, _, p in self.pivots], self.m, self.n)
@@ -520,8 +504,9 @@ class MorseRecord:
     rows M^(t+1).  With D_t = U_t @ d^t @ V_t the unit phase of d^t, the
     chain maps are g^t = V_t[:, M^t]: M -> C and f^(t+1) = U_t[M^(t+1), :]:
     C -> M, and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are
-    read off the logs by replaying them in reverse on M's generators alone,
-    and each log is dropped once it has been read.
+    read off the logs by ``_replay``, the replay that builds every
+    transform, on M's generators alone, and each log is dropped once it has
+    been read.
 
     The reduced positions are published as one immutable value, so a
     record shared between threads is at worst swept twice, with equal
@@ -560,10 +545,11 @@ class MorseRecord:
         unit_cols = {j for _, j, _ in units}
         keep = [j for j in range(a.cols) if j not in s.paired and j not in unit_cols]
         del red.row_ops[rows_done:], red.col_ops[cols_done:]
-        g = _replay_columns(red.col_ops, keep, a.cols)
+        g = _replay(red.col_ops, keep, a.cols)
         if t:
             row_ops, below, below_keep = s.pending
-            f, d = _replay_rows(row_ops, keep, a.cols), s.d + (_submatrix(below, keep, below_keep),)
+            f = _replay(row_ops, keep, a.cols, transpose=True)
+            d = s.d + (_submatrix(below, keep, below_keep),)
         else:
             f, d = IntegerMatrix._adopt([{j: 1} for j in keep], a.cols), s.d
         paired = frozenset(i for i, _, _ in units)
@@ -574,43 +560,36 @@ class MorseRecord:
         return _Swept(s.f + (f,), s.g + (g,), d, s.units + (len(units),), paired, pending)
 
 
-def _replay_columns(col_ops: list, keep: list, n: int) -> IntegerMatrix:
-    """V[:, keep] for the column log of V, as an n x len(keep) matrix.
+def _replay(ops: list, keep: list, n: int, transpose: bool = False) -> IntegerMatrix:
+    """P[:, keep] for the product P of a log, as an n x len(keep) matrix, or its transpose.
 
-    V is the product of the logged operations in order, so its column at a
-    generator is that generator's unit vector with the operations applied
-    last to first: (l, j, q) does x_j -= q x_l.  All the columns go at once,
-    held as the rows {generator: value} of V[:, keep].
+    An operation (x, y, q) stands for 1 - q e_y e_x^T and a negation
+    (i, i, 0) for the sign flip at i; P is their product in log order.  A
+    column of P is its generator's unit vector with the operations applied
+    last to first: (x, y, q) does w_y -= q w_x.  All the columns go at once,
+    held as the rows {generator: value} of P[:, keep], so only generators
+    that some requested column reaches are ever built.
+
+    The column log (l, j, q) gives V = P and the row log (k, i, q) gives
+    U = P^T.  The inverses come from the same logs with each operation
+    swapped into (y, x, -q): that gives U^-1 = P and V^-1 = P^T.
     """
-    rows: dict = {j: {t: 1} for t, j in enumerate(keep)}
-    for l, j, q in reversed(col_ops):
-        src = rows.get(l)
-        if src:
-            _add_scaled(rows.setdefault(j, {}), src, -q)
-    return IntegerMatrix._adopt([rows.get(c, {}) for c in range(n)], len(keep))
-
-
-def _replay_rows(row_ops: list, keep: list, m: int) -> IntegerMatrix:
-    """U[keep, :] for the row log of U, as a len(keep) x m matrix.
-
-    A row of U is that row's unit vector with the operations applied last
-    to first: (k, i, q) does w_i -= q w_k, and (i, i, 0) negates w_i.  All
-    the rows go at once, held as the columns {generator: value} of U[keep, :].
-    """
-    cols: dict = {i: {t: 1} for t, i in enumerate(keep)}
-    for k, i, q in reversed(row_ops):
-        src = cols.get(k)
+    vecs: dict = {g: {t: 1} for t, g in enumerate(keep)}
+    for x, y, q in reversed(ops):
+        src = vecs.get(x)
         if not src:
             continue
-        if k == i:
-            cols[i] = {t: -v for t, v in src.items()}
+        if x == y:
+            vecs[x] = {t: -v for t, v in src.items()}
         else:
-            _add_scaled(cols.setdefault(i, {}), src, -q)
+            _add_scaled(vecs.setdefault(y, {}), src, -q)
+    if not transpose:
+        return IntegerMatrix._adopt([vecs.get(c, {}) for c in range(n)], len(keep))
     rows: list = [{} for _ in keep]
-    for c in sorted(cols):
-        for t, v in cols[c].items():
+    for c in sorted(vecs):
+        for t, v in vecs[c].items():
             rows[t][c] = v
-    return IntegerMatrix._adopt(rows, m)
+    return IntegerMatrix._adopt(rows, n)
 
 
 def _submatrix(rows: dict, keep_rows: list, keep_cols: list) -> IntegerMatrix:
@@ -962,10 +941,13 @@ class CohomologyPresentation:
     """A cohomology group with explicit canonical generators.
 
     ``cycles.basis`` columns span the cycles in chain coordinates, and
-    ``cycles.coordinates`` reads a cycle in that basis; ``transform``
-    carries basis coordinates to canonical coordinates in which the
-    relation matrix is diag(orders); generator i survives in the canonical
-    form iff orders[i] != 1 (0 marks a free generator).
+    ``cycles.coordinates`` reads a cycle in that basis.  With D = U @ X @ V
+    the Smith form of the boundaries X in that basis, the generators are the
+    rows of U whose diagonal entry is not 1: ``transform`` = U[those, :]
+    carries basis coordinates to canonical coordinates, in which the
+    relation matrix is diag(orders), and ``inverse`` = U^-1[:, those] lifts
+    each generator to a cycle, so transform @ inverse = 1.  ``orders`` is
+    the group's invariant factors followed by a 0 per free generator.
     """
 
     group: FgAbelianGroup
@@ -973,7 +955,6 @@ class CohomologyPresentation:
     transform: IntegerMatrix
     inverse: IntegerMatrix
     orders: tuple
-    surviving: tuple
 
 
 def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
@@ -990,6 +971,8 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
     >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 1), 3).group)
     Z/3
     """
+    if m and not is_prime(m):
+        raise ValueError(f"{m} is not prime")
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
     cycles = _Cycles(d_out, m)
@@ -997,11 +980,11 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
     if x is None:
         raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
     red = _reduce(x)
-    orders = x._diag + (0,) * (x.rows - len(x._diag))
-    surviving = tuple(i for i, o in enumerate(orders) if o != 1)
-    grp = FgAbelianGroup.from_cyclic_orders([orders[i] for i in surviving])
-    return CohomologyPresentation(grp, cycles, red.matrix_u(), red.matrix_u_inverse(),
-                                  orders, surviving)
+    surviving = [i for i, _, d in red.pivots if d != 1] + sorted(red.live_rows)
+    orders = tuple(d for d in x._diag if d != 1) + (0,) * len(red.live_rows)
+    return CohomologyPresentation(FgAbelianGroup.from_cyclic_orders(orders), cycles,
+                                  red.matrix_u(surviving), red.matrix_u_inverse(surviving),
+                                  orders)
 
 
 def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
@@ -1009,23 +992,16 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
     """Matrix of the induced map on canonical generators.
 
     ``f`` is a chain-level map sending ker(d_out) of the source into the
-    kernel at the target.  Torsion rows are reduced modulo their orders.
+    kernel at the target.  Each source generator is lifted to a cycle by
+    ``source.inverse``, mapped, and read in the target's generators by
+    ``target.transform``; torsion rows are reduced modulo their orders.
     """
     coords = target.cycles.coordinates(f @ source.cycles.basis)
     if coords is None:
         raise ValueError("chain map does not preserve kernels")
-    m = (target.transform @ coords @ source.inverse)._rows
-    col_of = {gj: c for c, gj in enumerate(source.surviving)}
-    rows = []
-    for i in target.surviving:
-        o, row = target.orders[i], {}
-        for j, v in m[i].items():
-            if j in col_of:
-                w = v % o if o else v
-                if w:
-                    row[col_of[j]] = w
-        rows.append(row)
-    return IntegerMatrix._adopt(rows, len(source.surviving))
+    m = target.transform @ coords @ source.inverse
+    return IntegerMatrix._adopt([{j: v % o for j, v in row.items() if v % o} if o else row
+                                 for row, o in zip(m._rows, target.orders)], m.cols)
 
 
 @dataclass
@@ -1036,7 +1012,7 @@ class PresentedGroup:
 
     @classmethod
     def of(cls, pres: CohomologyPresentation) -> "PresentedGroup":
-        return cls(tuple(pres.orders[i] for i in pres.surviving))
+        return cls(pres.orders)
 
     @property
     def size(self) -> int:

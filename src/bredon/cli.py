@@ -96,6 +96,10 @@ def main(argv=None) -> int:
             if getattr(args, name, 0) < 0:
                 raise ValueError(f"--{name.replace('_', '-')} must be nonnegative, "
                                  f"got {getattr(args, name)}")
+        if args.command == "check" and {"cone-tower", "all"} & set(args.suites) \
+                and args.p_max >= sigmacx.SHIFT_BOUND:
+            raise ValueError(f"cone-tower checks shift p_max + 1, so --p-max must be below "
+                             f"{sigmacx.SHIFT_BOUND}, got {args.p_max}")
         return _dispatch(args)
     except KeyError as exc:     # unknown check suite
         print(f"bredon: error: {exc.args[0]}", file=sys.stderr)

@@ -14,6 +14,33 @@ def random_matrix(rng: random.Random, rows: int, cols: int, emax: int) -> abgrp.
         [[rng.randint(-emax, emax) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
+def assert_transforms(red: abgrp._Reduction, rng: random.Random, where=None):
+    """U^-1 and V^-1 invert U and V, and U, U^-1, V and V^-1 built on random
+    subsets of rows or columns, asked for by original index in a random
+    order, are the matching rows or columns of the whole transforms."""
+    rows, cols = red.row_order(), red.col_order()
+    u, u_inv, v, v_inv = (red.matrix_u(), red.matrix_u_inverse(), red.matrix_v(),
+                          red.matrix_v_inverse(cols))
+    assert u @ u_inv == abgrp.IntegerMatrix.identity(red.m), where
+    assert v @ v_inv == abgrp.IntegerMatrix.identity(red.n), where
+    row_at = {i: t for t, i in enumerate(rows)}
+    col_at = {j: t for t, j in enumerate(cols)}
+
+    def pick(a, at, keep):
+        to = {at[i]: s for s, i in enumerate(keep)}
+        return abgrp.IntegerMatrix.from_entries(
+            len(keep), a.cols, {(to[t], j): v for (t, j), v in a.items() if t in to})
+
+    for _ in range(3):
+        some_rows = rng.sample(rows, rng.randint(0, len(rows)))
+        some_cols = rng.sample(cols, rng.randint(0, len(cols)))
+        assert red.matrix_u(some_rows) == pick(u, row_at, some_rows), where
+        assert red.matrix_u_inverse(some_rows) == \
+            pick(u_inv.transpose(), row_at, some_rows).transpose(), where
+        assert red.matrix_v(some_cols) == pick(v.transpose(), col_at, some_cols).transpose(), where
+        assert red.matrix_v_inverse(some_cols) == pick(v_inv, col_at, some_cols), where
+
+
 def random_complex(rng: random.Random, max_deg: int = 2, max_rank: int = 3,
                    emax: int = 3) -> chaincx.CochainComplex:
     """A random bounded complex, valid by construction.

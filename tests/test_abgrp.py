@@ -6,7 +6,7 @@ from math import gcd
 
 import pytest
 
-from bredon import chaincx
+from bredon import abgrp, chaincx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -26,7 +26,7 @@ from bredon.abgrp import (
     two_torsion_group,
 )
 
-from conftest import random_complex
+from conftest import assert_transforms, random_complex
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -95,11 +95,12 @@ class TestSmithNormalForm:
         assert snf_diagonal(a) == [2, 4] and rank(a) == 2
         assert a == IntegerMatrix.from_rows([[2, 4], [6, 8]])
 
-    def test_empty_shapes(self):
+    def test_empty_shapes(self, rng):
         for a in (IntegerMatrix.zeros(0, 3), IntegerMatrix.zeros(3, 0), IntegerMatrix.zeros(0, 0)):
             u, d, v = smith_normal_form(a)
             assert (u.rows, v.cols) == (a.rows, a.cols)
             assert (u @ a) @ v == d
+            assert_transforms(abgrp._reduce(a), rng)
 
     def test_random_contract(self, rng):
         for _ in range(150):
@@ -107,6 +108,7 @@ class TestSmithNormalForm:
             a = IntegerMatrix.from_rows(
                 [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)], cols=c)
             assert_snf_contract(a)
+            assert_transforms(abgrp._reduce(a), rng, a)
 
 
 class TestKernelAndSolve:
@@ -323,6 +325,17 @@ class TestModM:
             with pytest.raises(ValueError, match=f"{m} is not prime"):
                 mod_m_cohomology_at(IntegerMatrix.zeros(1, 0), IntegerMatrix.zeros(0, 1), m)
         assert is_prime(2) and is_prime(97) and not is_prime(91)
+
+    @pytest.mark.parametrize("m", [4, 1, -2])
+    def test_presentations_take_the_same_moduli(self, m):
+        # raw windows and the Morse windows of a complex are refused alike
+        with pytest.raises(ValueError, match=f"^{m} is not prime$"):
+            cohomology_presentation(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), m)
+        phi = chaincx.ChainMap.identity(chaincx.two_term_complex(2))
+        with pytest.raises(ValueError, match=f"^{m} is not prime$"):
+            chaincx.induced_map(phi, 0, m)
+        with pytest.raises(ValueError, match=f"^{m} is not prime$"):
+            chaincx.cohomology(phi.source, 0, m)
 
 
 class TestTwoPrimaryFunctors:

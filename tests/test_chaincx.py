@@ -338,11 +338,27 @@ def check_retraction(c: CochainComplex, homotopy: bool = True):
             assert (h_at(k + 1) @ g_next).is_zero(), k
 
 
+def check_presentations(c: CochainComplex):
+    """Every presentation over Z, Z/2 and Z/3 keeps its surviving generators
+    only: its orders are the group's invariant factors, then a 0 per free
+    generator, and transform @ inverse is the identity on them."""
+    lo, hi = c.support()
+    for k in range(lo - 1, hi + 2):
+        for m in (0, 2, 3):
+            pres = c._presentation(k, m)
+            group = pres.group
+            assert group == cohomology(c, k, m), (k, m)
+            assert pres.orders == group.invariant_factors + (0,) * group.free_rank, (k, m)
+            assert pres.transform @ pres.inverse == IntegerMatrix.identity(len(pres.orders)), (k, m)
+
+
 class TestMorseRetraction:
     @pytest.mark.parametrize("p", range(-6, 7))
     def test_orbit_complexes(self, p):
         for orbit_type in (FIXED, FREE):
-            check_retraction(build_sigma_complex(SigmaSpec(p, orbit_type)))
+            c = build_sigma_complex(SigmaSpec(p, orbit_type))
+            check_retraction(c)
+            check_presentations(c)
 
     @pytest.mark.parametrize("p", [-8, -7, 7, 8])
     def test_large_orbit_complexes_without_h(self, p):
@@ -357,8 +373,9 @@ class TestMorseRetraction:
 
     def test_random_complexes(self, rng):
         for _ in range(40):
-            check_retraction(random_complex(rng))
-            check_retraction(random_complex(rng, max_deg=3, max_rank=5))
+            for c in (random_complex(rng), random_complex(rng, max_deg=3, max_rank=5)):
+                check_retraction(c)
+                check_presentations(c)
 
     def test_presentations_reduce_only_the_model(self, reductions):
         # once the groups are known, presenting every degree over Z and Z/2 and

@@ -4,6 +4,7 @@ import json
 import os
 import shutil
 
+from bredon import sigmacx
 from bredon.cli import main
 
 
@@ -172,6 +173,22 @@ def test_negative_range_is_one_line_exit_two(capsys):
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
         assert option in captured.err, argv
+
+
+def test_cone_tower_past_the_shift_bound_fails_before_any_suite(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(sigmacx, "cone_tower_check", lambda p: calls.append(p) or True)
+    for argv in (["check", "cone-tower", "--p-max", str(sigmacx.SHIFT_BOUND)],
+                 ["check", "weight0-integral", "all", "--p-max", "40"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "", argv
+        assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
+        assert "--p-max" in captured.err, argv
+    assert calls == []
+    # the largest p_max whose towers stay inside the bound runs every tower
+    assert main(["check", "cone-tower", "--p-max", str(sigmacx.SHIFT_BOUND - 1)]) == 0
+    assert calls == list(range(sigmacx.SHIFT_BOUND))
 
 
 def test_empty_a_range_is_one_line_exit_two(capsys):
