@@ -464,11 +464,6 @@ def rank(a: IntegerMatrix) -> int:
     return len(snf_diagonal(a))
 
 
-def has_snf_diagonal(a: IntegerMatrix) -> bool:
-    """Whether A's Smith diagonal is memoised, so asking for it reduces nothing."""
-    return a._diag is not None
-
-
 class _Swept(NamedTuple):
     """The positions a ``MorseRecord`` has reduced, published as one value."""
 
@@ -681,13 +676,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(m: int, integral: bool = True) -> None:
+    """The one coefficient rule, checked by every public entry before any work.
+
+    m = 0 stands for Z where the entry takes ``integral`` coefficients;
+    every other m must be a prime, the order of the field Z/m.
+    """
+    if not (is_prime(m) or integral and m == 0):
+        raise ValueError(f"{m} is not prime")
+
+
 def rank_mod(a: IntegerMatrix, m: int) -> int:
     """Rank of A over the field Z/m (m prime).
 
     Mod 2 this is an xor basis of the row bitsets, keyed by lowest set bit,
     which does not use the integral engine.  For odd m it counts the Smith
-    invariants that m does not divide: U and V stay invertible mod m.
+    invariants that m does not divide: U and V stay invertible mod m.  On
+    a complex's differentials those are the diagonals its sweep memoised.
     """
+    check_modulus(m, integral=False)
     if m == 2:
         basis: dict = {}
         for row in a._rows:
@@ -854,8 +861,6 @@ def window_cohomology(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int = 0) -> 
     rank d_in + rank d_out <= n, over Z and over Z/m.
     """
     if m:
-        if not is_prime(m):
-            raise ValueError(f"{m} is not prime")
         return FgAbelianGroup(0, (m,) * (d_in.rows - rank_mod(d_out, m) - rank_mod(d_in, m)))
     diag = snf_diagonal(d_in)
     free = d_in.rows - rank(d_out) - len(diag)
@@ -893,8 +898,7 @@ def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> Fg
     >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2))
     Z/2
     """
-    if not is_prime(m):  # first, so that m = 0 is refused, not read as Z
-        raise ValueError(f"{m} is not prime")
+    check_modulus(m, integral=False)  # so that m = 0 is refused, not read as Z
     _check_window(d_in, d_out, m)
     return window_cohomology(d_in, d_out, m)
 
@@ -971,8 +975,7 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
     >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 1), 3).group)
     Z/3
     """
-    if m and not is_prime(m):
-        raise ValueError(f"{m} is not prime")
+    check_modulus(m)
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
     cycles = _Cycles(d_out, m)
@@ -1004,30 +1007,20 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
                                  for row, o in zip(m._rows, target.orders)], m.cols)
 
 
-@dataclass
-class PresentedGroup:
-    """A group Z^s / diag(orders) with orders[i] = 0 marking free generators."""
-
-    orders: tuple
-
-    @classmethod
-    def of(cls, pres: CohomologyPresentation) -> "PresentedGroup":
-        return cls(pres.orders)
-
-    @property
-    def size(self) -> int:
-        return len(self.orders)
-
-    def relation_matrix(self) -> IntegerMatrix:
-        cols = [i for i, o in enumerate(self.orders) if o]
-        d = {(i, t): self.orders[i] for t, i in enumerate(cols)}
-        return IntegerMatrix(self.size, len(cols), d)
+def _relations(orders: tuple) -> IntegerMatrix:
+    """The relation matrix of Z^s / diag(orders), orders[i] = 0 marking a free generator."""
+    cols = [i for i, o in enumerate(orders) if o]
+    return IntegerMatrix(len(orders), len(cols), {(i, t): orders[i] for t, i in enumerate(cols)})
 
 
-def kernel_lattice(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> IntegerMatrix:
-    """Generators (columns) of {x : f x = 0 in the target group} in Z^source."""
-    k = kernel_basis(f.hstack(target.relation_matrix()))
-    return _top_rows(k, source.size).hstack(source.relation_matrix())
+def kernel_lattice(f: IntegerMatrix, source: tuple, target: tuple) -> IntegerMatrix:
+    """Generators (columns) of {x : f x = 0 in the target group} in Z^source.
+
+    Here and below a group is given by its ``orders``, as presented by
+    ``CohomologyPresentation``.
+    """
+    k = kernel_basis(f.hstack(_relations(target)))
+    return _top_rows(k, len(source)).hstack(_relations(source))
 
 
 def _top_rows(a: IntegerMatrix, n: int) -> IntegerMatrix:
@@ -1038,30 +1031,28 @@ def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:
     return solve(generators, vectors) is not None
 
 
-def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix, b: PresentedGroup, c: PresentedGroup) -> bool:
+def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix, b: tuple, c: tuple) -> bool:
     """Exactness of A --f1--> B --f2--> C at B (image = kernel)."""
     if not map_is_zero(f2 @ f1, c):
         return False
-    return lattice_contains(f1.hstack(b.relation_matrix()), kernel_lattice(f2, b, c))
+    return lattice_contains(f1.hstack(_relations(b)), kernel_lattice(f2, b, c))
 
 
-def map_is_zero(f: IntegerMatrix, target: PresentedGroup) -> bool:
+def map_is_zero(f: IntegerMatrix, target: tuple) -> bool:
     return not any(v % o if o else v
-                   for row, o in zip(f._rows, target.orders) for v in row.values())
+                   for row, o in zip(f._rows, target) for v in row.values())
 
 
-def map_is_injective(f: IntegerMatrix, source: PresentedGroup, target: PresentedGroup) -> bool:
-    ker = kernel_lattice(f, source, target)
-    return lattice_contains(source.relation_matrix(), ker)
+def map_is_injective(f: IntegerMatrix, source: tuple, target: tuple) -> bool:
+    return lattice_contains(_relations(source), kernel_lattice(f, source, target))
 
 
-def map_is_surjective(f: IntegerMatrix, target: PresentedGroup) -> bool:
-    return lattice_contains(f.hstack(target.relation_matrix()), IntegerMatrix.identity(target.size))
+def map_is_surjective(f: IntegerMatrix, target: tuple) -> bool:
+    return lattice_contains(f.hstack(_relations(target)), IntegerMatrix.identity(len(target)))
 
 
-def map_is_multiplication_by(f: IntegerMatrix, n: int,
-                             source: PresentedGroup, target: PresentedGroup) -> bool:
-    if source.orders != target.orders:
+def map_is_multiplication_by(f: IntegerMatrix, n: int, source: tuple, target: tuple) -> bool:
+    if source != target:
         return False
-    diff = f + IntegerMatrix.from_diagonal([-n] * source.size, source.size, source.size)
+    diff = f + IntegerMatrix.from_diagonal([-n] * len(source), len(source), len(source))
     return map_is_zero(diff, target)

@@ -22,8 +22,9 @@ Sign conventions are calibrated once and fixed:
 Cohomology presentations and induced maps are computed on M: H^k(C) is
 presented as H^k(M), over Z and over Z/m, and a chain map phi: S -> T
 induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Groups of C
-itself come from the Smith diagonals of C's differentials over Z (the same
-sweep) and from their ranks mod m.
+itself come from the ranks of C's differentials: over Z and mod an odd
+prime from the Smith diagonals that the same sweep memoised, mod 2 from
+the independent bitset rank.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -46,10 +47,9 @@ from .abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
     MorseRecord,
-    PresentedGroup,
+    check_modulus,
     cohomology_at,  # unused here; the benchmark tracer pins chaincx.cohomology_at as an alias
     cohomology_presentation,
-    has_snf_diagonal,
     is_exact_at,
     map_is_injective,
     map_is_multiplication_by,
@@ -157,6 +157,7 @@ class CochainComplex:
         """H^degree(M) over Z or Z/m, which is H^degree(C) read through f and g."""
         pres = self._pres_cache.get((degree, m))
         if pres is None:
+            check_modulus(m)
             d_in, d_out, _, _ = self._model(degree)
             pres = cohomology_presentation(d_in, d_out, m)
             self._pres_cache[(degree, m)] = pres
@@ -195,20 +196,20 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
-    Over Z, a window whose diagonals are not yet known has the diagonals of
-    the differentials of C up to d_out computed by the complex's Morse
-    record, in one sweep from the lowest degree up, which drops what the
-    unit pivots below already paired.  The sweep helps callers that ask for
-    many degrees of one complex, in any order: each differential is reduced
-    once.  A single query at the top of a complex whose top differential is
-    small reduces every differential below it, where reducing d_in alone
-    would be cheap.  Over Z/m the ranks of C's own differentials are used,
-    independent of the sweep.
+    Over Z and mod an odd prime, the Smith diagonals of the differentials of
+    C up to d_out come from the complex's Morse record: one sweep from the
+    lowest degree up, which drops what the unit pivots below already paired
+    and passes each position once, so each differential is reduced once
+    whatever degrees and coefficients are asked for, in any order.  A single
+    query at the top of a complex whose top differential is small reduces
+    every differential below it, where reducing d_in alone would be cheap.
+    Mod 2 the independent bitset rank of C's own differentials is used.
     """
-    d_in, d_out = c.differential(degree - 1), c.differential(degree)
-    if not m and not (has_snf_diagonal(d_in) and has_snf_diagonal(d_out)):
-        c._record().sweep(degree - c.support()[0])
-    return window_cohomology(d_in, d_out, m)
+    check_modulus(m)
+    lo, hi = c.support()
+    if m != 2 and lo <= degree <= hi:
+        c._record().sweep(degree - lo)
+    return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
@@ -218,6 +219,7 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
     diagonals of d_in and d_out, each with the number of unit pivots that
     the sweep took in it, and over Z/m also its rank mod m.
     """
+    check_modulus(m)
     lo, hi = c.support()
     swept = c._record().sweep(hi - lo)
     model = {lo + t: g.cols for t, g in enumerate(swept.g)}
@@ -449,8 +451,8 @@ class InducedMap:
     source_group: FgAbelianGroup
     target_group: FgAbelianGroup
     matrix: IntegerMatrix
-    source: PresentedGroup
-    target: PresentedGroup
+    source: tuple    # the orders of the source's canonical generators, 0 for a free one
+    target: tuple
 
     def is_zero(self) -> bool:
         return map_is_zero(self.matrix, self.target)
@@ -487,7 +489,7 @@ def _induced(component: IntegerMatrix, degree: int, source: CochainComplex, s_de
     sp, tp = source._presentation(s_degree, m), target._presentation(t_degree, m)
     on_model = target._model(t_degree)[2] @ component @ source._model(s_degree)[3]
     mat = map_on_cohomology(on_model, sp, tp)
-    return InducedMap(degree, sp.group, tp.group, mat, PresentedGroup.of(sp), PresentedGroup.of(tp))
+    return InducedMap(degree, sp.group, tp.group, mat, sp.orders, tp.orders)
 
 
 # ---------------------------------------------------------------------------

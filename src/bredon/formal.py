@@ -29,7 +29,7 @@ k*/k*2
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 # ---------------------------------------------------------------------------
 # Atoms and formal groups
@@ -365,11 +365,7 @@ def motivic_cohomology(a: int, w: int, coeff: int = 0) -> FormalGroup:
     return FormalGroup.of(Mot(a, w))
 
 
-MotivicOracle = Callable[[int, int, int], FormalGroup]
-
-
-def nie_decompose(a: int, q: int, b: int, coeff: int = 0,
-                  motivic: MotivicOracle = motivic_cohomology) -> FormalGroup:
+def nie_decompose(a: int, q: int, b: int, coeff: int = 0) -> FormalGroup:
     """Decomposition of the (a + 2q*sigma, b + q*sigma) group along the diagonal.
 
     Integrally the group splits as q mod-2 motivic pieces plus one integral
@@ -384,14 +380,14 @@ def nie_decompose(a: int, q: int, b: int, coeff: int = 0,
     if q < 0 or b < 0:
         raise ValueError("the diagonal decomposition needs b, q >= 0")
     if coeff == 0:
-        parts = [motivic(a + 2 * j, j + b, 2) for j in range(q)]
-        parts.append(motivic(a + 2 * q, b + q, 0))
+        parts = [motivic_cohomology(a + 2 * j, j + b, 2) for j in range(q)]
+        parts.append(motivic_cohomology(a + 2 * q, b + q, 0))
     else:
         parts = []
         for j in range(q):
-            parts.append(motivic(a + 2 * j, j + b, 2))
-            parts.append(motivic(a + 2 * j + 1, j + b, 2))
-        parts.append(motivic(a + 2 * q, q + b, 2))
+            parts.append(motivic_cohomology(a + 2 * j, j + b, 2))
+            parts.append(motivic_cohomology(a + 2 * j + 1, j + b, 2))
+        parts.append(motivic_cohomology(a + 2 * q, q + b, 2))
     return ZERO_FG.direct_sum(*parts)
 
 

@@ -303,12 +303,12 @@ def free_orbit_acyclicity(p: int, m: int = 0) -> bool:
     return True
 
 
-def transfer_restriction_check(p: int, classify: bool = True) -> bool:
+def transfer_restriction_check(p: int) -> bool:
     """Chain identities for the transfer/restriction pair at shift p.
 
     Asserts tr . res = 2 id on the fixed-point complex and res . tr = id + t
-    with t the free-coordinate involution, then (optionally) classifies the
-    induced endomorphism of every cohomology group as multiplication by 2.
+    with t the free-coordinate involution, then classifies the induced
+    endomorphism of every cohomology group as multiplication by 2.
     """
     tr = transfer_map(p)
     res = restriction_map(p)
@@ -324,15 +324,14 @@ def transfer_restriction_check(p: int, classify: bool = True) -> bool:
     for d in sorted(free_cx.components):
         if res_tr.component(d) != id_tau.component(d):
             raise CheckFailure(f"res.tr != id + flip at degree {d} of shift {p}")
-    if classify:
-        # the fixed-side composite is the multiplication-by-2 endomorphism;
-        # the free-side one is id + involution, which is not 2 id on homology
-        lo, hi = fixed_cx.support()
-        for a in range(lo, hi + 1):
-            ind = induced_map(tr_res, a)
-            if not ind.is_multiplication_by(2):
-                raise CheckFailure(
-                    f"induced map of tr.res at degree {a}, shift {p} is not multiplication by 2")
+    # the fixed-side composite is the multiplication-by-2 endomorphism;
+    # the free-side one is id + involution, which is not 2 id on homology
+    lo, hi = fixed_cx.support()
+    for a in range(lo, hi + 1):
+        ind = induced_map(tr_res, a)
+        if not ind.is_multiplication_by(2):
+            raise CheckFailure(
+                f"induced map of tr.res at degree {a}, shift {p} is not multiplication by 2")
     return True
 
 

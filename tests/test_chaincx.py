@@ -6,10 +6,11 @@ from bredon import abgrp
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
-    PresentedGroup,
     cohomology_at,
     cohomology_presentation,
     map_on_cohomology,
+    mod_m_cohomology_at,
+    rank_mod,
 )
 from bredon.chaincx import (
     ChainMap,
@@ -21,6 +22,7 @@ from bredon.chaincx import (
     cohomology,
     cone,
     euler_characteristic,
+    explain,
     induced_map,
     tensor,
     two_term_complex,
@@ -176,6 +178,46 @@ class TestCohomologyAndEuler:
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError, match="4 is not prime"):
             cohomology(build_sigma_complex(SigmaSpec(2, FIXED)), 0, 4)
+
+    @pytest.mark.parametrize("m", [4, 1])
+    def test_every_entry_refuses_a_bad_modulus_before_any_work(self, reductions, m):
+        c = build_sigma_complex.__wrapped__(SigmaSpec(5, FREE))
+        d_in, d_out = c.differential(-3), c.differential(-2)
+        entries = [lambda: cohomology(c, -2, m),
+                   lambda: induced_map(ChainMap.identity(c), -2, m),
+                   lambda: explain(c, -2, m),
+                   lambda: rank_mod(d_out, m),
+                   lambda: mod_m_cohomology_at(d_in, d_out, m),
+                   lambda: cohomology_presentation(d_in, d_out, m)]
+        for entry in entries:
+            with pytest.raises(ValueError, match=f"^{m} is not prime$"):
+                entry()
+        assert reductions == []
+
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_odd_primes_hand_the_engine_what_z_does(self, handed, orbit_type):
+        # over Z/3 the complex's own differentials are reduced by its sweep only,
+        # as over Z, never whole
+        all_cohomology(build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type)))
+        integral = list(handed)
+        handed.clear()
+        all_cohomology(build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type)), 3)
+        assert handed and handed == integral
+
+    @pytest.mark.parametrize("p", range(-9, 10))
+    def test_odd_primes_follow_the_universal_coefficients(self, p):
+        # H^k(C; Z/l) = H^k(C) (x) Z/l (+) Tor(H^(k+1)(C), Z/l)
+        complexes = [build_sigma_complex(SigmaSpec(p, orbit_type)) for orbit_type in (FIXED, FREE)]
+        if abs(p) <= 5:
+            complexes.append(cone(transfer_map(p)))
+        for c in complexes:
+            lo, hi = c.support()
+            integral = {k: cohomology(c, k) for k in range(lo - 1, hi + 2)}
+            for ell in (3, 5):
+                z_ell = FgAbelianGroup.cyclic(ell)
+                for k in range(lo - 1, hi + 1):
+                    uct = integral[k].tensor(z_ell).direct_sum(integral[k + 1].tor(z_ell))
+                    assert cohomology(c, k, ell) == uct, (c, k, ell)
 
     def test_presentation_leaves_cohomology_nothing_to_reduce(self, reductions):
         for degree in range(-4, 1):
@@ -404,7 +446,7 @@ def raw_induced(phi: ChainMap, degree: int, m: int) -> InducedMap:
                                       _copy(c.differential(degree)), m)
               for c in (phi.source, phi.target))
     return InducedMap(degree, sp.group, tp.group, map_on_cohomology(phi.component(degree), sp, tp),
-                      PresentedGroup.of(sp), PresentedGroup.of(tp))
+                      sp.orders, tp.orders)
 
 
 def assert_same_verdicts(phi: ChainMap):

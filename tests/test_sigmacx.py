@@ -1,6 +1,7 @@
 """Orbit combinatorics, the shift complexes, and the structural checks."""
 
 from itertools import combinations, product
+from unittest import mock
 
 import pytest
 
@@ -9,7 +10,6 @@ from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
     MorseRecord,
-    has_snf_diagonal,
     rank_mod,
     smith_normal_form,
     snf_diagonal,
@@ -404,7 +404,7 @@ def _copy(a: IntegerMatrix) -> IntegerMatrix:
 def _swept_diagonals(shifts):
     """(where, d, diagonal) for each differential d of fresh complexes at each
     shift: fixed and free, and cone(tr) for 0 <= p <= 6, with the diagonals
-    that the bottom-up sweep memoised on them."""
+    that the bottom-up sweep memoised on them: asking for them reduces nothing."""
     for p in shifts:
         complexes = [(orbit_type, build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type)))
                      for orbit_type in (FIXED, FREE)]
@@ -416,8 +416,10 @@ def _swept_diagonals(shifts):
             MorseRecord(list(ds.values())).sweep(len(ds))
             for k, a in ds.items():
                 if not a.is_zero():
-                    assert has_snf_diagonal(a), (p, kind, k)
-                    yield (p, kind, k), a, snf_diagonal(a)
+                    with mock.patch.object(abgrp, "_reduce",
+                                           side_effect=AssertionError((p, kind, k))):
+                        diag = snf_diagonal(a)
+                    yield (p, kind, k), a, diag
 
 
 def rank_mod_oracle(a: IntegerMatrix, ell: int) -> int:
