@@ -45,13 +45,11 @@ class IntegerMatrix:
 
     Matrices may share row dicts (a row slice does); no row dict is mutated
     once it belongs to a matrix, and the reduction engine works on copies.
-
-    The nonzero Smith diagonal is memoised on the matrix by the first
-    reduction of it, whichever entry point runs that reduction.  It is
-    derived from the entries, so it takes no part in equality.
+    A matrix holds nothing derived from its entries: every reduction of it
+    starts afresh.
     """
 
-    __slots__ = ("rows", "cols", "_rows", "_diag")
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, data: dict):
         if rows < 0 or cols < 0:
@@ -63,14 +61,12 @@ class IntegerMatrix:
             if v:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
-        self._diag: Optional[tuple] = None if any(by_row) else ()
 
     @classmethod
     def _adopt(cls, rows: list, cols: int) -> "IntegerMatrix":
         """The matrix whose row i is the dict rows[i], which holds no zero; not copied."""
         a = cls.__new__(cls)
         a.rows, a.cols, a._rows = len(rows), cols, rows
-        a._diag = None if any(rows) else ()
         return a
 
     # -- constructors -------------------------------------------------
@@ -230,18 +226,18 @@ class _Reduction:
     its push is not seen, so the tiebreak is approximate; the pivot always
     has the smallest |v| left.
 
-    ``units`` counts the leading pivots taken while the smallest |v| left
-    was 1, before the first pivot taken with |v| > 1.  Each of them cleared
-    its row and column by exact Gaussian elimination, with no remainder
-    step and no divisibility repair: every row operation of this unit phase
-    subtracts a multiple of a pivot row, and every column operation a
-    multiple of a pivot column.  ``unit_phase`` notes where it ended: the
-    lengths of the two logs then, and a copy of the live rows, whose
-    entries lie in the live columns (see ``MorseRecord``).
+    With ``units_only`` the run stops before its first pivot with |v| > 1,
+    so it takes only the unit phase: the pivots taken while the smallest
+    |v| left is 1.  Each of them cleared its row and column by exact
+    Gaussian elimination, with no remainder step and no divisibility
+    repair: every row operation subtracts a multiple of a pivot row, and
+    every column operation a multiple of a pivot column.  The live rows
+    are then what the unit pivots leave, with entries in the live columns
+    only (see ``MorseRecord``).  The columns in ``drop`` are left out.
     """
 
-    def __init__(self, a: IntegerMatrix, drop: frozenset = frozenset()):
-        self.m, self.n = a.rows, a.cols
+    def __init__(self, a: IntegerMatrix, drop: frozenset = frozenset(), units_only: bool = False):
+        self.m, self.n, self.units_only = a.rows, a.cols, units_only
         self.rows = [{j: v for j, v in row.items() if j not in drop} for row in a._rows] \
             if drop else [dict(row) for row in a._rows]
         self.colnz = [set() for _ in range(self.n)]
@@ -251,8 +247,6 @@ class _Reduction:
         self.row_ops: list = []  # (k, i, q): row_k -= q * row_i; (i, i, 0): row_i = -row_i
         self.col_ops: list = []  # (l, j, q): col_l -= q * col_j
         self.pivots: list = []  # (row, col, value)
-        self.units = 0
-        self.unit_phase: Optional[tuple] = None  # (row log length, column log length, live rows)
         self.live_rows = set(range(self.m))
         self.live_cols = set(range(self.n))
         # pivot candidates (|v|, Markowitz cost, row, col), validated when popped
@@ -312,13 +306,9 @@ class _Reduction:
     def run(self):
         while True:
             piv = self._find_pivot()
-            if self.unit_phase is None and (piv is None or self.rows[piv[0]][piv[1]] not in (1, -1)):
-                self.unit_phase = (len(self.row_ops), len(self.col_ops),
-                                   {i: dict(self.rows[i]) for i in self.live_rows if self.rows[i]})
-            if piv is None:
+            if piv is None or self.units_only and self.rows[piv[0]][piv[1]] not in (1, -1):
                 break
             i, j = piv
-            unit = self.unit_phase is None
             # isolate the pivot at (i, j)
             while True:
                 # clear column j
@@ -378,7 +368,6 @@ class _Reduction:
                         continue
                 break
             self.pivots.append((i, j, self.rows[i][j]))
-            self.units += unit
             self.live_rows.discard(i)
             self.live_cols.discard(j)
 
@@ -416,16 +405,11 @@ class _Reduction:
         return IntegerMatrix.from_diagonal([p for _, _, p in self.pivots], self.m, self.n)
 
 
-def _reduce(a: IntegerMatrix, drop: frozenset = frozenset()) -> _Reduction:
-    """Reduce A once and memoise its nonzero Smith diagonal on A.
-
-    The columns in ``drop`` are left out of the reduction; the caller
-    guarantees that they do not change the diagonal.
-    """
-    red = _Reduction(a, drop)
+def _reduce(a: IntegerMatrix) -> _Reduction:
+    """A whole reduction of A, run unless A is zero."""
+    red = _Reduction(a)
     if not a.is_zero():
         red.run()
-    a._diag = tuple(p for _, _, p in red.pivots)
     return red
 
 
@@ -450,14 +434,8 @@ def smith_normal_form(a: IntegerMatrix) -> SmithNormalForm:
 
 
 def snf_diagonal(a: IntegerMatrix) -> list:
-    """The nonzero diagonal of the Smith normal form.
-
-    The matrix is reduced at most once; later calls, and calls after any
-    other reduction of it, reuse its memoised diagonal.
-    """
-    if a._diag is None:
-        _reduce(a)
-    return list(a._diag)
+    """The nonzero diagonal of the Smith normal form, from one reduction of A."""
+    return [p for _, _, p in _reduce(a).pivots]
 
 
 def rank(a: IntegerMatrix) -> int:
@@ -472,7 +450,7 @@ class _Swept(NamedTuple):
     d: tuple            # d_M^t: M^(t+1) x M^t, one position behind until the top
     units: tuple        # the number of unit pivots of each reduced d^t
     paired: frozenset   # the rows of the last reduced d^t's unit pivots
-    pending: Optional[tuple]  # its unit-phase row log, live rows and M^t, until d^(t+1) is reduced
+    pending: Optional[tuple]  # its row log, its live rows and M^t, until d^(t+1) is reduced
 
 
 class MorseRecord:
@@ -480,9 +458,9 @@ class MorseRecord:
 
     ``differentials`` are d^t: C^t -> C^(t+1) at consecutive positions
     t = 0..n with d^(t+1) @ d^t = 0; a complex passes all of its degrees,
-    the top one into the zero group.  ``sweep(t)`` reduces the positions up
-    to t, each once and in order, and memoises each Smith diagonal on its
-    matrix; a later call goes on from where the last one stopped.
+    the top one into the zero group.  ``sweep(t)`` runs the unit phase of
+    each position up to t, each once and in order; a later call goes on
+    from where the last one stopped.
 
     A unit pivot of d^t at (row b, column a), taken before its first pivot
     with |v| > 1, splits off a contractible summand Z --(+-1)--> Z on a and
@@ -491,17 +469,19 @@ class MorseRecord:
     column a change only the basis vector b of the target, which becomes an
     image under d^t, so column b of d^(t+1) vanishes and the other columns
     stay as they are.  So d^(t+1) is reduced without the columns P^(t+1)
-    that the unit pivots of d^t paired, and has the same Smith diagonal.
+    that the unit pivots of d^t paired.
 
-    What the unit pivots leave is a deformation retract M of C.  M^t is C^t
-    without P^t and without the unit-pivot columns of d^t; d_M^t is the
-    live part of d^t when its unit phase ended, on the columns M^t and the
-    rows M^(t+1).  With D_t = U_t @ d^t @ V_t the unit phase of d^t, the
-    chain maps are g^t = V_t[:, M^t]: M -> C and f^(t+1) = U_t[M^(t+1), :]:
-    C -> M, and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are
-    read off the logs by ``_replay``, the replay that builds every
-    transform, on M's generators alone, and each log is dropped once it has
-    been read.
+    What the unit pivots leave is a deformation retract M of C, so every
+    group of C, over Z and over Z/m, is that of M.  M^t is C^t without P^t
+    and without the unit-pivot columns of d^t; d_M^t is the live part of
+    d^t after its unit phase, on the columns M^t and the rows M^(t+1).  The
+    live rows that M drops are integral combinations of the rows it keeps,
+    so the Smith diagonal of d^t is one 1 per unit pivot, then that of
+    d_M^t.  With D_t = U_t @ d^t @ V_t the unit phase of d^t, the chain maps
+    are g^t = V_t[:, M^t]: M -> C and f^(t+1) = U_t[M^(t+1), :]: C -> M,
+    and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are read off
+    the logs by ``_replay``, the replay that builds every transform, on M's
+    generators alone, and each log is dropped once it has been read.
 
     The reduced positions are published as one immutable value, so a
     record shared between threads is at worst swept twice, with equal
@@ -534,12 +514,11 @@ class MorseRecord:
     def _step(self, s: _Swept) -> _Swept:
         t = len(s.g)
         a = self.differentials[t]
-        red = _reduce(a, s.paired)
-        rows_done, cols_done, live = red.unit_phase or (0, 0, {})
-        units = red.pivots[:red.units]
-        unit_cols = {j for _, j, _ in units}
+        red = _Reduction(a, s.paired, units_only=True)
+        if not a.is_zero():
+            red.run()
+        unit_cols = {j for _, j, _ in red.pivots}
         keep = [j for j in range(a.cols) if j not in s.paired and j not in unit_cols]
-        del red.row_ops[rows_done:], red.col_ops[cols_done:]
         g = _replay(red.col_ops, keep, a.cols)
         if t:
             row_ops, below, below_keep = s.pending
@@ -547,12 +526,13 @@ class MorseRecord:
             d = s.d + (_submatrix(below, keep, below_keep),)
         else:
             f, d = IntegerMatrix._adopt([{j: 1} for j in keep], a.cols), s.d
-        paired = frozenset(i for i, _, _ in units)
+        paired = frozenset(i for i, _, _ in red.pivots)
+        live = {i: red.rows[i] for i in red.live_rows if red.rows[i]}
         pending = (red.row_ops, live, keep)
         if t == len(self.differentials) - 1:
             d += (_submatrix(live, [i for i in range(a.rows) if i not in paired], keep),)
             pending = None
-        return _Swept(s.f + (f,), s.g + (g,), d, s.units + (len(units),), paired, pending)
+        return _Swept(s.f + (f,), s.g + (g,), d, s.units + (len(red.pivots),), paired, pending)
 
 
 def _replay(ops: list, keep: list, n: int, transpose: bool = False) -> IntegerMatrix:
@@ -691,8 +671,8 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
 
     Mod 2 this is an xor basis of the row bitsets, keyed by lowest set bit,
     which does not use the integral engine.  For odd m it counts the Smith
-    invariants that m does not divide: U and V stay invertible mod m.  On
-    a complex's differentials those are the diagonals its sweep memoised.
+    invariants that m does not divide (U and V stay invertible mod m), from
+    one whole reduction of A.
     """
     check_modulus(m, integral=False)
     if m == 2:
@@ -857,11 +837,12 @@ def window_cohomology(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int = 0) -> 
     and ``mod_m_cohomology_at`` check raw windows first.  Over Z the torsion
     of ker/im is that of Z^n/im(d_in) (a class with a multiple in the image
     lies in the kernel), so the diagonal of d_in and the rank of d_out
-    suffice.  No rank can come out negative: im d_in lies in ker d_out, so
-    rank d_in + rank d_out <= n, over Z and over Z/m.
+    suffice; d_in is reduced first, over Z and Z/m alike.  No rank can come
+    out negative: im d_in lies in ker d_out, so rank d_in + rank d_out <= n,
+    over Z and over Z/m.
     """
     if m:
-        return FgAbelianGroup(0, (m,) * (d_in.rows - rank_mod(d_out, m) - rank_mod(d_in, m)))
+        return FgAbelianGroup(0, (m,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
     diag = snf_diagonal(d_in)
     free = d_in.rows - rank(d_out) - len(diag)
     return FgAbelianGroup.from_cyclic_orders([0] * free + [d for d in diag if d != 1])
@@ -984,7 +965,7 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
         raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
     red = _reduce(x)
     surviving = [i for i, _, d in red.pivots if d != 1] + sorted(red.live_rows)
-    orders = tuple(d for d in x._diag if d != 1) + (0,) * len(red.live_rows)
+    orders = tuple(d for _, _, d in red.pivots if d != 1) + (0,) * len(red.live_rows)
     return CohomologyPresentation(FgAbelianGroup.from_cyclic_orders(orders), cycles,
                                   red.matrix_u(surviving), red.matrix_u_inverse(surviving),
                                   orders)

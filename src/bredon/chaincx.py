@@ -19,12 +19,10 @@ Sign conventions are calibrated once and fixed:
   homotopy is h^{k+1} = -V_k[:, A_k] U_k[B_k, :]: C^{k+1} -> C^k, so that
   g.f = 1 + d h + h d, and h.h = 0, f.h = 0 and h.g = 0.
 
-Cohomology presentations and induced maps are computed on M: H^k(C) is
-presented as H^k(M), over Z and over Z/m, and a chain map phi: S -> T
-induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Groups of C
-itself come from the ranks of C's differentials: over Z and mod an odd
-prime from the Smith diagonals that the same sweep memoised, mod 2 from
-the independent bitset rank.
+Cohomology is computed on M: over Z and mod an odd prime the group H^k(C)
+is H^k(M), read off M's window at k, and a chain map phi: S -> T induces
+the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Mod 2 the groups of C
+come from the independent bitset rank of C's own differentials.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -56,7 +54,6 @@ from .abgrp import (
     map_is_surjective,
     map_is_zero,
     map_on_cohomology,
-    rank_mod,
     snf_diagonal,
     window_cohomology,
 )
@@ -196,20 +193,18 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
-    Over Z and mod an odd prime, the Smith diagonals of the differentials of
-    C up to d_out come from the complex's Morse record: one sweep from the
-    lowest degree up, which drops what the unit pivots below already paired
-    and passes each position once, so each differential is reduced once
-    whatever degrees and coefficients are asked for, in any order.  A single
-    query at the top of a complex whose top differential is small reduces
-    every differential below it, where reducing d_in alone would be cheap.
-    Mod 2 the independent bitset rank of C's own differentials is used.
+    Over Z and mod an odd prime this is the cohomology of the window of the
+    complex's Morse model M at the degree.  M comes from one sweep from the
+    lowest degree up, which runs the unit phase of each differential once
+    whatever degrees and coefficients are asked for, in any order; a query
+    sweeps through the differential above its window, which fixes M's
+    generators there.  Mod 2 the independent bitset rank of C's own
+    differentials is used.
     """
     check_modulus(m)
-    lo, hi = c.support()
-    if m != 2 and lo <= degree <= hi:
-        c._record().sweep(degree - lo)
-    return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
+    if m == 2:
+        return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
+    return window_cohomology(*c._model(degree)[:2], m)
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
@@ -217,7 +212,10 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
 
     The ranks of C and of its Morse model M per degree, then the Smith
     diagonals of d_in and d_out, each with the number of unit pivots that
-    the sweep took in it, and over Z/m also its rank mod m.
+    the sweep took in it, and over Z/m also its rank mod m.  The diagonal
+    of a differential d of C is one 1 per unit pivot, then the diagonal of
+    its part d_M on M (see ``abgrp.MorseRecord``); the rank mod m counts
+    its entries prime to m.
     """
     check_modulus(m)
     lo, hi = c.support()
@@ -228,10 +226,11 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
     for name, k in (("d_in", degree - 1), ("d_out", degree)):
         a = c.differential(k)
         units = swept.units[k - lo] if lo <= k <= hi else 0
-        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(snf_diagonal(a)))
+        diag = [1] * units + snf_diagonal(c._model(k)[1])
+        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(diag))
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
                 f"{units} unit pivots")
-        lines.append(line + (f"; rank mod {m} {rank_mod(a, m)}" if m else ""))
+        lines.append(line + (f"; rank mod {m} {sum(1 for d in diag if d % m)}" if m else ""))
     return lines
 
 

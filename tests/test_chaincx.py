@@ -1,5 +1,7 @@
 """Complex validation, tensor calibration, cones, and induced maps."""
 
+from itertools import groupby
+
 import pytest
 
 from bredon import abgrp
@@ -55,12 +57,21 @@ def reductions(monkeypatch):
 
 @pytest.fixture
 def handed(monkeypatch):
-    """The number of nonzeros each run of the reduction engine starts from."""
+    """(units_only, nonzeros, shape) of each run of the reduction engine, as it starts."""
     seen = []
     run = abgrp._Reduction.run
-    monkeypatch.setattr(abgrp._Reduction, "run",
-                        lambda red: seen.append(sum(map(len, red.rows))) or run(red))
+    monkeypatch.setattr(abgrp._Reduction, "run", lambda red: seen.append(
+        (red.units_only, sum(map(len, red.rows)), (red.m, red.n))) or run(red))
     return seen
+
+
+def assert_swept_once(handed, c: CochainComplex, generators: int):
+    """The sweep (the ``units_only`` runs) handed each differential of C to
+    the engine exactly once, from the lowest degree up, and every other run
+    had at most ``generators`` columns, the rank of C's Morse model."""
+    swept = [shape for units_only, _, shape in handed if units_only]
+    assert swept == [(a.rows, a.cols) for _, a in sorted(c.differentials.items())]
+    assert all(shape[1] <= generators for units_only, _, shape in handed if not units_only)
 
 
 class TestValidation:
@@ -156,11 +167,17 @@ class TestCohomologyAndEuler:
         c2 = build_sigma_complex(SigmaSpec(2, FIXED))
         assert cohomology(c2, -2) == FgAbelianGroup.free(1)
 
-    def test_each_differential_reduced_once(self, reductions):
+    def test_each_differential_reduced_once(self, handed):
+        # whatever is asked, in any order and over any coefficients, the sweep
+        # reduces each differential of C once; the rest is M's small windows
         c = build_sigma_complex.__wrapped__(SigmaSpec(4))
         groups = all_cohomology(c)
-        assert 0 < len(reductions) <= len(c.differentials)
         assert groups == {-4: FgAbelianGroup.free(1), -2: Z2, 0: Z2}
+        for m in (3, 0, 5, 2):
+            for degree in reversed(c.degrees()):
+                cohomology(c, degree, m)
+                c._presentation(degree, m)
+        assert_swept_once(handed, c, 5)
 
     @pytest.mark.parametrize("spec", [SigmaSpec(p, orbit)
                                       for p in (4, -4) for orbit in (FIXED, FREE)])
@@ -197,12 +214,16 @@ class TestCohomologyAndEuler:
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     def test_odd_primes_hand_the_engine_what_z_does(self, handed, orbit_type):
         # over Z/3 the complex's own differentials are reduced by its sweep only,
-        # as over Z, never whole
-        all_cohomology(build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type)))
+        # as over Z, never whole, and M's windows are reduced as over Z
+        c = build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type))
+        all_cohomology(c)
+        assert_swept_once(handed, c, 8)
         integral = list(handed)
         handed.clear()
-        all_cohomology(build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type)), 3)
-        assert handed and handed == integral
+        c = build_sigma_complex.__wrapped__(SigmaSpec(7, orbit_type))
+        all_cohomology(c, 3)
+        assert_swept_once(handed, c, 8)
+        assert handed == integral
 
     @pytest.mark.parametrize("p", range(-9, 10))
     def test_odd_primes_follow_the_universal_coefficients(self, p):
@@ -219,13 +240,17 @@ class TestCohomologyAndEuler:
                     uct = integral[k].tensor(z_ell).direct_sum(integral[k + 1].tor(z_ell))
                     assert cohomology(c, k, ell) == uct, (c, k, ell)
 
-    def test_presentation_leaves_cohomology_nothing_to_reduce(self, reductions):
+    def test_presentation_leaves_cohomology_nothing_to_reduce(self, handed):
+        # a presentation sweeps C as far as the group needs, so the group
+        # reduces no differential of C again, only M's window
         for degree in range(-4, 1):
             c = build_sigma_complex.__wrapped__(SigmaSpec(4))
             group = c._presentation(degree).group
-            before = len(reductions)
+            before = len(handed)
             assert cohomology(c, degree) == group
-            assert len(reductions) == before
+            assert all(not units_only and shape[1] <= 5
+                       for units_only, _, shape in handed[before:])
+            handed.clear()
 
     def test_unit_found_by_a_remainder_step_pairs_nothing(self):
         # Z --(2,3)--> Z^2 --(3,-2)--> Z: the engine takes the 2 first and records
@@ -250,22 +275,22 @@ class TestCohomologyAndEuler:
 
     def test_sweep_hands_the_engine_less_than_the_differentials(self, handed):
         # the unit pivots of each differential drop their rows' columns from the
-        # next; a query reduces nothing above its window, and later queries, in
-        # any order, go on from the rows paired below
+        # next; a query sweeps nothing above the differential over its window,
+        # and later queries, in any order, go on from the rows paired below
         c = build_sigma_complex.__wrapped__(SigmaSpec(7, FREE))
         assert all_cohomology(c) == {-7: FgAbelianGroup.free(1)}
-        assert len(handed) <= len(c.differentials)
-        ascending = sum(handed)
+        assert_swept_once(handed, c, 8)
+        ascending = sum(nnz for units_only, nnz, _ in handed if units_only)
         assert ascending < 0.7 * sum(a.nnz() for a in c.differentials.values())
         handed.clear()
         c = build_sigma_complex.__wrapped__(SigmaSpec(7, FREE))
         lo, hi = c.support()
         cohomology(c, lo)
-        assert len(handed) == 1
+        assert [units_only for units_only, _, _ in handed].count(True) == 2
         for degree in [(lo + hi) // 2, hi] + list(range(hi - 1, lo, -1)):
             cohomology(c, degree)
-        assert len(handed) <= len(c.differentials)
-        assert sum(handed) == ascending
+        assert_swept_once(handed, c, 8)
+        assert sum(nnz for units_only, nnz, _ in handed if units_only) == ascending
 
     def test_euler(self):
         assert euler_characteristic(build_sigma_complex(SigmaSpec(1, FIXED))) == 0
@@ -331,20 +356,17 @@ def retraction_homotopy(c: CochainComplex) -> dict:
     """h^(k+1) = -V_k[:, A_k] U_k[B_k, :] for every degree k, rebuilt from scratch.
 
     Each unit phase is run again, without the rows B of the one below it as
-    the sweep runs it, and U_k and V_k are built whole from its logs, cut
-    where the phase ended; (B_k, A_k) are its unit pivots, each +1 after the
-    logged negations (the sign convention of the ``chaincx`` docstring).
+    the sweep runs it, and U_k and V_k are built whole from its logs; (B_k,
+    A_k) are its pivots, each +1 after the logged negations (the sign
+    convention of the ``chaincx`` docstring).
     """
     lo, hi = c.support()
     h, paired = {}, frozenset()
     for k in range(lo, hi + 1):
         a = c.differential(k)
-        red = abgrp._Reduction(a, paired)
-        if not a.is_zero():
-            red.run()
-        rows_done, cols_done, _ = red.unit_phase or (0, 0, {})
-        del red.row_ops[rows_done:], red.col_ops[cols_done:]
-        red.pivots = units = red.pivots[:red.units]
+        red = abgrp._Reduction(a, paired, units_only=True)
+        red.run()
+        units = red.pivots
         assert all(v == 1 for _, _, v in units)
         u = red.matrix_u()  # the unit pivots' rows come first, in pivot order
         u_units = IntegerMatrix.from_entries(len(units), a.rows,
@@ -354,11 +376,11 @@ def retraction_homotopy(c: CochainComplex) -> dict:
     return h
 
 
-def check_retraction(c: CochainComplex, homotopy: bool = True):
-    """f and g are chain maps with f.g = 1 and H(M) = H(C); with ``homotopy``
-    also g.f = 1 + dh + hd, h.h = 0, f.h = 0 and h.g = 0, all as matrices."""
+def check_retraction(c: CochainComplex):
+    """f and g are chain maps with f.g = 1, g.f = 1 + dh + hd, h.h = 0,
+    f.h = 0 and h.g = 0, all as matrices."""
     lo, hi = c.support()
-    h = retraction_homotopy(c) if homotopy else {}
+    h = retraction_homotopy(c)
 
     def h_at(k):
         return h.get(k, IntegerMatrix.zeros(c.rank(k - 1), c.rank(k)))
@@ -371,53 +393,75 @@ def check_retraction(c: CochainComplex, homotopy: bool = True):
         assert d @ g == g_next @ d_out, k
         assert f_next @ d == d_out @ f, k
         assert (d_out @ d_in).is_zero(), k
-        assert cohomology_at(d_in, d_out) == cohomology(c, k), k
-        if homotopy:
-            assert g @ f == IntegerMatrix.identity(c.rank(k)) + c.differential(k - 1) @ h_at(k) \
-                + h_at(k + 1) @ d, k
-            assert (h_at(k) @ h_at(k + 1)).is_zero(), k
-            assert (f @ h_at(k + 1)).is_zero(), k
-            assert (h_at(k + 1) @ g_next).is_zero(), k
+        assert g @ f == IntegerMatrix.identity(c.rank(k)) + c.differential(k - 1) @ h_at(k) \
+            + h_at(k + 1) @ d, k
+        assert (h_at(k) @ h_at(k + 1)).is_zero(), k
+        assert (f @ h_at(k + 1)).is_zero(), k
+        assert (h_at(k + 1) @ g_next).is_zero(), k
 
 
-def check_presentations(c: CochainComplex):
-    """Every presentation over Z, Z/2 and Z/3 keeps its surviving generators
-    only: its orders are the group's invariant factors, then a 0 per free
-    generator, and transform @ inverse is the identity on them."""
+def raw_cohomology(c: CochainComplex, k: int, m: int = 0) -> FgAbelianGroup:
+    """H^k(C) from C's own window at k, not from its Morse model."""
+    d_in, d_out = c.differential(k - 1), c.differential(k)
+    return mod_m_cohomology_at(d_in, d_out, m) if m else cohomology_at(d_in, d_out)
+
+
+def check_presentations(c: CochainComplex, raw: bool = True):
+    """Every presentation over Z, Z/2 and Z/3 presents the group that
+    ``cohomology`` gives, and with ``raw`` the group of C's own window too;
+    it keeps its surviving generators only: its orders are the group's
+    invariant factors, then a 0 per free generator, and transform @ inverse
+    is the identity on them."""
     lo, hi = c.support()
     for k in range(lo - 1, hi + 2):
         for m in (0, 2, 3):
             pres = c._presentation(k, m)
             group = pres.group
             assert group == cohomology(c, k, m), (k, m)
+            if raw:
+                assert group == raw_cohomology(c, k, m), (k, m)
             assert pres.orders == group.invariant_factors + (0,) * group.free_rank, (k, m)
             assert pres.transform @ pres.inverse == IntegerMatrix.identity(len(pres.orders)), (k, m)
 
 
 class TestMorseRetraction:
-    @pytest.mark.parametrize("p", range(-6, 7))
+    @pytest.mark.parametrize("p", range(-8, 9))
     def test_orbit_complexes(self, p):
+        # C's raw windows are the oracle up to |p| = 6; at |p| = 7, 8 it is
+        # the diagonal test of test_sigmacx.TestEngineOnOrbitDifferentials
         for orbit_type in (FIXED, FREE):
             c = build_sigma_complex(SigmaSpec(p, orbit_type))
             check_retraction(c)
-            check_presentations(c)
-
-    @pytest.mark.parametrize("p", [-8, -7, 7, 8])
-    def test_large_orbit_complexes_without_h(self, p):
-        for orbit_type in (FIXED, FREE):
-            c = build_sigma_complex(SigmaSpec(p, orbit_type))
-            check_retraction(c, homotopy=False)
+            check_presentations(c, raw=abs(p) <= 6)
             assert sum(c._model(k)[3].cols for k in c.degrees()) <= abs(p) + 1
 
-    @pytest.mark.parametrize("p", range(0, 6))
+    @pytest.mark.parametrize("p", range(0, 7))
     def test_transfer_cones(self, p):
-        check_retraction(cone(transfer_map(p)))
+        c = cone(transfer_map(p))
+        check_retraction(c)
+        check_presentations(c)
 
     def test_random_complexes(self, rng):
         for _ in range(40):
             for c in (random_complex(rng), random_complex(rng, max_deg=3, max_rank=5)):
                 check_retraction(c)
                 check_presentations(c)
+
+    @pytest.mark.parametrize("m", [0, 2, 3])
+    def test_explain_reads_the_diagonals_of_c_off_the_model(self, rng, m):
+        # explain gives d^k the diagonal 1 x (unit pivots), then that of d_M^k;
+        # it must be the diagonal of d^k itself, and its rank mod m too
+        complexes = [build_sigma_complex(SigmaSpec(p, orbit_type))
+                     for p in range(-5, 6) for orbit_type in (FIXED, FREE)]
+        complexes += [random_complex(rng, max_deg=3, max_rank=5) for _ in range(20)]
+        for c in complexes:
+            lo, hi = c.support()
+            for k in range(lo - 1, hi + 1):
+                a = c.differential(k)
+                runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(abgrp.snf_diagonal(a)))
+                line = explain(c, k, m)[3]
+                assert f"): Smith diagonal {runs or 'empty'};" in line, (c, k)
+                assert not m or line.endswith(f"; rank mod {m} {rank_mod(a, m)}"), (c, k)
 
     def test_presentations_reduce_only_the_model(self, reductions):
         # once the groups are known, presenting every degree over Z and Z/2 and
@@ -435,15 +479,10 @@ class TestMorseRetraction:
 
 # -- the Morse path against presentations of C's own windows -----------------
 
-def _copy(a: IntegerMatrix) -> IntegerMatrix:
-    return IntegerMatrix.from_entries(a.rows, a.cols, dict(a.items()))
-
-
 def raw_induced(phi: ChainMap, degree: int, m: int) -> InducedMap:
     """The induced map on presentations of the raw windows of C (the path
-    before the Morse model), on copies, so no memo is shared."""
-    sp, tp = (cohomology_presentation(_copy(c.differential(degree - 1)),
-                                      _copy(c.differential(degree)), m)
+    before the Morse model)."""
+    sp, tp = (cohomology_presentation(c.differential(degree - 1), c.differential(degree), m)
               for c in (phi.source, phi.target))
     return InducedMap(degree, sp.group, tp.group, map_on_cohomology(phi.component(degree), sp, tp),
                       sp.orders, tp.orders)
