@@ -211,10 +211,20 @@ class _Reduction:
     a log (``_replay``) that also reads the Morse maps f and g, so a
     reduction that only needs its diagonal builds no transform.  Rows of U
     and columns of V are ordered as in ``row_order`` and ``col_order``; a
-    subset is asked for by original row or column index.  Pivoting prefers
-    entries of minimal absolute value, with a Markowitz fill estimate as
-    tiebreak, which keeps intermediate entries small (fraction-free: only
-    integer row/column combinations are ever applied).
+    subset is asked for by original row or column index.  Only integer
+    row/column combinations are ever applied (fraction-free).
+
+    One pivot rule: every pivot is the entry with the smallest |v| left,
+    with a Markowitz fill estimate as tiebreak (the choice of
+    Havas-Majewski, which keeps intermediate entries small).  A pivot
+    (i, j) with value d clears column j by row operations, then row i by
+    column operations.  Each leaves v mod d behind, and a nonzero
+    remainder, smaller than |d|, ends the pivot's turn: the heap offers the
+    smallest entry left next.  A pivot with nothing left in its row and
+    column is made positive; if it does not divide every live entry, the
+    row of an offender is added to row i and the same pivot clears its row
+    again.  A dead row holds no entry in a live column, so clearing a
+    column never touches one.
 
     Pivot candidates live in a heap keyed by (|v|, (row nnz - 1) * (col
     nnz - 1)).  Every entry is a candidate at the start, and every nonzero
@@ -309,67 +319,36 @@ class _Reduction:
             if piv is None or self.units_only and self.rows[piv[0]][piv[1]] not in (1, -1):
                 break
             i, j = piv
-            # isolate the pivot at (i, j)
+            ri = self.rows[i]
             while True:
-                # clear column j
-                moved = True
-                while moved:
-                    moved = False
-                    d = self.rows[i][j]
-                    for k in list(self.colnz[j]):
-                        if k == i or k not in self.live_rows:
-                            continue
+                # clear column j, then row i; a remainder ends the turn
+                d = ri[j]
+                for k in list(self.colnz[j]):
+                    if k != i:
                         q = self.rows[k][j] // d
                         if q:
                             self._row_axpy(k, i, q)
-                        if self.rows[k].get(j):
-                            # leftover remainder is strictly smaller: promote it
-                            if abs(self.rows[k][j]) < abs(d):
-                                i = k
-                                d = self.rows[i][j]
-                                moved = True
-                # clear row i
-                d = self.rows[i][j]
-                row_items = [(l, v) for l, v in self.rows[i].items() if l != j]
-                dirty = False
-                for l, v in row_items:
+                if len(self.colnz[j]) > 1:
+                    break
+                for l, v in [(l, v) for l, v in ri.items() if l != j]:
                     q = v // d
                     if q:
                         self._col_axpy(l, j, q)
-                    if self.rows[i].get(l):
-                        if abs(self.rows[i][l]) < abs(d):
-                            j = l
-                            dirty = True
-                            break
-                if dirty:
-                    continue
-                if any(l != j for l in self.rows[i]):
-                    continue
-                if any(k != i for k in self.colnz[j]):
-                    continue
-                d = self.rows[i][j]
+                if len(ri) > 1:
+                    break
                 if d < 0:
                     self._negate_row(i)
                     d = -d
-                if d != 1:
-                    # enforce the divisibility chain: d must divide everything left
-                    offender = None
-                    for k in self.live_rows:
-                        if k == i:
-                            continue
-                        for l, v in self.rows[k].items():
-                            if v % d:
-                                offender = k
-                                break
-                        if offender is not None:
-                            break
-                    if offender is not None:
-                        self._row_axpy(i, offender, -1)  # row_i += row_offender
-                        continue
-                break
-            self.pivots.append((i, j, self.rows[i][j]))
-            self.live_rows.discard(i)
-            self.live_cols.discard(j)
+                # enforce the divisibility chain: d must divide everything left
+                offender = None if d == 1 else next(
+                    (k for k in self.live_rows
+                     if k != i and any(v % d for v in self.rows[k].values())), None)
+                if offender is None:
+                    self.pivots.append((i, j, d))
+                    self.live_rows.discard(i)
+                    self.live_cols.discard(j)
+                    break
+                self._row_axpy(i, offender, -1)  # row_i += row_offender, then the same pivot
 
     # -- extraction ----------------------------------------------------
     def row_order(self) -> list:

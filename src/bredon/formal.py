@@ -150,6 +150,10 @@ class ConditionalGroup:
         return (f"{self.if_minus_one_square.render()} if -1 is a square else "
                 f"{self.otherwise.render()}")
 
+    def to_json(self) -> dict:
+        return {"if_minus_one_square": self.if_minus_one_square.to_json(),
+                "otherwise": self.otherwise.to_json()}
+
     def __str__(self) -> str:
         return self.render()
 

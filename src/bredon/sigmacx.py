@@ -40,7 +40,8 @@ from itertools import combinations
 from typing import Dict, List, Tuple
 
 from .abgrp import FgAbelianGroup, IntegerMatrix
-from .chaincx import ChainMap, CochainComplex, all_cohomology, cohomology, induced_map, unit_complex
+from .chaincx import (ChainMap, CochainComplex, all_cohomology, cohomology, cone, induced_map,
+                      unit_complex)
 
 FIXED = "fixed"
 FREE = "free"
@@ -379,8 +380,6 @@ def cone_tower_check(p: int) -> bool:
     >>> cone_tower_check(0)
     True
     """
-    from .chaincx import cone
-
     tr = transfer_map(p)
     cn = cone(tr)
     target = build_sigma_complex(SigmaSpec(p + 1, FIXED))

@@ -517,8 +517,7 @@ def grid_cells(spec: GridSpec) -> List[dict]:
                     group, citation = None, str(exc)
             cells.append({
                 "a": a, "p": p, "weight": spec.weight, "coeff": coeff_str,
-                "group": (group.to_json() if hasattr(group, "to_json") and group is not None
-                          else None),
+                "group": group.to_json() if group is not None else None,
                 "rendered": render_group(group) if group is not None else "?",
                 "source": spec.source,
                 "citation": citation,

@@ -160,18 +160,27 @@ class TestKnownSmithFormAtScale:
     M, N = 180, 200
     DIAGONAL = [1] * 100 + [2] * 40 + [6] * 20 + [12] * 10 + [0] * 10
 
-    @pytest.fixture(scope="class")
-    def factors(self):
+    def factors(self, layers: int):
+        """P, A = P @ D @ Q and two columns X, with P and Q products of ``layers`` sparse layers."""
         rng = random.Random(20261018)
         d = IntegerMatrix.from_diagonal(self.DIAGONAL, self.M, self.N)
-        p = sparse_unimodular(rng, self.M, 2 * self.M)
-        q = sparse_unimodular(rng, self.N, 2 * self.N)
+        p, q = IntegerMatrix.identity(self.M), IntegerMatrix.identity(self.N)
+        for _ in range(layers):
+            p = p @ sparse_unimodular(rng, self.M, 2 * self.M)
+        for _ in range(layers):
+            q = q @ sparse_unimodular(rng, self.N, 2 * self.N)
         x = IntegerMatrix.from_rows([[rng.randint(-3, 3) for _ in range(2)]
                                      for _ in range(self.N)])
         return p, p @ d @ q, x
 
-    def test_diagonal_kernel_and_solve(self, factors):
-        p, a, x = factors
+    def test_diagonal_kernel_and_solve(self):
+        self.check(*self.factors(1))
+
+    def test_two_layers_per_side(self):
+        # promoting remainders in place did not finish this within 60 s
+        self.check(*self.factors(2))
+
+    def check(self, p, a, x):
         k = kernel_basis(a)
         assert snf_diagonal(a) == [d for d in self.DIAGONAL if d]
         assert k.cols == self.N - rank(a) == 30
@@ -182,6 +191,70 @@ class TestKnownSmithFormAtScale:
         t = self.DIAGONAL.index(2)
         e_t = IntegerMatrix(self.M, 1, {(t, 0): 1})
         assert solve(a, p @ e_t) is None
+
+
+def elementary_product(rng: random.Random, n: int, ops: int) -> IntegerMatrix:
+    """A product of ``ops`` operations row_i += c * row_j on random pairs, c in {+-1, +-2}."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(ops):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [a + c * b for a, b in zip(rows[i], rows[j])]
+    return IntegerMatrix.from_rows(rows)
+
+
+def bits(a: IntegerMatrix) -> int:
+    return max((abs(v).bit_length() for _, v in a.items()), default=0)
+
+
+def bound_written_entries(monkeypatch, limit: int):
+    """Fail every row or column operation of the engine that writes an entry above
+    ``limit`` bits, so an entry blow-up fails at once instead of running for minutes."""
+    def guard(name, written):
+        operation = getattr(abgrp._Reduction, name)
+
+        def checked(red, x, y, q):
+            operation(red, x, y, q)
+            peak = max((abs(v).bit_length() for v in written(red, x)), default=0)
+            assert peak <= limit, f"{name} wrote a {peak}-bit entry"
+        monkeypatch.setattr(abgrp._Reduction, name, checked)
+
+    guard("_row_axpy", lambda red, k: red.rows[k].values())
+    guard("_col_axpy", lambda red, l: [red.rows[i][l] for i in red.colnz[l]])
+
+
+class TestNoEntryBlowUp:
+    """Matrices with no small entries left, where the pivot rule used to blow up entries.
+
+    Promoting a remainder in place ran Euclid on ever larger entries: on
+    these families U and V reached tens of thousands of bits, or the run
+    did not end.  Taking every pivot from the heap keeps them small.
+    """
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_product_of_elementary_operations(self, seed, monkeypatch):
+        bound_written_entries(monkeypatch, 64)
+        rng = random.Random(20261018 + seed)
+        diagonal = [1] * 20 + [2] * 5
+        a = (elementary_product(rng, 30, 60) @ IntegerMatrix.from_diagonal(diagonal, 30, 35)
+             @ elementary_product(rng, 35, 70))
+        u, d, v = smith_normal_form(a)
+        assert u @ a @ v == d and d == IntegerMatrix.from_diagonal(diagonal, 30, 35)
+        assert max(bits(u), bits(v)) <= 64
+
+    @pytest.mark.parametrize("n", [15, 20])
+    def test_dense_random(self, n, monkeypatch):
+        bound_written_entries(monkeypatch, 128)
+        for seed in range(1, 11):
+            rng = random.Random(seed)
+            a = IntegerMatrix.from_rows([[rng.randint(-4, 4) for _ in range(n)]
+                                         for _ in range(n)])
+            u, d, v = smith_normal_form(a)
+            assert u @ a @ v == d, seed
+            diag = d.diagonal()
+            assert all(x >= 0 for x in diag) and d.nnz() == sum(1 for x in diag if x), seed
+            assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:])), seed
+            assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1, seed
 
 
 class TestCanonicalForm:

@@ -192,6 +192,15 @@ class TestGridAndExport:
         assert lookup[(-1, 2)]["rendered"] == "k*"
         assert lookup[(-1, 2)]["citation"]  # derived cells carry their trail
 
+    def test_conditional_cell_exports_both_branches(self):
+        # the general profile keeps both branches; the cell used to export "group": null
+        spec = GridSpec(weight="sigma", coeff=2, p_range=0, source="fixture")
+        cell = {(c["a"], c["p"]): c for c in grid_cells(spec)}[(0, 0)]
+        assert cell["rendered"] == "Z/2 if -1 is a square else 0"
+        assert cell["group"] == {"if_minus_one_square": {"atoms": ["Z/2"]},
+                                 "otherwise": {"atoms": []}}
+        assert ConditionalGroup(FormalGroup.of(Z2), ZERO_FG).to_json() == cell["group"]
+
 
     @pytest.mark.parametrize("spec", [{"coeff": 3},
                                       {"weight": "1", "coeff": 3, "source": "fixture"},
