@@ -39,9 +39,10 @@ class IntegerMatrix:
     the layout the reduction engine works in, so the large, sparse
     differentials of the cycle complexes stay cheap.  Callers pass and read
     entries keyed by (row, column): the constructor's ``data``, whose keys
-    must lie inside the shape, ``from_entries`` and ``items()``.  Zero-row
-    and zero-column matrices are first-class and represent maps to or from
-    the zero group.
+    must lie inside the shape, ``from_entries`` and ``items()``; an
+    assembler that already has one dict per row hands them over with
+    ``from_row_dicts``.  Zero-row and zero-column matrices are first-class
+    and represent maps to or from the zero group.
 
     Matrices may share row dicts (a row slice does); no row dict is mutated
     once it belongs to a matrix, and the reduction engine works on copies.
@@ -86,6 +87,16 @@ class IntegerMatrix:
     @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "IntegerMatrix":
         return cls(rows, cols, entries)
+
+    @classmethod
+    def from_row_dicts(cls, rows: list, cols: int) -> "IntegerMatrix":
+        """The matrix whose row i is the dict {column: value} rows[i].
+
+        The dicts are taken over as they are, neither copied nor checked:
+        every column must lie in range(cols), every value must be nonzero,
+        and the caller must not touch a dict again.
+        """
+        return cls._adopt(rows, cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":

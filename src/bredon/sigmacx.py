@@ -5,7 +5,7 @@ a j-fold product of free orbits, taken at a point, have a basis indexed by
 orbits of the flip action on bit strings {0,1}^j (the class of v is {v, v~}
 with v~ the complement); at the free orbit one extra coordinate is appended.
 
-Every map between these bases follows one cycle rule (``_orbit_block``): a
+Every map between these bases follows one cycle rule (``_orbit_rows``): a
 class is the cycle {v, v~}, or the single point () for the fixed arity-0
 class; carry each point along a map of points, or take both of its lifts for
 a pullback, and the coefficient of a target class is the number of images
@@ -14,7 +14,10 @@ pullback inserts one, the transfer forgets the free coordinate, the
 restriction prepends both values of it, and the involution flips it.  The
 complex for a shift by n copies of the sign representation assembles the
 pushforwards (n > 0) or pullbacks (n < 0) over the subset lattice of {1..n}
-with Koszul signs.
+with Koszul signs.  Each basis and each block is built once per process and
+kept as nested tuples; complexes and maps are written from them straight
+into row dicts, every row listing its columns in the order the blocks meet
+them.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -27,16 +30,18 @@ about triples per step in n; the default grid bound keeps n at most 8
 (total rank 3281 at the fixed point).  Building a complex and its integral
 cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
 rate.  At the fixed point, measured in a fresh Python 3.11 process on a
-2-core host: n = 11 takes about 3 s of CPU to build and 3 s for all
-integral groups, within 120 MB; n = 12 (total rank 265721, the
-``SHIFT_BOUND``) about 10 s each, within 350 MB.
+2-core host: n = 11 takes about 2 s of CPU to build and 2.5 s for all
+integral groups, within 125 MB; n = 12 (total rank 265721, the
+``SHIFT_BOUND``) about 8 s to build and 10 s for its groups, within 340 MB.
+Most of a build is the check d.d = 0 that every complex passes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 from typing import Dict, List, Tuple
 
 from .abgrp import FgAbelianGroup, IntegerMatrix
@@ -85,32 +90,57 @@ def orbit_basis(j: int, orbit_type: str = FIXED) -> List[Tuple[int, ...]]:
     """
     if j < 0:
         raise ValueError("arity must be nonnegative")
+    return list(_basis(j, orbit_type))
+
+
+@lru_cache(maxsize=None)
+def _basis(j: int, orbit_type: str) -> Tuple[Tuple[int, ...], ...]:
     width = j + (1 if orbit_type == FREE else 0)
-    if width == 0:
-        return [()]
-    out = []
-    for k in range(2 ** (width - 1)):
-        bits = tuple((k >> (width - 1 - i)) & 1 for i in range(width))
-        out.append((0,) + bits[1:])
-    return out
+    return tuple((0,) + bits for bits in product((0, 1), repeat=width - 1)) if width else ((),)
 
 
-def _orbit_block(src, tgt, image) -> IntegerMatrix:
-    """The block of a map of orbit classes, from basis labels src to tgt.
+def _arity_size(j: int, orbit_type: str) -> int:
+    """The number of orbit classes of arity j, len(orbit_basis(j, orbit_type))."""
+    width = j + (1 if orbit_type == FREE else 0)
+    return 2 ** (width - 1) if width else 1
+
+
+# The point rules of the orbit blocks: the images of a point v, given the
+# 0-based position of the coordinate that a push deletes or a pull inserts.
+_RULES = {
+    "push": lambda v, pos: (v[:pos] + v[pos + 1:],),
+    "pull": lambda v, pos: (v[:pos] + (0,) + v[pos:], v[:pos] + (1,) + v[pos:]),
+    "tr": lambda v, pos: (v[1:],),                    # forget the free bit
+    "res": lambda v, pos: ((0,) + v, (1,) + v),       # prepend both free bits
+    "flip": lambda v, pos: ((1 - v[0],) + v[1:],),    # flip the free bit
+}
+
+
+@lru_cache(maxsize=None)
+def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]):
+    """The block of a map of orbit classes, from the arity and type src to tgt.
 
     The cycle of a source class is its orbit {v, complement(v)}, or the single
-    point () of the fixed arity-0 class.  image sends a point to its images:
-    one for a map of points, both lifts for a pullback.  The coefficient of a
-    target class is the number of images equal to its canonical representative.
+    point () of the fixed arity-0 class.  The rule of kind gives a point's
+    images: one for a map of points, both lifts for a pullback.  The
+    coefficient of a target class is the number of images equal to its
+    canonical representative.  Returns, per target class, its (column,
+    coefficient) pairs in the order they first arise; the memo is immutable.
     """
-    row = {b: i for i, b in enumerate(tgt)}
-    entries: dict = {}
-    for col, bits in enumerate(src):
+    index = {b: i for i, b in enumerate(_basis(*tgt))}
+    rows: List[dict] = [{} for _ in index]
+    for col, bits in enumerate(_basis(*src)):
         for point in ((bits, tuple(1 - b for b in bits)) if bits else ((),)):
-            for q in image(point):
-                if q in row:
-                    entries[(row[q], col)] = entries.get((row[q], col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
+            for q in _RULES[kind](point, pos):
+                if q in index:
+                    row = rows[index[q]]
+                    row[col] = row.get(col, 0) + 1
+    return tuple(tuple(row.items()) for row in rows)
+
+
+def _orbit_block(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]) -> IntegerMatrix:
+    rows = _orbit_rows(kind, pos, src, tgt)
+    return IntegerMatrix.from_row_dicts([dict(row) for row in rows], _arity_size(*src))
 
 
 def push_matrix(j: int, drop_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
@@ -127,8 +157,7 @@ def push_matrix(j: int, drop_index: int, orbit_type: str = FIXED) -> IntegerMatr
     if not 1 <= drop_index <= j:
         raise ValueError(f"drop index {drop_index} out of range for arity {j}")
     pos = drop_index - 1 + (1 if orbit_type == FREE else 0)
-    return _orbit_block(orbit_basis(j, orbit_type), orbit_basis(j - 1, orbit_type),
-                        lambda v: (v[:pos] + v[pos + 1:],))
+    return _orbit_block("push", pos, (j, orbit_type), (j - 1, orbit_type))
 
 
 def pull_matrix(j: int, insert_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
@@ -146,8 +175,7 @@ def pull_matrix(j: int, insert_index: int, orbit_type: str = FIXED) -> IntegerMa
     if not 1 <= insert_index <= j:
         raise ValueError(f"insert index {insert_index} out of range for arity {j}")
     pos = insert_index - 1 + (1 if orbit_type == FREE else 0)
-    return _orbit_block(orbit_basis(j - 1, orbit_type), orbit_basis(j, orbit_type),
-                        lambda v: (v[:pos] + (0,) + v[pos:], v[:pos] + (1,) + v[pos:]))
+    return _orbit_block("pull", pos, (j - 1, orbit_type), (j, orbit_type))
 
 
 def _subset_blocks(n: int, j: int) -> List[Tuple[int, ...]]:
@@ -158,7 +186,7 @@ def _subset_blocks(n: int, j: int) -> List[Tuple[int, ...]]:
 def _component_layout(n: int, j: int, orbit_type: str):
     """Offsets of the subset blocks inside the degree component."""
     blocks = _subset_blocks(n, j)
-    size = len(orbit_basis(j, orbit_type))
+    size = _arity_size(j, orbit_type)
     return blocks, {s: k * size for k, s in enumerate(blocks)}
 
 
@@ -183,30 +211,28 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
             "(ranks grow like 3^n; raise sigmacx.SHIFT_BOUND to override)")
     if n == 0:
         return unit_complex()
-    m = abs(n)
-    comps: Dict[int, int] = {}
-    for j in range(m + 1):
-        size = len(orbit_basis(j, orbit_type)) * len(_subset_blocks(m, j))
-        comps[-j if n > 0 else j] = size
+    m, push = abs(n), n > 0
+    comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
+    first = 1 if orbit_type == FREE else 0
     diffs: Dict[int, IntegerMatrix] = {}
-    push = n > 0
-    block = push_matrix if push else pull_matrix
     for j in range(m):
         # d joins arity j + 1 and arity j: slot idx of the larger subset has
         # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
         _, small_off = _component_layout(m, j, orbit_type)
-        big_blocks, big_off = _component_layout(m, j + 1, orbit_type)
-        blocks = [block(j + 1, idx, orbit_type) for idx in range(1, j + 2)]
-        entries: dict = {}
-        for big in big_blocks:
-            for idx in range(j + 1):
-                small = small_off[big[:idx] + big[idx + 1:]]
-                row, col = (small, big_off[big]) if push else (big_off[big], small)
-                sign = -1 if (j - idx) % 2 else 1
-                for (r, c), v in blocks[idx].items():
-                    entries[(row + r, col + c)] = sign * v
+        big_size = _arity_size(j + 1, orbit_type)
+        upper, lower = (j + 1, orbit_type), (j, orbit_type)
+        kind, ends = ("push", (upper, lower)) if push else ("pull", (lower, upper))
+        blocks = [_orbit_rows(kind, first + idx, *ends) for idx in range(j + 1)]
         src, tgt = (-(j + 1), -j) if push else (j, j + 1)
-        diffs[src] = IntegerMatrix.from_entries(comps[tgt], comps[src], entries)
+        rows: List[dict] = [{} for _ in range(comps[tgt])]
+        for k, big in enumerate(combinations(range(1, m + 1), j + 1)):
+            for idx, block in enumerate(blocks):
+                small = small_off[big[:idx] + big[idx + 1:]]
+                row, col = (small, k * big_size) if push else (k * big_size, small)
+                sign = -1 if (j - idx) % 2 else 1
+                for r, entries in enumerate(block, row):
+                    rows[r].update([(col + c, sign * v) for c, v in entries])
+        diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
     return CochainComplex(comps, diffs)
 
 
@@ -235,22 +261,17 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
-                   image) -> Dict[int, IntegerMatrix]:
-    """Assemble a degreewise map from the orbit block of image (same subset layout)."""
+                   kind: str) -> Dict[int, IntegerMatrix]:
+    """Assemble a degreewise map from the orbit block of kind (same subset layout)."""
     m = abs(n)
     maps = {}
     for j in range(m + 1):
-        deg = -j if n > 0 else j
-        src_blocks, src_off = _component_layout(m, j, orbit_type_src)
-        _, tgt_off = _component_layout(m, j, orbit_type_tgt)
-        block = _orbit_block(orbit_basis(j, orbit_type_src), orbit_basis(j, orbit_type_tgt), image)
-        entries = {}
-        for subset in src_blocks:
-            sb, tb = src_off[subset], tgt_off[subset]
-            for (r, c), v in block.items():
-                entries[(tb + r, sb + c)] = v
-        maps[deg] = IntegerMatrix.from_entries(block.rows * len(src_blocks),
-                                               block.cols * len(src_blocks), entries)
+        block = _orbit_rows(kind, 0, (j, orbit_type_src), (j, orbit_type_tgt))
+        size = _arity_size(j, orbit_type_src)
+        cols = comb(m, j) * size
+        maps[-j if n > 0 else j] = IntegerMatrix.from_row_dicts(
+            [{off + c: v for c, v in entries} for off in range(0, cols, size) for entries in block],
+            cols)
     return maps
 
 
@@ -261,7 +282,7 @@ def transfer_map(p: int) -> ChainMap:
     """
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
     fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(free_cx, fixed_cx, _per_arity_map(p, FREE, FIXED, lambda v: (v[1:],)))
+    return ChainMap(free_cx, fixed_cx, _per_arity_map(p, FREE, FIXED, "tr"))
 
 
 def restriction_map(p: int) -> ChainMap:
@@ -271,15 +292,13 @@ def restriction_map(p: int) -> ChainMap:
     """
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
     fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(fixed_cx, free_cx,
-                    _per_arity_map(p, FIXED, FREE, lambda v: ((0,) + v, (1,) + v)))
+    return ChainMap(fixed_cx, free_cx, _per_arity_map(p, FIXED, FREE, "res"))
 
 
 def involution_map(p: int) -> ChainMap:
     """The free-coordinate flip on the free-orbit complex."""
     free_cx = build_sigma_complex(SigmaSpec(p, FREE))
-    return ChainMap(free_cx, free_cx,
-                    _per_arity_map(p, FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)))
+    return ChainMap(free_cx, free_cx, _per_arity_map(p, FREE, FREE, "flip"))
 
 
 class CheckFailure(AssertionError):

@@ -3,9 +3,23 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from bredon import sigmacx
 from bredon.cli import main
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module(*args):
+    """Run ``python -m bredon`` with the given arguments in a fresh interpreter."""
+    paths = [str(SRC), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    return subprocess.run([sys.executable, "-m", "bredon", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
 
 
 def run(capsys, *args):
@@ -200,3 +214,15 @@ def test_empty_a_range_is_one_line_exit_two(capsys):
         assert code == 2 and captured.out == "", argv
         assert captured.err.startswith("bredon: error:") and captured.err.count("\n") == 1, argv
         assert "is empty" in captured.err, argv
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = run_module("weight0", "--a", "0", "--p", "1")
+    assert proc.returncode == 0 and proc.stdout.strip() == "Z/2", proc.stderr
+
+
+def test_python_dash_m_passes_the_exit_code_on():
+    proc = run_module("weight0", "--a", "0", "--p", "40")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("bredon: error:") and proc.stderr.count("\n") == 1
+    assert "exceeds the configured bound" in proc.stderr

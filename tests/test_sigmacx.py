@@ -145,17 +145,177 @@ class TestPushPull:
                 assert all(m.entry(i, j) in (0, 1) for i in range(4))
 
     def test_against_enumeration_oracle(self):
+        # equal matrices, each row listing its keys in the same order
         for orbit_type in (FIXED, FREE):
-            for j in range(1, 5):
+            for j in range(1, 7):
                 for idx in range(1, j + 1):
-                    assert push_matrix(j, idx, orbit_type) == oracle_push(j, idx, orbit_type)
-                    assert pull_matrix(j, idx, orbit_type) == oracle_pull(j, idx, orbit_type)
+                    where = (j, idx, orbit_type)
+                    assert_same_rows(push_matrix(j, idx, orbit_type),
+                                     oracle_push(j, idx, orbit_type), where)
+                    assert_same_rows(pull_matrix(j, idx, orbit_type),
+                                     oracle_pull(j, idx, orbit_type), where)
 
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             push_matrix(2, 3, FIXED)
         with pytest.raises(ValueError):
             pull_matrix(2, 0, FIXED)
+
+
+# -- reference assembly ------------------------------------------------------
+#
+# The assembly as it reads from the label tuples: basis labels enumerated bit
+# by bit, every block and every complex or map gathered in a {(row, col): v}
+# dict and handed to from_entries.  A row of from_entries lists its keys in
+# the order the dict first met them, and the pivot path of a reduction (so
+# every U, V, f, g and induced matrix) follows that order, so the fast
+# assembly must match it key for key, not only as a matrix.
+
+def reference_basis(j, orbit_type):
+    width = j + (1 if orbit_type == FREE else 0)
+    if width == 0:
+        return [()]
+    return [(0,) + tuple((k >> (width - 2 - i)) & 1 for i in range(width - 1))
+            for k in range(2 ** (width - 1))]
+
+
+def reference_block(src, tgt, image):
+    row = {b: i for i, b in enumerate(tgt)}
+    entries = {}
+    for col, bits in enumerate(src):
+        for point in ((bits, tuple(1 - b for b in bits)) if bits else ((),)):
+            for q in image(point):
+                if q in row:
+                    entries[(row[q], col)] = entries.get((row[q], col), 0) + 1
+    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
+
+
+def reference_layout(m, j, orbit_type):
+    subsets = list(combinations(range(1, m + 1), j))
+    size = len(reference_basis(j, orbit_type))
+    return subsets, {s: k * size for k, s in enumerate(subsets)}, size * len(subsets)
+
+
+def reference_differentials(n, orbit_type):
+    m, push = abs(n), n > 0
+    first = 1 if orbit_type == FREE else 0
+    diffs = {}
+    for j in range(m):
+        _, small_off, small_rank = reference_layout(m, j, orbit_type)
+        bigs, big_off, big_rank = reference_layout(m, j + 1, orbit_type)
+        small_basis, big_basis = reference_basis(j, orbit_type), reference_basis(j + 1, orbit_type)
+        if push:
+            blocks = [reference_block(big_basis, small_basis,
+                                      lambda v, pos=first + idx: (v[:pos] + v[pos + 1:],))
+                      for idx in range(j + 1)]
+        else:
+            blocks = [reference_block(small_basis, big_basis,
+                                      lambda v, pos=first + idx: (v[:pos] + (0,) + v[pos:],
+                                                                  v[:pos] + (1,) + v[pos:]))
+                      for idx in range(j + 1)]
+        entries = {}
+        for big in bigs:
+            for idx in range(j + 1):
+                small = small_off[big[:idx] + big[idx + 1:]]
+                row, col = (small, big_off[big]) if push else (big_off[big], small)
+                sign = -1 if (j - idx) % 2 else 1
+                for (r, c), v in blocks[idx].items():
+                    entries[(row + r, col + c)] = sign * v
+        shape = (small_rank, big_rank) if push else (big_rank, small_rank)
+        diffs[-(j + 1) if push else j] = IntegerMatrix.from_entries(*shape, entries)
+    return diffs
+
+
+def reference_map(n, src_type, tgt_type, image):
+    m = abs(n)
+    maps = {}
+    for j in range(m + 1):
+        subsets, src_off, src_rank = reference_layout(m, j, src_type)
+        _, tgt_off, tgt_rank = reference_layout(m, j, tgt_type)
+        block = reference_block(reference_basis(j, src_type), reference_basis(j, tgt_type), image)
+        entries = {}
+        for subset in subsets:
+            for (r, c), v in block.items():
+                entries[(tgt_off[subset] + r, src_off[subset] + c)] = v
+        maps[-j if n > 0 else j] = IntegerMatrix.from_entries(tgt_rank, src_rank, entries)
+    return maps
+
+
+def assert_same_rows(got, want, where):
+    """Equal matrices whose rows list their keys in the same order."""
+    assert got == want, where
+    assert list(got.items()) == list(want.items()), where
+
+
+class TestFastAssembly:
+    """Every complex and map with |p| <= 8 against the reference assembly."""
+
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_differentials(self, orbit_type):
+        for p in range(-8, 9):
+            if not p:
+                continue
+            c = build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type))
+            want = reference_differentials(p, orbit_type)
+            assert sorted(d for d in c.degrees() if d + 1 in c.components) == sorted(want)
+            for d, a in want.items():
+                assert_same_rows(c.differential(d), a, (p, orbit_type, d))
+
+    def test_transfer_restriction_involution(self):
+        for p in range(-8, 9):
+            maps = ((transfer_map(p), FREE, FIXED, lambda v: (v[1:],)),
+                    (restriction_map(p), FIXED, FREE, lambda v: ((0,) + v, (1,) + v)),
+                    (involution_map(p), FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)))
+            for k, (f, src_type, tgt_type, image) in enumerate(maps):
+                want = reference_map(p, src_type, tgt_type, image)
+                assert set(f.maps) <= set(want), (p, k)
+                for d, a in want.items():
+                    assert_same_rows(f.component(d), a, (p, k, d))
+
+
+def _frozen(value):
+    return isinstance(value, (int, str)) or (
+        isinstance(value, tuple) and all(_frozen(x) for x in value))
+
+
+class TestOrbitMemo:
+    """The orbit memo hands out copies, and holds nothing a caller could mutate."""
+
+    def test_mutating_results_changes_nothing_later(self):
+        basis = orbit_basis(3, FREE)
+        want_basis = list(basis)
+        want_push = list(push_matrix(3, 2, FREE).items())
+        want_pull = list(pull_matrix(3, 2, FREE).items())
+        basis.reverse()
+        basis.append((9, 9, 9, 9))
+        basis[0] = ()
+        spec = SigmaSpec(3, FREE)
+        cached = build_sigma_complex(spec)
+        assert orbit_basis(3, FREE) == want_basis == reference_basis(3, FREE)
+        assert list(push_matrix(3, 2, FREE).items()) == want_push
+        assert list(pull_matrix(3, 2, FREE).items()) == want_pull
+        fresh = build_sigma_complex.__wrapped__(spec)
+        for d, a in reference_differentials(3, FREE).items():
+            assert_same_rows(fresh.differential(d), a, d)
+            assert_same_rows(cached.differential(d), a, d)
+        for d, a in reference_map(3, FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)).items():
+            assert_same_rows(involution_map(3).component(d), a, d)
+
+    def test_memoised_values_are_immutable(self):
+        from bredon import sigmacx
+        build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED))
+        transfer_map(-3)
+        assert sigmacx._basis.cache_info().currsize > 0
+        assert sigmacx._orbit_rows.cache_info().currsize > 0
+        for j in range(5):
+            for orbit_type in (FIXED, FREE):
+                assert _frozen(sigmacx._basis(j, orbit_type))
+        for kind, pos, src, tgt in (("push", 0, (4, FIXED), (3, FIXED)),
+                                    ("pull", 1, (2, FREE), (3, FREE)),
+                                    ("tr", 0, (3, FREE), (3, FIXED)),
+                                    ("res", 0, (3, FIXED), (3, FREE)),
+                                    ("flip", 0, (3, FREE), (3, FREE))):
+            assert _frozen(sigmacx._orbit_rows(kind, pos, src, tgt)), kind
 
 
 class TestBuildComplex:
