@@ -659,10 +659,13 @@ def check_modulus(m: int, integral: bool = True) -> None:
 def rank_mod(a: IntegerMatrix, m: int) -> int:
     """Rank of A over the field Z/m (m prime).
 
-    Mod 2 this is an xor basis of the row bitsets, keyed by lowest set bit,
-    which does not use the integral engine.  For odd m it counts the Smith
-    invariants that m does not divide (U and V stay invertible mod m), from
-    one whole reduction of A.
+    Mod 2 this is an xor basis of the row bitsets, keyed by highest set bit,
+    which does not use the integral engine.  Keyed by the lowest set bit
+    instead, the stored rows of the orbit differentials fill in: ranking
+    each differential of the free complex at shift 10 once took 8.4 s CPU
+    that way against 0.25 s (Python 3.11, 2-core Xeon).  For odd m it
+    counts the Smith invariants that m does not divide (U and V stay
+    invertible mod m), from one whole reduction of A.
     """
     check_modulus(m, integral=False)
     if m == 2:
@@ -673,11 +676,12 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
                 if v & 1:
                     x |= 1 << j
             while x:
-                low = x & -x
-                if low not in basis:
-                    basis[low] = x
+                top = x.bit_length()
+                pivot = basis.get(top)
+                if pivot is None:
+                    basis[top] = x
                     break
-                x ^= basis[low]
+                x ^= pivot
         return len(basis)
     return sum(1 for d in snf_diagonal(a) if d % m)
 

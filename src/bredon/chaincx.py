@@ -22,7 +22,10 @@ Sign conventions are calibrated once and fixed:
 Cohomology is computed on M: over Z and mod an odd prime the group H^k(C)
 is H^k(M), read off M's window at k, and a chain map phi: S -> T induces
 the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Mod 2 the groups of C
-come from the independent bitset rank of C's own differentials.
+come from the ranks of C's own differentials over Z/2, each taken once per
+complex by the bitset kernel ``abgrp.rank_mod`` and kept on the complex;
+this path uses neither the integral engine nor M, so it stays an
+independent check of the universal-coefficient result over Z.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -54,6 +57,7 @@ from .abgrp import (
     map_is_surjective,
     map_is_zero,
     map_on_cohomology,
+    rank_mod,
     snf_diagonal,
     window_cohomology,
 )
@@ -69,16 +73,18 @@ class CochainComplex:
     Every complex is validated once, when it is built (shapes and d.d = 0,
     raising ComplexError), so nothing that reads its windows checks again.
     It owns one ``MorseRecord`` of its differentials, from its lowest degree
-    to its highest, made when something first sweeps it.
+    to its highest, made when something first sweeps it, and the rank over
+    Z/2 of each differential, taken when a group mod 2 first needs it.
     """
 
-    __slots__ = ("components", "differentials", "_pres_cache", "_morse")
+    __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks")
 
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
         self._pres_cache: Dict[tuple[int, int], CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
+        self._mod2_ranks: Dict[int, int] = {}
         validate(self)
 
     # -- shape -----------------------------------------------------------
@@ -160,6 +166,17 @@ class CochainComplex:
             self._pres_cache[(degree, m)] = pres
         return pres
 
+    def _rank_mod2(self, degree: int) -> int:
+        """The rank of d^degree over Z/2, by the bitset kernel, once per differential."""
+        d = self.differentials.get(degree)
+        if d is None:
+            return 0
+        r = self._mod2_ranks.get(degree)
+        if r is None:
+            r = rank_mod(d, 2)
+            self._mod2_ranks[degree] = r
+        return r
+
 
 def validate(c: CochainComplex) -> bool:
     """Check matrix shapes and d.d = 0; raises ComplexError at the first bad square."""
@@ -198,12 +215,16 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     lowest degree up, which runs the unit phase of each differential once
     whatever degrees and coefficients are asked for, in any order; a query
     sweeps through the differential above its window, which fixes M's
-    generators there.  Mod 2 the independent bitset rank of C's own
-    differentials is used.
+    generators there.  Mod 2 the group is (Z/2)^n with
+    n = rank C^k - r(k-1) - r(k), where r(i) is the rank of d^i over Z/2:
+    each complex ranks each of its differentials once, by the bitset
+    kernel, and keeps the rank, so d^k serves as d_out at k and as d_in at
+    k + 1 without a second elimination.
     """
     check_modulus(m)
     if m == 2:
-        return window_cohomology(c.differential(degree - 1), c.differential(degree), m)
+        n = c.rank(degree) - c._rank_mod2(degree - 1) - c._rank_mod2(degree)
+        return FgAbelianGroup(0, (2,) * n)
     return window_cohomology(*c._model(degree)[:2], m)
 
 
@@ -214,8 +235,9 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
     diagonals of d_in and d_out, each with the number of unit pivots that
     the sweep took in it, and over Z/m also its rank mod m.  The diagonal
     of a differential d of C is one 1 per unit pivot, then the diagonal of
-    its part d_M on M (see ``abgrp.MorseRecord``); the rank mod m counts
-    its entries prime to m.
+    its part d_M on M (see ``abgrp.MorseRecord``).  Mod 2 the printed rank
+    is the complex's own rank of d over Z/2, the one ``cohomology`` uses;
+    mod an odd prime it counts the diagonal's entries prime to m.
     """
     check_modulus(m)
     lo, hi = c.support()
@@ -230,7 +252,10 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
         runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(diag))
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
                 f"{units} unit pivots")
-        lines.append(line + (f"; rank mod {m} {sum(1 for d in diag if d % m)}" if m else ""))
+        if m:
+            r = c._rank_mod2(k) if m == 2 else sum(1 for d in diag if d % m)
+            line += f"; rank mod {m} {r}"
+        lines.append(line)
     return lines
 
 

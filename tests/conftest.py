@@ -119,6 +119,65 @@ def random_chain_map(rng: random.Random, source: chaincx.CochainComplex,
     return chaincx.ChainMap(source, target, maps)
 
 
+def _echelon_rows(rows: list, ell: int) -> list:
+    """The indices of the rows (dicts column -> value mod ell) that are not in
+    the span of the rows before them, by sparse row echelon form.
+
+    Each stored row is monic at its lowest column and keyed by it; a row is
+    reduced by the stored row at its lowest column until it is zero or has a
+    lowest column no stored row has.  The stored rows' indices are a row
+    basis of the matrix.
+    """
+    echelon, kept = {}, []
+    for i, row in enumerate(rows):
+        while row:
+            low = min(row)
+            if low not in echelon:
+                inv = pow(row[low], -1, ell)
+                echelon[low] = {j: v * inv % ell for j, v in row.items()}
+                kept.append(i)
+                break
+            c = row[low]
+            for j, v in echelon[low].items():
+                s = (row.get(j, 0) - c * v) % ell
+                if s:
+                    row[j] = s
+                else:
+                    row.pop(j, None)
+    return kept
+
+
+def _rows_mod(a: abgrp.IntegerMatrix, ell: int, drop=frozenset()) -> list:
+    rows = [dict() for _ in range(a.rows)]
+    for (i, j), v in a.items():
+        if v % ell and j not in drop:
+            rows[i][j] = v % ell
+    return rows
+
+
+def rank_mod_oracle(a: abgrp.IntegerMatrix, ell: int) -> int:
+    """Rank over Z/ell of the whole matrix, independent of the engine."""
+    return len(_echelon_rows(_rows_mod(a, ell), ell))
+
+
+def swept_ranks_oracle(c: chaincx.CochainComplex, ell: int) -> dict:
+    """The rank over Z/ell of each differential of c, from the lowest degree up.
+
+    Over a field, if R is a row basis of d^k then C^(k+1) is im(d^k) plus
+    the span of the e_j with j not in R, and d^(k+1) kills im(d^k); so d^(k+1)
+    has the rank of its columns outside R.  A row basis of the trimmed d^k is
+    one of d^k, so each differential is ranked without the columns that were
+    basis rows of the one below.
+    """
+    lo, hi = c.support()
+    ranks, basis = {}, frozenset()
+    for k in range(lo, hi + 1):
+        a = c.differential(k)
+        basis = frozenset(_echelon_rows(_rows_mod(a, ell, basis), ell))
+        ranks[k] = len(basis)
+    return ranks
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

@@ -26,7 +26,7 @@ from bredon.abgrp import (
     two_torsion_group,
 )
 
-from conftest import assert_transforms, random_complex
+from conftest import assert_transforms, random_complex, rank_mod_oracle
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -409,6 +409,41 @@ class TestModM:
             chaincx.induced_map(phi, 0, m)
         with pytest.raises(ValueError, match=f"^{m} is not prime$"):
             chaincx.cohomology(phi.source, 0, m)
+
+
+def scattered(rng: random.Random, rows: int, cols: int, per_row: int) -> IntegerMatrix:
+    """per_row entries from {-2, -1, 1, 2} at random columns of each row."""
+    return IntegerMatrix.from_entries(rows, cols, {
+        (i, j): rng.choice((-2, -1, 1, 2))
+        for i in range(rows) for j in rng.sample(range(cols), min(per_row, cols))})
+
+
+def uniform(rng: random.Random, rows: int, cols: int) -> IntegerMatrix:
+    """Every entry drawn from {0, -1, 1, -2, 2}."""
+    return IntegerMatrix.from_rows(
+        [[rng.choice((0, -1, 1, -2, 2)) for _ in range(cols)] for _ in range(rows)], cols=cols)
+
+
+class TestRankModTwoAtScale:
+    """The bitset kernel of rank_mod(a, 2) against the sparse echelon oracle,
+    at the column counts of the orbit differentials; even entries must drop
+    out, and products through a narrow middle give long dependent chains."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse(self, seed):
+        rng = random.Random(seed)
+        cols = rng.randint(500, 640)
+        cases = [scattered(rng, rng.randint(200, 500), cols, rng.randint(1, 4)),
+                 scattered(rng, 300, 20 + seed * 30, 2) @ scattered(rng, 20 + seed * 30, cols, 3)]
+        for a in cases + [a.transpose() for a in cases]:
+            assert rank_mod(a, 2) == rank_mod_oracle(a, 2), (seed, a.rows, a.cols)
+
+    def test_dense(self):
+        rng = random.Random(100)
+        cases = [uniform(rng, 80, 600), uniform(rng, 400, 120),
+                 uniform(rng, 200, 25) @ uniform(rng, 25, 560)]
+        for a in cases + [a.transpose() for a in cases]:
+            assert rank_mod(a, 2) == rank_mod_oracle(a, 2), (a.rows, a.cols)
 
 
 class TestTwoPrimaryFunctors:

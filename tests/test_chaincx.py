@@ -1,10 +1,12 @@
 """Complex validation, tensor calibration, cones, and induced maps."""
 
+import sys
+import threading
 from itertools import groupby
 
 import pytest
 
-from bredon import abgrp
+from bredon import abgrp, chaincx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -191,6 +193,51 @@ class TestCohomologyAndEuler:
         all_cohomology(c)
         all_cohomology(c, 2)
         assert products == []
+
+    @pytest.mark.parametrize("spec", [SigmaSpec(p, orbit)
+                                      for p in (6, -6) for orbit in (FIXED, FREE)])
+    def test_each_differential_ranked_mod_two_once(self, monkeypatch, reductions, spec):
+        # d^k is d_out at k and d_in at k + 1; mod 2 the complex ranks it once
+        # by the bitset kernel, whatever is asked in any order, and touches
+        # neither the reduction engine nor the Morse record
+        c = build_sigma_complex.__wrapped__(spec)
+        lo, hi = c.support()
+        raw = {k: raw_cohomology(c, k, 2) for k in range(lo - 1, hi + 2)}
+        reductions.clear()
+        ranked = []
+        monkeypatch.setattr(chaincx, "rank_mod",
+                            lambda a, m: ranked.append((id(a), m)) or rank_mod(a, m))
+        assert all_cohomology(c, 2) == {k: h for k, h in raw.items() if not h.is_trivial()}
+        for k in reversed(range(lo - 1, hi + 2)):
+            assert cohomology(c, k, 2) == raw[k]
+        assert sorted(ranked) == sorted((id(a), 2) for a in c.differentials.values())
+        assert reductions == [] and c._morse is None
+        for k in range(lo - 1, hi + 2):
+            explain(c, k, 2)
+        assert len(ranked) == len(c.differentials)
+
+    def test_two_threads_share_a_fresh_complex_mod_two(self):
+        for spec in (SigmaSpec(8, FREE), SigmaSpec(8, FIXED), SigmaSpec(-8, FREE)):
+            alone = all_cohomology(build_sigma_complex.__wrapped__(spec), 2)
+            c = build_sigma_complex.__wrapped__(spec)
+            barrier, got = threading.Barrier(2), [None, None]
+
+            def run(i):
+                barrier.wait()
+                got[i] = all_cohomology(c, 2)
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join()
+            finally:
+                sys.setswitchinterval(interval)
+            assert got[0] == got[1] == alone, spec
+            assert c._mod2_ranks == {k: rank_mod(a, 2) for k, a in c.differentials.items()}
 
     def test_composite_modulus_rejected(self):
         with pytest.raises(ValueError, match="4 is not prime"):

@@ -39,7 +39,7 @@ from bredon.sigmacx import (
 )
 from bredon.tables import weight0_closed_form
 
-from conftest import assert_transforms
+from conftest import assert_transforms, random_complex, rank_mod_oracle, swept_ranks_oracle
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -555,10 +555,11 @@ def _differentials(shifts):
 
 
 def _swept_diagonals(shifts):
-    """(where, d, diagonal) for each differential d of fresh complexes at each
-    shift: fixed and free, and cone(tr) for 0 <= p <= 6, with the diagonal
-    read off the complex's Morse record: one 1 per unit pivot of d, then the
-    diagonal of d's part d_M on the Morse model."""
+    """(where, c, diagonals) for fresh complexes c at each shift: fixed and
+    free, and cone(tr) for 0 <= p <= 6.  diagonals maps each degree k with
+    d^k nonzero to the diagonal read off the complex's Morse record: one 1
+    per unit pivot of d^k, then the diagonal of d^k's part d_M on the Morse
+    model."""
     for p in shifts:
         complexes = [(orbit_type, build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type)))
                      for orbit_type in (FIXED, FREE)]
@@ -567,52 +568,35 @@ def _swept_diagonals(shifts):
         for kind, c in complexes:
             lo, hi = c.support()
             swept = c._record().sweep(hi - lo)
-            for k in range(lo, hi + 1):
-                a = c.differential(k)
-                if not a.is_zero():
-                    yield (p, kind, k), a, [1] * swept.units[k - lo] + snf_diagonal(c._model(k)[1])
-
-
-def rank_mod_oracle(a: IntegerMatrix, ell: int) -> int:
-    """Rank over Z/ell by sparse row echelon form, independent of the engine.
-
-    Each stored row is monic at its lowest column and keyed by it; a new row
-    is reduced by the stored row at its lowest column until it is zero or
-    has a lowest column no stored row has.
-    """
-    rows = [dict() for _ in range(a.rows)]
-    for (i, j), v in a.items():
-        if v % ell:
-            rows[i][j] = v % ell
-    echelon = {}
-    for row in rows:
-        while row:
-            low = min(row)
-            if low not in echelon:
-                inv = pow(row[low], -1, ell)
-                echelon[low] = {j: v * inv % ell for j, v in row.items()}
-                break
-            c = row[low]
-            for j, v in echelon[low].items():
-                s = (row.get(j, 0) - c * v) % ell
-                if s:
-                    row[j] = s
-                else:
-                    row.pop(j, None)
-    return len(echelon)
+            yield (p, kind), c, {
+                k: [1] * swept.units[k - lo] + snf_diagonal(c._model(k)[1])
+                for k in range(lo, hi + 1) if not c.differential(k).is_zero()}
 
 
 class TestEngineOnOrbitDifferentials:
     """The Smith engine against independent oracles at production size."""
 
     def test_diagonal_prime_by_prime(self):
-        for where, a, diag in _swept_diagonals(range(-8, 9)):
-            assert diag == snf_diagonal(a), where
-            assert all(d > 0 for d in diag), where
-            assert all(hi % lo == 0 for lo, hi in zip(diag, diag[1:])), where
-            for ell in (2, 3, 5, 2**31 - 1):
-                assert sum(1 for d in diag if d % ell) == rank_mod_oracle(a, ell), (where, ell)
-            assert sum(1 for d in diag if d % 2) == rank_mod(a, 2), where
+        # every rank is compared with the integral diagonal, which does not
+        # use the lemma behind the swept oracle
+        for where, c, diagonals in _swept_diagonals(range(-8, 9)):
+            swept = {ell: swept_ranks_oracle(c, ell) for ell in (2, 3, 5, 2**31 - 1)}
+            for k, diag in diagonals.items():
+                a = c.differential(k)
+                assert diag == snf_diagonal(a), (where, k)
+                assert all(d > 0 for d in diag), (where, k)
+                assert all(hi % lo == 0 for lo, hi in zip(diag, diag[1:])), (where, k)
+                for ell, ranks in swept.items():
+                    assert sum(1 for d in diag if d % ell) == ranks[k], (where, k, ell)
+                assert sum(1 for d in diag if d % 2) == rank_mod(a, 2), (where, k)
+
+    def test_swept_oracle_against_the_whole_matrix_oracle(self, rng):
+        # the lemma on complexes whose differentials lose rank mod 2 and 3
+        for _ in range(60):
+            c = random_complex(rng, max_deg=3, max_rank=6)
+            for ell in (2, 3):
+                ranks = swept_ranks_oracle(c, ell)
+                assert ranks == {k: rank_mod_oracle(c.differential(k), ell) for k in ranks}, c
 
     @pytest.mark.parametrize("p", [5, -5, 7, -7])
     def test_smith_identity_and_inverse_transforms(self, p, rng):
