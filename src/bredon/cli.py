@@ -13,7 +13,7 @@ import sys
 
 from . import sigmacx
 from .chaincx import explain
-from .formal import derive_weight1, derive_weight_sigma, get_profile
+from .formal import PROFILE_ALIASES, derive_weight1, derive_weight_sigma, get_profile
 from .tables import GridSpec, export_grid, render_grid
 from .tables.checks import SUITES, check
 
@@ -47,8 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     table.add_argument("--a-min", type=int, default=None)
     table.add_argument("--a-max", type=int, default=None)
     table.add_argument("--coeff", type=_coeff, default=0)
-    table.add_argument("--profile", default="general",
-                       choices=["qclosed", "euclidean", "freal", "general"])
+    table.add_argument("--profile", default="general", choices=list(PROFILE_ALIASES))
     table.add_argument("--source", default=None, choices=["computed", "fixture", "derived"])
 
     grid = sub.add_parser("grid", parents=[table], help="render a grid of groups")
@@ -57,8 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     derive = sub.add_parser("derive", help="replay the table derivations")
     derive.add_argument("--weight", choices=["1", "sigma"], required=True)
-    derive.add_argument("--profile", required=True,
-                        choices=["qclosed", "euclidean", "freal", "general"])
+    derive.add_argument("--profile", required=True, choices=list(PROFILE_ALIASES))
     derive.add_argument("--n-max", type=int, default=8)
     derive.add_argument("--coeff", type=_coeff, default=0)
     derive.add_argument("--trace", action="store_true",
@@ -77,16 +75,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_source(weight: str, explicit) -> str:
-    if explicit:
-        return explicit
-    return "computed" if weight == "0" else "fixture"
-
-
 def _spec_from_args(args) -> GridSpec:
     return GridSpec(weight=args.weight, coeff=args.coeff, p_range=args.p_range,
                     a_min=args.a_min, a_max=args.a_max, profile=args.profile,
-                    source=_default_source(args.weight, args.source))
+                    source=args.source)
 
 
 def main(argv=None) -> int:

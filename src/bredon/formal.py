@@ -14,10 +14,13 @@ isomorphisms, multiplication-by-2 decompositions, and named axioms to a
 fixed point.  It never guesses: extension problems are resolved only by a
 named, cited axiom, and unforced unknowns are reported as unknowns.
 
-The derivation drivers replay the positive- and negative-cone inductions of
-the weight-1 and weight-sigma computations column by column, seeded by the
-base columns and the named axioms; every produced table entry carries its
-axiom trail.
+One induction step serves both cones of both weights: it solves the window
+0 -> B -> B -> k* -> B -> B -> 0 around the units column and derives the next
+column from the known one.  One driver seeds a cone with its base columns,
+advances it column by column until the requested depth or the first step the
+named axioms cannot settle, and reduces mod 2; ``derive_weight1`` and
+``derive_weight_sigma`` only supply the seeds.  Every produced table entry
+carries its axiom trail.
 
 >>> qc = PROFILES["quadratically_closed"]
 >>> print(normalize(FormalGroup.of(KMODSQ), qc))
@@ -710,9 +713,8 @@ class DerivedTable:
         return sorted(self.columns)
 
 
-def _motivic_column(m: int) -> FormalGroup:
-    """The free-orbit column in total weight 1: the units at total degree 1."""
-    return FormalGroup.of(KSTAR) if m == 1 else ZERO_FG
+# the free-orbit column in total weight 1: the units at total degree 1
+_UNITS = FormalGroup.of(KSTAR)
 
 
 def _is_two_torsion(g: FormalGroup) -> bool:
@@ -728,7 +730,7 @@ def _junction_tags(junction: FormalGroup, recorded: Optional[str],
         return ()
     if recorded == "iso":
         jn = normalize(junction, profile)
-        if jn == normalize(FormalGroup.of(KSTAR), profile) or jn == FormalGroup.of(KSTAR):
+        if jn == normalize(_UNITS, profile) or jn == _UNITS:
             return ("axiom:A-comp", "axiom:A-delta-sq", "mult2:Kstar")
         notes.append(f"{where}: recorded isomorphism but junction {jn} is not the units")
         return None
@@ -743,30 +745,21 @@ def _junction_tags(junction: FormalGroup, recorded: Optional[str],
     return None
 
 
-def _arrow_status(ar: WindowArrow) -> Optional[str]:
-    if ar.kernel == ZERO_FG and ar.image == FULL:
-        return "iso"
-    return None
+def _advance(table: DerivedTable, profile: FieldProfile, p: int, step: int,
+             zero_axiom: str, recorded: Optional[str]) -> Tuple[bool, Optional[str]]:
+    """One induction step of either cone: derive column ``p + step`` from column ``p``.
 
-
-def _advance(table: DerivedTable, profile: FieldProfile, positive: bool,
-             known_shift: int, zero_axiom: str, recorded: Optional[str],
-             a_lo: int, a_hi: int) -> Tuple[bool, Optional[str]]:
-    """One induction step: derive the next column from a known one.
-
-    Returns (ok, recorded) where ``recorded`` is the status of the
-    junction-side arrow feeding the next step's A-comp check.
+    The window is 0 -> B(lo,.) -> B(lo,.) -> k* -> B(hi,.) -> B(hi,.) -> 0,
+    the known column first in the positive cone (step 1) and second in the
+    negative one (step -1).  The junction tags sit on the arrow between k*
+    and the known column.  Returns (ok, recorded) where ``recorded`` is the
+    status of the other arrow at k*, which feeds the next step's A-comp check.
     """
-    p = known_shift
-    new_p = p + 1 if positive else p - 1
-    n = abs(p)
-    if positive:
-        special = {"low_old": (-p, p), "low_new": (-p, new_p),
-                   "high_old": (1 - p, p), "high_new": (1 - p, new_p)}
-    else:
-        special = {"low_new": (n + 1, new_p), "low_old": (n + 1, p),
-                   "high_new": (n + 2, new_p), "high_old": (n + 2, p)}
-    junction = table.group(*special["high_old"]) if positive else table.group(*special["low_old"])
+    new_p = p + step
+    positive = step > 0
+    lo = -p if positive else 1 - p
+    hi = lo + 1
+    junction = table.group(hi if positive else lo, p)
     assert junction is not None
     where = f"weight-{table.weight} step {p} -> {new_p}"
     tags = _junction_tags(junction, recorded, zero_axiom, profile, table.notes, where)
@@ -774,26 +767,14 @@ def _advance(table: DerivedTable, profile: FieldProfile, positive: bool,
         table.notes.append(f"{where}: column {new_p} left unresolved")
         return False, None
 
-    def nd(key):
-        a, q = special[key]
-        label = f"B({a},{q})"
-        grp = None if q == new_p else table.group(a, q)
-        return (label, grp)
+    def pair(a: int) -> list:
+        known, new = (f"B({a},{p})", table.group(a, p)), (f"B({a},{new_p})", None)
+        return [known, (), new] if positive else [new, (), known]
 
-    if positive:
-        spec = [("M0", ZERO_FG), (), nd("low_old"), (), nd("low_new"),
-                (), ("M1", _motivic_column(1)), tags, nd("high_old"),
-                (), nd("high_new"), (), ("M2", ZERO_FG)]
-        junction_arrow = 3
-        record_arrow = 2  # B(low,new) -> M1, feeds the next A-comp check
-    else:
-        spec = [("M0", ZERO_FG), (), nd("low_new"), (), nd("low_old"),
-                tags, ("M1", _motivic_column(1)), (), nd("high_new"),
-                (), nd("high_old"), (), ("M2", ZERO_FG)]
-        junction_arrow = 2
-        record_arrow = 3  # M1 -> B(high,new)
-    window = LesWindow.build(spec)
-    sol = solve_window(window, profile)
+    into_units, out_of_units = ((), tags) if positive else (tags, ())
+    sol = solve_window(LesWindow.build(
+        [("M0", ZERO_FG), (), *pair(lo), into_units, ("M1", _UNITS),
+         out_of_units, *pair(hi), (), ("M2", ZERO_FG)]), profile)
     if not sol.ok:
         table.notes.append(f"{where}: contradiction: {'; '.join(sol.contradictions)}")
         return False, None
@@ -801,27 +782,19 @@ def _advance(table: DerivedTable, profile: FieldProfile, positive: bool,
         table.notes.append(f"{where}: unresolved nodes {sol.unresolved}")
         return False, None
 
-    new_names = {f"B({special['low_new'][0]},{new_p})": special["low_new"][0],
-                 f"B({special['high_new'][0]},{new_p})": special["high_new"][0]}
-    old_col_trail = table.column_trails.get(p, ())
     window_axioms = tuple(t.split(":", 1)[1] for t in tags if t.startswith("axiom:"))
-    feeders = (table.entry(*special["low_old"]).trail
-               + table.entry(*special["high_old"]).trail)
-    for label, a in new_names.items():
-        grp = sol.values[label]
-        trail = tuple(dict.fromkeys(feeders + window_axioms + ("LES",)))
-        table.set(a, new_p, grp, trail)
+    feeders = table.entry(lo, p).trail + table.entry(hi, p).trail
+    for a in (lo, hi):
+        table.set(a, new_p, sol.values[f"B({a},{new_p})"],
+                  tuple(dict.fromkeys(feeders + window_axioms + ("LES",))))
     # the rest of the column transports along isomorphisms (zero flanks)
-    specials = {special["low_new"][0], special["high_new"][0]}
-    for a in range(a_lo, a_hi + 1):
-        if a in specials:
-            continue
+    for a in range(-table.n_max - 2, table.n_max + 4):
         src = table.entry(a, p)
-        if src.group is None:
-            continue
-        table.set(a, new_p, src.group, tuple(dict.fromkeys(src.trail + ("LES",))))
-    table.column_trails[new_p] = tuple(dict.fromkeys(old_col_trail + ("LES",)))
-    return True, _arrow_status(sol.arrows[record_arrow])
+        if a not in (lo, hi) and src.group is not None:
+            table.set(a, new_p, src.group, tuple(dict.fromkeys(src.trail + ("LES",))))
+    table.column_trails[new_p] = tuple(dict.fromkeys(table.column_trails.get(p, ()) + ("LES",)))
+    other = sol.arrows[2 if positive else 3]
+    return True, "iso" if other.kernel == ZERO_FG and other.image == FULL else None
 
 
 def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
@@ -850,12 +823,31 @@ def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
     return out
 
 
-def _seed_column(table: DerivedTable, p: int, entries: Dict[int, FormalGroup],
-                 trail: Tuple[str, ...], profile: FieldProfile):
-    table.columns.setdefault(p, {})
-    table.column_trails[p] = trail
-    for a, g in entries.items():
-        table.set(a, p, normalize(g, profile), trail)
+def _derive(weight: str, profile: FieldProfile, n_max: int, coeff: int,
+            cones: Dict[str, tuple]) -> Dict[str, DerivedTable]:
+    """Seed each cone, induct from its farthest column until ``n_max`` or the
+    first stop, and reduce mod 2 when ``coeff`` is 2.
+
+    ``cones`` maps each cone to its seed columns (shift, {degree: group},
+    trail), the axiom that zeroes a 2-torsion junction, the status recorded
+    before the first step, and the notes its table starts with.
+    """
+    tables = {}
+    for cone, (seeds, zero_axiom, recorded, notes) in cones.items():
+        table = DerivedTable(weight, profile.name, 0, n_max, notes=notes)
+        for p, entries, trail in seeds:
+            table.columns[p] = {}
+            table.column_trails[p] = trail
+            for a, g in entries.items():
+                table.set(a, p, normalize(g, profile), trail)
+        step = 1 if cone == "positive" else -1
+        p = max(table.columns) if step > 0 else min(table.columns)
+        ok = p != 0  # the negative induction needs a seeded column -1
+        while ok and abs(p) < n_max:
+            ok, recorded = _advance(table, profile, p, step, zero_axiom, recorded)
+            p += step
+        tables[cone] = _apply_uct(table, profile) if coeff == 2 else table
+    return tables
 
 
 def derive_weight1(profile: FieldProfile, n_max: int, coeff: int = 0) -> Dict[str, DerivedTable]:
@@ -867,29 +859,12 @@ def derive_weight1(profile: FieldProfile, n_max: int, coeff: int = 0) -> Dict[st
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    a_lo, a_hi = -n_max - 2, n_max + 3
-    pos = DerivedTable("1", profile.name, 0, n_max)
-    _seed_column(pos, 0, {1: FormalGroup.of(KSTAR)}, ("P-motivic",), profile)
-    _seed_column(pos, 1, {0: FormalGroup.of(Z2), 1: FormalGroup.of(KMODSQ)},
-                 ("P-prop",), profile)
-    recorded = None
-    for p in range(1, n_max):
-        ok, recorded = _advance(pos, profile, True, p, "A-alpha", recorded, a_lo, a_hi)
-        if not ok:
-            break
-
-    neg = DerivedTable("1", profile.name, 0, n_max)
-    _seed_column(neg, 0, {1: FormalGroup.of(KSTAR)}, ("P-motivic",), profile)
-    _seed_column(neg, -1, {}, ("A-EC2", "P-sigma", "LES"), profile)
-    recorded = None
-    for n in range(1, n_max):
-        ok, recorded = _advance(neg, profile, False, -n, "A-alpha1", recorded, a_lo, a_hi)
-        if not ok:
-            break
-
-    if coeff == 2:
-        return {"positive": _apply_uct(pos, profile), "negative": _apply_uct(neg, profile)}
-    return {"positive": pos, "negative": neg}
+    units = (0, {1: _UNITS}, ("P-motivic",))
+    return _derive("1", profile, n_max, coeff, {
+        "positive": ([units, (1, {0: FormalGroup.of(Z2), 1: FormalGroup.of(KMODSQ)},
+                              ("P-prop",))], "A-alpha", None, []),
+        "negative": ([units, (-1, {}, ("A-EC2", "P-sigma", "LES"))], "A-alpha1", None, []),
+    })
 
 
 def derive_weight_sigma(profile: FieldProfile, n_max: int, coeff: int = 0) -> Dict[str, DerivedTable]:
@@ -901,44 +876,29 @@ def derive_weight_sigma(profile: FieldProfile, n_max: int, coeff: int = 0) -> Di
     """
     if isinstance(profile, str):
         profile = get_profile(profile)
-    a_lo, a_hi = -n_max - 2, n_max + 3
-    pos = DerivedTable("sigma", profile.name, 0, n_max)
-    _seed_column(pos, 0, {1: FormalGroup.of(KSQ)}, ("P-sigma", "A-delta-sq"), profile)
-    _seed_column(pos, 1, {0: FormalGroup.of(Z2)}, ("P-sigma",), profile)
-    col2 = {a: nie_decompose(a, 1, 0, 0) for a in (-1, 0)}
-    _seed_column(pos, 2, {a: g for a, g in col2.items() if not g.is_zero()},
-                 ("P-2q",), profile)
-    recorded = "iso"  # the units entry of the base column restricts by the identity
-    for p in range(2, n_max):
-        ok, recorded = _advance(pos, profile, True, p, "A-alpha", recorded, a_lo, a_hi)
-        if not ok:
-            break
-
-    neg = DerivedTable("sigma", profile.name, 0, n_max)
-    _seed_column(neg, 0, {1: FormalGroup.of(KSQ)}, ("P-sigma", "A-delta-sq"), profile)
+    squares = (0, {1: FormalGroup.of(KSQ)}, ("P-sigma", "A-delta-sq"))
+    negative, notes = [squares], []
     if n_max >= 1:
         base = LesWindow.build([
             ("M0", ZERO_FG), (),
             ("B(1,-1)", ZERO_FG), (),
             ("B(1,0)", normalize(FormalGroup.of(KSQ), profile)),
             ("axiom:A-diag", "axiom:A-delta-sq", "incl-ksq"),
-            ("M1", _motivic_column(1)), (),
+            ("M1", _UNITS), (),
             ("B(2,-1)", None), (),
             ("B(2,0)", ZERO_FG), (),
             ("M2", ZERO_FG)])
         sol = solve_window(base, profile)
         if not sol.ok or "B(2,-1)" not in sol.values:
-            neg.notes.append("base window for the first negative column failed: "
-                             + "; ".join(sol.contradictions))
+            notes.append("base window for the first negative column failed: "
+                         + "; ".join(sol.contradictions))
         else:
-            _seed_column(neg, -1, {2: sol.values["B(2,-1)"]},
-                         ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES"), profile)
-            recorded = None
-            for n in range(1, n_max):
-                ok, recorded = _advance(neg, profile, False, -n, "A-tau", recorded, a_lo, a_hi)
-                if not ok:
-                    break
-
-    if coeff == 2:
-        return {"positive": _apply_uct(pos, profile), "negative": _apply_uct(neg, profile)}
-    return {"positive": pos, "negative": neg}
+            negative.append((-1, {2: sol.values["B(2,-1)"]},
+                             ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES")))
+    positive = [squares, (1, {0: FormalGroup.of(Z2)}, ("P-sigma",)),
+                (2, {a: nie_decompose(a, 1, 0, 0) for a in (-1, 0)}, ("P-2q",))]
+    # the units entry of the base column restricts by the identity
+    return _derive("sigma", profile, n_max, coeff, {
+        "positive": (positive, "A-alpha", "iso", []),
+        "negative": (negative, "A-tau", None, notes),
+    })

@@ -468,9 +468,12 @@ class GridSpec:
     a_min: Optional[int] = None
     a_max: Optional[int] = None
     profile: str = "general"
-    source: str = "computed"   # "computed" | "fixture" | "derived"
+    # "computed" | "fixture" | "derived"; None picks computed for weight 0, fixture otherwise
+    source: Optional[str] = None
 
     def __post_init__(self):
+        if self.source is None:
+            self.source = "computed" if self.weight == "0" else "fixture"
         # only weight 0 is computed from complexes, only the others are derived
         if self.source == "computed" and self.weight != "0":
             raise ValueError(f"weight {self.weight} has no computed source; "

@@ -173,9 +173,10 @@ def _compare_derived(report: CheckReport, weight: str, profile_name: str,
         table = tables[cone]
         shifts = [p for p in table.derived_shifts()
                   if (p >= 0 if cone == "positive" else p <= 0)]
-        if max(abs(p) for p in shifts) < n_max:
+        farthest = max(shifts, key=abs, default=None)
+        if farthest is None or abs(farthest) < n_max:
             report.add_flag(f"{weight}/{profile_name}/{cone}: columns", False,
-                            f"only derived up to {shifts[-1] if shifts else None}; "
+                            f"only derived up to {farthest}; "
                             + "; ".join(table.notes[-2:]))
             continue
         for p in shifts:
@@ -195,24 +196,23 @@ def _compare_derived(report: CheckReport, weight: str, profile_name: str,
                     ", ".join(entry.trail)))
 
 
+def _check_derived(suite: str, weight: str, n_max: int) -> CheckReport:
+    report = CheckReport(suite)
+    for prof in ("quadratically_closed", "euclidean"):
+        for coeff in (0, 2):
+            _compare_derived(report, weight, prof, n_max, coeff, ("positive", "negative"))
+    _compare_derived(report, weight, "formally_real", n_max, 0, ("negative",))
+    return report
+
+
 def check_weight1_derived(n_max: int = 16, **_) -> CheckReport:
     """Derived weight-1 tables vs the stated case tables, integrally and mod 2."""
-    report = CheckReport("weight1-derived")
-    for prof in ("quadratically_closed", "euclidean"):
-        _compare_derived(report, "1", prof, n_max, 0, ("positive", "negative"))
-        _compare_derived(report, "1", prof, n_max, 2, ("positive", "negative"))
-    _compare_derived(report, "1", "formally_real", n_max, 0, ("negative",))
-    return report
+    return _check_derived("weight1-derived", "1", n_max)
 
 
 def check_weight_sigma_derived(n_max: int = 16, **_) -> CheckReport:
     """Derived sign-weight tables vs the stated case tables."""
-    report = CheckReport("weight-sigma-derived")
-    for prof in ("quadratically_closed", "euclidean"):
-        _compare_derived(report, "sigma", prof, n_max, 0, ("positive", "negative"))
-        _compare_derived(report, "sigma", prof, n_max, 2, ("positive", "negative"))
-    _compare_derived(report, "sigma", "formally_real", n_max, 0, ("negative",))
-    return report
+    return _check_derived("weight-sigma-derived", "sigma", n_max)
 
 
 def check_qclosed_coincidence(n_max: int = 16, **_) -> CheckReport:

@@ -242,6 +242,107 @@ class TestDerivations:
                 assert mod2.entry(a, p).group == expect
 
 
+class TestInductionDriver:
+    """The cases one induction step and one driver must keep for both weights."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = {"advance": 0, "solve_window": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(formal, "_advance", counting("advance", formal._advance))
+        monkeypatch.setattr(formal, "solve_window",
+                            counting("solve_window", formal.solve_window))
+        return calls
+
+    @pytest.mark.parametrize("n_max", [0, 1])
+    def test_weight1_depth_zero_and_one_run_no_step(self, monkeypatch, n_max):
+        calls = self._count_calls(monkeypatch)
+        tables = derive_weight1(EU, n_max)
+        assert calls == {"advance": 0, "solve_window": 0}
+        assert tables["positive"].derived_shifts() == [0, 1]
+        assert tables["negative"].derived_shifts() == [-1, 0]
+        assert column(tables["negative"], -1) == {}
+        assert all(not t.notes for t in tables.values())
+
+    def test_weight_sigma_depth_zero_skips_the_base_window(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        tables = derive_weight_sigma(EU, 0)
+        assert calls == {"advance": 0, "solve_window": 0}
+        assert tables["positive"].derived_shifts() == [0, 1, 2]
+        assert tables["negative"].derived_shifts() == [0]
+        assert all(not t.notes for t in tables.values())
+
+    def test_weight_sigma_depth_one_solves_only_the_base_window(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        tables = derive_weight_sigma(EU, 1)
+        assert calls == {"advance": 0, "solve_window": 1}
+        assert tables["negative"].derived_shifts() == [-1, 0]
+        entry = tables["negative"].entry(2, -1)
+        assert entry.group == normalize(fg(KMODSQ), EU)
+        assert entry.trail == ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES")
+
+    def test_failed_base_window_leaves_the_negative_cone_at_its_seed(self, monkeypatch):
+        steps = []
+        advance, solve = formal._advance, formal.solve_window
+
+        def recording_advance(table, profile, p, step, *rest):
+            steps.append(step)
+            return advance(table, profile, p, step, *rest)
+
+        def failing_base(window, profile):
+            sol = solve(window, profile)
+            if any("incl-ksq" in arrow.tags for arrow in window.arrows):
+                sol.contradictions.append("forced")
+            return sol
+
+        monkeypatch.setattr(formal, "_advance", recording_advance)
+        monkeypatch.setattr(formal, "solve_window", failing_base)
+        tables = derive_weight_sigma(EU, 4)
+        assert tables["negative"].derived_shifts() == [0]
+        assert tables["negative"].notes == [
+            "base window for the first negative column failed: forced"]
+        assert tables["positive"].derived_shifts() == [0, 1, 2, 3, 4]
+        assert steps == [1, 1]
+
+    @pytest.mark.parametrize("derive, weight, positive, negative", [
+        (derive_weight1, "1", [0, 1], [-3, -2, -1, 0]),
+        (derive_weight_sigma, "sigma", [0, 1, 2, 3], [-1, 0]),
+    ])
+    def test_inadmissible_profile_stops_each_cone_with_notes(self, derive, weight,
+                                                              positive, negative):
+        tables = derive(GEN, 4)
+        assert tables["positive"].derived_shifts() == positive
+        assert tables["negative"].derived_shifts() == negative
+        for cone, shifts, axiom in (("positive", positive, "A-alpha"),
+                                    ("negative", negative,
+                                     "A-alpha1" if weight == "1" else "A-tau")):
+            p = max(shifts, key=abs)
+            new_p = p + (1 if cone == "positive" else -1)
+            where = f"weight-{weight} step {p} -> {new_p}"
+            assert tables[cone].notes == [
+                f"{where}: axiom {axiom} needs one of {AXIOMS[axiom].profiles}, "
+                f"profile is general",
+                f"{where}: column {new_p} left unresolved"]
+
+    def test_weight_sigma_positive_cone_cites_a_comp_under_euclidean(self):
+        pos = derive_weight_sigma(EU, 5)["positive"]
+        comp = ("P-2q", "A-comp", "A-delta-sq", "LES")
+        assert {a: e.trail for a, e in pos.columns[3].items()} == {
+            -2: comp, -1: comp, 0: ("P-2q", "LES")}
+        assert {a: e.trail for a, e in pos.columns[4].items()} == {
+            -3: ("P-2q", "LES", "A-comp", "A-delta-sq", "A-alpha"),
+            -2: ("P-2q", "LES", "A-comp", "A-delta-sq", "A-alpha"),
+            -1: comp, 0: ("P-2q", "LES")}
+        assert pos.column_trails[4] == ("P-2q", "LES")
+        assert not pos.notes
+
+
 class TestConditional:
     def test_resolution(self):
         cond = ConditionalGroup(fg(Z2), ZERO_FG)

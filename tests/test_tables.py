@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 from bredon import tables
+from bredon.tables import checks
 from bredon.abgrp import FgAbelianGroup
 from bredon.formal import (PROFILES, ConditionalGroup, FormalGroup, KMODSQ, KSQ, KSTAR, Z2,
                            ZERO_FG, get_profile, normalize)
@@ -216,6 +217,48 @@ class TestGridAndExport:
         with pytest.raises(ValueError, match="a-range 2..1 is empty"):
             GridSpec(p_range=1, a_min=2)
         assert len(grid_cells(GridSpec(p_range=0, a_min=0, a_max=0))) == 1
+
+
+class TestGridSpecSource:
+    def test_default_source_follows_the_weight(self):
+        assert GridSpec().source == "computed"
+        assert GridSpec(weight="1").source == "fixture"
+        assert GridSpec(weight="sigma", coeff=2).source == "fixture"
+        assert grid_cells(GridSpec(weight="1", p_range=0, a_min=0, a_max=0))[0]["source"] \
+            == "fixture"
+
+    @pytest.mark.parametrize("spec", [{"weight": "1", "source": "computed"},
+                                      {"weight": "sigma", "source": "computed"},
+                                      {"weight": "0", "source": "derived"}])
+    def test_explicit_invalid_source_still_raises(self, spec):
+        with pytest.raises(ValueError, match="has no"):
+            GridSpec(**spec)
+
+
+class TestDerivedSuites:
+    def test_stopped_negative_cone_names_its_farthest_column(self):
+        report = checks.CheckReport("derived")
+        checks._compare_derived(report, "1", "general", 4, 0, ("negative",))
+        [cell] = report.cells
+        assert cell.key == "1/general/negative: columns" and not cell.ok
+        assert cell.got.startswith("only derived up to -3; ")
+
+    def test_stopped_positive_cone_names_its_farthest_column(self):
+        report = checks.CheckReport("derived")
+        checks._compare_derived(report, "sigma", "general", 4, 0, ("positive",))
+        [cell] = report.cells
+        assert cell.got.startswith("only derived up to 3; ")
+
+    def test_both_suites_keep_their_names_and_cells(self):
+        one = checks.check_weight1_derived(n_max=2)
+        sigma = checks.check_weight_sigma_derived(n_max=2)
+        assert (one.suite, sigma.suite) == ("weight1-derived", "weight-sigma-derived")
+        assert one.passed and sigma.passed
+        for report, weight in ((one, "1"), (sigma, "sigma")):
+            runs = list(dict.fromkeys(c.key.split(" (")[0] for c in report.cells))
+            assert runs == [f"{weight}/{prof} coeff={coeff}" for prof, coeff in (
+                ("quadratically_closed", 0), ("quadratically_closed", 2),
+                ("euclidean", 0), ("euclidean", 2), ("formally_real", 0))]
 
 
 class TestCoefficients:
