@@ -1,0 +1,175 @@
+"""Write a BENCH_<n>.json snapshot of one checkout of bredon.
+
+    python3 scripts/bench_snapshot.py --out BENCH_19.json [--repo PATH]
+
+Measures the checkout at --repo (by default the one this script lives in),
+every part in a fresh process, one at a time:
+
+* each benchmark workload, by running ``bench/run.py --trace 0`` as a
+  subprocess, keeping its result line: the medians of the end-to-end
+  metrics, in reference seconds (see bench/README.md);
+* the wall time of ``python -m bredon check all`` and of the tier-1 suite;
+* the reach rows: for each shift and orbit type, the CPU time of building
+  the complex and of all its integral groups (``all_cohomology``), and the
+  peak RSS of the process, each the median of REPEAT fresh processes.
+  Every such process also times the benchmark's calibration kernel, so the
+  host's speed at that moment is on record next to the CPU times.
+
+The file also records the machine facts and the git sha of the checkout.
+Compare two snapshots taken on the same host, one after the other.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import re
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
+REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"))
+SEED, SECONDS = 7, 10.0   # of each bench/run.py run
+REPEAT = 3                # fresh processes per reach row
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider"]
+
+
+def _env(repo: Path) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(repo / "src"))
+    env.pop("BREDON_FIXTURE_DIR", None)
+    return env
+
+
+def _timed(cmd: list, repo: Path, timeout: float) -> tuple:
+    """(wall seconds, completed process) of one command run in the checkout."""
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=repo, env=_env(repo), capture_output=True, text=True,
+                          timeout=timeout)
+    return time.perf_counter() - start, proc
+
+
+def _machine() -> dict:
+    model = None
+    cpuinfo = Path("/proc/cpuinfo")
+    if cpuinfo.exists():
+        found = re.search(r"^model name\s*:\s*(.+)$", cpuinfo.read_text(), re.M)
+        model = found.group(1) if found else None
+    return {"nproc": os.cpu_count(), "cpu": model, "python": sys.version.split()[0],
+            "implementation": platform.python_implementation(),
+            "platform": platform.platform(), "loadavg": os.getloadavg()}
+
+
+def _git_sha(repo: Path) -> dict:
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=repo, capture_output=True, text=True)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return {"git_sha": git("rev-parse", "HEAD"), "tracked_files_modified": bool(status)}
+
+
+def bench(repo: Path) -> dict:
+    out = {}
+    for workload in WORKLOADS:
+        _, proc = _timed([sys.executable, "bench/run.py", "--workload", workload,
+                          "--seed", str(SEED), "--seconds", str(SECONDS)], repo, 600)
+        lines = proc.stdout.strip().splitlines()
+        if proc.returncode != 0 or not lines:
+            out[workload] = {"error": (proc.stderr or proc.stdout)[-500:]}
+            continue
+        result = json.loads(lines[-1])
+        out[workload] = {"correct": result["correct"], "attempted": result["attempted"],
+                         "failed": result["failed"],
+                         "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
+    return {"seed": SEED, "seconds": SECONDS, "workloads": out}
+
+
+def check_all(repo: Path) -> dict:
+    wall, proc = _timed([sys.executable, "-m", "bredon", "check", "all"], repo, 900)
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "passed": sum(line.startswith("PASS") for line in proc.stdout.splitlines())}
+
+
+def tier1(repo: Path) -> dict:
+    wall, proc = _timed(TIER1, repo, 1800)
+    summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+    counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", summary)}
+    return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary, **counts}
+
+
+def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
+    """Build one complex and all its integral groups in this process."""
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    from worker import _calibrate  # the benchmark's fixed kernel
+
+    from bredon.chaincx import all_cohomology
+    from bredon.sigmacx import SigmaSpec, build_sigma_complex
+
+    kernel = statistics.median(_calibrate()[1] for _ in range(3))
+    start = time.process_time()
+    c = build_sigma_complex.__wrapped__(SigmaSpec(shift, orbit_type))
+    built = time.process_time()
+    groups = all_cohomology(c)
+    done = time.process_time()
+    rendered = json.dumps({str(k): g.render() for k, g in sorted(groups.items())})
+    return {"build_cpu_s": built - start, "h_cpu_s": done - built,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "kernel_cpu_s": kernel,
+            "groups_sha256": hashlib.sha256(rendered.encode()).hexdigest()}
+
+
+def reach(repo: Path) -> list:
+    rows = []
+    for shift, orbit_type in REACH:
+        runs = []
+        for _ in range(REPEAT):
+            _, proc = _timed([sys.executable, str(Path(__file__).resolve()), "--reach-one",
+                              str(shift), orbit_type, "--repo", str(repo)], repo, 900)
+            if proc.returncode != 0:
+                raise RuntimeError(f"reach run {shift} {orbit_type} failed:\n{proc.stderr[-2000:]}")
+            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+        if len({r["groups_sha256"] for r in runs}) != 1:
+            raise RuntimeError(f"reach runs of {shift} {orbit_type} disagree on the groups")
+        row = {"shift": shift, "orbit_type": orbit_type, "repeat": REPEAT,
+               "groups_sha256": runs[0]["groups_sha256"]}
+        for key in ("build_cpu_s", "h_cpu_s", "peak_rss_mb", "kernel_cpu_s"):
+            row[key] = statistics.median(r[key] for r in runs)
+            row[key + "_all"] = [r[key] for r in runs]
+        rows.append(row)
+    return rows
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repo", type=Path, default=HERE,
+                        help="the checkout to measure (default: this one)")
+    parser.add_argument("--out", type=Path, help="the JSON file to write")
+    parser.add_argument("--reach-one", nargs=2, metavar=("SHIFT", "TYPE"),
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    repo = args.repo.resolve()
+    if args.reach_one:
+        print(json.dumps(reach_once(int(args.reach_one[0]), args.reach_one[1], repo)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    snapshot = {**_git_sha(repo), "machine": _machine(),
+                "taken": time.strftime("%Y-%m-%dT%H:%M:%S")}
+    snapshot["bench"] = bench(repo)
+    snapshot["check_all"] = check_all(repo)
+    snapshot["tier1"] = tier1(repo)
+    snapshot["reach"] = reach(repo)
+    snapshot["loadavg_after"] = os.getloadavg()
+    args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

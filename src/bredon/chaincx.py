@@ -233,7 +233,8 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
 
     The ranks of C and of its Morse model M per degree, then the Smith
     diagonals of d_in and d_out, each with the number of unit pivots that
-    the sweep took in it, and over Z/m also its rank mod m.  The diagonal
+    the sweep took in it and how many of those were free faces, and over
+    Z/m also its rank mod m.  The diagonal
     of a differential d of C is one 1 per unit pivot, then the diagonal of
     its part d_M on M (see ``abgrp.MorseRecord``).  Mod 2 the printed rank
     is the complex's own rank of d over Z/2, the one ``cohomology`` uses;
@@ -247,11 +248,11 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
              f"Morse model: ranks {_by_degree(model)} (total {sum(model.values())})"]
     for name, k in (("d_in", degree - 1), ("d_out", degree)):
         a = c.differential(k)
-        units = swept.units[k - lo] if lo <= k <= hi else 0
+        units, faces = (swept.units[k - lo], swept.faces[k - lo]) if lo <= k <= hi else (0, 0)
         diag = [1] * units + snf_diagonal(c._model(k)[1])
         runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(diag))
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
-                f"{units} unit pivots")
+                f"{units} unit pivots ({faces} free faces)")
         if m:
             r = c._rank_mod2(k) if m == 2 else sum(1 for d in diag if d % m)
             line += f"; rank mod {m} {r}"

@@ -826,7 +826,8 @@ def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
 def _derive(weight: str, profile: FieldProfile, n_max: int, coeff: int,
             cones: Dict[str, tuple]) -> Dict[str, DerivedTable]:
     """Seed each cone, induct from its farthest column until ``n_max`` or the
-    first stop, and reduce mod 2 when ``coeff`` is 2.
+    first stop, keep the columns with |p| <= ``n_max``, and reduce mod 2
+    when ``coeff`` is 2.
 
     ``cones`` maps each cone to its seed columns (shift, {degree: group},
     trail), the axiom that zeroes a 2-torsion junction, the status recorded
@@ -846,6 +847,9 @@ def _derive(weight: str, profile: FieldProfile, n_max: int, coeff: int,
         while ok and abs(p) < n_max:
             ok, recorded = _advance(table, profile, p, step, zero_axiom, recorded)
             p += step
+        for p in [p for p in table.columns if abs(p) > n_max]:  # seeds past the depth
+            del table.columns[p]
+            del table.column_trails[p]
         tables[cone] = _apply_uct(table, profile) if coeff == 2 else table
     return tables
 

@@ -583,7 +583,10 @@ class TestPivotHeapInvariant:
     """Every entry of a live row keeps a heap candidate with its current |v|.
 
     The pivot search only sees entries through the heap, so an entry without
-    such a candidate could never become a pivot.
+    such a candidate could never become a pivot.  The heap is built by
+    ``run`` after the collapse of free faces, so the first check runs when it
+    is built (then every candidate's cost is exact) and the next after every
+    row and column operation and negation from then on.
     """
 
     def test_after_every_row_and_column_operation(self, rng, monkeypatch):
@@ -594,27 +597,176 @@ class TestPivotHeapInvariant:
             return [(i, j, v) for i in red.live_rows for j, v in red.rows[i].items()
                     if (abs(v), i, j) not in candidates]
 
-        violations, calls = [], [0]
+        def inexact(red) -> list:
+            return [(a, cost, i, j) for a, cost, i, j in red.heap
+                    if i not in red.live_rows or abs(red.rows[i].get(j, 0)) != a
+                    or cost != (len(red.rows[i]) - 1) * (len(red.colnz[j]) - 1)]
+
+        violations, calls, built = [], [0], set()  # the reductions whose heap exists
 
         def checked(name):
             operation = getattr(abgrp._Reduction, name)
 
             def wrapper(red, *args):
                 operation(red, *args)
+                if name == "_build_heap":
+                    built.add(red)
+                    violations.extend(("inexact",) + v for v in inexact(red))
+                elif red not in built:
+                    return  # a collapse, before any heap exists
                 calls[0] += 1
                 violations.extend((name,) + v for v in missing(red))
             monkeypatch.setattr(abgrp._Reduction, name, wrapper)
 
-        for name in ("_row_axpy", "_col_axpy", "_negate_row"):
+        for name in ("_build_heap", "_row_axpy", "_col_axpy", "_negate_row"):
             checked(name)
-        for _ in range(60):
+        for t in range(80):
             r, c = rng.randint(1, 9), rng.randint(1, 9)
-            a = IntegerMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)])
+            if t % 4:
+                a = IntegerMatrix.from_rows([[rng.randint(-6, 6) for _ in range(c)]
+                                             for _ in range(r)])
+            else:
+                a = collapse_heavy(rng, 3 * r, 3 * c)
             red = abgrp._Reduction(a)
-            assert not missing(red)
             red.run()
+            assert red in built
             assert sorted(abs(p) for _, _, p in red.pivots) == snf_diagonal(a)
         assert calls[0] > 500 and violations == []
+
+
+def collapse_heavy(rng: random.Random, rows: int, cols: int, lone: float = 0.3) -> IntegerMatrix:
+    """Sparse rows, about ``lone`` of them a single +-1 and the rest two to
+    four entries, mostly +-1: each free face taken leaves rows with one
+    entry fewer, so the collapse cascades."""
+    out = []
+    for _ in range(rows):
+        if rng.random() < lone:
+            out.append({rng.randrange(cols): rng.choice((1, -1))})
+        else:
+            picked = rng.sample(range(cols), min(cols, rng.randint(2, 4)))
+            out.append({j: rng.choice((1, -1, 1, -1, 2, -2, 3)) for j in picked})
+    return IntegerMatrix.from_row_dicts(out, cols)
+
+
+def is_lone_unit(row: dict) -> bool:
+    return len(row) == 1 and next(iter(row.values())) in (1, -1)
+
+
+def replay_collapse(a: IntegerMatrix) -> abgrp._Reduction:
+    """Run the collapse of a reduction of A and replay its log on a copy of A.
+
+    Before each collapse pivot (i, j), row i of the copy must be a lone +-1
+    at column j, and i the smallest live row that is one; the pivot's
+    logged operations must leave column j empty but for row i = {j: 1}.
+    After the collapse no live row may be a lone +-1.
+    """
+    red = abgrp._Reduction(a)
+    red._collapse()
+    rows, live = [{} for _ in range(a.rows)], set(range(a.rows))
+    for (i, j), v in a.items():
+        rows[i][j] = v
+    ops = iter(red.row_ops)
+    op = next(ops, None)
+    assert red.collapses == len(red.pivots)
+    for i, j, d in red.pivots:
+        assert d == 1 and set(rows[i]) == {j} and is_lone_unit(rows[i]), (i, j, rows[i])
+        assert i == min(k for k in live if is_lone_unit(rows[k])), i
+        while op is not None and op[1] == i:
+            k, _, q = op
+            if k == i:
+                rows[i] = {c: -v for c, v in rows[i].items()}
+            else:
+                for c, v in rows[i].items():
+                    s = rows[k].get(c, 0) - q * v
+                    if s:
+                        rows[k][c] = s
+                    else:
+                        rows[k].pop(c, None)
+            op = next(ops, None)
+        live.discard(i)
+        assert rows[i] == {j: 1} and not any(j in rows[k] for k in live), (i, j)
+    assert op is None and live == red.live_rows
+    assert all(rows[k] == red.rows[k] for k in live)
+    assert not [k for k in live if is_lone_unit(rows[k])]
+    return red
+
+
+class TestCollapse:
+    """The free faces that ``run`` takes before it builds its heap."""
+
+    def test_collapse_pivots_are_lone_units_in_ascending_row_order(self, rng):
+        taken = 0
+        for size in (5, 20, 60, 200):
+            for _ in range(6):
+                red = replay_collapse(collapse_heavy(rng, size, size + rng.randint(-3, 10)))
+                taken += red.collapses
+        assert taken > 500
+
+    def test_no_live_row_is_a_lone_unit_after_the_collapse(self):
+        # a cascade: each free face leaves the row below it a lone +-1
+        n = 40
+        rows = [{0: -1}] + [{k - 1: 1, k: (-1) ** k} for k in range(1, n)]
+        red = replay_collapse(IntegerMatrix.from_row_dicts(rows, n))
+        assert red.collapses == n and not red.live_rows
+        assert [i for i, _, _ in red.pivots] == list(range(n))
+        # a lone 2 is no free face, and neither is a row that is left with one
+        red = replay_collapse(IntegerMatrix.from_rows([[2, 0, 0], [1, 1, 0], [0, 1, 1]]))
+        assert red.collapses == 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_diagonal_and_transforms_against_rank_oracles(self, seed):
+        rng = random.Random(20261019 + seed)
+        rows, cols = rng.randint(150, 450), rng.randint(200, 600)
+        a = collapse_heavy(rng, rows, cols)
+        red = replay_collapse(a)
+        assert red.collapses > rows // 4
+        red = abgrp._reduce(a)
+        diag = [d for _, _, d in red.pivots]
+        assert red.matrix_u() @ a @ red.matrix_v() == red.matrix_d()
+        assert_transforms(red, rng, seed)
+        assert all(d > 0 for d in diag)
+        assert sorted(diag) == snf_diagonal(a)
+        for ell in (2, 3, 5):
+            assert sum(1 for d in diag if d % ell) == rank_mod_oracle(a, ell), ell
+        assert len(diag) == rank_mod_oracle(a, 1_000_003)
+
+    def test_known_smith_form_with_free_faces(self):
+        # A = P @ D @ Q with sparse unimodular P and Q: the rows of Q that no
+        # operation touched make every row of A above a 1 of D a free face
+        rng = random.Random(20261019)
+        m, n = 300, 420
+        diagonal = [1] * 200 + [2] * 50 + [6] * 20 + [0] * 30
+        a = (sparse_unimodular(rng, m, m) @ IntegerMatrix.from_diagonal(diagonal, m, n)
+             @ sparse_unimodular(rng, n, n))
+        red = abgrp._reduce(a)
+        assert red.collapses > 50
+        assert [d for _, _, d in red.pivots][:red.collapses] == [1] * red.collapses
+        assert snf_diagonal(a) == [d for d in diagonal if d]
+        assert red.matrix_u() @ a @ red.matrix_v() == red.matrix_d()
+        assert_transforms(red, rng)
+
+    def test_small_cases_against_sympy(self, rng):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        from sympy.polys.domains import ZZ
+        for _ in range(40):
+            a = collapse_heavy(rng, rng.randint(1, 7), rng.randint(1, 7), lone=0.4)
+            d = sympy_snf(sympy.Matrix(a.to_rows()), domain=ZZ)
+            expected = [abs(int(d[k, k])) for k in range(min(d.shape)) if d[k, k]]
+            assert snf_diagonal(a) == expected, a
+            assert_snf_contract(a)
+
+    def test_fill_of_the_morse_maps(self):
+        # taking the free faces in ascending row order keeps f sparse: 553
+        # nonzeros over the sweep of the fixed complex at shift 9, where a
+        # stack of lone rows (last pushed, first taken) gives 2,459
+        from bredon.sigmacx import FIXED, SigmaSpec, build_sigma_complex
+        c = build_sigma_complex(SigmaSpec(9, FIXED))
+        lo, hi = c.support()
+        swept = c._record().sweep(hi - lo)
+        assert sum(f.nnz() for f in swept.f) <= 600
+        assert all(0 <= faces <= units for faces, units in zip(swept.faces, swept.units))
+        assert sum(swept.faces) > 0.75 * sum(swept.units)
 
 
 def torsion_count(orders, d: int) -> int:

@@ -42,13 +42,13 @@ def test_weight0_explain_names_ranks_model_and_diagonals(capsys):
     assert ("complex: ranks -8:128 -7:512 -6:896 -5:896 -4:560 -3:224 -2:56 -1:8 0:1 "
             "(total 3281)") in lines
     assert "Morse model: ranks " + " ".join(f"{d}:1" for d in range(-8, 1)) + " (total 9)" in lines
-    assert "d_in = d^-1 (1x8): Smith diagonal 2 x 1; 0 unit pivots" in lines
-    assert "d_out = d^0 (0x1): Smith diagonal empty; 0 unit pivots" in lines
+    assert "d_in = d^-1 (1x8): Smith diagonal 2 x 1; 0 unit pivots (0 free faces)" in lines
+    assert "d_out = d^0 (0x1): Smith diagonal empty; 0 unit pivots (0 free faces)" in lines
     assert lines[-1].startswith("provenance: computed")
     code, out = run(capsys, "weight0", "--a", "-3", "--p", "8", "--coeff", "2", "--explain")
     assert code == 0 and out.startswith("Z/2\n")
-    assert "d_out = d^-3 (56x224): Smith diagonal 1 x 48, 2 x 1; 48 unit pivots; rank mod 2 48" \
-        in out.split("\n")
+    assert ("d_out = d^-3 (56x224): Smith diagonal 1 x 48, 2 x 1; 48 unit pivots "
+            "(45 free faces); rank mod 2 48") in out.split("\n")
 
 
 def test_weight0_explain_bad_shift_is_one_line_exit_two(capsys):
@@ -79,6 +79,16 @@ def test_derive_trace(capsys):
                     "--n-max", "3", "--trace")
     assert code == 0
     assert "A-comp" in out and "P-prop" in out
+
+
+def test_derive_prints_no_column_past_the_depth(capsys):
+    for weight in ("1", "sigma"):
+        for n_max in (0, 1):
+            code, out = run(capsys, "derive", "--weight", weight, "--profile", "qclosed",
+                            "--n-max", str(n_max))
+            shifts = {int(line.split("p=")[1].split(")")[0])
+                      for line in out.splitlines() if "p=" in line}
+            assert code == 0 and shifts and max(map(abs, shifts)) <= n_max, (weight, n_max)
 
 
 def test_derive_reports_findings(capsys):

@@ -265,16 +265,17 @@ class TestInductionDriver:
         calls = self._count_calls(monkeypatch)
         tables = derive_weight1(EU, n_max)
         assert calls == {"advance": 0, "solve_window": 0}
-        assert tables["positive"].derived_shifts() == [0, 1]
-        assert tables["negative"].derived_shifts() == [-1, 0]
-        assert column(tables["negative"], -1) == {}
+        assert tables["positive"].derived_shifts() == list(range(n_max + 1))
+        assert tables["negative"].derived_shifts() == list(range(-n_max, 1))
+        if n_max:
+            assert column(tables["negative"], -1) == {}
         assert all(not t.notes for t in tables.values())
 
     def test_weight_sigma_depth_zero_skips_the_base_window(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         tables = derive_weight_sigma(EU, 0)
         assert calls == {"advance": 0, "solve_window": 0}
-        assert tables["positive"].derived_shifts() == [0, 1, 2]
+        assert tables["positive"].derived_shifts() == [0]
         assert tables["negative"].derived_shifts() == [0]
         assert all(not t.notes for t in tables.values())
 
@@ -286,6 +287,22 @@ class TestInductionDriver:
         entry = tables["negative"].entry(2, -1)
         assert entry.group == normalize(fg(KMODSQ), EU)
         assert entry.trail == ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES")
+
+    @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+    @pytest.mark.parametrize("n_max", [0, 1])
+    @pytest.mark.parametrize("coeff", [0, 2])
+    def test_no_column_past_the_depth(self, derive, n_max, coeff):
+        # the seeds reach p = 2, so a shallow derivation used to return them all
+        for profile in (EU, QC, FR):
+            tables = derive(profile, n_max, coeff=coeff)
+            for cone, sign in (("positive", 1), ("negative", -1)):
+                table = tables[cone]
+                assert table.n_max == n_max
+                assert all(abs(p) <= n_max for p in table.derived_shifts()), (cone, profile)
+                assert all(abs(p) <= n_max for p in table.column_trails), (cone, profile)
+                assert 0 in table.derived_shifts()
+                if n_max and not table.notes:
+                    assert sign * n_max in table.derived_shifts(), (cone, profile)
 
     def test_failed_base_window_leaves_the_negative_cone_at_its_seed(self, monkeypatch):
         steps = []
