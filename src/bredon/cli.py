@@ -135,8 +135,6 @@ def _dispatch(args) -> int:
             print(f"# weight {args.weight}, {cone} cone, profile {profile.name}, "
                   f"coeff {'Z' if args.coeff == 0 else 'Z/2'}")
             for p in table.derived_shifts():
-                if (p > 0 and cone == "negative") or (p < 0 and cone == "positive"):
-                    continue
                 entries = table.columns.get(p, {})
                 for a in sorted(entries):
                     e = entries[a]

@@ -212,7 +212,10 @@ PROFILE_ALIASES = {
 }
 
 
-def get_profile(name: str) -> FieldProfile:
+def get_profile(name) -> FieldProfile:
+    """The profile of a name or alias; a ``FieldProfile`` is returned unchanged."""
+    if isinstance(name, FieldProfile):
+        return name
     key = PROFILE_ALIASES.get(name, name)
     if key not in PROFILES:
         raise ValueError(f"unknown field profile {name!r}")
@@ -332,8 +335,7 @@ def universal_coeff(h_a: FormalGroup, h_a_plus_1: FormalGroup,
     >>> print(universal_coeff(FormalGroup.of(Z2), FormalGroup.of(KMODSQ), PROFILES["general"]))
     Z/2 (+) k*/k*2
     """
-    return normalize(tensor_Z2(h_a, profile).direct_sum(two_torsion(h_a_plus_1, profile)),
-                     profile)
+    return tensor_Z2(h_a, profile).direct_sum(two_torsion(h_a_plus_1, profile))
 
 
 # ---------------------------------------------------------------------------
@@ -475,8 +477,8 @@ class WindowNode:
 class WindowArrow:
     """An arrow with optional tags.
 
-    Tags: ``zero``, ``iso``, ``inj``, ``surj``, ``mult2:Z``, ``mult2:Z2``,
-    ``mult2:Kstar``, ``incl-ksq``, and ``axiom:<id>`` provenance markers.
+    Tags: ``zero``, ``mult2:Z``, ``mult2:Kstar``, ``incl-ksq``, and
+    ``axiom:<id>`` provenance markers.
     """
 
     tags: Tuple[str, ...] = ()
@@ -525,13 +527,14 @@ _MULT2_TABLE = {
     "mult2:Kstar": (FormalGroup.of(TORS2K), FormalGroup.of(KSQ), FormalGroup.of(KMODSQ),
                     FormalGroup.of(KSTAR)),
     "mult2:Z": (ZERO_FG, FormalGroup.of(ZA), FormalGroup.of(Z2), FormalGroup.of(ZA)),
-    "mult2:Z2": (FormalGroup.of(Z2), ZERO_FG, FormalGroup.of(Z2), FormalGroup.of(Z2)),
 }
 
 
 def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
     """Propagate exactness and tags to a fixed point; never guess.
 
+    Groups are normalized once, when they enter: node groups as the window is
+    copied in, a tag's slot values as it is applied.  Later steps trust them.
     A window still changing after ``_MAX_PASSES`` passes is reported as a
     contradiction that names it.
 
@@ -539,22 +542,19 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
     >>> print(solve_window(w, PROFILES["general"]).values["X"])
     0
     """
-    nodes = [replace(n) for n in window.nodes]
+    nodes = [replace(n, group=None if n.group is None else normalize(n.group, profile))
+             for n in window.nodes]
     arrows = [replace(a) for a in window.arrows]
     contradictions: List[str] = []
     trails: Dict[str, Tuple[str, ...]] = {}
 
-    def norm(g: FormalGroup) -> FormalGroup:
-        return normalize(g, profile)
-
     def set_node(k: int, value: FormalGroup, why: Tuple[str, ...]):
-        value = norm(value)
         if nodes[k].group is None:
             nodes[k].group = value
             trails[nodes[k].label] = why
-        elif norm(nodes[k].group) != value:
+        elif nodes[k].group != value:
             contradictions.append(
-                f"node {nodes[k].label} forced to {value} but holds {norm(nodes[k].group)}")
+                f"node {nodes[k].label} forced to {value} but holds {nodes[k].group}")
 
     def merge_slot(k: int, current, incoming, why: Tuple[str, ...]):
         """Merge a kernel/image slot at node k; returns the merged value."""
@@ -565,36 +565,29 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         if FULL in (current, incoming):
             # FULL meets a value: the node must BE that value
             other = incoming if current == FULL else current
-            set_node(k, other if isinstance(other, FormalGroup) else ZERO_FG, why)
+            set_node(k, other, why)
             return other
-        a, b = norm(current), norm(incoming)
-        if a != b:
-            contradictions.append(
-                f"exactness at {nodes[k].label}: image {a} differs from kernel {b}")
-        return a
+        contradictions.append(
+            f"exactness at {nodes[k].label}: image {current} differs from kernel {incoming}")
+        return current
 
     # apply the declared tags once
     for idx, ar in enumerate(arrows):
         for tag in ar.tags:
             if tag == "zero":
                 ar.kernel, ar.image = FULL, ZERO_FG
-            elif tag == "iso":
-                ar.kernel, ar.image = ZERO_FG, FULL
-            elif tag == "inj":
-                ar.kernel = ZERO_FG
-            elif tag == "surj":
-                ar.image = FULL
             elif tag in _MULT2_TABLE:
-                ker, img, cok, on = _MULT2_TABLE[tag]
+                ker, img, cok, on = (normalize(g, profile) for g in _MULT2_TABLE[tag])
                 ar.kernel, ar.image, ar.cokernel = ker, img, cok
                 for k in (idx, idx + 1):
                     g = nodes[k].group
-                    if g is not None and norm(g) != norm(on):
+                    if g is not None and g != on:
                         contradictions.append(
-                            f"{tag} arrow at {nodes[k].label} expects {norm(on)}, found {norm(g)}")
+                            f"{tag} arrow at {nodes[k].label} expects {on}, found {g}")
             elif tag == "incl-ksq":
                 ar.kernel, ar.image, ar.cokernel = (
-                    ZERO_FG, FormalGroup.of(KSQ), FormalGroup.of(KMODSQ))
+                    ZERO_FG, normalize(FormalGroup.of(KSQ), profile),
+                    normalize(FormalGroup.of(KMODSQ), profile))
             elif tag.startswith("axiom:"):
                 ar.trail = ar.trail + (tag.split(":", 1)[1],)
             else:
@@ -612,7 +605,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         # zero nodes kill their arrows: a map into 0 has full kernel and zero
         # image, a map out of 0 likewise
         for k, node in enumerate(nodes):
-            if node.group is not None and norm(node.group).is_zero():
+            if node.group is not None and node.group.is_zero():
                 for idx in (k - 1, k):
                     if 0 <= idx < len(arrows):
                         arrows[idx].kernel, arrows[idx].image = FULL, ZERO_FG
@@ -645,10 +638,6 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
                 prev = arrows[k - 2]
                 if prev.cokernel is not None:
                     set_node(k, prev.cokernel, prev.trail + inc.trail + ("LES",))
-                    continue
-                if inc.kernel == ZERO_FG and nodes[k - 1].group is not None:
-                    set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
-                    continue
         if state() == before:
             break
     else:
@@ -656,15 +645,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
             f"window {' -> '.join(n.label for n in nodes)}: no fixed point "
             f"after {_MAX_PASSES} passes")
 
-    # post-fixpoint validation of fully known five-term shapes
-    for k in range(1, len(nodes) - 1):
-        f, g = arrows[k - 1], arrows[k]
-        if f.image == ZERO_FG and g.kernel == FULL and nodes[k].group is not None:
-            if not norm(nodes[k].group).is_zero():
-                contradictions.append(
-                    f"zero flanks force {nodes[k].label} = 0, found {norm(nodes[k].group)}")
-
-    values = {n.label: norm(n.group) for n in nodes if n.group is not None}
+    values = {n.label: n.group for n in nodes if n.group is not None}
     unresolved = [n.label for n in nodes if n.group is None]
     return WindowSolution(values, unresolved, contradictions, arrows, trails)
 
@@ -725,16 +706,15 @@ def _is_two_torsion(g: FormalGroup) -> bool:
 def _junction_tags(junction: FormalGroup, recorded: Optional[str],
                    zero_axiom: str, profile: FieldProfile,
                    notes: List[str], where: str) -> Optional[Tuple[str, ...]]:
-    """Choose the tag set for the arrow meeting the units column."""
+    """Choose the tag set for the arrow meeting the units column (a normal table entry)."""
     if junction.is_zero():
         return ()
     if recorded == "iso":
-        jn = normalize(junction, profile)
-        if jn == normalize(_UNITS, profile) or jn == _UNITS:
+        if junction == _UNITS:
             return ("axiom:A-comp", "axiom:A-delta-sq", "mult2:Kstar")
-        notes.append(f"{where}: recorded isomorphism but junction {jn} is not the units")
+        notes.append(f"{where}: recorded isomorphism but junction {junction} is not the units")
         return None
-    if _is_two_torsion(normalize(junction, profile)):
+    if _is_two_torsion(junction):
         ax = AXIOMS[zero_axiom]
         if ax.admits(profile):
             return (f"axiom:{zero_axiom}", "zero")
@@ -788,9 +768,8 @@ def _advance(table: DerivedTable, profile: FieldProfile, p: int, step: int,
         table.set(a, new_p, sol.values[f"B({a},{new_p})"],
                   tuple(dict.fromkeys(feeders + window_axioms + ("LES",))))
     # the rest of the column transports along isomorphisms (zero flanks)
-    for a in range(-table.n_max - 2, table.n_max + 4):
-        src = table.entry(a, p)
-        if a not in (lo, hi) and src.group is not None:
+    for a, src in sorted(table.columns[p].items()):
+        if a not in (lo, hi):
             table.set(a, new_p, src.group, tuple(dict.fromkeys(src.trail + ("LES",))))
     table.column_trails[new_p] = tuple(dict.fromkeys(table.column_trails.get(p, ()) + ("LES",)))
     other = sol.arrows[2 if positive else 3]
@@ -802,15 +781,12 @@ def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
                        notes=list(table.notes))
     for p in table.derived_shifts():
         out.column_trails[p] = tuple(dict.fromkeys(table.column_trails.get(p, ()) + ("UCT",)))
-        out.columns.setdefault(p, {})
-        col = table.columns.get(p, {})
+        out.columns[p] = {}
+        col = table.columns[p]
         degrees = set(col) | {a - 1 for a in col}
         for a in sorted(degrees):
             lo = table.entry(a, p)
             hi = table.entry(a + 1, p)
-            if lo.group is None or hi.group is None:
-                out.columns[p][a] = TableEntry(None, (), "integral entry unresolved")
-                continue
             try:
                 val = universal_coeff(lo.group, hi.group, profile)
             except FormalRuleError as exc:
@@ -861,8 +837,7 @@ def derive_weight1(profile: FieldProfile, n_max: int, coeff: int = 0) -> Dict[st
     negative cone also admits formally real fields.  Entries carry axiom
     trails; obstructions are reported in the table notes instead of raised.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
+    profile = get_profile(profile)
     units = (0, {1: _UNITS}, ("P-motivic",))
     return _derive("1", profile, n_max, coeff, {
         "positive": ([units, (1, {0: FormalGroup.of(Z2), 1: FormalGroup.of(KMODSQ)},
@@ -878,15 +853,14 @@ def derive_weight_sigma(profile: FieldProfile, n_max: int, coeff: int = 0) -> Di
     squares-of-units identification at shift 0; the negative cone starts from
     a window whose restriction arrow is the inclusion of the squares.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
+    profile = get_profile(profile)
     squares = (0, {1: FormalGroup.of(KSQ)}, ("P-sigma", "A-delta-sq"))
     negative, notes = [squares], []
     if n_max >= 1:
         base = LesWindow.build([
             ("M0", ZERO_FG), (),
             ("B(1,-1)", ZERO_FG), (),
-            ("B(1,0)", normalize(FormalGroup.of(KSQ), profile)),
+            ("B(1,0)", FormalGroup.of(KSQ)),
             ("axiom:A-diag", "axiom:A-delta-sq", "incl-ksq"),
             ("M1", _UNITS), (),
             ("B(2,-1)", None), (),

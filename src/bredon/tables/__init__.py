@@ -207,12 +207,6 @@ def parse_formal_group(text: str) -> FormalGroup:
     return FormalGroup(tuple(atoms))
 
 
-def render_group(g) -> str:
-    if isinstance(g, (FgAbelianGroup, FormalGroup, ConditionalGroup)):
-        return g.render()
-    raise TypeError(f"cannot render {g!r}")
-
-
 # ---------------------------------------------------------------------------
 # Fixture tables
 # ---------------------------------------------------------------------------
@@ -343,33 +337,42 @@ def fixture_dir() -> str:
     return os.environ.get(FIXTURE_ENV, _DEFAULT_DIR)
 
 
-def _read_fixture(path: str) -> dict:
+def _read_fixture(key: Tuple[str, str], build):
+    """``build`` applied to the data of the fixture file ``key``; each fault names the file."""
+    path = os.path.join(*key)
     try:
         with open(path) as f:
-            return json.load(f)
+            return build(json.load(f))
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror} "
                            f"(the directory comes from {FIXTURE_ENV} when it is set)") from exc
+    except json.JSONDecodeError as exc:
+        raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from None
+    except KeyError as exc:
+        raise FixtureError(f"fixture {path} lacks the key {exc.args[0]!r}") from None
 
 
 def load_table(name: str) -> FixtureTable:
     key = (fixture_dir(), name)
     table = _CACHE.get(key)
     if table is None:
-        table = _CACHE[key] = FixtureTable(_read_fixture(os.path.join(*key)))
+        table = _CACHE[key] = _read_fixture(key, FixtureTable)
     return table
+
+
+def _cells(data: dict) -> list:
+    for cell in data["cells"]:
+        if not cell.get("source", "").strip():
+            raise FixtureError(f"{data['table']}: cell lacks a source note")
+    # a cell without one of these keys raises KeyError here, not in a suite
+    return [{k: cell[k] for k in ("weight", "a", "p", "coeff", "group", "source")}
+            for cell in data["cells"]]
 
 
 def load_cells(name: str) -> list:
     key = (fixture_dir(), name)
     if key not in _CELL_CACHE:
-        data = _read_fixture(os.path.join(*key))
-        cells = []
-        for cell in data["cells"]:
-            if not cell.get("source", "").strip():
-                raise FixtureError(f"{data['table']}: cell lacks a source note")
-            cells.append(dict(cell))
-        _CELL_CACHE[key] = cells
+        _CELL_CACHE[key] = _read_fixture(key, _cells)
     return _CELL_CACHE[key]
 
 
@@ -409,8 +412,7 @@ def bredon_point_closed_form(a: int, p: int, coeff: int = 0) -> FgAbelianGroup:
     >>> print(bredon_point_closed_form(0, 0))
     Z
     """
-    value, _ = _table("point", coeff).lookup(a, p)
-    return value
+    return _table("point", coeff).lookup(a, p)[0]
 
 
 def weight0_closed_form(a: int, p: int, coeff: int = 0) -> FgAbelianGroup:
@@ -423,8 +425,7 @@ def weight0_closed_form(a: int, p: int, coeff: int = 0) -> FgAbelianGroup:
     >>> print(weight0_closed_form(2, -2, coeff=2))
     Z/2
     """
-    value, _ = _table("0", coeff).lookup(a, p)
-    return value
+    return _table("0", coeff).lookup(a, p)[0]
 
 
 def weight1_closed_form(a: int, p: int, coeff: int = 0,
@@ -437,10 +438,7 @@ def weight1_closed_form(a: int, p: int, coeff: int = 0,
     >>> print(weight1_closed_form(0, 1, profile="general"))
     Z/2
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
-    value, _ = _table("1", coeff).lookup(a, p, profile)
-    return value
+    return _table("1", coeff).lookup(a, p, get_profile(profile))[0]
 
 
 def weight_sigma_closed_form(a: int, p: int, coeff: int = 0,
@@ -450,10 +448,7 @@ def weight_sigma_closed_form(a: int, p: int, coeff: int = 0,
     >>> print(weight_sigma_closed_form(1, 0, profile="general"))
     k*2
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
-    value, _ = _table("sigma", coeff).lookup(a, p, profile)
-    return value
+    return _table("sigma", coeff).lookup(a, p, get_profile(profile))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +516,7 @@ def grid_cells(spec: GridSpec) -> List[dict]:
             cells.append({
                 "a": a, "p": p, "weight": spec.weight, "coeff": coeff_str,
                 "group": group.to_json() if group is not None else None,
-                "rendered": render_group(group) if group is not None else "?",
+                "rendered": group.render() if group is not None else "?",
                 "source": spec.source,
                 "citation": citation,
             })

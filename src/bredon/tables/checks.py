@@ -16,14 +16,12 @@ from ..formal import (
     FormalGroup,
     derive_weight1,
     derive_weight_sigma,
-    get_profile,
 )
 from . import (
     ALL_TABLE_FILES,
     bredon_point_closed_form,
     load_cells,
     load_table,
-    render_group,
     weight0_closed_form,
     weight1_closed_form,
     weight_sigma_closed_form,
@@ -53,8 +51,8 @@ class CheckReport:
         return [c for c in self.cells if not c.ok]
 
     def add(self, key: str, got, expected, citation: str = ""):
-        got_s = got if isinstance(got, str) else render_group(got)
-        exp_s = expected if isinstance(expected, str) else render_group(expected)
+        got_s = got if isinstance(got, str) else got.render()
+        exp_s = expected if isinstance(expected, str) else expected.render()
         self.cells.append(CellResult(key, got_s == exp_s, got_s, exp_s, citation))
 
     def add_flag(self, key: str, ok: bool, detail: str = "", citation: str = ""):
@@ -165,14 +163,12 @@ def check_cone_tower(p_max: int = 7, **_) -> CheckReport:
 
 def _compare_derived(report: CheckReport, weight: str, profile_name: str,
                      n_max: int, coeff: int, cones: tuple):
-    profile = get_profile(profile_name)
     deriver = derive_weight1 if weight == "1" else derive_weight_sigma
     closed = weight1_closed_form if weight == "1" else weight_sigma_closed_form
-    tables = deriver(profile, n_max, coeff=coeff)
+    tables = deriver(profile_name, n_max, coeff=coeff)
     for cone in cones:
         table = tables[cone]
-        shifts = [p for p in table.derived_shifts()
-                  if (p >= 0 if cone == "positive" else p <= 0)]
+        shifts = table.derived_shifts()
         farthest = max(shifts, key=abs, default=None)
         if farthest is None or abs(farthest) < n_max:
             report.add_flag(f"{weight}/{profile_name}/{cone}: columns", False,
@@ -186,13 +182,13 @@ def _compare_derived(report: CheckReport, weight: str, profile_name: str,
                     report.add_flag(f"{weight}/{profile_name} (a={a}, p={p})", False,
                                     entry.note)
                     continue
-                expected = closed(a, p, coeff=coeff, profile=profile)
+                expected = closed(a, p, coeff=coeff, profile=profile_name)
                 ok = entry.group == expected
                 if not entry.group.is_zero() and not entry.trail:
                     ok = False
                 report.cells.append(CellResult(
                     f"{weight}/{profile_name} coeff={coeff} (a={a}, p={p})", ok,
-                    entry.group.render(), render_group(expected),
+                    entry.group.render(), expected.render(),
                     ", ".join(entry.trail)))
 
 
@@ -218,7 +214,7 @@ def check_weight_sigma_derived(n_max: int = 16, **_) -> CheckReport:
 def check_qclosed_coincidence(n_max: int = 16, **_) -> CheckReport:
     """Over a quadratically closed field the mod-2 tables collapse to the point table."""
     report = CheckReport("qclosed-coincidence")
-    profile = get_profile("quadratically_closed")
+    profile = "quadratically_closed"
     for weight, closed in (("1", weight1_closed_form), ("sigma", weight_sigma_closed_form)):
         for p in range(-n_max, n_max + 1):
             for a in range(-n_max - 2, n_max + 3):
@@ -252,11 +248,10 @@ def check_qclosed_coincidence(n_max: int = 16, **_) -> CheckReport:
 def check_corner_values(**_) -> CheckReport:
     """The four diagonal corner values, integrally and mod 2."""
     report = CheckReport("corner-values")
-    general = get_profile("general")
     for cell in load_cells("corner_values.json"):
         coeff = 0 if cell["coeff"] == "Z" else 2
         closed = weight1_closed_form if cell["weight"] == "1" else weight_sigma_closed_form
-        got = closed(cell["a"], cell["p"], coeff=coeff, profile=general)
+        got = closed(cell["a"], cell["p"], coeff=coeff)  # the general profile
         report.add(f"{cell['weight']} (a={cell['a']}, p={cell['p']}, {cell['coeff']})",
                    got, cell["group"], cell["source"])
     return report

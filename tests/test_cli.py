@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bredon import sigmacx
 from bredon.cli import main
 
@@ -91,6 +93,17 @@ def test_derive_prints_no_column_past_the_depth(capsys):
             assert code == 0 and shifts and max(map(abs, shifts)) <= n_max, (weight, n_max)
 
 
+def test_derive_prints_an_open_mod2_cell_and_its_rule(capsys):
+    code, out = run(capsys, "derive", "--weight", "sigma", "--profile", "general",
+                    "--coeff", "2")
+    lines = out.splitlines()
+    assert code == 0
+    # once in each cone
+    assert lines.count("  (a=+0, p=+0)  ?") == 2
+    assert lines.count("  note: mod-2 entry (a=0, p=0): 2-torsion of k*2 needs to know "
+                       "whether -1 is a square (general)") == 2
+
+
 def test_derive_reports_findings(capsys):
     code, out = run(capsys, "derive", "--weight", "1", "--profile", "freal",
                     "--n-max", "3")
@@ -104,17 +117,63 @@ def test_check_pass_exit_zero(capsys):
     assert out.count("PASS") == 2
 
 
-def use_edited_fixtures(tmp_path, monkeypatch, first_row):
-    """Point BREDON_FIXTURE_DIR at a copy whose first weight-0 row is updated."""
+def use_fixture_copy(tmp_path, monkeypatch, name, edit):
+    """Point BREDON_FIXTURE_DIR at a copy whose file ``name`` holds ``edit(its text)``."""
     from bredon.tables import fixture_dir
     src = fixture_dir()
-    for name in os.listdir(src):
-        shutil.copy(os.path.join(src, name), tmp_path / name)
-    path = tmp_path / "weight0_integral.json"
-    data = json.loads(path.read_text())
-    data["rows"][0].update(first_row)
-    path.write_text(json.dumps(data))
+    for each in os.listdir(src):
+        shutil.copy(os.path.join(src, each), tmp_path / each)
+    path = tmp_path / name
+    path.write_text(edit(path.read_text()))
     monkeypatch.setenv("BREDON_FIXTURE_DIR", str(tmp_path))
+    return path
+
+
+def use_edited_fixtures(tmp_path, monkeypatch, first_row):
+    """Point BREDON_FIXTURE_DIR at a copy whose first weight-0 row is updated."""
+    def edit(text):
+        data = json.loads(text)
+        data["rows"][0].update(first_row)
+        return json.dumps(data)
+    use_fixture_copy(tmp_path, monkeypatch, "weight0_integral.json", edit)
+
+
+def without(*keys):
+    """An edit that deletes the key at the end of the path ``keys`` from a fixture."""
+    def edit(text):
+        data = json.loads(text)
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return json.dumps(data)
+    return edit
+
+
+@pytest.mark.parametrize("name, keys", [
+    ("weight0_integral.json", ("rows", 0, "when")),
+    ("weight1_integral.json", ("kind",)),
+    ("weight_sigma_mod2.json", ("rows",)),
+    ("point_integral.json", ("rows", 0, "group")),
+    ("corner_values.json", ("cells", 0, "weight")),
+])
+def test_fixture_without_a_required_key_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
+                                                            name, keys):
+    path = use_fixture_copy(tmp_path, monkeypatch, name, without(*keys))
+    code = main(["check", "fixture-coverage", "corner-values"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"bredon: error: fixture {path} lacks the key {keys[-1]!r}\n"
+
+
+def test_fixture_that_is_not_json_is_one_line_exit_two(capsys, tmp_path, monkeypatch):
+    path = use_fixture_copy(tmp_path, monkeypatch, "weight0_integral.json",
+                            lambda text: text[:-40])
+    code = main(["grid", "--source", "fixture"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"bredon: error: fixture {path} is not valid JSON: ")
 
 
 def test_check_failure_exit_one(capsys, tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Profiles, coefficient functors, windows, and the table derivations."""
 
+import random
+
 import pytest
 
 from bredon import formal
@@ -158,6 +160,19 @@ class TestSolveWindow:
         sol = solve_window(w, GEN)
         assert not sol.ok
 
+    @pytest.mark.parametrize("tag", ["iso", "inj", "surj", "mult2:Z2"])
+    def test_tags_outside_the_vocabulary_raise(self, tag):
+        w = LesWindow.build([("A", fg(Z2)), (tag,), ("B", None)])
+        with pytest.raises(ValueError, match=f"unknown arrow tag '{tag}'"):
+            solve_window(w, GEN)
+
+    def test_image_and_kernel_that_differ_are_one_contradiction(self):
+        w = LesWindow.build([("A", fg(ZA)), ("mult2:Z",), ("B", fg(ZA)), ("incl-ksq",),
+                             ("C", None)])
+        sol = solve_window(w, GEN)
+        assert sol.contradictions == ["exactness at B: image Z differs from kernel 0"]
+        assert sol.unresolved == ["C"]
+
     def test_pass_cap_is_reported(self, monkeypatch):
         # the zero flanks settle X in the first pass; the second confirms it
         monkeypatch.setattr(formal, "_MAX_PASSES", 1)
@@ -180,6 +195,45 @@ class TestSolveWindow:
         for profile in (QC, EU, FR):
             derive(profile, 6, coeff)
         assert solutions and all(sol.ok for sol in solutions)
+
+
+class TestNormalizeOnce:
+    """Groups are normalized where they enter a window, and nowhere later."""
+
+    # unnormalized under some profile: k*2, k*2/k*4, k*/k*2 and _2k* all rewrite
+    GROUPS = [ZERO_FG, fg(ZA), fg(Z2), fg(KSTAR), fg(KSQ), fg(KMODSQ), fg(KSQMOD4),
+              fg(TORS2K), fg(KSQ, KSQMOD4), fg(KSTAR, KMODSQ), fg(ZA, TORS2K)]
+    TAGS = [(), (), ("zero",), ("mult2:Kstar",), ("mult2:Z",), ("incl-ksq",),
+            ("axiom:A-comp", "axiom:A-delta-sq", "mult2:Kstar"), ("axiom:A-alpha", "zero"),
+            ("axiom:A-diag", "incl-ksq")]
+
+    @staticmethod
+    def window(groups, tags):
+        spec = [("N0", groups[0])]
+        for i, (tag, g) in enumerate(zip(tags, groups[1:]), 1):
+            spec += [tag, (f"N{i}", g)]
+        return LesWindow.build(spec)
+
+    @pytest.mark.parametrize("profile", list(PROFILES.values()), ids=list(PROFILES))
+    def test_unnormalized_windows_solve_like_their_normal_forms(self, profile):
+        rng = random.Random(20)
+        resolved = solved = 0
+        for _ in range(500):
+            # half the nodes unknown, each end zero half the time
+            groups = [rng.choice(self.GROUPS) if rng.random() < 0.5 else None
+                      for _ in range(rng.randint(3, 7))]
+            for end in (0, -1):
+                groups[end] = ZERO_FG if rng.random() < 0.5 else groups[end]
+            tags = [rng.choice(self.TAGS) for _ in groups[1:]]
+            normal = [g if g is None else normalize(g, profile) for g in groups]
+            raw = solve_window(self.window(groups, tags), profile)
+            pre = solve_window(self.window(normal, tags), profile)
+            assert (raw.values, raw.unresolved, raw.contradictions, raw.trails) == \
+                (pre.values, pre.unresolved, pre.contradictions, pre.trails), (groups, tags)
+            resolved += len(raw.trails)
+            solved += raw.ok
+        # every rule of the solver fires on these windows, most of them many times
+        assert resolved > 400 and solved > 50
 
 
 def column(table, p, lo=-12, hi=14):
@@ -303,6 +357,26 @@ class TestInductionDriver:
                 assert 0 in table.derived_shifts()
                 if n_max and not table.notes:
                     assert sign * n_max in table.derived_shifts(), (cone, profile)
+
+    @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+    @pytest.mark.parametrize("coeff", [0, 2])
+    def test_each_cone_holds_only_columns_of_its_sign(self, derive, coeff):
+        # the front ends print and compare every column of a cone unfiltered
+        for profile in PROFILES.values():
+            for n_max in range(20):
+                tables = derive(profile, n_max, coeff)
+                for cone, sign in (("positive", 1), ("negative", -1)):
+                    assert all(sign * p >= 0 for p in tables[cone].columns), (cone, n_max)
+                    assert all(sign * p >= 0 for p in tables[cone].column_trails)
+
+    @pytest.mark.parametrize("n_max", [0, 1, 8])
+    def test_mod2_rule_error_leaves_its_cell_open_in_both_cones(self, n_max):
+        rule = "2-torsion of k*2 needs to know whether -1 is a square (general)"
+        tables = derive_weight_sigma("general", n_max, coeff=2)
+        for table in tables.values():
+            entry = table.columns[0][0]
+            assert entry.group is None and entry.note == rule
+            assert f"mod-2 entry (a=0, p=0): {rule}" in table.notes
 
     def test_failed_base_window_leaves_the_negative_cone_at_its_seed(self, monkeypatch):
         steps = []
