@@ -8,8 +8,8 @@ Subpackages:
   representation and the weight-0 computation engine;
 * ``formal``  -- formal groups under field profiles and the exact-sequence
   deduction engine deriving the weight-1 and sign-weight tables;
-* ``tables``  -- closed-form fixtures, reductions, comparison suites,
-  rendering and export;
+* ``tables``  -- closed-form fixtures, comparison suites, rendering and
+  export;
 * ``cli``     -- the command-line interface.
 """
 

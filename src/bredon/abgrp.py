@@ -79,12 +79,6 @@ class IntegerMatrix:
         return cls._adopt([{j: int(v) for j, v in enumerate(row) if v} for row in rows], c)
 
     @classmethod
-    def from_flat(cls, rows: int, cols: int, entries: Sequence[int]) -> "IntegerMatrix":
-        if len(entries) != rows * cols:
-            raise ValueError("entry count must be rows*cols")
-        return cls.from_rows([entries[i * cols:(i + 1) * cols] for i in range(rows)], cols)
-
-    @classmethod
     def from_entries(cls, rows: int, cols: int, entries: dict) -> "IntegerMatrix":
         return cls(rows, cols, entries)
 
@@ -120,14 +114,6 @@ class IntegerMatrix:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.items():
             out[i][j] = v
-        return out
-
-    @property
-    def entries(self) -> list:
-        """Row-major flat entry list (materializes zeros; use on small matrices)."""
-        out = [0] * (self.rows * self.cols)
-        for (i, j), v in self.items():
-            out[i * self.cols + j] = v
         return out
 
     def items(self):
@@ -651,33 +637,6 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix._adopt(y, b.cols)
 
 
-def determinant(a: IntegerMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    if a.rows != a.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = a.rows
-    if n == 0:
-        return 1
-    m = a.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin for the word-sized moduli used here."""
     if n < 2:
@@ -844,10 +803,6 @@ class FgAbelianGroup:
 
     def to_json(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.invariant_factors)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "FgAbelianGroup":
-        return cls(int(data["rank"]), tuple(int(t) for t in data["torsion"]))
 
     def render(self) -> str:
         """Fixed rendering grammar: 'Z', 'Z^r', 'Z/d', joined by ' (+) '."""

@@ -128,24 +128,6 @@ class CochainComplex:
         diffs = {d - n: (m if sign == 1 else -m) for d, m in self.differentials.items()}
         return CochainComplex(comps, diffs)
 
-    # -- serialization -----------------------------------------------------
-    def to_json(self) -> dict:
-        return {
-            "components": {str(d): r for d, r in sorted(self.components.items())},
-            "differentials": {str(d): m.entries for d, m in sorted(self.differentials.items())},
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CochainComplex":
-        comps = {int(d): int(r) for d, r in data["components"].items()}
-        diffs = {}
-        for d, flat in data["differentials"].items():
-            d = int(d)
-            rows = comps.get(d + 1, 0)
-            cols = comps.get(d, 0)
-            diffs[d] = IntegerMatrix.from_flat(rows, cols, flat)
-        return cls(comps, diffs)
-
     def _record(self) -> MorseRecord:
         if self._morse is None:
             lo, hi = self.support()

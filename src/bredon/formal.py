@@ -244,27 +244,6 @@ def normalize(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
     return FormalGroup(tuple(atoms))
 
 
-def check_profile_confluence(profile: FieldProfile) -> bool:
-    """Normalization terminates and is idempotent on every atom."""
-    base = [ZA, Z2, KSTAR, KSQ, KMODSQ, KSQMOD4, TORS2K, Et(2, 1)]
-    for a in base:
-        seen = set()
-        g = FormalGroup.of(a)
-        for _ in range(16):
-            if g.atoms in seen:
-                raise FormalRuleError(f"profile {profile.name} cycles on {a}")
-            seen.add(g.atoms)
-            nxt = normalize(g, profile)
-            if nxt == g:
-                break
-            g = nxt
-        else:
-            raise FormalRuleError(f"profile {profile.name} does not terminate on {a}")
-        if normalize(g, profile) != g:
-            raise FormalRuleError(f"profile {profile.name} not idempotent on {a}")
-    return True
-
-
 def _tensor_Z2_atom(a: Atom, profile: FieldProfile) -> Tuple[Atom, ...]:
     if a.kind == "Z":
         return (Z2,)
@@ -436,8 +415,6 @@ AXIOMS: Dict[str, AxiomInfo] = {a.id: a for a in [
     AxiomInfo("A-delta-sq",
               "the squaring sequence 1 -> {+1,-1} -> k* -> k*2 -> 1 resolves"
               " kernel, image and cokernel of multiplication by 2 on units"),
-    AxiomInfo("A-vanish",
-              "groups with both weight coordinates negative vanish"),
     AxiomInfo("A-EC2",
               "Borel-column transport: the weight-0 and weight-sigma rows"
               " agree with their Borel counterparts, and weight 1 does off"

@@ -30,10 +30,10 @@ about triples per step in n; the default grid bound keeps n at most 8
 (total rank 3281 at the fixed point).  Building a complex and its integral
 cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
 rate.  At the fixed point, measured in a fresh Python 3.11 process on a
-2-core host: n = 11 takes about 2 s of CPU to build and 2.5 s for all
-integral groups, within 125 MB; n = 12 (total rank 265721, the
-``SHIFT_BOUND``) about 8 s to build and 10 s for its groups, within 340 MB.
-Most of a build is the check d.d = 0 that every complex passes.
+shared 2-core Intel Xeon host: n = 11 takes 1.2-2.2 s of CPU to build and
+about 1 s for all integral groups, within 110 MB; n = 12 (total rank
+265721, the ``SHIFT_BOUND``) 4-7 s to build and 3 s for its groups, within
+300 MB.  Most of a build is the check d.d = 0 that every complex passes.
 """
 
 from __future__ import annotations
@@ -136,46 +136,6 @@ def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str])
                     row = rows[index[q]]
                     row[col] = row.get(col, 0) + 1
     return tuple(tuple(row.items()) for row in rows)
-
-
-def _orbit_block(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]) -> IntegerMatrix:
-    rows = _orbit_rows(kind, pos, src, tgt)
-    return IntegerMatrix.from_row_dicts([dict(row) for row in rows], _arity_size(*src))
-
-
-def push_matrix(j: int, drop_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
-    """Cycle pushforward deleting the drop_index-th coordinate (1-based).
-
-    At the fixed point both points of an arity-1 orbit land on the single
-    point, so the arity-1 classes map onto the empty class with coefficient 2.
-
-    >>> push_matrix(1, 1).to_rows()
-    [[2]]
-    >>> push_matrix(2, 1).to_rows()
-    [[1, 1]]
-    """
-    if not 1 <= drop_index <= j:
-        raise ValueError(f"drop index {drop_index} out of range for arity {j}")
-    pos = drop_index - 1 + (1 if orbit_type == FREE else 0)
-    return _orbit_block("push", pos, (j, orbit_type), (j - 1, orbit_type))
-
-
-def pull_matrix(j: int, insert_index: int, orbit_type: str = FIXED) -> IntegerMatrix:
-    """Cycle pullback inserting a coordinate at insert_index (1-based).
-
-    The column of a source class is the sum of the classes lying over it:
-    two classes of arity j when the total width is at least 2, and the single
-    class with coefficient 1 when pulling the fixed-point arity-0 class.
-
-    >>> pull_matrix(1, 1).to_rows()
-    [[1]]
-    >>> pull_matrix(2, 1).to_rows()
-    [[1], [1]]
-    """
-    if not 1 <= insert_index <= j:
-        raise ValueError(f"insert index {insert_index} out of range for arity {j}")
-    pos = insert_index - 1 + (1 if orbit_type == FREE else 0)
-    return _orbit_block("pull", pos, (j - 1, orbit_type), (j, orbit_type))
 
 
 def _subset_blocks(n: int, j: int) -> List[Tuple[int, ...]]:

@@ -1,4 +1,4 @@
-"""Closed-form tables, bidegree reductions, and the comparison harness.
+"""Closed-form tables, grids and exports, and the comparison suites (``checks``).
 
 The case tables live as data files under ``fixtures/`` (override the
 directory with the BREDON_FIXTURE_DIR environment variable).  Each row
@@ -24,6 +24,7 @@ import ast
 import functools
 import json
 import os
+import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -53,63 +54,6 @@ class FixtureError(ValueError):
 
 class TheoremRangeError(ValueError):
     """The requested bidegree/profile lies outside every stated case table."""
-
-
-# ---------------------------------------------------------------------------
-# Bidegrees
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Bidegree:
-    """Cohomology index a + p*sigma and weight index b + q*sigma."""
-
-    a: int
-    p: int
-    b: int
-    q: int
-
-
-@dataclass(frozen=True)
-class Reduction:
-    """Outcome of a bidegree reduction: a forced value, a redirect, or neither."""
-
-    kind: str  # "zero" | "weight0" | "not_reducible"
-    redirect: Optional[Tuple[int, int]] = None
-    trail: Tuple[str, ...] = ()
-
-
-def reduce_bidegree(bd: Bidegree) -> Reduction:
-    """Reduce a general bidegree into the implemented weight-0 tables.
-
-    Negative weights in both coordinates force zero; weight coordinates
-    summing to zero (with nonpositive untwisted part) slide along the
-    free-orbit periodicity into weight 0.
-
-    >>> reduce_bidegree(Bidegree(5, 5, -1, -1)).kind
-    'zero'
-    >>> reduce_bidegree(Bidegree(1, 2, -2, 2)).redirect
-    (5, -2)
-    """
-    if bd.b + bd.q < 0 and bd.b < 0:
-        return Reduction("zero", trail=("A-vanish",))
-    if bd.b + bd.q == 0 and bd.b <= 0:
-        return Reduction("weight0", (bd.a + 2 * bd.q, bd.p - 2 * bd.q), ("A-EC2",))
-    return Reduction("not_reducible")
-
-
-def borel_reduce(a: int, p: int, weight: str) -> Tuple[str, int, int]:
-    """The Borel-column value expressed through the point tables.
-
-    Weight 0 and the sign weight transport unchanged; weight 1 transports
-    unchanged off degrees 2 and 3 and slides into the sign weight there.
-    """
-    if weight in ("0", "sigma"):
-        return (weight, a, p)
-    if weight == "1":
-        if a in (2, 3):
-            return ("sigma", a - 2, p + 2)
-        return ("1", a, p)
-    raise ValueError(f"unknown weight {weight!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +110,10 @@ _FORMAL_ATOMS = {"Z": ZA, "Z/2": Z2, "k*": KSTAR, "k*2": KSQ,
                  "k*/k*2": KMODSQ, "k*2/k*4": KSQMOD4, "_2k*": TORS2K}
 
 
+# a summand of an exact group: Z, Z^r with r >= 1, or Z/d with d >= 2
+_SUMMAND = re.compile(r"Z(?:\^([1-9][0-9]*)|/([2-9]|[1-9][0-9]+))?")
+
+
 def parse_exact_group(text: str) -> FgAbelianGroup:
     """Parse the fixed grammar for exact groups.
 
@@ -178,14 +126,15 @@ def parse_exact_group(text: str) -> FgAbelianGroup:
     orders = []
     for part in text.split("(+)"):
         part = part.strip()
-        if part == "Z":
-            orders.append(0)
-        elif part.startswith("Z^"):
-            orders.extend([0] * int(part[2:]))
-        elif part.startswith("Z/"):
-            orders.append(int(part[2:]))
+        match = _SUMMAND.fullmatch(part)
+        if match is None:
+            raise FixtureError(f"cannot parse exact group {text!r}: {part!r} is not "
+                               "Z, Z^r with r >= 1 or Z/d with d >= 2")
+        rank, order = match.groups()
+        if order:
+            orders.append(int(order))
         else:
-            raise FixtureError(f"cannot parse exact group {text!r}")
+            orders.extend([0] * int(rank or 1))
     return FgAbelianGroup.from_cyclic_orders(orders)
 
 
@@ -337,12 +286,19 @@ def fixture_dir() -> str:
     return os.environ.get(FIXTURE_ENV, _DEFAULT_DIR)
 
 
-def _read_fixture(key: Tuple[str, str], build):
-    """``build`` applied to the data of the fixture file ``key``; each fault names the file."""
+def _read_fixture(key: Tuple[str, str], build, entries: str):
+    """``build`` applied to the data of the fixture file ``key``, an object whose
+    key ``entries`` holds a list of objects; each fault names the file."""
     path = os.path.join(*key)
     try:
         with open(path) as f:
-            return build(json.load(f))
+            data = json.load(f)
+        if not isinstance(data, dict):
+            raise FixtureError(f"fixture {path} must hold an object, not {type(data).__name__}")
+        listed = data[entries]
+        if not isinstance(listed, list) or not all(isinstance(e, dict) for e in listed):
+            raise FixtureError(f"fixture {path}: the key {entries!r} must hold a list of objects")
+        return build(data)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror} "
                            f"(the directory comes from {FIXTURE_ENV} when it is set)") from exc
@@ -356,7 +312,7 @@ def load_table(name: str) -> FixtureTable:
     key = (fixture_dir(), name)
     table = _CACHE.get(key)
     if table is None:
-        table = _CACHE[key] = _read_fixture(key, FixtureTable)
+        table = _CACHE[key] = _read_fixture(key, FixtureTable, "rows")
     return table
 
 
@@ -372,7 +328,7 @@ def _cells(data: dict) -> list:
 def load_cells(name: str) -> list:
     key = (fixture_dir(), name)
     if key not in _CELL_CACHE:
-        _CELL_CACHE[key] = _read_fixture(key, _cells)
+        _CELL_CACHE[key] = _read_fixture(key, _cells, "cells")
     return _CELL_CACHE[key]
 
 

@@ -178,6 +178,34 @@ def swept_ranks_oracle(c: chaincx.CochainComplex, ell: int) -> dict:
     return ranks
 
 
+def determinant(a: abgrp.IntegerMatrix) -> int:
+    """Exact determinant by fraction-free (Bareiss) elimination, the
+    unimodularity oracle for the transforms U and V."""
+    if a.rows != a.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = a.rows
+    if n == 0:
+        return 1
+    m = a.to_rows()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260809)

@@ -93,13 +93,6 @@ class TestValidation:
     def test_two_shift_complex_validates(self):
         assert validate(build_sigma_complex(SigmaSpec(2, FIXED)))
 
-    def test_json_round_trip(self):
-        c = build_sigma_complex(SigmaSpec(2, FIXED))
-        again = CochainComplex.from_json(c.to_json())
-        assert again == c
-        data = c.to_json()
-        assert set(data["components"]) == {"-2", "-1", "0"}
-
 
 class TestTensor:
     def test_unit(self):

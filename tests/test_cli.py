@@ -176,6 +176,40 @@ def test_fixture_that_is_not_json_is_one_line_exit_two(capsys, tmp_path, monkeyp
     assert err.startswith(f"bredon: error: fixture {path} is not valid JSON: ")
 
 
+def replacing(key, value):
+    """An edit that sets the top-level key of a fixture to value."""
+    return lambda text: json.dumps({**json.loads(text), key: value})
+
+
+@pytest.mark.parametrize("name, edit, error", [
+    ("weight0_integral.json", replacing("rows", 5), ": the key 'rows' must hold a list of objects"),
+    ("weight1_mod2.json", replacing("rows", [{"otherwise": True, "group": "0", "source": "x"}, 3]),
+     ": the key 'rows' must hold a list of objects"),
+    ("corner_values.json", replacing("cells", {"a": 0}),
+     ": the key 'cells' must hold a list of objects"),
+    ("point_integral.json", lambda text: "[]", " must hold an object, not list"),
+    ("corner_values.json", lambda text: "5", " must hold an object, not int"),
+], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int"])
+def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
+                                                       name, edit, error):
+    path = use_fixture_copy(tmp_path, monkeypatch, name, edit)
+    code = main(["check", "fixture-coverage", "corner-values"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"bredon: error: fixture {path}{error}\n"
+
+
+@pytest.mark.parametrize("text", ["Z/0", "Z/-2", "Z^-1", "Z^0", "Z/1"])
+def test_bad_exact_group_text_is_one_line_exit_two(capsys, tmp_path, monkeypatch, text):
+    # each of these used to parse silently: Z/0 as Z, Z/-2 as Z/2, the others as 0
+    use_edited_fixtures(tmp_path, monkeypatch, {"group": text})
+    code = main(["grid", "--weight", "0", "--source", "fixture"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (f"bredon: error: cannot parse exact group {text!r}: {text!r} is not "
+                            "Z, Z^r with r >= 1 or Z/d with d >= 2\n")
+
+
 def test_check_failure_exit_one(capsys, tmp_path, monkeypatch):
     use_edited_fixtures(tmp_path, monkeypatch, {"group": "Z/2"})  # wrong corner value
     code, out = run(capsys, "check", "weight0-integral", "--p-max", "2")

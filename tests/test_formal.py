@@ -22,7 +22,6 @@ from bredon.formal import (
     Z2,
     ZA,
     ZERO_FG,
-    check_profile_confluence,
     derive_weight1,
     derive_weight_sigma,
     get_profile,
@@ -43,6 +42,27 @@ FR = PROFILES["formally_real"]
 
 def fg(*atoms):
     return FormalGroup.of(*atoms)
+
+
+def check_profile_confluence(profile) -> bool:
+    """Normalization terminates and is idempotent on every atom."""
+    base = [ZA, Z2, KSTAR, KSQ, KMODSQ, KSQMOD4, TORS2K, Et(2, 1)]
+    for a in base:
+        seen = set()
+        g = FormalGroup.of(a)
+        for _ in range(16):
+            if g.atoms in seen:
+                raise FormalRuleError(f"profile {profile.name} cycles on {a}")
+            seen.add(g.atoms)
+            nxt = normalize(g, profile)
+            if nxt == g:
+                break
+            g = nxt
+        else:
+            raise FormalRuleError(f"profile {profile.name} does not terminate on {a}")
+        if normalize(g, profile) != g:
+            raise FormalRuleError(f"profile {profile.name} not idempotent on {a}")
+    return True
 
 
 class TestNormalize:

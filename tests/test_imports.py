@@ -4,8 +4,8 @@ touches IntegerMatrix's private storage.
 
 Checked on the syntax tree with the standard library alone: an imported
 name must appear as a name in the module body or be listed in ``__all__``;
-a top-level definition must be loaded by name in the package, the tests,
-the benchmark or the demos.
+a top-level definition must be loaded by name in the package, the
+benchmark, the demos or the scripts, unless it is listed in ``TEST_ONLY``.
 """
 
 import ast
@@ -78,9 +78,11 @@ def span_bindings(tree: ast.Module) -> set:
     raise AssertionError("bench/spans.py has no SPAN_GROUPS table")
 
 
-def test_no_dead_definitions():
+def unloaded_definitions(*folders) -> set:
+    """(module, name) of each top-level definition of the package that no file
+    under folders loads by name, nor the benchmark's SPAN_GROUPS."""
     loads = span_bindings(ast.parse((ROOT / "bench" / "spans.py").read_text()))
-    for folder in ("src", "tests", "bench", "demos"):
+    for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             loads |= loaded_names(ast.parse(path.read_text(), str(path)))
     found = set()
@@ -88,7 +90,29 @@ def test_no_dead_definitions():
         tree = ast.parse(path.read_text(), str(path))
         module = path.relative_to(PACKAGE).as_posix()
         found |= {(module, name) for name in top_level_names(tree) - loads}
+    return found
+
+
+def test_no_dead_definitions():
+    found = unloaded_definitions("src", "tests", "bench", "demos")
     assert not found, sorted(found)
+
+
+# top-level definitions that only the tests load, each kept for its reason
+TEST_ONLY = {
+    ("chaincx.py", "tensor"): "the acceptance tests check the tensor product formula with it",
+    ("chaincx.py", "two_term_complex"): "the Z --n--> Z builder of the module's doctests",
+    ("chaincx.py", "euler_characteristic"): "an invariant the tests compare with cohomology",
+    ("formal.py", "SEEDS"): "the seed labels a derivation trail may cite besides AXIOMS",
+}
+
+
+def test_no_definitions_only_tests_load():
+    # a definition that only tests reach is dead weight in the package: delete
+    # it, move it into tests/ if it is a test oracle, or list it above
+    found = unloaded_definitions("src", "bench", "demos", "scripts")
+    assert found - set(TEST_ONLY) == set(), sorted(found - set(TEST_ONLY))
+    assert set(TEST_ONLY) - found == set(), "stale entries: " + str(sorted(set(TEST_ONLY) - found))
 
 
 def matrix_private_names() -> set:

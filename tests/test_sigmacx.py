@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bredon import abgrp
+from bredon import abgrp, sigmacx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -30,8 +30,6 @@ from bredon.sigmacx import (
     free_orbit_acyclicity,
     involution_map,
     orbit_basis,
-    pull_matrix,
-    push_matrix,
     restriction_map,
     transfer_map,
     transfer_restriction_check,
@@ -52,7 +50,7 @@ ZERO = FgAbelianGroup.zero()
 # single point for the fixed arity-0 class.  Pushing forward (or pulling
 # back) the cycle gives a multiset of points, and the coefficient of a basis
 # class in that multiset is the multiplicity of its canonical representative.
-# This is the rule sigmacx._orbit_block implements; the tensor-power oracle
+# This is the rule sigmacx._orbit_rows implements; the tensor-power oracle
 # below checks it independently.
 
 def _cycle_points(bits, free):
@@ -122,23 +120,34 @@ class TestOrbitBasis:
             assert sorted(seen) == orbit_basis(j, FIXED)
 
 
+def orbit_block(kind, j, index, orbit_type):
+    """The push from arity j to j - 1, or the pull from j - 1 to j, at the
+    1-based coordinate index, read from the memoised rows of sigmacx."""
+    big, small = (j, orbit_type), (j - 1, orbit_type)
+    src, tgt = (big, small) if kind == "push" else (small, big)
+    pos = index - 1 + (1 if orbit_type == FREE else 0)
+    rows = sigmacx._orbit_rows(kind, pos, src, tgt)
+    return IntegerMatrix.from_entries(len(rows), len(orbit_basis(*src)),
+                                      {(i, c): v for i, row in enumerate(rows) for c, v in row})
+
+
 class TestPushPull:
     def test_one_coordinate(self):
-        assert push_matrix(1, 1, FIXED).to_rows() == [[2]]
-        assert pull_matrix(1, 1, FIXED).to_rows() == [[1]]
+        assert orbit_block("push", 1, 1, FIXED).to_rows() == [[2]]
+        assert orbit_block("pull", 1, 1, FIXED).to_rows() == [[1]]
 
     def test_two_coordinates(self):
-        assert push_matrix(2, 1, FIXED).to_rows() == [[1, 1]]
-        assert push_matrix(2, 2, FIXED).to_rows() == [[1, 1]]
-        assert pull_matrix(2, 1, FIXED).to_rows() == [[1], [1]]
+        assert orbit_block("push", 2, 1, FIXED).to_rows() == [[1, 1]]
+        assert orbit_block("push", 2, 2, FIXED).to_rows() == [[1, 1]]
+        assert orbit_block("pull", 2, 1, FIXED).to_rows() == [[1], [1]]
 
     def test_free_push(self):
         # pointwise pushforward of the two-point cycle, re-canonicalized
-        assert push_matrix(2, 1, FREE).to_rows() == [[1, 0, 1, 0], [0, 1, 0, 1]]
+        assert orbit_block("push", 2, 1, FREE).to_rows() == [[1, 0, 1, 0], [0, 1, 0, 1]]
 
     def test_pull_three(self):
         for idx in (1, 2, 3):
-            m = pull_matrix(3, idx, FIXED)
+            m = orbit_block("pull", 3, idx, FIXED)
             assert (m.rows, m.cols) == (4, 2)
             for j in range(2):
                 assert sum(m.entry(i, j) for i in range(4)) == 2
@@ -150,16 +159,10 @@ class TestPushPull:
             for j in range(1, 7):
                 for idx in range(1, j + 1):
                     where = (j, idx, orbit_type)
-                    assert_same_rows(push_matrix(j, idx, orbit_type),
+                    assert_same_rows(orbit_block("push", j, idx, orbit_type),
                                      oracle_push(j, idx, orbit_type), where)
-                    assert_same_rows(pull_matrix(j, idx, orbit_type),
+                    assert_same_rows(orbit_block("pull", j, idx, orbit_type),
                                      oracle_pull(j, idx, orbit_type), where)
-
-    def test_index_bounds(self):
-        with pytest.raises(ValueError):
-            push_matrix(2, 3, FIXED)
-        with pytest.raises(ValueError):
-            pull_matrix(2, 0, FIXED)
 
 
 # -- reference assembly ------------------------------------------------------
@@ -284,16 +287,14 @@ class TestOrbitMemo:
     def test_mutating_results_changes_nothing_later(self):
         basis = orbit_basis(3, FREE)
         want_basis = list(basis)
-        want_push = list(push_matrix(3, 2, FREE).items())
-        want_pull = list(pull_matrix(3, 2, FREE).items())
         basis.reverse()
         basis.append((9, 9, 9, 9))
         basis[0] = ()
         spec = SigmaSpec(3, FREE)
         cached = build_sigma_complex(spec)
         assert orbit_basis(3, FREE) == want_basis == reference_basis(3, FREE)
-        assert list(push_matrix(3, 2, FREE).items()) == want_push
-        assert list(pull_matrix(3, 2, FREE).items()) == want_pull
+        assert_same_rows(orbit_block("push", 3, 2, FREE), oracle_push(3, 2, FREE), "push")
+        assert_same_rows(orbit_block("pull", 3, 2, FREE), oracle_pull(3, 2, FREE), "pull")
         fresh = build_sigma_complex.__wrapped__(spec)
         for d, a in reference_differentials(3, FREE).items():
             assert_same_rows(fresh.differential(d), a, d)
@@ -302,7 +303,6 @@ class TestOrbitMemo:
             assert_same_rows(involution_map(3).component(d), a, d)
 
     def test_memoised_values_are_immutable(self):
-        from bredon import sigmacx
         build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED))
         transfer_map(-3)
         assert sigmacx._basis.cache_info().currsize > 0

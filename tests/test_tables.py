@@ -1,4 +1,4 @@
-"""Fixture tables, closed forms, reductions, grids, and exports."""
+"""Fixture tables, closed forms, grids, and exports."""
 
 import importlib.util
 import json
@@ -17,21 +17,18 @@ from bredon.formal import (PROFILES, ConditionalGroup, FormalGroup, KMODSQ, KSQ,
                            ZERO_FG, get_profile, normalize)
 from bredon.tables import (
     ALL_TABLE_FILES,
-    Bidegree,
     FixtureError,
     FixtureTable,
     GridSpec,
     Predicate,
     TheoremRangeError,
     bredon_point_closed_form,
-    borel_reduce,
     export_grid,
     fixture_dir,
     grid_cells,
     load_cells,
     parse_exact_group,
     parse_formal_group,
-    reduce_bidegree,
     render_grid,
     weight0_closed_form,
     weight1_closed_form,
@@ -142,25 +139,6 @@ class TestWeightOneAndSigma:
 def load_profile(name):
     from bredon.formal import get_profile
     return get_profile(name)
-
-
-class TestReduction:
-    def test_negative_weights_vanish(self):
-        r = reduce_bidegree(Bidegree(3, 7, -1, -1))
-        assert r.kind == "zero" and "A-vanish" in r.trail
-
-    def test_diagonal_slide(self):
-        r = reduce_bidegree(Bidegree(1, 2, -2, 2))
-        assert r.kind == "weight0" and r.redirect == (5, -2)
-
-    def test_not_reducible(self):
-        assert reduce_bidegree(Bidegree(0, 0, 1, 0)).kind == "not_reducible"
-
-    def test_borel(self):
-        assert borel_reduce(5, 2, "sigma") == ("sigma", 5, 2)
-        assert borel_reduce(5, 2, "0") == ("0", 5, 2)
-        assert borel_reduce(2, 0, "1") == ("sigma", 0, 2)
-        assert borel_reduce(4, 0, "1") == ("1", 4, 0)
 
 
 class TestGridAndExport:
