@@ -37,12 +37,12 @@ class IntegerMatrix:
     ``rows`` and ``cols`` are the shape.  The entries are stored sparse, one
     dict {column: value} of nonzero entries per row (``_rows``), which is
     the layout the reduction engine works in, so the large, sparse
-    differentials of the cycle complexes stay cheap.  Callers pass and read
-    entries keyed by (row, column): the constructor's ``data``, whose keys
-    must lie inside the shape, ``from_entries`` and ``items()``; an
-    assembler that already has one dict per row hands them over with
-    ``from_row_dicts``.  Zero-row and zero-column matrices are first-class
-    and represent maps to or from the zero group.
+    differentials of the cycle complexes stay cheap.  The one keyed
+    constructor takes ``data`` keyed by (row, column) inside the shape, as
+    ``items()`` reads entries back; the one row-dict constructor,
+    ``from_row_dicts``, takes one dict per row; ``from_blocks`` places
+    matrices as the blocks of a larger one.  Zero-row and zero-column
+    matrices are first-class and represent maps to or from the zero group.
 
     Matrices may share row dicts (a row slice does); no row dict is mutated
     once it belongs to a matrix, and the reduction engine works on copies.
@@ -63,25 +63,7 @@ class IntegerMatrix:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
 
-    @classmethod
-    def _adopt(cls, rows: list, cols: int) -> "IntegerMatrix":
-        """The matrix whose row i is the dict rows[i], which holds no zero; not copied."""
-        a = cls.__new__(cls)
-        a.rows, a.cols, a._rows = len(rows), cols, rows
-        return a
-
     # -- constructors -------------------------------------------------
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntegerMatrix":
-        c = len(rows[0]) if rows else (cols or 0)
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls._adopt([{j: int(v) for j, v in enumerate(row) if v} for row in rows], c)
-
-    @classmethod
-    def from_entries(cls, rows: int, cols: int, entries: dict) -> "IntegerMatrix":
-        return cls(rows, cols, entries)
-
     @classmethod
     def from_row_dicts(cls, rows: list, cols: int) -> "IntegerMatrix":
         """The matrix whose row i is the dict {column: value} rows[i].
@@ -90,7 +72,33 @@ class IntegerMatrix:
         every column must lie in range(cols), every value must be nonzero,
         and the caller must not touch a dict again.
         """
-        return cls._adopt(rows, cols)
+        a = cls.__new__(cls)
+        a.rows, a.cols, a._rows = len(rows), cols, rows
+        return a
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[int]], cols: Optional[int] = None) -> "IntegerMatrix":
+        c = len(rows[0]) if rows else (cols or 0)
+        if any(len(row) != c for row in rows):
+            raise ValueError("ragged rows")
+        return cls.from_row_dicts([{j: int(v) for j, v in enumerate(r) if v} for r in rows], c)
+
+    @classmethod
+    def from_blocks(cls, row_sizes: Sequence[int], col_sizes: Sequence[int],
+                    blocks: dict) -> "IntegerMatrix":
+        """The block matrix whose block (r, c) is ``blocks[r, c]``, of shape
+        row_sizes[r] x col_sizes[c], or zero when it is not given.  Each row
+        lists its entries block by block from the left, each in its block's order.
+        """
+        if any((b.rows, b.cols) != (row_sizes[r], col_sizes[c]) for (r, c), b in blocks.items()):
+            raise ValueError("a block does not match its row and column sizes")
+        offsets = [sum(col_sizes[:c]) for c in range(len(col_sizes) + 1)]
+        out = []
+        for r, size in enumerate(row_sizes):
+            band = [(offsets[c], b._rows) for (s, c), b in sorted(blocks.items()) if s == r]
+            out.extend({off + j: v for off, rows in band for j, v in rows[i].items()}
+                       for i in range(size))
+        return cls.from_row_dicts(out, offsets[-1])
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -98,7 +106,7 @@ class IntegerMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "IntegerMatrix":
-        return cls._adopt([{i: 1} for i in range(n)], n)
+        return cls.from_row_dicts([{i: 1} for i in range(n)], n)
 
     @classmethod
     def from_diagonal(cls, diag: Sequence[int], rows: int, cols: int) -> "IntegerMatrix":
@@ -140,7 +148,7 @@ class IntegerMatrix:
             for k, v in row.items():
                 _add_scaled(acc, right[k], v)
             out.append(acc)
-        return IntegerMatrix._adopt(out, other.cols)
+        return IntegerMatrix.from_row_dicts(out, other.cols)
 
     def __add__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -148,7 +156,7 @@ class IntegerMatrix:
         out = [dict(row) for row in self._rows]
         for acc, row in zip(out, other._rows):
             _add_scaled(acc, row, 1)
-        return IntegerMatrix._adopt(out, self.cols)
+        return IntegerMatrix.from_row_dicts(out, self.cols)
 
     def __neg__(self) -> "IntegerMatrix":
         return self.scale(-1)
@@ -156,21 +164,29 @@ class IntegerMatrix:
     def scale(self, c: int) -> "IntegerMatrix":
         if c == 0:
             return IntegerMatrix.zeros(self.rows, self.cols)
-        return IntegerMatrix._adopt([{j: c * v for j, v in row.items()} for row in self._rows],
-                                    self.cols)
+        return IntegerMatrix.from_row_dicts(
+            [{j: c * v for j, v in row.items()} for row in self._rows], self.cols)
 
     def transpose(self) -> "IntegerMatrix":
         out = [{} for _ in range(self.cols)]
         for i, row in enumerate(self._rows):
             for j, v in row.items():
                 out[j][i] = v
-        return IntegerMatrix._adopt(out, self.rows)
+        return IntegerMatrix.from_row_dicts(out, self.rows)
+
+    def kron(self, other: "IntegerMatrix") -> "IntegerMatrix":
+        """The Kronecker product: row (i, k) and column (j, l), with the index
+        of ``self`` major, hold self[i, j] * other[k, l]."""
+        n = other.cols
+        return IntegerMatrix.from_row_dicts(
+            [{j * n + l: a * b for j, a in row.items() for l, b in right.items()}
+             for row in self._rows for right in other._rows], self.cols * n)
 
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
         c = self.cols
-        return IntegerMatrix._adopt(
+        return IntegerMatrix.from_row_dicts(
             [left | {j + c: v for j, v in right.items()}
              for left, right in zip(self._rows, other._rows)], c + other.cols)
 
@@ -556,7 +572,7 @@ class MorseRecord:
             f = _replay(row_ops, keep, a.cols, transpose=True)
             d = s.d + (_submatrix(below, keep, below_keep),)
         else:
-            f, d = IntegerMatrix._adopt([{j: 1} for j in keep], a.cols), s.d
+            f, d = IntegerMatrix.from_row_dicts([{j: 1} for j in keep], a.cols), s.d
         paired = frozenset(i for i, _, _ in red.pivots)
         live = {i: red.rows[i] for i in red.live_rows if red.rows[i]}
         pending = (red.row_ops, live, keep)
@@ -591,19 +607,19 @@ def _replay(ops: list, keep: list, n: int, transpose: bool = False) -> IntegerMa
         else:
             _add_scaled(vecs.setdefault(y, {}), src, -q)
     if not transpose:
-        return IntegerMatrix._adopt([vecs.get(c, {}) for c in range(n)], len(keep))
+        return IntegerMatrix.from_row_dicts([vecs.get(c, {}) for c in range(n)], len(keep))
     rows: list = [{} for _ in keep]
     for c in sorted(vecs):
         for t, v in vecs[c].items():
             rows[t][c] = v
-    return IntegerMatrix._adopt(rows, n)
+    return IntegerMatrix.from_row_dicts(rows, n)
 
 
 def _submatrix(rows: dict, keep_rows: list, keep_cols: list) -> IntegerMatrix:
     """The rows {row: {column: value}} on keep_rows x keep_cols, renumbered in that order."""
     at = {j: t for t, j in enumerate(keep_cols)}
-    return IntegerMatrix._adopt([{at[j]: v for j, v in rows.get(i, {}).items()}
-                                 for i in keep_rows], len(keep_cols))
+    return IntegerMatrix.from_row_dicts([{at[j]: v for j, v in rows.get(i, {}).items()}
+                                         for i in keep_rows], len(keep_cols))
 
 
 def kernel_basis(a: IntegerMatrix) -> IntegerMatrix:
@@ -634,7 +650,7 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
         if any(w % d for w in row.values()):
             return None
         y.append({c: w // d for c, w in row.items()})
-    return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix._adopt(y, b.cols)
+    return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix.from_row_dicts(y, b.cols)
 
 
 def is_prime(n: int) -> bool:
@@ -921,8 +937,8 @@ class _Cycles:
         if any(v % m if m else v for row in image for v in row.values()):
             return None
         if m:
-            b = IntegerMatrix._adopt(b._rows + [{j: -v // m for j, v in row.items()}
-                                                for row in image], b.cols)
+            b = IntegerMatrix.from_row_dicts(b._rows + [{j: -v // m for j, v in row.items()}
+                                                        for row in image], b.cols)
         return self.inverse @ b
 
 
@@ -989,8 +1005,9 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
     if coords is None:
         raise ValueError("chain map does not preserve kernels")
     m = target.transform @ coords @ source.inverse
-    return IntegerMatrix._adopt([{j: v % o for j, v in row.items() if v % o} if o else row
-                                 for row, o in zip(m._rows, target.orders)], m.cols)
+    return IntegerMatrix.from_row_dicts(
+        [{j: v % o for j, v in row.items() if v % o} if o else row
+         for row, o in zip(m._rows, target.orders)], m.cols)
 
 
 def _relations(orders: tuple) -> IntegerMatrix:
@@ -1010,7 +1027,7 @@ def kernel_lattice(f: IntegerMatrix, source: tuple, target: tuple) -> IntegerMat
 
 
 def _top_rows(a: IntegerMatrix, n: int) -> IntegerMatrix:
-    return IntegerMatrix._adopt(a._rows[:n], a.cols)
+    return IntegerMatrix.from_row_dicts(a._rows[:n], a.cols)
 
 
 def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:

@@ -9,7 +9,8 @@ Sign conventions are calibrated once and fixed:
 
 * tensor: d(x (x) y) = dx (x) y + (-1)^p x (x) dy for x of degree p, with the
   summands C^p (x) D^q at total degree n concatenated in decreasing order of
-  p (increasing homological degree of the first factor);
+  p (increasing homological degree of the first factor), each summand's basis
+  in the Kronecker order (the C-index major);
 * cone(f: S -> T): Cone^i = T^i (+) S^{i+1} with block differential
   [[d_T, f], [0, -d_S]], so that cone(2: Z -> Z) lives on degrees -1, 0;
 * the Morse retraction: the sweep of a complex C (``abgrp.MorseRecord``)
@@ -273,59 +274,28 @@ def _tensor_blocks(c: CochainComplex, d: CochainComplex, n: int) -> list:
 def tensor(c: CochainComplex, d: CochainComplex) -> CochainComplex:
     """Tensor product complex with the Koszul sign rule.
 
-    The basis of (C (x) D)^n over the block (p, q) is e_i (x) f_j ordered with
-    the C-index major.
+    In the Kronecker basis of each summand, d^n has the blocks d_C (x) 1 from
+    C^p (x) D^q to C^(p+1) (x) D^q and (-1)^p 1 (x) d_D to C^p (x) D^(q+1).
 
     >>> t = tensor(two_term_complex(2), unit_complex())
     >>> t == two_term_complex(2)
     True
     """
-    comps: Dict[int, int] = {}
-    degrees = set()
-    for p in c.components:
-        for q in d.components:
-            degrees.add(p + q)
-    for n in degrees:
-        comps[n] = sum(c.rank(p) * d.rank(q) for p, q in _tensor_blocks(c, d, n))
-
-    def offsets(n):
-        off = {}
-        k = 0
-        for p, q in _tensor_blocks(c, d, n):
-            off[(p, q)] = k
-            k += c.rank(p) * d.rank(q)
-        return off
-
+    blocks = {p + q: _tensor_blocks(c, d, p + q) for p in c.components for q in d.components}
+    sizes = {n: [c.rank(p) * d.rank(q) for p, q in bl] for n, bl in blocks.items()}
     diffs: Dict[int, IntegerMatrix] = {}
-    for n in sorted(degrees):
-        if (n + 1) not in comps:
-            tgt_off = {}
-        else:
-            tgt_off = offsets(n + 1)
-        src_off = offsets(n)
-        entries: dict = {}
-        for (p, q), base in src_off.items():
-            rc, rd = c.rank(p), d.rank(q)
-            # dx (x) y lands in block (p+1, q)
-            dc = c.differentials.get(p)
-            if dc is not None and (p + 1, q) in tgt_off:
-                tbase = tgt_off[(p + 1, q)]
-                for (ti, si), v in dc.items():
-                    for j in range(rd):
-                        entries[(tbase + ti * rd + j, base + si * rd + j)] = v
-            # (-1)^p x (x) dy lands in block (p, q+1)
-            dd = d.differentials.get(q)
-            if dd is not None and (p, q + 1) in tgt_off:
-                sign = -1 if p % 2 else 1
-                tbase = tgt_off[(p, q + 1)]
-                rd1 = d.rank(q + 1)
-                for (tj, sj), v in dd.items():
-                    for i in range(rc):
-                        key = (tbase + i * rd1 + tj, base + i * rd + sj)
-                        entries[key] = entries.get(key, 0) + sign * v
-        if entries:
-            diffs[n] = IntegerMatrix.from_entries(comps.get(n + 1, 0), comps[n], entries)
-    return CochainComplex(comps, diffs)
+    for n in sorted(blocks):
+        at = {pq: r for r, pq in enumerate(blocks.get(n + 1, []))}
+        parts = {}
+        for k, (p, q) in enumerate(blocks[n]):
+            dc, dd = c.differentials.get(p), d.differentials.get(q)
+            if dc is not None:
+                parts[at[p + 1, q], k] = dc.kron(IntegerMatrix.identity(d.rank(q)))
+            if dd is not None:
+                ones = IntegerMatrix.identity(c.rank(p))
+                parts[at[p, q + 1], k] = ones.kron(-dd if p % 2 else dd)
+        diffs[n] = IntegerMatrix.from_blocks(sizes.get(n + 1, []), sizes[n], parts)
+    return CochainComplex({n: sum(s) for n, s in sizes.items()}, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -408,42 +378,29 @@ def cone(f: ChainMap) -> CochainComplex:
         comps[d] = comps.get(d, 0) + r
     for d, r in s.components.items():
         comps[d - 1] = comps.get(d - 1, 0) + r
-    diffs: Dict[int, IntegerMatrix] = {}
-    for d in sorted(comps):
-        rows = comps.get(d + 1, 0)
-        cols = comps[d]
-        entries: dict = {}
-        t_rows, t_cols = t.rank(d + 1), t.rank(d)
-        for (i, j), v in t.differential(d).items():
-            entries[(i, j)] = v
-        for (i, j), v in f.component(d + 1).items():
-            entries[(i, t_cols + j)] = v
-        for (i, j), v in s.differential(d + 1).items():
-            entries[(t_rows + i, t_cols + j)] = -v
-        if entries:
-            diffs[d] = IntegerMatrix.from_entries(rows, cols, entries)
+    diffs = {d: IntegerMatrix.from_blocks(
+        [t.rank(d + 1), s.rank(d + 2)], [t.rank(d), s.rank(d + 1)],
+        {(0, 0): t.differential(d), (0, 1): f.component(d + 1), (1, 1): -s.differential(d + 1)})
+        for d in sorted(comps)}
     return CochainComplex(comps, diffs)
 
 
 def cone_inclusion(f: ChainMap, c: CochainComplex) -> ChainMap:
     """The inclusion target -> cone(f) (identity onto the first block)."""
-    maps = {}
-    for d, r in f.target.components.items():
-        entries = {(i, i): 1 for i in range(r)}
-        maps[d] = IntegerMatrix.from_entries(c.rank(d), r, entries)
+    maps = {d: IntegerMatrix.from_blocks([r, f.source.rank(d + 1)], [r],
+                                         {(0, 0): IntegerMatrix.identity(r)})
+            for d, r in f.target.components.items()}
     return ChainMap(f.target, c, maps, check=False)
 
 
 def cone_projection(f: ChainMap, c: CochainComplex) -> ChainMap:
     """The projection cone(f) -> source[1] (onto the second block)."""
-    shifted = f.source.shift(1)
     maps = {}
     for d in c.components:
-        t_cols = f.target.rank(d)
-        s_rank = f.source.rank(d + 1)
-        entries = {(i, t_cols + i): 1 for i in range(s_rank)}
-        maps[d] = IntegerMatrix.from_entries(s_rank, c.rank(d), entries)
-    return ChainMap(c, shifted, maps, check=False)
+        r = f.source.rank(d + 1)
+        maps[d] = IntegerMatrix.from_blocks([r], [f.target.rank(d), r],
+                                            {(0, 1): IntegerMatrix.identity(r)})
+    return ChainMap(c, f.source.shift(1), maps, check=False)
 
 
 # ---------------------------------------------------------------------------

@@ -462,7 +462,6 @@ class WindowArrow:
     kernel: object = None    # None | FULL | FormalGroup
     image: object = None     # None | FULL | FormalGroup
     cokernel: object = None  # None | FormalGroup
-    trail: Tuple[str, ...] = ()
 
 
 @dataclass
@@ -493,7 +492,6 @@ class WindowSolution:
     unresolved: List[str]
     contradictions: List[str]
     arrows: List[WindowArrow]
-    trails: Dict[str, Tuple[str, ...]]
 
     @property
     def ok(self) -> bool:
@@ -523,17 +521,15 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
              for n in window.nodes]
     arrows = [replace(a) for a in window.arrows]
     contradictions: List[str] = []
-    trails: Dict[str, Tuple[str, ...]] = {}
 
-    def set_node(k: int, value: FormalGroup, why: Tuple[str, ...]):
+    def set_node(k: int, value: FormalGroup):
         if nodes[k].group is None:
             nodes[k].group = value
-            trails[nodes[k].label] = why
         elif nodes[k].group != value:
             contradictions.append(
                 f"node {nodes[k].label} forced to {value} but holds {nodes[k].group}")
 
-    def merge_slot(k: int, current, incoming, why: Tuple[str, ...]):
+    def merge_slot(k: int, current, incoming):
         """Merge a kernel/image slot at node k; returns the merged value."""
         if incoming is None:
             return current
@@ -542,7 +538,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         if FULL in (current, incoming):
             # FULL meets a value: the node must BE that value
             other = incoming if current == FULL else current
-            set_node(k, other, why)
+            set_node(k, other)
             return other
         contradictions.append(
             f"exactness at {nodes[k].label}: image {current} differs from kernel {incoming}")
@@ -565,9 +561,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
                 ar.kernel, ar.image, ar.cokernel = (
                     ZERO_FG, normalize(FormalGroup.of(KSQ), profile),
                     normalize(FormalGroup.of(KMODSQ), profile))
-            elif tag.startswith("axiom:"):
-                ar.trail = ar.trail + (tag.split(":", 1)[1],)
-            else:
+            elif not tag.startswith("axiom:"):  # axiom tags are provenance, read by _advance
                 raise ValueError(f"unknown arrow tag {tag!r}")
 
     def state():
@@ -589,8 +583,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         # exactness links at interior nodes
         for k in range(1, len(nodes) - 1):
             f, g = arrows[k - 1], arrows[k]
-            why = tuple(f.trail + g.trail) + ("LES",)
-            f.image = g.kernel = merge_slot(k, f.image, g.kernel, why)
+            f.image = g.kernel = merge_slot(k, f.image, g.kernel)
         # value productions
         for k in range(len(nodes)):
             if nodes[k].group is not None:
@@ -599,22 +592,22 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
             inc = arrows[k - 1] if k > 0 else None
             # injective with known image
             if out is not None and out.kernel == ZERO_FG and isinstance(out.image, FormalGroup):
-                set_node(k, out.image, out.trail + ("LES",))
+                set_node(k, out.image)
                 continue
             # iso transport, in both directions
             if out is not None and out.kernel == ZERO_FG and out.image == FULL \
                     and nodes[k + 1].group is not None:
-                set_node(k, nodes[k + 1].group, out.trail + ("LES",))
+                set_node(k, nodes[k + 1].group)
                 continue
             if inc is not None and inc.kernel == ZERO_FG and inc.image == FULL \
                     and nodes[k - 1].group is not None:
-                set_node(k, nodes[k - 1].group, inc.trail + ("LES",))
+                set_node(k, nodes[k - 1].group)
                 continue
             # surjection whose kernel is the image of a tagged arrow
             if inc is not None and inc.image == FULL and k >= 2:
                 prev = arrows[k - 2]
                 if prev.cokernel is not None:
-                    set_node(k, prev.cokernel, prev.trail + inc.trail + ("LES",))
+                    set_node(k, prev.cokernel)
         if state() == before:
             break
     else:
@@ -624,7 +617,7 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
 
     values = {n.label: n.group for n in nodes if n.group is not None}
     unresolved = [n.label for n in nodes if n.group is None]
-    return WindowSolution(values, unresolved, contradictions, arrows, trails)
+    return WindowSolution(values, unresolved, contradictions, arrows)
 
 
 # ---------------------------------------------------------------------------

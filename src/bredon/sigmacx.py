@@ -375,7 +375,7 @@ def cone_tower_check(p: int) -> bool:
         lhs = cn.differential(d)
         rhs = target.differential(d)
         moved = {(pd1[i], pd[j]): v for (i, j), v in lhs.items()}
-        if IntegerMatrix.from_entries(rhs.rows, rhs.cols, moved) != rhs:
+        if IntegerMatrix(rhs.rows, rhs.cols, moved) != rhs:
             raise CheckFailure(f"cone differential at degree {d} does not match shift {p + 1}")
     if all_cohomology(cn) != all_cohomology(target):
         raise CheckFailure(f"cone cohomology at shift {p} does not match shift {p + 1}")

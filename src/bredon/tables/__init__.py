@@ -52,6 +52,18 @@ class FixtureError(ValueError):
     """A malformed fixture: bad predicate, missing source note, bad group."""
 
 
+class _WrongType(FixtureError):
+    """A fixture key holding a value of the wrong type; the loader adds the file."""
+
+
+def _typed(obj: dict, key: str, kind: type, default=None):
+    """obj[key], or ``default`` when one is given and the key is absent, of type ``kind``."""
+    value = obj[key] if default is None else obj.get(key, default)
+    if type(value) is not kind:
+        raise _WrongType(f"the key {key!r} must hold {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 class TheoremRangeError(ValueError):
     """The requested bidegree/profile lies outside every stated case table."""
 
@@ -183,23 +195,25 @@ class FixtureTable:
     def __init__(self, data: dict):
         self.table_id = data["table"]
         self.kind = data["kind"]
-        self.coeff = data.get("coeff", "Z")
-        self.range = data.get("range", {})
+        self.range = _typed(data, "range", dict, {})
+        for bounds in self.range.values():
+            if type(bounds) is not list or len(bounds) != 2 or {type(b) for b in bounds} != {int}:
+                raise _WrongType("the key 'range' must map each variable to [low, high] integers")
         self.cone_profiles = data.get("cone_profiles")
         self.shift_profiles = data.get("shift_profiles", {})
         self.rows: List[FixtureRow] = []
         parse = parse_exact_group if self.kind == "exact" else parse_formal_group
         for row in data["rows"]:
-            source = row.get("source", "").strip()
+            source = _typed(row, "source", str, "").strip()
             if not source:
                 raise FixtureError(f"{self.table_id}: fixture row lacks a source note")
             if "conditional" in row:
-                cond = row["conditional"]
-                value = ConditionalGroup(parse_formal_group(cond["if_minus_one_square"]),
-                                         parse_formal_group(cond["otherwise"]))
+                cond = _typed(row, "conditional", dict)
+                value = ConditionalGroup(*(parse_formal_group(_typed(cond, k, str))
+                                           for k in ("if_minus_one_square", "otherwise")))
             else:
-                value = parse(row["group"])
-            pred = None if row.get("otherwise") else Predicate(row["when"])
+                value = parse(_typed(row, "group", str))
+            pred = None if row.get("otherwise") else Predicate(_typed(row, "when", str))
             self.rows.append(FixtureRow(pred, value, source))
         if self.rows and self.rows[-1].predicate is not None:
             raise FixtureError(f"{self.table_id}: final row must be the catch-all")
@@ -306,6 +320,8 @@ def _read_fixture(key: Tuple[str, str], build, entries: str):
         raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from None
     except KeyError as exc:
         raise FixtureError(f"fixture {path} lacks the key {exc.args[0]!r}") from None
+    except _WrongType as exc:
+        raise FixtureError(f"fixture {path}: {exc}") from None
 
 
 def load_table(name: str) -> FixtureTable:
@@ -316,12 +332,15 @@ def load_table(name: str) -> FixtureTable:
     return table
 
 
+_CELL_KEYS = {"weight": str, "a": int, "p": int, "coeff": str, "group": str, "source": str}
+
+
 def _cells(data: dict) -> list:
     for cell in data["cells"]:
-        if not cell.get("source", "").strip():
+        if not _typed(cell, "source", str, "").strip():
             raise FixtureError(f"{data['table']}: cell lacks a source note")
-    # a cell without one of these keys raises KeyError here, not in a suite
-    return [{k: cell[k] for k in ("weight", "a", "p", "coeff", "group", "source")}
+    # a cell without one of these keys, or with a wrong type, raises here, not in a suite
+    return [{k: _typed(cell, k, kind) for k, kind in _CELL_KEYS.items()}
             for cell in data["cells"]]
 
 

@@ -28,7 +28,7 @@ def assert_transforms(red: abgrp._Reduction, rng: random.Random, where=None):
 
     def pick(a, at, keep):
         to = {at[i]: s for s, i in enumerate(keep)}
-        return abgrp.IntegerMatrix.from_entries(
+        return abgrp.IntegerMatrix(
             len(keep), a.cols, {(to[t], j): v for (t, j), v in a.items() if t in to})
 
     for _ in range(3):
@@ -115,7 +115,7 @@ def random_chain_map(rng: random.Random, source: chaincx.CochainComplex,
                 if v:
                     entries[(i, j)] = v
         if entries:
-            maps[d] = abgrp.IntegerMatrix.from_entries(target.rank(d), source.rank(d), entries)
+            maps[d] = abgrp.IntegerMatrix(target.rank(d), source.rank(d), entries)
     return chaincx.ChainMap(source, target, maps)
 
 

@@ -343,7 +343,7 @@ class TestCohomologyAt:
             for _ in range(6):
                 i, j = rng.randrange(n), rng.randrange(n)
                 if i != j:
-                    e = IntegerMatrix.identity(n) + IntegerMatrix.from_entries(
+                    e = IntegerMatrix.identity(n) + IntegerMatrix(
                         n, n, {(i, j): rng.randint(-2, 2)})
                     p = p @ e
             p_inv = solve(p, IntegerMatrix.identity(n))
@@ -411,7 +411,7 @@ class TestModM:
 
 def scattered(rng: random.Random, rows: int, cols: int, per_row: int) -> IntegerMatrix:
     """per_row entries from {-2, -1, 1, 2} at random columns of each row."""
-    return IntegerMatrix.from_entries(rows, cols, {
+    return IntegerMatrix(rows, cols, {
         (i, j): rng.choice((-2, -1, 1, 2))
         for i in range(rows) for j in rng.sample(range(cols), min(per_row, cols))})
 
@@ -491,7 +491,6 @@ class TestMatrixAlgebraAgainstDenseOracle:
             nonzero = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
             assert (a.rows, a.cols) == (r, c)
             assert a.to_rows() == rows
-            assert IntegerMatrix.from_entries(r, c, nonzero) == a
             assert IntegerMatrix(r, c, nonzero) == a
             assert dict(a.items()) == nonzero and len(list(a.items())) == len(nonzero)
             assert a.nnz() == len(nonzero) and a.is_zero() == (not nonzero)
@@ -531,9 +530,19 @@ class TestMatrixAlgebraAgainstDenseOracle:
             assert (a == b) == (x == y) and a == IntegerMatrix.from_rows(x, cols=c)
             k = rng.randint(0, 4)
             z = dense(rng, r, k)
-            h = a.hstack(IntegerMatrix.from_rows(z, cols=k))
+            zm = IntegerMatrix.from_rows(z, cols=k)
+            h = a.hstack(zm)
             assert (h.rows, h.cols) == (r, c + k)
             assert h.to_rows() == [p + q for p, q in zip(x, z)]
+            # [[a, z], [0, z]] with the zero block left out, then no blocks at all
+            blocks = IntegerMatrix.from_blocks([r, r], [c, k], {(0, 1): zm, (1, 1): zm, (0, 0): a})
+            assert blocks.to_rows() == h.to_rows() + [[0] * c + q for q in z]
+            assert list(blocks.items()) == sorted(blocks.items())  # blocks in column order
+            assert IntegerMatrix.from_blocks([r, k], [c, 0], {}) == IntegerMatrix.zeros(r + k, c)
+            kron = a.kron(zm)
+            assert (kron.rows, kron.cols) == (r * r, c * k)
+            assert kron.to_rows() == [[u * v for u in p for v in q] for p in x for q in z]
+            assert kron.nnz() == sum(1 for row in kron.to_rows() for v in row if v)
             for inner_cols in (0, 1, rng.randint(2, 5)):
                 w = dense(rng, c, inner_cols)
                 prod = a @ IntegerMatrix.from_rows(w, cols=inner_cols)
@@ -560,7 +569,7 @@ class TestMatrixAlgebraAgainstDenseOracle:
         for bad in (lambda: a @ a, lambda: a + IntegerMatrix.zeros(3, 2),
                     lambda: a.hstack(IntegerMatrix.zeros(3, 1)),
                     lambda: IntegerMatrix.from_rows([[1, 2], [3]]),
-                    lambda: IntegerMatrix.from_entries(2, 2, {(2, 0): 1})):
+                    lambda: IntegerMatrix.from_blocks([2], [2], {(0, 0): a})):
             with pytest.raises(ValueError):
                 bad()
         with pytest.raises(IndexError):

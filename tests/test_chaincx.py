@@ -409,8 +409,8 @@ def retraction_homotopy(c: CochainComplex) -> dict:
         units = red.pivots
         assert all(v == 1 for _, _, v in units)
         u = red.matrix_u()  # the unit pivots' rows come first, in pivot order
-        u_units = IntegerMatrix.from_entries(len(units), a.rows,
-                                             {(i, j): v for (i, j), v in u.items() if i < len(units)})
+        u_units = IntegerMatrix(len(units), a.rows,
+                                {(i, j): v for (i, j), v in u.items() if i < len(units)})
         h[k + 1] = -(red.matrix_v([j for _, j, _ in units]) @ u_units)
         paired = frozenset(i for i, _, _ in units)
     return h

@@ -176,9 +176,19 @@ def test_fixture_that_is_not_json_is_one_line_exit_two(capsys, tmp_path, monkeyp
     assert err.startswith(f"bredon: error: fixture {path} is not valid JSON: ")
 
 
-def replacing(key, value):
-    """An edit that sets the top-level key of a fixture to value."""
-    return lambda text: json.dumps({**json.loads(text), key: value})
+def replacing(*keys_and_value):
+    """An edit that sets the key at the end of the path ``keys`` of a fixture to
+    the value given last."""
+    *keys, value = keys_and_value
+
+    def edit(text):
+        data = json.loads(text)
+        node = data
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        return json.dumps(data)
+    return edit
 
 
 @pytest.mark.parametrize("name, edit, error", [
@@ -189,7 +199,24 @@ def replacing(key, value):
      ": the key 'cells' must hold a list of objects"),
     ("point_integral.json", lambda text: "[]", " must hold an object, not list"),
     ("corner_values.json", lambda text: "5", " must hold an object, not int"),
-], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int"])
+    # each of these used to end in a traceback and exit code 1
+    ("weight0_integral.json", replacing("rows", 0, "group", 5),
+     ": the key 'group' must hold str, not int"),
+    ("weight0_integral.json", replacing("rows", 0, "when", 7),
+     ": the key 'when' must hold str, not int"),
+    ("weight1_integral.json", replacing("rows", 0, "source", 5),
+     ": the key 'source' must hold str, not int"),
+    ("point_mod2.json", replacing("range", 5), ": the key 'range' must hold dict, not int"),
+    ("point_mod2.json", replacing("range", "a", 5),
+     ": the key 'range' must map each variable to [low, high] integers"),
+    ("weight1_mod2.json", replacing("rows", 0, "conditional", "x"),
+     ": the key 'conditional' must hold dict, not str"),
+    ("corner_values.json", replacing("cells", 0, "source", 5),
+     ": the key 'source' must hold str, not int"),
+    ("corner_values.json", replacing("cells", 0, "a", "x"), ": the key 'a' must hold int, not str"),
+], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int", "row-group-int",
+        "row-when-int", "row-source-int", "range-int", "range-bound-int", "row-conditional-text",
+        "cell-source-int", "cell-a-text"])
 def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
                                                        name, edit, error):
     path = use_fixture_copy(tmp_path, monkeypatch, name, edit)
@@ -199,7 +226,7 @@ def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monke
     assert captured.err == f"bredon: error: fixture {path}{error}\n"
 
 
-@pytest.mark.parametrize("text", ["Z/0", "Z/-2", "Z^-1", "Z^0", "Z/1"])
+@pytest.mark.parametrize("text",["Z/0", "Z/-2", "Z^-1", "Z^0", "Z/1"])
 def test_bad_exact_group_text_is_one_line_exit_two(capsys, tmp_path, monkeypatch, text):
     # each of these used to parse silently: Z/0 as Z, Z/-2 as Z/2, the others as 0
     use_edited_fixtures(tmp_path, monkeypatch, {"group": text})

@@ -134,7 +134,7 @@ def test_matrix_layout_stays_in_abgrp():
     # the sparse row layout is abgrp's own: every other module reads entries
     # through the public accessors, so the storage can change in one place
     private = matrix_private_names()
-    assert {"_rows", "_adopt"} <= private
+    assert "_rows" in private
     found = []
     for folder in ("src", "tests", "bench", "demos"):
         for path in sorted((ROOT / folder).rglob("*.py")):

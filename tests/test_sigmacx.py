@@ -82,7 +82,7 @@ def oracle_push(j, drop_index, orbit_type):
             image[shorter] = image.get(shorter, 0) + 1
         for row, c in _express_in_basis(image, j - 1, orbit_type).items():
             entries[(row, col)] = c
-    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
+    return IntegerMatrix(len(tgt), len(src), entries)
 
 
 def oracle_pull(j, insert_index, orbit_type):
@@ -99,7 +99,7 @@ def oracle_pull(j, insert_index, orbit_type):
                 fiber[lifted] = fiber.get(lifted, 0) + 1
         for row, c in _express_in_basis(fiber, j, orbit_type).items():
             entries[(row, col)] = c
-    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
+    return IntegerMatrix(len(tgt), len(src), entries)
 
 
 class TestOrbitBasis:
@@ -127,8 +127,8 @@ def orbit_block(kind, j, index, orbit_type):
     src, tgt = (big, small) if kind == "push" else (small, big)
     pos = index - 1 + (1 if orbit_type == FREE else 0)
     rows = sigmacx._orbit_rows(kind, pos, src, tgt)
-    return IntegerMatrix.from_entries(len(rows), len(orbit_basis(*src)),
-                                      {(i, c): v for i, row in enumerate(rows) for c, v in row})
+    return IntegerMatrix(len(rows), len(orbit_basis(*src)),
+                         {(i, c): v for i, row in enumerate(rows) for c, v in row})
 
 
 class TestPushPull:
@@ -169,9 +169,9 @@ class TestPushPull:
 #
 # The assembly as it reads from the label tuples: basis labels enumerated bit
 # by bit, every block and every complex or map gathered in a {(row, col): v}
-# dict and handed to from_entries.  A row of from_entries lists its keys in
-# the order the dict first met them, and the pivot path of a reduction (so
-# every U, V, f, g and induced matrix) follows that order, so the fast
+# dict and handed to the IntegerMatrix constructor.  Each row of it lists its
+# keys in the order the dict first met them, and the pivot path of a reduction
+# (so every U, V, f, g and induced matrix) follows that order, so the fast
 # assembly must match it key for key, not only as a matrix.
 
 def reference_basis(j, orbit_type):
@@ -190,7 +190,7 @@ def reference_block(src, tgt, image):
             for q in image(point):
                 if q in row:
                     entries[(row[q], col)] = entries.get((row[q], col), 0) + 1
-    return IntegerMatrix.from_entries(len(tgt), len(src), entries)
+    return IntegerMatrix(len(tgt), len(src), entries)
 
 
 def reference_layout(m, j, orbit_type):
@@ -225,7 +225,7 @@ def reference_differentials(n, orbit_type):
                 for (r, c), v in blocks[idx].items():
                     entries[(row + r, col + c)] = sign * v
         shape = (small_rank, big_rank) if push else (big_rank, small_rank)
-        diffs[-(j + 1) if push else j] = IntegerMatrix.from_entries(*shape, entries)
+        diffs[-(j + 1) if push else j] = IntegerMatrix(*shape, entries)
     return diffs
 
 
@@ -240,7 +240,7 @@ def reference_map(n, src_type, tgt_type, image):
         for subset in subsets:
             for (r, c), v in block.items():
                 entries[(tgt_off[subset] + r, src_off[subset] + c)] = v
-        maps[-j if n > 0 else j] = IntegerMatrix.from_entries(tgt_rank, src_rank, entries)
+        maps[-j if n > 0 else j] = IntegerMatrix(tgt_rank, src_rank, entries)
     return maps
 
 
@@ -508,14 +508,14 @@ def tensor_power_model(p):
                     for bits in orbit_basis(j, orbit_type)]
 
         free_labels, fixed_labels = labels(FREE), labels(FIXED)
-        free[d] = IntegerMatrix.from_entries(len(words), len(free_labels), {
+        free[d] = IntegerMatrix(len(words), len(free_labels), {
             (index[word(s, bits[1:])], col): sign
             for col, (s, bits) in enumerate(free_labels)})
-        fixed[d] = IntegerMatrix.from_entries(len(words), len(fixed_labels), {
+        fixed[d] = IntegerMatrix(len(words), len(fixed_labels), {
             (index[w], col): sign
             for col, (s, bits) in enumerate(fixed_labels)
             for w in {word(s, bits), flip(word(s, bits))}})
-        swap[d] = IntegerMatrix.from_entries(len(words), len(words), {
+        swap[d] = IntegerMatrix(len(words), len(words), {
             (index[flip(w)], i): 1 for i, w in enumerate(words)})
     return t, free, fixed, swap
 
