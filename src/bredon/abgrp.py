@@ -653,68 +653,41 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix.from_row_dicts(y, b.cols)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for the word-sized moduli used here."""
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
 def check_modulus(m: int, integral: bool = True) -> None:
     """The one coefficient rule, checked by every public entry before any work.
 
-    m = 0 stands for Z where the entry takes ``integral`` coefficients;
-    every other m must be a prime, the order of the field Z/m.
+    The coefficients are Z, written 0, where the entry is ``integral``, and
+    Z/2, written 2; groups over any other Z/m follow from the integral ones
+    by the universal coefficient theorem.
     """
-    if not (is_prime(m) or integral and m == 0):
-        raise ValueError(f"{m} is not prime")
+    if not (m == 2 or integral and m == 0):
+        raise ValueError(f"coefficient {m} is {'neither 0 (Z) nor' if integral else 'not'} 2 (Z/2)")
 
 
 def rank_mod(a: IntegerMatrix, m: int) -> int:
-    """Rank of A over the field Z/m (m prime).
+    """Rank of A over Z/2; m must be 2.
 
-    Mod 2 this is an xor basis of the row bitsets, keyed by highest set bit,
-    which does not use the integral engine.  Keyed by the lowest set bit
-    instead, the stored rows of the orbit differentials fill in: ranking
-    each differential of the free complex at shift 10 once took 8.4 s CPU
-    that way against 0.25 s (Python 3.11, 2-core Xeon).  For odd m it
-    counts the Smith invariants that m does not divide (U and V stay
-    invertible mod m), from one whole reduction of A.
+    This is an xor basis of the row bitsets, keyed by highest set bit, which
+    does not use the integral engine.  Keyed by the lowest set bit instead,
+    the stored rows of the orbit differentials fill in: ranking each
+    differential of the free complex at shift 10 once took 8.4 s CPU that
+    way against 0.25 s (Python 3.11, 2-core Xeon).
     """
     check_modulus(m, integral=False)
-    if m == 2:
-        basis: dict = {}
-        for row in a._rows:
-            x = 0
-            for j, v in row.items():
-                if v & 1:
-                    x |= 1 << j
-            while x:
-                top = x.bit_length()
-                pivot = basis.get(top)
-                if pivot is None:
-                    basis[top] = x
-                    break
-                x ^= pivot
-        return len(basis)
-    return sum(1 for d in snf_diagonal(a) if d % m)
+    basis: dict = {}
+    for row in a._rows:
+        x = 0
+        for j, v in row.items():
+            if v & 1:
+                x |= 1 << j
+        while x:
+            top = x.bit_length()
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = x
+                break
+            x ^= pivot
+    return len(basis)
 
 
 # ----------------------------------------------------------------------
@@ -851,19 +824,19 @@ def two_torsion_group(g: FgAbelianGroup) -> FgAbelianGroup:
 # ----------------------------------------------------------------------
 
 def window_cohomology(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int = 0) -> FgAbelianGroup:
-    """ker(d_out)/im(d_in) over Z (m = 0) or Z/m (m prime), trusting its input.
+    """ker(d_out)/im(d_in) over Z (m = 0) or Z/2 (m = 2), trusting its input.
 
     The shapes must match and d_out @ d_in must vanish (mod m): a
     ``CochainComplex`` is verified when it is built, and ``cohomology_at``
     and ``mod_m_cohomology_at`` check raw windows first.  Over Z the torsion
     of ker/im is that of Z^n/im(d_in) (a class with a multiple in the image
     lies in the kernel), so the diagonal of d_in and the rank of d_out
-    suffice; d_in is reduced first, over Z and Z/m alike.  No rank can come
-    out negative: im d_in lies in ker d_out, so rank d_in + rank d_out <= n,
-    over Z and over Z/m.
+    suffice.  Over Z/2 the group is (Z/2)^n with n = rank - r(d_in) - r(d_out),
+    the ranks from the bitset kernel.  No rank can come out negative: im d_in
+    lies in ker d_out, so rank d_in + rank d_out <= n, over Z and over Z/2.
     """
     if m:
-        return FgAbelianGroup(0, (m,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
+        return FgAbelianGroup(0, (2,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
     diag = snf_diagonal(d_in)
     free = d_in.rows - rank(d_out) - len(diag)
     return FgAbelianGroup.from_cyclic_orders([0] * free + [d for d in diag if d != 1])
@@ -895,7 +868,7 @@ def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
 
 
 def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> FgAbelianGroup:
-    """Cohomology with Z/m coefficients (m prime) of a raw window, checked first.
+    """Cohomology with Z/2 coefficients (m = 2) of a raw window, checked first.
 
     >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2))
     Z/2
@@ -910,36 +883,27 @@ def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> Fg
 # ----------------------------------------------------------------------
 
 class _Cycles:
-    """The cycles {b : d_out @ b = 0 mod m}, a basis of them, and coordinates.
+    """The integral cycles {b : d_out @ b = 0}, a basis of them, and coordinates.
 
-    One reduction D = U @ A @ V of A = d_out, or of A = [d_out | m I] for
-    m > 0, gives both: the kernel of A is spanned by the columns of V past
-    the pivots, and the coordinates of a kernel vector c in that basis are
-    the rows of V^-1 @ c past the pivots.  The cycles are the top rows of
-    the kernel; a cycle b lifts to the kernel vector (b, -(d_out @ b) / m).
-    It sees raw windows and the windows of a complex's Morse model only,
-    never a complex's own differentials.
+    One reduction D = U @ d_out @ V gives both: the cycles are spanned by
+    the columns of V past the pivots, and the coordinates of a cycle c in
+    that basis are the rows of V^-1 @ c past the pivots.  It sees raw
+    windows and the windows of a complex's Morse model only, never a
+    complex's own differentials.
     """
 
-    __slots__ = ("d_out", "m", "basis", "inverse")
+    __slots__ = ("d_out", "basis", "inverse")
 
-    def __init__(self, d_out: IntegerMatrix, m: int):
-        self.d_out, self.m = d_out, m
-        a = d_out.hstack(IntegerMatrix.identity(d_out.rows).scale(m)) if m else d_out
-        red = _reduce(a)
+    def __init__(self, d_out: IntegerMatrix):
+        self.d_out = d_out
+        red = _reduce(d_out)
         free = sorted(red.live_cols)
-        self.basis = _top_rows(red.matrix_v(free), d_out.cols)
+        self.basis = red.matrix_v(free)
         self.inverse = red.matrix_v_inverse(free)
 
     def coordinates(self, b: IntegerMatrix) -> Optional[IntegerMatrix]:
         """Y with basis @ Y = B, or None if a column of B is not a cycle."""
-        m, image = self.m, (self.d_out @ b)._rows
-        if any(v % m if m else v for row in image for v in row.values()):
-            return None
-        if m:
-            b = IntegerMatrix.from_row_dicts(b._rows + [{j: -v // m for j, v in row.items()}
-                                                        for row in image], b.cols)
-        return self.inverse @ b
+        return self.inverse @ b if (self.d_out @ b).is_zero() else None
 
 
 @dataclass
@@ -963,27 +927,23 @@ class CohomologyPresentation:
     orders: tuple
 
 
-def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix,
-                            m: int = 0) -> CohomologyPresentation:
-    """H = ker(d_out)/im(d_in) with explicit generators, over Z or Z/m.
+def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix) -> CohomologyPresentation:
+    """H = ker(d_out)/im(d_in) over Z, with explicit generators.
 
-    For m > 0 the cycles are {x : d_out x = 0 mod m} and the boundaries are
-    im(d_in) + m Z^n, so the integral machinery presents H(C; Z/m) as well.
     A ``CochainComplex`` hands it the windows of its Morse model M (see
     ``MorseRecord``), not its own: the cohomology of M is that of C, and
     M's windows are small.  Raw windows come here as they are.
 
-    >>> six = IntegerMatrix.from_rows([[6]])
-    >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 1), 3).group)
-    Z/3
+    >>> six = IntegerMatrix.from_rows([[6], [0]])
+    >>> print(cohomology_presentation(six, IntegerMatrix.zeros(0, 2)).group)
+    Z (+) Z/6
     """
-    check_modulus(m)
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
-    cycles = _Cycles(d_out, m)
-    x = cycles.coordinates(d_in.hstack(IntegerMatrix.identity(d_in.rows).scale(m)) if m else d_in)
+    cycles = _Cycles(d_out)
+    x = cycles.coordinates(d_in)
     if x is None:
-        raise ValueError("d_out @ d_in is not zero" + (f" mod {m}" if m else ""))
+        raise ValueError("d_out @ d_in is not zero")
     red = _reduce(x)
     surviving = [i for i, _, d in red.pivots if d != 1] + sorted(red.live_rows)
     orders = tuple(d for _, _, d in red.pivots if d != 1) + (0,) * len(red.live_rows)
@@ -1023,11 +983,8 @@ def kernel_lattice(f: IntegerMatrix, source: tuple, target: tuple) -> IntegerMat
     ``CohomologyPresentation``.
     """
     k = kernel_basis(f.hstack(_relations(target)))
-    return _top_rows(k, len(source)).hstack(_relations(source))
-
-
-def _top_rows(a: IntegerMatrix, n: int) -> IntegerMatrix:
-    return IntegerMatrix.from_row_dicts(a._rows[:n], a.cols)
+    top = IntegerMatrix.from_row_dicts(k._rows[:len(source)], k.cols)
+    return top.hstack(_relations(source))
 
 
 def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:

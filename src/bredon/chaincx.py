@@ -2,8 +2,8 @@
 
 A complex stores ranks per degree and integer differentials d^i: C^i -> C^{i+1}
 with d^{i+1} @ d^i = 0.  Provided operations: validation, tensor product with
-Koszul signs, mapping cones, cohomology (integral or mod a prime), induced
-maps on cohomology with classification flags, and Euler characteristics.
+Koszul signs, mapping cones, cohomology (over Z or Z/2), induced maps on
+integral cohomology with classification flags, and Euler characteristics.
 
 Sign conventions are calibrated once and fixed:
 
@@ -20,13 +20,13 @@ Sign conventions are calibrated once and fixed:
   homotopy is h^{k+1} = -V_k[:, A_k] U_k[B_k, :]: C^{k+1} -> C^k, so that
   g.f = 1 + d h + h d, and h.h = 0, f.h = 0 and h.g = 0.
 
-Cohomology is computed on M: over Z and mod an odd prime the group H^k(C)
-is H^k(M), read off M's window at k, and a chain map phi: S -> T induces
-the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Mod 2 the groups of C
-come from the ranks of C's own differentials over Z/2, each taken once per
-complex by the bitset kernel ``abgrp.rank_mod`` and kept on the complex;
-this path uses neither the integral engine nor M, so it stays an
-independent check of the universal-coefficient result over Z.
+The coefficients are Z and Z/2, each with one engine.  Over Z the group
+H^k(C) is H^k(M), read off M's window at k, and a chain map phi: S -> T
+induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over Z/2 the
+groups of C come from the ranks of C's own differentials over Z/2, each
+taken once per complex by the bitset kernel ``abgrp.rank_mod`` and kept on
+the complex; this path uses neither the integral engine nor M, so it stays
+an independent check of the universal-coefficient result over Z.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -83,7 +83,7 @@ class CochainComplex:
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
-        self._pres_cache: Dict[tuple[int, int], CohomologyPresentation] = {}
+        self._pres_cache: Dict[int, CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
         self._mod2_ranks: Dict[int, int] = {}
         validate(self)
@@ -139,14 +139,12 @@ class CochainComplex:
         """(d_M^(k-1), d_M^k, f^k, g^k) of the Morse model at degree k."""
         return self._record().window(degree - self.support()[0])
 
-    def _presentation(self, degree: int, m: int = 0) -> CohomologyPresentation:
-        """H^degree(M) over Z or Z/m, which is H^degree(C) read through f and g."""
-        pres = self._pres_cache.get((degree, m))
+    def _presentation(self, degree: int) -> CohomologyPresentation:
+        """H^degree(M) over Z, which is H^degree(C) read through f and g."""
+        pres = self._pres_cache.get(degree)
         if pres is None:
-            check_modulus(m)
             d_in, d_out, _, _ = self._model(degree)
-            pres = cohomology_presentation(d_in, d_out, m)
-            self._pres_cache[(degree, m)] = pres
+            pres = self._pres_cache[degree] = cohomology_presentation(d_in, d_out)
         return pres
 
     def _rank_mod2(self, degree: int) -> int:
@@ -156,8 +154,7 @@ class CochainComplex:
             return 0
         r = self._mod2_ranks.get(degree)
         if r is None:
-            r = rank_mod(d, 2)
-            self._mod2_ranks[degree] = r
+            r = self._mod2_ranks[degree] = rank_mod(d, 2)
         return r
 
 
@@ -190,15 +187,15 @@ def euler_characteristic(c: CochainComplex) -> int:
 
 
 def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
-    """H^degree(C) with Z (m = 0) or Z/m (m prime) coefficients.
+    """H^degree(C) with Z (m = 0) or Z/2 (m = 2) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
-    Over Z and mod an odd prime this is the cohomology of the window of the
-    complex's Morse model M at the degree.  M comes from one sweep from the
-    lowest degree up, which runs the unit phase of each differential once
-    whatever degrees and coefficients are asked for, in any order; a query
-    sweeps through the differential above its window, which fixes M's
-    generators there.  Mod 2 the group is (Z/2)^n with
+    Over Z this is the cohomology of the window of the complex's Morse
+    model M at the degree.  M comes from one sweep from the lowest degree
+    up, which runs the unit phase of each differential once whatever
+    degrees are asked for, in any order; a query sweeps through the
+    differential above its window, which fixes M's generators there.
+    Mod 2 the group is (Z/2)^n with
     n = rank C^k - r(k-1) - r(k), where r(i) is the rank of d^i over Z/2:
     each complex ranks each of its differentials once, by the bitset
     kernel, and keeps the rank, so d^k serves as d_out at k and as d_in at
@@ -208,7 +205,7 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     if m == 2:
         n = c.rank(degree) - c._rank_mod2(degree - 1) - c._rank_mod2(degree)
         return FgAbelianGroup(0, (2,) * n)
-    return window_cohomology(*c._model(degree)[:2], m)
+    return window_cohomology(*c._model(degree)[:2])
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
@@ -217,11 +214,10 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
     The ranks of C and of its Morse model M per degree, then the Smith
     diagonals of d_in and d_out, each with the number of unit pivots that
     the sweep took in it and how many of those were free faces, and over
-    Z/m also its rank mod m.  The diagonal
-    of a differential d of C is one 1 per unit pivot, then the diagonal of
-    its part d_M on M (see ``abgrp.MorseRecord``).  Mod 2 the printed rank
-    is the complex's own rank of d over Z/2, the one ``cohomology`` uses;
-    mod an odd prime it counts the diagonal's entries prime to m.
+    Z/2 also its rank mod 2.  The diagonal of a differential d of C is one
+    1 per unit pivot, then the diagonal of its part d_M on M (see
+    ``abgrp.MorseRecord``).  The printed rank mod 2 is the complex's own
+    rank of d over Z/2, the one ``cohomology`` uses.
     """
     check_modulus(m)
     lo, hi = c.support()
@@ -237,8 +233,7 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
                 f"{units} unit pivots ({faces} free faces)")
         if m:
-            r = c._rank_mod2(k) if m == 2 else sum(1 for d in diag if d % m)
-            line += f"; rank mod {m} {r}"
+            line += f"; rank mod 2 {c._rank_mod2(k)}"
         lines.append(line)
     return lines
 
@@ -435,8 +430,8 @@ class InducedMap:
         return map_is_multiplication_by(self.matrix, n, self.source, self.target)
 
 
-def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
-    """The induced map on cohomology at the given degree, over Z or Z/m.
+def induced_map(f: ChainMap, degree: int) -> InducedMap:
+    """The induced map on integral cohomology at the given degree.
 
     >>> c = two_term_complex(2)
     >>> induced_map(ChainMap.identity(c), 0).is_multiplication_by(1)
@@ -444,13 +439,13 @@ def induced_map(f: ChainMap, degree: int, m: int = 0) -> InducedMap:
     >>> induced_map(ChainMap.identity(c).scale(0), 0).is_zero()
     True
     """
-    return _induced(f.component(degree), degree, f.source, degree, f.target, degree, m)
+    return _induced(f.component(degree), degree, f.source, degree, f.target, degree)
 
 
 def _induced(component: IntegerMatrix, degree: int, source: CochainComplex, s_degree: int,
-             target: CochainComplex, t_degree: int, m: int = 0) -> InducedMap:
+             target: CochainComplex, t_degree: int) -> InducedMap:
     """The map on cohomology of ``component``: C^s_degree -> C^t_degree, as f_T . phi . g_S on M."""
-    sp, tp = source._presentation(s_degree, m), target._presentation(t_degree, m)
+    sp, tp = source._presentation(s_degree), target._presentation(t_degree)
     on_model = target._model(t_degree)[2] @ component @ source._model(s_degree)[3]
     mat = map_on_cohomology(on_model, sp, tp)
     return InducedMap(degree, sp.group, tp.group, mat, sp.orders, tp.orders)

@@ -636,9 +636,6 @@ class DerivedTable:
     """One derived cone table: entries indexed by (a, p) with axiom trails."""
 
     weight: str
-    profile: str
-    coeff: int
-    n_max: int
     columns: Dict[int, Dict[int, TableEntry]] = field(default_factory=dict)
     column_trails: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
@@ -747,8 +744,7 @@ def _advance(table: DerivedTable, profile: FieldProfile, p: int, step: int,
 
 
 def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
-    out = DerivedTable(table.weight, table.profile, 2, table.n_max,
-                       notes=list(table.notes))
+    out = DerivedTable(table.weight, notes=list(table.notes))
     for p in table.derived_shifts():
         out.column_trails[p] = tuple(dict.fromkeys(table.column_trails.get(p, ()) + ("UCT",)))
         out.columns[p] = {}
@@ -779,9 +775,11 @@ def _derive(weight: str, profile: FieldProfile, n_max: int, coeff: int,
     trail), the axiom that zeroes a 2-torsion junction, the status recorded
     before the first step, and the notes its table starts with.
     """
+    if coeff not in (0, 2):
+        raise ValueError(f"coefficient {coeff} is neither 0 (Z) nor 2 (Z/2)")
     tables = {}
     for cone, (seeds, zero_axiom, recorded, notes) in cones.items():
-        table = DerivedTable(weight, profile.name, 0, n_max, notes=notes)
+        table = DerivedTable(weight, notes=notes)
         for p, entries, trail in seeds:
             table.columns[p] = {}
             table.column_trails[p] = trail

@@ -44,7 +44,7 @@ from itertools import combinations, product
 from math import comb
 from typing import Dict, List, Tuple
 
-from .abgrp import FgAbelianGroup, IntegerMatrix
+from .abgrp import FgAbelianGroup, IntegerMatrix, check_modulus
 from .chaincx import (ChainMap, CochainComplex, all_cohomology, cohomology, cone, induced_map,
                       unit_complex)
 
@@ -200,7 +200,7 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     """Weight-0 equivariant cohomology in cohomological index a + p*sigma.
 
     Computed directly as H^a of the fixed-point complex for the shift by
-    p*sigma, integrally (m = 0) or with Z/m coefficients (m prime).
+    p*sigma, integrally (m = 0) or with Z/2 coefficients (m = 2).
 
     >>> print(weight0(0, 1))
     Z/2
@@ -209,6 +209,7 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     >>> print(weight0(1, -1))
     0
     """
+    check_modulus(m)
     lo, hi = (-p, 0) if p >= 0 else (0, -p)
     if a < lo or a > hi:
         return FgAbelianGroup.zero()
@@ -271,6 +272,7 @@ def free_orbit_acyclicity(p: int, m: int = 0) -> bool:
     >>> free_orbit_acyclicity(1)
     True
     """
+    check_modulus(m)
     c = build_sigma_complex(SigmaSpec(p, FREE))
     expected = FgAbelianGroup.free(1) if m == 0 else FgAbelianGroup.cyclic(m)
     lo, hi = c.support()

@@ -28,7 +28,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..abgrp import FgAbelianGroup
+from ..abgrp import FgAbelianGroup, check_modulus
 from ..formal import (
     ConditionalGroup,
     FieldProfile,
@@ -37,6 +37,7 @@ from ..formal import (
     KSQ,
     KSQMOD4,
     KSTAR,
+    PROFILES,
     TORS2K,
     Z2,
     ZA,
@@ -52,15 +53,23 @@ class FixtureError(ValueError):
     """A malformed fixture: bad predicate, missing source note, bad group."""
 
 
-class _WrongType(FixtureError):
-    """A fixture key holding a value of the wrong type; the loader adds the file."""
-
-
 def _typed(obj: dict, key: str, kind: type, default=None):
     """obj[key], or ``default`` when one is given and the key is absent, of type ``kind``."""
     value = obj[key] if default is None else obj.get(key, default)
     if type(value) is not kind:
-        raise _WrongType(f"the key {key!r} must hold {kind.__name__}, not {type(value).__name__}")
+        raise FixtureError(f"the key {key!r} must hold {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
+def _profile_lists(obj: dict, key: str, required: tuple = ()) -> dict:
+    """obj[key], or {} when it is absent: an object that maps each key in
+    ``required``, and any other, to a list of names from ``PROFILES``."""
+    value = _typed(obj, key, dict, {})
+    if not (set(required) <= set(value) and all(
+            type(names) is list and all(type(n) is str and n in PROFILES for n in names)
+            for names in value.values())):
+        raise FixtureError(f"the key {key!r} must map {', '.join(required) or 'shifts'} "
+                           "to lists of the profiles " + ", ".join(PROFILES))
     return value
 
 
@@ -193,14 +202,17 @@ class FixtureTable:
     """
 
     def __init__(self, data: dict):
-        self.table_id = data["table"]
-        self.kind = data["kind"]
+        self.table_id = _typed(data, "table", str)
+        self.kind = _typed(data, "kind", str)
+        if self.kind not in ("exact", "formal"):
+            raise FixtureError(f"the key 'kind' must hold 'exact' or 'formal', not {self.kind!r}")
         self.range = _typed(data, "range", dict, {})
         for bounds in self.range.values():
             if type(bounds) is not list or len(bounds) != 2 or {type(b) for b in bounds} != {int}:
-                raise _WrongType("the key 'range' must map each variable to [low, high] integers")
-        self.cone_profiles = data.get("cone_profiles")
-        self.shift_profiles = data.get("shift_profiles", {})
+                raise FixtureError("the key 'range' must map each variable to [low, high] integers")
+        self.cone_profiles = None if "cone_profiles" not in data else _profile_lists(
+            data, "cone_profiles", ("positive", "negative", "zero"))
+        self.shift_profiles = _profile_lists(data, "shift_profiles")
         self.rows: List[FixtureRow] = []
         parse = parse_exact_group if self.kind == "exact" else parse_formal_group
         for row in data["rows"]:
@@ -213,9 +225,10 @@ class FixtureTable:
                                            for k in ("if_minus_one_square", "otherwise")))
             else:
                 value = parse(_typed(row, "group", str))
-            pred = None if row.get("otherwise") else Predicate(_typed(row, "when", str))
+            otherwise = _typed(row, "otherwise", bool, False)
+            pred = None if otherwise else Predicate(_typed(row, "when", str))
             self.rows.append(FixtureRow(pred, value, source))
-        if self.rows and self.rows[-1].predicate is not None:
+        if not self.rows or self.rows[-1].predicate is not None:
             raise FixtureError(f"{self.table_id}: final row must be the catch-all")
         self._guarded = [i for i, r in enumerate(self.rows) if r.predicate is not None]
         # each text ends its own line, so a trailing comment cannot swallow the rest
@@ -307,20 +320,21 @@ def _read_fixture(key: Tuple[str, str], build, entries: str):
     try:
         with open(path) as f:
             data = json.load(f)
-        if not isinstance(data, dict):
-            raise FixtureError(f"fixture {path} must hold an object, not {type(data).__name__}")
-        listed = data[entries]
-        if not isinstance(listed, list) or not all(isinstance(e, dict) for e in listed):
-            raise FixtureError(f"fixture {path}: the key {entries!r} must hold a list of objects")
-        return build(data)
     except OSError as exc:
         raise FixtureError(f"cannot read fixture {path}: {exc.strerror} "
                            f"(the directory comes from {FIXTURE_ENV} when it is set)") from exc
     except json.JSONDecodeError as exc:
         raise FixtureError(f"fixture {path} is not valid JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise FixtureError(f"fixture {path} must hold an object, not {type(data).__name__}")
+    try:
+        listed = data[entries]
+        if not isinstance(listed, list) or not all(isinstance(e, dict) for e in listed):
+            raise FixtureError(f"the key {entries!r} must hold a list of objects")
+        return build(data)
     except KeyError as exc:
         raise FixtureError(f"fixture {path} lacks the key {exc.args[0]!r}") from None
-    except _WrongType as exc:
+    except FixtureError as exc:
         raise FixtureError(f"fixture {path}: {exc}") from None
 
 
@@ -362,14 +376,8 @@ _TABLE_FILES = {
 ALL_TABLE_FILES = list(_TABLE_FILES.values())
 
 
-def _check_coeff(coeff: int):
-    if coeff not in (0, 2):
-        raise ValueError(f"coefficient {coeff} is neither 0 (Z) nor 2 (Z/2), "
-                         "the coefficients of the case tables and grids")
-
-
 def _table(table: str, coeff: int) -> FixtureTable:
-    _check_coeff(coeff)
+    check_modulus(coeff)
     return load_table(_TABLE_FILES[(table, coeff)])
 
 
@@ -450,7 +458,7 @@ class GridSpec:
                              "use source 'fixture' or 'derived'")
         if self.source == "derived" and self.weight == "0":
             raise ValueError("weight 0 has no derived source; use source 'computed' or 'fixture'")
-        _check_coeff(self.coeff)
+        check_modulus(self.coeff)
         lo, hi = self.a_bounds()
         if lo > hi:
             raise ValueError(f"the a-range {lo}..{hi} is empty")

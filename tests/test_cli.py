@@ -9,8 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from bredon import sigmacx
+from bredon import sigmacx, tables
 from bredon.cli import main
+from bredon.formal import PROFILES
+from bredon.tables.checks import SUITES
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -135,7 +137,7 @@ def use_edited_fixtures(tmp_path, monkeypatch, first_row):
         data = json.loads(text)
         data["rows"][0].update(first_row)
         return json.dumps(data)
-    use_fixture_copy(tmp_path, monkeypatch, "weight0_integral.json", edit)
+    return use_fixture_copy(tmp_path, monkeypatch, "weight0_integral.json", edit)
 
 
 def without(*keys):
@@ -214,9 +216,29 @@ def replacing(*keys_and_value):
     ("corner_values.json", replacing("cells", 0, "source", 5),
      ": the key 'source' must hold str, not int"),
     ("corner_values.json", replacing("cells", 0, "a", "x"), ": the key 'a' must hold int, not str"),
+    # each of these used to parse, then end in a traceback or in wrong verdicts
+    ("point_integral.json", replacing("table", 5), ": the key 'table' must hold str, not int"),
+    ("weight0_integral.json", replacing("kind", 5), ": the key 'kind' must hold str, not int"),
+    ("weight0_mod2.json", replacing("kind", "cells"),
+     ": the key 'kind' must hold 'exact' or 'formal', not 'cells'"),
+    ("weight1_mod2.json", replacing("cone_profiles", {"positive": ["general"]}),
+     ": the key 'cone_profiles' must map positive, negative, zero to lists of the profiles "
+     + ", ".join(PROFILES)),
+    ("weight_sigma_integral.json", replacing("cone_profiles", "zero", ["real"]),
+     ": the key 'cone_profiles' must map positive, negative, zero to lists of the profiles "
+     + ", ".join(PROFILES)),
+    ("weight1_integral.json", replacing("shift_profiles", 5),
+     ": the key 'shift_profiles' must hold dict, not int"),
+    ("weight_sigma_mod2.json", replacing("shift_profiles", "1", "general"),
+     ": the key 'shift_profiles' must map shifts to lists of the profiles " + ", ".join(PROFILES)),
+    ("point_mod2.json", replacing("rows", -1, "otherwise", 1),
+     ": the key 'otherwise' must hold bool, not int"),
+    ("point_mod2.json", replacing("rows", []), ": point-mod2: final row must be the catch-all"),
 ], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int", "row-group-int",
         "row-when-int", "row-source-int", "range-int", "range-bound-int", "row-conditional-text",
-        "cell-source-int", "cell-a-text"])
+        "cell-source-int", "cell-a-text", "table-int", "kind-int", "kind-cells",
+        "cone-profiles-one-cone", "cone-profiles-unknown-name", "shift-profiles-int",
+        "shift-profiles-text", "row-otherwise-int", "rows-empty"])
 def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
                                                        name, edit, error):
     path = use_fixture_copy(tmp_path, monkeypatch, name, edit)
@@ -226,15 +248,71 @@ def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monke
     assert captured.err == f"bredon: error: fixture {path}{error}\n"
 
 
+def keys_the_loader_reads(data: dict):
+    """The key paths of a fixture that the loader reads: each top-level key, each
+    range variable, each key of the first row or cell, and each conditional's branches."""
+    if "cells" in data:
+        yield ("cells",)
+        for key in ("weight", "a", "p", "coeff", "group", "source"):
+            yield ("cells", 0, key)
+        return
+    for key in ("table", "kind", "range", "cone_profiles", "shift_profiles", "rows"):
+        yield (key,)
+    for variable in ("a", "p"):
+        yield ("range", variable)
+    for key in ("source", "conditional", "group", "otherwise", "when"):
+        yield ("rows", 0, key)
+    for i, row in enumerate(data["rows"]):
+        if "conditional" in row:
+            yield ("rows", i, "conditional", "if_minus_one_square")
+            yield ("rows", i, "conditional", "otherwise")
+
+
+def test_every_json_type_in_every_fixture_key(capsys, tmp_path, monkeypatch):
+    # a value the loader cannot use is one line naming the file, exit code 2;
+    # every value it takes runs every suite to a verdict.  The suites that read
+    # the most files for the least work go first and the coverage sweep last,
+    # so a refused file stops the run early
+    src = tables.fixture_dir()
+    for each in os.listdir(src):
+        shutil.copy(os.path.join(src, each), tmp_path / each)
+    monkeypatch.setenv("BREDON_FIXTURE_DIR", str(tmp_path))
+    monkeypatch.setattr(tables, "_CACHE", {})
+    monkeypatch.setattr(tables, "_CELL_CACHE", {})
+    first, last = ["corner-values", "qclosed-coincidence"], ["fixture-coverage"]
+    suites = first + [name for name in SUITES if name not in first + last] + last
+    faults, runs = [], 0
+    for name in sorted(os.listdir(tmp_path)):
+        path = tmp_path / name
+        text = path.read_text()
+        for keys in keys_the_loader_reads(json.loads(text)):
+            for value in (None, True, 5, 1.5, "x", [], {}):
+                path.write_text(replacing(*keys, value)(text))
+                for cache in (tables._CACHE, tables._CELL_CACHE):  # reload this file only
+                    cache.pop((str(tmp_path), name), None)
+                runs += 1
+                try:
+                    code = main(["check", *suites, "--p-max", "1", "--n-max", "1"])
+                except Exception as exc:
+                    code = f"{type(exc).__name__}: {exc}"
+                out, err = capsys.readouterr()
+                refused = (code == 2 and out == "" and err.count("\n") == 1
+                           and err.startswith(f"bredon: error: fixture {path}"))
+                if not (refused or code in (0, 1) and err == ""):
+                    faults.append(f"{name} {keys} = {value!r}: {code}, {err!r}")
+        path.write_text(text)
+    assert runs > 700 and not faults, "\n".join(faults)
+
+
 @pytest.mark.parametrize("text",["Z/0", "Z/-2", "Z^-1", "Z^0", "Z/1"])
 def test_bad_exact_group_text_is_one_line_exit_two(capsys, tmp_path, monkeypatch, text):
     # each of these used to parse silently: Z/0 as Z, Z/-2 as Z/2, the others as 0
-    use_edited_fixtures(tmp_path, monkeypatch, {"group": text})
+    path = use_edited_fixtures(tmp_path, monkeypatch, {"group": text})
     code = main(["grid", "--weight", "0", "--source", "fixture"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
-    assert captured.err == (f"bredon: error: cannot parse exact group {text!r}: {text!r} is not "
-                            "Z, Z^r with r >= 1 or Z/d with d >= 2\n")
+    assert captured.err == (f"bredon: error: fixture {path}: cannot parse exact group {text!r}: "
+                            f"{text!r} is not Z, Z^r with r >= 1 or Z/d with d >= 2\n")
 
 
 def test_check_failure_exit_one(capsys, tmp_path, monkeypatch):

@@ -380,6 +380,14 @@ class TestInductionDriver:
         assert entry.trail == ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES")
 
     @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+    def test_only_z_and_z2_are_derived(self, derive):
+        # any other coefficient used to return the integral tables unreduced
+        for coeff in (3, 4, 1, -2):
+            with pytest.raises(ValueError, match=rf"^coefficient {coeff} is neither 0 \(Z\) "
+                                                 r"nor 2 \(Z/2\)$"):
+                derive(EU, 2, coeff=coeff)
+
+    @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
     @pytest.mark.parametrize("n_max", [0, 1])
     @pytest.mark.parametrize("coeff", [0, 2])
     def test_no_column_past_the_depth(self, derive, n_max, coeff):
@@ -388,7 +396,6 @@ class TestInductionDriver:
             tables = derive(profile, n_max, coeff=coeff)
             for cone, sign in (("positive", 1), ("negative", -1)):
                 table = tables[cone]
-                assert table.n_max == n_max
                 assert all(abs(p) <= n_max for p in table.derived_shifts()), (cone, profile)
                 assert all(abs(p) <= n_max for p in table.column_trails), (cone, profile)
                 assert 0 in table.derived_shifts()
