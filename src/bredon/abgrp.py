@@ -489,6 +489,7 @@ class _Swept(NamedTuple):
     f: tuple            # f^t: M^t x C^t for each reduced position
     g: tuple            # g^t: C^t x M^t
     d: tuple            # d_M^t: M^(t+1) x M^t, one position behind until the top
+    diag: tuple         # the Smith diagonal of each d_M^t, taken once when it is fixed
     units: tuple        # the number of unit pivots of each reduced d^t
     faces: tuple        # how many of them were free faces, taken by the collapse
     paired: frozenset   # the rows of the last reduced d^t's unit pivots
@@ -528,18 +529,19 @@ class MorseRecord:
     are g^t = V_t[:, M^t]: M -> C and f^(t+1) = U_t[M^(t+1), :]: C -> M,
     and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are read off
     the logs by ``_replay``, the replay that builds every transform, on M's
-    generators alone, and each log is dropped once it has been read.
+    generators alone, and each log is dropped once it has been read.  The
+    sweep takes the Smith diagonal of each d_M^t once, when it fixes d_M^t.
 
-    The reduced positions are published as one immutable value, so a
-    record shared between threads is at worst swept twice, with equal
-    results.
+    The reduced positions, diagonals included, are published as one
+    immutable value, so a record shared between threads is at worst swept
+    twice, with equal results.
     """
 
     __slots__ = ("differentials", "_swept")
 
     def __init__(self, differentials: Sequence[IntegerMatrix]):
         self.differentials = tuple(differentials)
-        self._swept = _Swept((), (), (), (), (), frozenset(), None)
+        self._swept = _Swept((), (), (), (), (), (), frozenset(), None)
 
     def sweep(self, t: int) -> _Swept:
         """Reduce the positions up to t (at most n) that no earlier sweep reduced."""
@@ -557,6 +559,19 @@ class MorseRecord:
         s = self.sweep(t + 1)
         d_in = s.d[t - 1] if t else IntegerMatrix.zeros(s.g[0].cols, 0)
         return d_in, s.d[t], s.f[t], s.g[t]
+
+    def group(self, t: int) -> FgAbelianGroup:
+        """H^t(M), which is H^t(C), from the diagonals of d_M^(t-1) and d_M^t; 0 outside 0..n.
+
+        A class with a multiple in im d_M^(t-1) is a cycle, so the torsion is
+        read off the diagonal below; the free rank is rank M^t less both ranks.
+        """
+        if not 0 <= t < len(self.differentials):
+            return FgAbelianGroup.zero()
+        s = self.sweep(t + 1)
+        below = s.diag[t - 1] if t else ()
+        return FgAbelianGroup.from_cyclic_orders(
+            (0,) * (s.g[t].cols - len(below) - len(s.diag[t])) + below)
 
     def _step(self, s: _Swept) -> _Swept:
         t = len(s.g)
@@ -579,8 +594,9 @@ class MorseRecord:
         if t == len(self.differentials) - 1:
             d += (_submatrix(live, [i for i in range(a.rows) if i not in paired], keep),)
             pending = None
-        return _Swept(s.f + (f,), s.g + (g,), d, s.units + (len(red.pivots),),
-                      s.faces + (red.collapses,), paired, pending)
+        return _Swept(s.f + (f,), s.g + (g,), d,
+                      s.diag + tuple(tuple(snf_diagonal(x)) for x in d[len(s.diag):]),
+                      s.units + (len(red.pivots),), s.faces + (red.collapses,), paired, pending)
 
 
 def _replay(ops: list, keep: list, n: int, transpose: bool = False) -> IntegerMatrix:
@@ -820,27 +836,8 @@ def two_torsion_group(g: FgAbelianGroup) -> FgAbelianGroup:
 
 
 # ----------------------------------------------------------------------
-# Cohomology of a two-step window of free abelian groups
+# Cohomology of a raw two-step window of free abelian groups
 # ----------------------------------------------------------------------
-
-def window_cohomology(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int = 0) -> FgAbelianGroup:
-    """ker(d_out)/im(d_in) over Z (m = 0) or Z/2 (m = 2), trusting its input.
-
-    The shapes must match and d_out @ d_in must vanish (mod m): a
-    ``CochainComplex`` is verified when it is built, and ``cohomology_at``
-    and ``mod_m_cohomology_at`` check raw windows first.  Over Z the torsion
-    of ker/im is that of Z^n/im(d_in) (a class with a multiple in the image
-    lies in the kernel), so the diagonal of d_in and the rank of d_out
-    suffice.  Over Z/2 the group is (Z/2)^n with n = rank - r(d_in) - r(d_out),
-    the ranks from the bitset kernel.  No rank can come out negative: im d_in
-    lies in ker d_out, so rank d_in + rank d_out <= n, over Z and over Z/2.
-    """
-    if m:
-        return FgAbelianGroup(0, (2,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
-    diag = snf_diagonal(d_in)
-    free = d_in.rows - rank(d_out) - len(diag)
-    return FgAbelianGroup.from_cyclic_orders([0] * free + [d for d in diag if d != 1])
-
 
 def _check_window(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int):
     """Reject a raw window whose shapes differ or with d_out @ d_in not zero (mod m)."""
@@ -854,8 +851,8 @@ def _check_window(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int):
 def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
     """ker(d_out)/im(d_in) for a raw window, checked first to be a complex.
 
-    The cohomology of a ``CochainComplex`` skips this check: the complex was
-    verified when it was built.
+    Read as in ``MorseRecord.group``, which a ``CochainComplex`` uses
+    instead: the complex was verified when it was built.
 
     >>> print(cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1)))
     Z/2
@@ -864,18 +861,20 @@ def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
     Z^3
     """
     _check_window(d_in, d_out, 0)
-    return window_cohomology(d_in, d_out)
+    diag = snf_diagonal(d_in)
+    return FgAbelianGroup.from_cyclic_orders([0] * (d_in.rows - rank(d_out) - len(diag)) + diag)
 
 
 def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> FgAbelianGroup:
-    """Cohomology with Z/2 coefficients (m = 2) of a raw window, checked first.
+    """H over Z/2 (m = 2) of a raw window, checked first: (Z/2)^(rank - r(d_in) - r(d_out)),
+    with r the rank over Z/2 from the bitset kernel.
 
     >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2))
     Z/2
     """
     check_modulus(m, integral=False)  # so that m = 0 is refused, not read as Z
     _check_window(d_in, d_out, m)
-    return window_cohomology(d_in, d_out, m)
+    return FgAbelianGroup(0, (2,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
 
 
 # ----------------------------------------------------------------------

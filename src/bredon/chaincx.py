@@ -21,12 +21,13 @@ Sign conventions are calibrated once and fixed:
   g.f = 1 + d h + h d, and h.h = 0, f.h = 0 and h.g = 0.
 
 The coefficients are Z and Z/2, each with one engine.  Over Z the group
-H^k(C) is H^k(M), read off M's window at k, and a chain map phi: S -> T
-induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over Z/2 the
-groups of C come from the ranks of C's own differentials over Z/2, each
-taken once per complex by the bitset kernel ``abgrp.rank_mod`` and kept on
-the complex; this path uses neither the integral engine nor M, so it stays
-an independent check of the universal-coefficient result over Z.
+H^k(C) is H^k(M), read off the Smith diagonals of M's differentials that the
+record takes once, as ``explain`` does, and a chain map phi: S -> T induces
+the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over Z/2 the groups of C
+come from the ranks of C's own differentials over Z/2, each taken once per
+complex by the bitset kernel ``abgrp.rank_mod`` and kept on the complex;
+this path uses neither the integral engine nor M, so it stays an
+independent check of the universal-coefficient result over Z.
 
 >>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
 >>> print(cohomology(zz, 0))
@@ -59,8 +60,6 @@ from .abgrp import (
     map_is_zero,
     map_on_cohomology,
     rank_mod,
-    snf_diagonal,
-    window_cohomology,
 )
 
 
@@ -190,12 +189,12 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/2 (m = 2) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
-    Over Z this is the cohomology of the window of the complex's Morse
-    model M at the degree.  M comes from one sweep from the lowest degree
-    up, which runs the unit phase of each differential once whatever
-    degrees are asked for, in any order; a query sweeps through the
-    differential above its window, which fixes M's generators there.
-    Mod 2 the group is (Z/2)^n with
+    Over Z this is H^degree of the Morse model M, read off the diagonals
+    of d_M that its record took (``MorseRecord.group``).  M comes from one
+    sweep from the lowest degree up, which reduces each differential and
+    each d_M once whatever degrees are asked for, in any order; a query
+    sweeps through the differential above its degree, which fixes M's
+    generators there.  Mod 2 the group is (Z/2)^n with
     n = rank C^k - r(k-1) - r(k), where r(i) is the rank of d^i over Z/2:
     each complex ranks each of its differentials once, by the bitset
     kernel, and keeps the rank, so d^k serves as d_out at k and as d_in at
@@ -205,7 +204,7 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     if m == 2:
         n = c.rank(degree) - c._rank_mod2(degree - 1) - c._rank_mod2(degree)
         return FgAbelianGroup(0, (2,) * n)
-    return window_cohomology(*c._model(degree)[:2])
+    return c._record().group(degree - c.support()[0])
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
@@ -215,9 +214,9 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
     diagonals of d_in and d_out, each with the number of unit pivots that
     the sweep took in it and how many of those were free faces, and over
     Z/2 also its rank mod 2.  The diagonal of a differential d of C is one
-    1 per unit pivot, then the diagonal of its part d_M on M (see
-    ``abgrp.MorseRecord``).  The printed rank mod 2 is the complex's own
-    rank of d over Z/2, the one ``cohomology`` uses.
+    1 per unit pivot, then the diagonal of its part d_M on M, as the
+    record took it (see ``abgrp.MorseRecord``).  The printed rank mod 2 is
+    the complex's own rank of d over Z/2, the one ``cohomology`` uses.
     """
     check_modulus(m)
     lo, hi = c.support()
@@ -227,9 +226,9 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
              f"Morse model: ranks {_by_degree(model)} (total {sum(model.values())})"]
     for name, k in (("d_in", degree - 1), ("d_out", degree)):
         a = c.differential(k)
-        units, faces = (swept.units[k - lo], swept.faces[k - lo]) if lo <= k <= hi else (0, 0)
-        diag = [1] * units + snf_diagonal(c._model(k)[1])
-        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(diag))
+        units, faces, diag = (swept.units[k - lo], swept.faces[k - lo], swept.diag[k - lo]) \
+            if lo <= k <= hi else (0, 0, ())
+        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby((1,) * units + diag))
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
                 f"{units} unit pivots ({faces} free faces)")
         if m:

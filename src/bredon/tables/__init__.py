@@ -3,11 +3,12 @@
 The case tables live as data files under ``fixtures/`` (override the
 directory with the BREDON_FIXTURE_DIR environment variable).  Each row
 carries a predicate over the bidegree, a group value, and a human-readable
-source note; the loader refuses fixtures with missing source notes, and a
-mechanical checker verifies that the rows of a table are pairwise disjoint
-over the declared range.  Coverage is not checked: a cell that no row
-matches falls through to the catch-all row.  Each predicate is checked whole
-against a small grammar when it is loaded (see ``Predicate``).
+source note; the loader refuses fixtures with missing source notes or with
+a key that it does not read, and a mechanical checker verifies that the
+rows of a table are pairwise disjoint over the declared range.  Coverage is
+not checked: a cell that no row matches falls through to the catch-all row.
+Each predicate is checked whole against a small grammar when it is loaded
+(see ``Predicate``).
 
 A table compiles all its predicates into one expression, and resolves each
 cell once: the row that holds at (a, p), and that row's value under each
@@ -61,11 +62,20 @@ def _typed(obj: dict, key: str, kind: type, default=None):
     return value
 
 
+def _known(obj: dict, keys: tuple, where: str) -> dict:
+    """obj, refused when it holds a key that the loader does not read."""
+    for key in obj:
+        if key not in keys:
+            raise FixtureError(f"{where} holds the key {key!r}, which nothing reads; "
+                               f"the keys read there are {', '.join(keys)}")
+    return obj
+
+
 def _profile_lists(obj: dict, key: str, required: tuple = ()) -> dict:
-    """obj[key], or {} when it is absent: an object that maps each key in
-    ``required``, and any other, to a list of names from ``PROFILES``."""
+    """obj[key], or {} when it is absent: an object that maps the keys in
+    ``required``, or any keys when none are, to lists of names from ``PROFILES``."""
     value = _typed(obj, key, dict, {})
-    if not (set(required) <= set(value) and all(
+    if not ((not required or set(required) == set(value)) and all(
             type(names) is list and all(type(n) is str and n in PROFILES for n in names)
             for names in value.values())):
         raise FixtureError(f"the key {key!r} must map {', '.join(required) or 'shifts'} "
@@ -188,6 +198,10 @@ class FixtureRow:
     source: str
 
 
+_TABLE_KEYS = ("table", "kind", "range", "cone_profiles", "shift_profiles", "rows")
+_BRANCHES = ("if_minus_one_square", "otherwise")  # of a conditional row's value
+
+
 class FixtureTable:
     """An ordered case table whose rows are checked for disjointness.
 
@@ -202,11 +216,12 @@ class FixtureTable:
     """
 
     def __init__(self, data: dict):
+        _known(data, _TABLE_KEYS, "the document")
         self.table_id = _typed(data, "table", str)
         self.kind = _typed(data, "kind", str)
         if self.kind not in ("exact", "formal"):
             raise FixtureError(f"the key 'kind' must hold 'exact' or 'formal', not {self.kind!r}")
-        self.range = _typed(data, "range", dict, {})
+        self.range = _known(_typed(data, "range", dict, {}), _NAMES, "the key 'range'")
         for bounds in self.range.values():
             if type(bounds) is not list or len(bounds) != 2 or {type(b) for b in bounds} != {int}:
                 raise FixtureError("the key 'range' must map each variable to [low, high] integers")
@@ -215,17 +230,20 @@ class FixtureTable:
         self.shift_profiles = _profile_lists(data, "shift_profiles")
         self.rows: List[FixtureRow] = []
         parse = parse_exact_group if self.kind == "exact" else parse_formal_group
-        for row in data["rows"]:
+        for i, row in enumerate(data["rows"]):
             source = _typed(row, "source", str, "").strip()
             if not source:
                 raise FixtureError(f"{self.table_id}: fixture row lacks a source note")
             if "conditional" in row:
-                cond = _typed(row, "conditional", dict)
+                cond = _known(_typed(row, "conditional", dict), _BRANCHES,
+                              f"the conditional of row {i}")
                 value = ConditionalGroup(*(parse_formal_group(_typed(cond, k, str))
-                                           for k in ("if_minus_one_square", "otherwise")))
+                                           for k in _BRANCHES))
             else:
                 value = parse(_typed(row, "group", str))
             otherwise = _typed(row, "otherwise", bool, False)
+            _known(row, ("source", "otherwise", "conditional" if "conditional" in row else "group")
+                   + (() if otherwise else ("when",)), f"row {i}")
             pred = None if otherwise else Predicate(_typed(row, "when", str))
             self.rows.append(FixtureRow(pred, value, source))
         if not self.rows or self.rows[-1].predicate is not None:
@@ -350,7 +368,9 @@ _CELL_KEYS = {"weight": str, "a": int, "p": int, "coeff": str, "group": str, "so
 
 
 def _cells(data: dict) -> list:
-    for cell in data["cells"]:
+    _known(data, ("table", "cells"), "the document")
+    for i, cell in enumerate(data["cells"]):
+        _known(cell, tuple(_CELL_KEYS), f"cell {i}")
         if not _typed(cell, "source", str, "").strip():
             raise FixtureError(f"{data['table']}: cell lacks a source note")
     # a cell without one of these keys, or with a wrong type, raises here, not in a suite
@@ -450,6 +470,11 @@ class GridSpec:
     source: Optional[str] = None
 
     def __post_init__(self):
+        if self.weight not in ("0", "1", "sigma"):
+            raise ValueError(f"unknown weight {self.weight!r}; use '0', '1' or 'sigma'")
+        if self.source not in (None, "computed", "fixture", "derived"):
+            raise ValueError(f"unknown source {self.source!r}; "
+                             "use 'computed', 'fixture' or 'derived'")
         if self.source is None:
             self.source = "computed" if self.weight == "0" else "fixture"
         # only weight 0 is computed from complexes, only the others are derived

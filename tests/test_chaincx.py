@@ -1,5 +1,6 @@
 """Complex validation, tensor calibration, cones, and induced maps."""
 
+import random
 import sys
 import threading
 from itertools import groupby
@@ -191,6 +192,25 @@ class TestCohomologyAndEuler:
         all_cohomology(c)
         all_cohomology(c, 2)
         assert products == []
+
+    @pytest.mark.parametrize("spec", [SigmaSpec(p, orbit) for p in (6, -6)
+                                      for orbit in (FIXED, FREE)] + ["random"])
+    def test_swept_complex_reduces_nothing_for_its_integral_groups(self, reductions, spec):
+        # the sweep takes the diagonal of each d_M once; every integral group,
+        # asked for in any order, and explain read the record afterwards
+        if spec == "random":
+            c = random_complex(random.Random(13), max_deg=3, max_rank=5)
+        else:
+            c = build_sigma_complex.__wrapped__(spec)
+        lo, hi = c.support()
+        raw = {k: raw_cohomology(c, k, 0) for k in range(lo - 1, hi + 2)}
+        groups = all_cohomology(c)
+        assert groups == {k: h for k, h in raw.items() if not h.is_trivial()}
+        reductions.clear()
+        for k in reversed(range(lo - 1, hi + 2)):
+            assert cohomology(c, k) == raw[k], k
+            explain(c, k)
+        assert reductions == []
 
     @pytest.mark.parametrize("spec", [SigmaSpec(p, orbit)
                                       for p in (6, -6) for orbit in (FIXED, FREE)])

@@ -234,11 +234,36 @@ def replacing(*keys_and_value):
     ("point_mod2.json", replacing("rows", -1, "otherwise", 1),
      ": the key 'otherwise' must hold bool, not int"),
     ("point_mod2.json", replacing("rows", []), ": point-mod2: final row must be the catch-all"),
+    # each of these used to load silently, though nothing reads the key
+    ("weight0_integral.json", replacing("coeff", "Z/2"),
+     ": the document holds the key 'coeff', which nothing reads; "
+     "the keys read there are table, kind, range, cone_profiles, shift_profiles, rows"),
+    ("point_mod2.json", replacing("rows", 0, "colour", "red"),
+     ": row 0 holds the key 'colour', which nothing reads; "
+     "the keys read there are source, otherwise, group, when"),
+    ("point_mod2.json", replacing("rows", -1, "when", "a > 0"),
+     ": row 2 holds the key 'when', which nothing reads; "
+     "the keys read there are source, otherwise, group"),
+    ("weight_sigma_mod2.json", replacing("rows", 4, "conditional", "else", "0"),
+     ": the conditional of row 4 holds the key 'else', which nothing reads; "
+     "the keys read there are if_minus_one_square, otherwise"),
+    ("weight1_mod2.json", replacing("range", "q", [0, 1]),
+     ": the key 'range' holds the key 'q', which nothing reads; the keys read there are a, p"),
+    ("weight1_integral.json", replacing("cone_profiles", "other", ["general"]),
+     ": the key 'cone_profiles' must map positive, negative, zero to lists of the profiles "
+     + ", ".join(PROFILES)),
+    ("corner_values.json", replacing("kind", "exact"),
+     ": the document holds the key 'kind', which nothing reads; the keys read there are table, cells"),
+    ("corner_values.json", replacing("cells", 0, "kind", "exact"),
+     ": cell 0 holds the key 'kind', which nothing reads; "
+     "the keys read there are weight, a, p, coeff, group, source"),
 ], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int", "row-group-int",
         "row-when-int", "row-source-int", "range-int", "range-bound-int", "row-conditional-text",
         "cell-source-int", "cell-a-text", "table-int", "kind-int", "kind-cells",
         "cone-profiles-one-cone", "cone-profiles-unknown-name", "shift-profiles-int",
-        "shift-profiles-text", "row-otherwise-int", "rows-empty"])
+        "shift-profiles-text", "row-otherwise-int", "rows-empty", "table-coeff", "row-unknown-key",
+        "catch-all-when", "conditional-unknown-key", "range-unknown-variable",
+        "cone-profiles-unknown-cone", "cells-kind", "cell-unknown-key"])
 def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
                                                        name, edit, error):
     path = use_fixture_copy(tmp_path, monkeypatch, name, edit)

@@ -205,12 +205,21 @@ class TestGridSpecSource:
         assert grid_cells(GridSpec(weight="1", p_range=0, a_min=0, a_max=0))[0]["source"] \
             == "fixture"
 
-    @pytest.mark.parametrize("spec", [{"weight": "1", "source": "computed"},
-                                      {"weight": "sigma", "source": "computed"},
-                                      {"weight": "0", "source": "derived"}])
+    @pytest.mark.parametrize("spec", [
+        ({"weight": "1", "source": "computed"}, "has no"),
+        ({"weight": "sigma", "source": "computed"}, "has no"),
+        ({"weight": "0", "source": "derived"}, "has no"),
+        # these used to end in a bare KeyError, in sign-weight cells labelled
+        # weight "2", and in fixture cells labelled source "bogus"
+        ({"weight": "2", "p_range": 0}, "^unknown weight '2'; use '0', '1' or 'sigma'$"),
+        ({"weight": "2", "source": "derived", "p_range": 0}, "^unknown weight '2';"),
+        ({"source": "bogus", "p_range": 0},
+         "^unknown source 'bogus'; use 'computed', 'fixture' or 'derived'$"),
+    ])
     def test_explicit_invalid_source_still_raises(self, spec):
-        with pytest.raises(ValueError, match="has no"):
-            GridSpec(**spec)
+        kwargs, error = spec
+        with pytest.raises(ValueError, match=error):
+            grid_cells(GridSpec(**kwargs))
 
 
 class TestDerivedSuites:
