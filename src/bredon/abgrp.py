@@ -81,6 +81,8 @@ class IntegerMatrix:
         c = len(rows[0]) if rows else (cols or 0)
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
+        if cols is not None and cols != c:
+            raise ValueError(f"rows of length {c} disagree with cols={cols}")
         return cls.from_row_dicts([{j: int(v) for j, v in enumerate(r) if v} for r in rows], c)
 
     @classmethod

@@ -1,12 +1,13 @@
 """Formal abelian groups under field profiles, and the deduction engine.
 
 Groups appearing in the weight-1 and weight-sigma tables are multisets of
-symbolic atoms: Z, Z/2, the unit group k*, its squares k*2, the square
-classes k*/k*2, k*2/k*4, the 2-torsion of the units, and opaque etale
-symbols.  A field profile (quadratically closed, euclidean, formally real,
-general) rewrites atoms to their resolved values; equality of formal groups
-is multiset equality after normalization, i.e. comparison as abstract
-groups.
+symbolic atoms from a closed vocabulary of seven: Z, Z/2, the unit group k*,
+its squares k*2, the square classes k*/k*2, k*2/k*4 and the 2-torsion of the
+units.  One table gives their text and canonical order, and a second their
+images under - (x) Z/2 and their 2-torsion.  A field profile (quadratically
+closed, euclidean, formally real, general) rewrites atoms to their resolved
+values in one pass; equality of formal groups is multiset equality after
+normalization, i.e. comparison as abstract groups.
 
 The exact-sequence solver consumes finite windows of a long exact sequence
 with partially known nodes and tagged arrows and propagates zero flanks,
@@ -34,43 +35,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
+from .abgrp import check_modulus
+
 # ---------------------------------------------------------------------------
 # Atoms and formal groups
 # ---------------------------------------------------------------------------
 
-
-_ATOM_ORDER = {"Z": 0, "Z2": 1, "Kstar": 2, "Ksq": 3, "KmodSq": 4,
-               "KsqMod4": 5, "Tors2K": 6, "Et": 7, "Mot": 8}
+# The closed vocabulary: each atom kind and its text, in the canonical order.
+# Weights 0 and 1 of a field need no more (Mazza-Voevodsky-Weibel, Lecture
+# Notes on Motivic Cohomology, Thm 4.1).
+ATOM_TEXT = {"Z": "Z", "Z2": "Z/2", "Kstar": "k*", "Ksq": "k*2", "KmodSq": "k*/k*2",
+             "KsqMod4": "k*2/k*4", "Tors2K": "_2k*"}
+_RANK = {kind: rank for rank, kind in enumerate(ATOM_TEXT)}
 
 
 @dataclass(frozen=True)
 class Atom:
-    """A symbolic direct summand.
-
-    ``Et`` atoms are opaque mod-2 etale symbols with a degree and a twist;
-    ``Mot`` atoms are opaque integral motivic symbols beyond weight 1.
-    Neither admits any arithmetic beyond being listed.
-    """
+    """A symbolic direct summand, one of the kinds in ``ATOM_TEXT``."""
 
     kind: str
-    deg: int = 0
-    wt: int = 0
+
+    def __post_init__(self):
+        if self.kind not in ATOM_TEXT:
+            raise ValueError(f"unknown atom kind {self.kind!r}; "
+                             f"the kinds are {', '.join(ATOM_TEXT)}")
 
     def sort_key(self):
-        return (_ATOM_ORDER[self.kind], self.deg, self.wt)
+        return _RANK[self.kind]
 
     def render(self) -> str:
-        return {
-            "Z": "Z",
-            "Z2": "Z/2",
-            "Kstar": "k*",
-            "Ksq": "k*2",
-            "KmodSq": "k*/k*2",
-            "KsqMod4": "k*2/k*4",
-            "Tors2K": "_2k*",
-        }.get(self.kind) or (
-            f"Het^{self.deg}(w{self.wt})" if self.kind == "Et" else f"Hmot^{self.deg}(w{self.wt})"
-        )
+        return ATOM_TEXT[self.kind]
 
 
 ZA = Atom("Z")
@@ -81,13 +75,11 @@ KMODSQ = Atom("KmodSq")
 KSQMOD4 = Atom("KsqMod4")
 TORS2K = Atom("Tors2K")
 
-
-def Et(degree: int, twist: int) -> Atom:
-    return Atom("Et", degree, twist)
-
-
-def Mot(degree: int, weight: int) -> Atom:
-    return Atom("Mot", degree, weight)
+# each atom's image under - (x) Z/2 and its 2-torsion subgroup: an atom of
+# exponent 2 is both; the 2-torsion of k*2, {1, -1} meet k*2, depends on the
+# profile (None)
+_MOD2 = {ZA: ((Z2,), ()), KSTAR: ((KMODSQ,), (TORS2K,)), KSQ: ((KSQMOD4,), None),
+         **{a: ((a,), (a,)) for a in (Z2, KMODSQ, KSQMOD4, TORS2K)}}
 
 
 @dataclass(frozen=True)
@@ -169,13 +161,19 @@ class FieldProfile:
     """Rewrite rules and predicates attached to a class of base fields.
 
     All profiles model characteristic-zero fields, so the 2-torsion of the
-    unit group is {+1, -1} = Z/2 whenever the profile commits to it.
+    unit group is {+1, -1} = Z/2 whenever the profile commits to it.  Each
+    rewrite is final: its image holds no atom that the profile rewrites, so
+    ``normalize`` needs one pass.
     """
 
     def __init__(self, name: str, rewrites: Dict[Atom, Tuple[Atom, ...]],
                  minus_one_is_square: str):
         if minus_one_is_square not in ("yes", "no", "unknown"):
             raise ValueError("minus_one_is_square must be yes/no/unknown")
+        for atom, image in rewrites.items():
+            if any(b in rewrites for b in image):
+                raise ValueError(f"profile {name!r} rewrites {atom.render()} to "
+                                 "an atom that it rewrites again")
         self.name = name
         self.rewrites = dict(rewrites)
         self.minus_one_is_square = minus_one_is_square
@@ -223,64 +221,19 @@ def get_profile(name) -> FieldProfile:
 
 
 def normalize(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
-    """Apply the profile rewrites to a fixed point.
+    """Apply the profile rewrites, one substitution per atom.
 
     >>> print(normalize(FormalGroup.of(KSQ, TORS2K), PROFILES["euclidean"]))
     Z/2 (+) k*2
     """
-    atoms = list(g.atoms)
-    changed = True
-    while changed:
-        changed = False
-        out: List[Atom] = []
-        for a in atoms:
-            rule = profile.rewrites.get(a)
-            if rule is None:
-                out.append(a)
-            else:
-                out.extend(rule)
-                changed = True
-        atoms = out
+    atoms: List[Atom] = []
+    for a in g.atoms:
+        rule = profile.rewrites.get(a)
+        if rule is None:
+            atoms.append(a)
+        else:
+            atoms.extend(rule)
     return FormalGroup(tuple(atoms))
-
-
-def _tensor_Z2_atom(a: Atom, profile: FieldProfile) -> Tuple[Atom, ...]:
-    if a.kind == "Z":
-        return (Z2,)
-    if a.kind == "Z2":
-        return (Z2,)
-    if a.kind == "Kstar":
-        return (KMODSQ,)
-    if a.kind == "Ksq":
-        return (KSQMOD4,)
-    if a.kind == "KmodSq":
-        return (KMODSQ,)
-    # exponent-2 groups are their own mod-2 reductions
-    if a.kind in ("KsqMod4", "Tors2K"):
-        return (a,)
-    raise FormalRuleError(f"no mod-2 tensor rule for {a.render()} under {profile.name}")
-
-
-def _two_torsion_atom(a: Atom, profile: FieldProfile) -> Tuple[Atom, ...]:
-    if a.kind == "Z":
-        return ()
-    if a.kind == "Z2":
-        return (Z2,)
-    if a.kind == "Kstar":
-        return (TORS2K,)
-    if a.kind == "KmodSq":
-        return (KMODSQ,)
-    if a.kind in ("KsqMod4", "Tors2K"):
-        return (a,)
-    if a.kind == "Ksq":
-        # {x in k*2 : x^2 = 1} = {1, -1} meet k*2
-        if profile.minus_one_is_square == "yes":
-            return (Z2,)
-        if profile.minus_one_is_square == "no":
-            return ()
-        raise FormalRuleError(
-            f"2-torsion of k*2 needs to know whether -1 is a square ({profile.name})")
-    raise FormalRuleError(f"no 2-torsion rule for {a.render()} under {profile.name}")
 
 
 def tensor_Z2(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
@@ -291,7 +244,7 @@ def tensor_Z2(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
     """
     atoms: List[Atom] = []
     for a in normalize(g, profile).atoms:
-        atoms.extend(_tensor_Z2_atom(a, profile))
+        atoms.extend(_MOD2[a][0])
     return normalize(FormalGroup(tuple(atoms)), profile)
 
 
@@ -303,7 +256,13 @@ def two_torsion(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
     """
     atoms: List[Atom] = []
     for a in normalize(g, profile).atoms:
-        atoms.extend(_two_torsion_atom(a, profile))
+        sub = _MOD2[a][1]
+        if sub is None:  # k*2: {1, -1} meet k*2
+            if profile.minus_one_is_square == "unknown":
+                raise FormalRuleError(
+                    f"2-torsion of k*2 needs to know whether -1 is a square ({profile.name})")
+            sub = (Z2,) if profile.minus_one_is_square == "yes" else ()
+        atoms.extend(sub)
     return normalize(FormalGroup(tuple(atoms)), profile)
 
 
@@ -321,36 +280,27 @@ def universal_coeff(h_a: FormalGroup, h_a_plus_1: FormalGroup,
 # Motivic oracle and the diagonal decomposition
 # ---------------------------------------------------------------------------
 
-def motivic_cohomology(a: int, w: int, coeff: int = 0) -> FormalGroup:
-    """Motivic cohomology of the base field in low weights.
+# the nonzero groups in weights 0 and 1 by (degree, weight, coefficient):
+# Z, the units, and their mod-2 shadows (mu_2 = Z/2 in characteristic 0)
+_LOW_WEIGHTS = {(0, 0, 0): ZA, (0, 0, 2): Z2, (1, 1, 0): KSTAR,
+                (0, 1, 2): Z2, (1, 1, 2): KMODSQ}
 
-    Exact for weights <= 1 (where the weight-w complex of a field is
-    concentrated in degrees <= w): the units in bidegree (1,1), Z in (0,0),
-    and their mod-2 shadows.  Beyond weight 1, mod-2 values in the range
-    0 <= a <= w are kept as opaque etale symbols and integral values as
-    opaque motivic symbols; everything above the weight line vanishes.
+
+def motivic_cohomology(a: int, w: int, coeff: int = 0) -> FormalGroup:
+    """Motivic cohomology of the base field, over Z (0) or Z/2 (2).
+
+    Exact in weights 0 and 1 (Z in degree 0 and the units in degree 1).
+    Groups above the weight line, and mod-2 groups in negative degrees,
+    vanish; any other group past weight 1 raises ``FormalRuleError``.
     """
-    if w < 0:
+    check_modulus(coeff)
+    if w in (0, 1):
+        atom = _LOW_WEIGHTS.get((a, w, coeff))
+        return ZERO_FG if atom is None else FormalGroup.of(atom)
+    if w < 0 or a > w or coeff == 2 and a < 0:
         return ZERO_FG
-    if coeff not in (0, 2):
-        raise ValueError("coefficients must be integral (0) or mod 2 (2)")
-    if w == 0:
-        if a == 0:
-            return FormalGroup.of(ZA if coeff == 0 else Z2)
-        return ZERO_FG
-    if w == 1:
-        if coeff == 0:
-            return FormalGroup.of(KSTAR) if a == 1 else ZERO_FG
-        if a == 1:
-            return FormalGroup.of(KMODSQ)
-        if a == 0:
-            return FormalGroup.of(Z2)  # roots of unity mu_2 in char 0
-        return ZERO_FG
-    if a > w:
-        return ZERO_FG
-    if coeff == 2:
-        return FormalGroup.of(Et(a, w)) if a >= 0 else ZERO_FG
-    return FormalGroup.of(Mot(a, w))
+    raise FormalRuleError(f"motivic cohomology in degree {a} and weight {w} "
+                          "is outside the atom vocabulary")
 
 
 def nie_decompose(a: int, q: int, b: int, coeff: int = 0) -> FormalGroup:
@@ -666,8 +616,8 @@ _UNITS = FormalGroup.of(KSTAR)
 
 
 def _is_two_torsion(g: FormalGroup) -> bool:
-    return bool(g.atoms) and all(
-        a.kind in ("Z2", "KmodSq", "Tors2K", "KsqMod4") for a in g.atoms)
+    """Nonzero and killed by 2: each atom is its own 2-torsion subgroup."""
+    return bool(g.atoms) and all(_MOD2[a][1] == (a,) for a in g.atoms)
 
 
 def _junction_tags(junction: FormalGroup, recorded: Optional[str],
@@ -775,8 +725,9 @@ def _derive(weight: str, profile: FieldProfile, n_max: int, coeff: int,
     trail), the axiom that zeroes a 2-torsion junction, the status recorded
     before the first step, and the notes its table starts with.
     """
-    if coeff not in (0, 2):
-        raise ValueError(f"coefficient {coeff} is neither 0 (Z) nor 2 (Z/2)")
+    check_modulus(coeff)
+    if n_max < 0:
+        raise ValueError(f"the depth n_max must be at least 0, not {n_max}")
     tables = {}
     for cone, (seeds, zero_axiom, recorded, notes) in cones.items():
         table = DerivedTable(weight, notes=notes)

@@ -31,17 +31,12 @@ from typing import Dict, List, Optional, Tuple, Union
 
 from ..abgrp import FgAbelianGroup, check_modulus
 from ..formal import (
+    ATOM_TEXT,
+    Atom,
     ConditionalGroup,
     FieldProfile,
     FormalGroup,
-    KMODSQ,
-    KSQ,
-    KSQMOD4,
-    KSTAR,
     PROFILES,
-    TORS2K,
-    Z2,
-    ZA,
     get_profile,
     normalize,
 )
@@ -137,10 +132,6 @@ class Predicate:
         return f"Predicate({self.text!r})"
 
 
-_FORMAL_ATOMS = {"Z": ZA, "Z/2": Z2, "k*": KSTAR, "k*2": KSQ,
-                 "k*/k*2": KMODSQ, "k*2/k*4": KSQMOD4, "_2k*": TORS2K}
-
-
 # a summand of an exact group: Z, Z^r with r >= 1, or Z/d with d >= 2
 _SUMMAND = re.compile(r"Z(?:\^([1-9][0-9]*)|/([2-9]|[1-9][0-9]+))?")
 
@@ -178,12 +169,13 @@ def parse_formal_group(text: str) -> FormalGroup:
     text = text.strip()
     if text == "0":
         return FormalGroup.zero()
+    kinds = {shown: kind for kind, shown in ATOM_TEXT.items()}
     atoms = []
     for part in text.split("(+)"):
         part = part.strip()
-        if part not in _FORMAL_ATOMS:
+        if part not in kinds:
             raise FixtureError(f"cannot parse formal atom {part!r}")
-        atoms.append(_FORMAL_ATOMS[part])
+        atoms.append(Atom(kinds[part]))
     return FormalGroup(tuple(atoms))
 
 
@@ -484,6 +476,8 @@ class GridSpec:
         if self.source == "derived" and self.weight == "0":
             raise ValueError("weight 0 has no derived source; use source 'computed' or 'fixture'")
         check_modulus(self.coeff)
+        if self.p_range < 0:
+            raise ValueError(f"the p-range must be at least 0, not {self.p_range}")
         lo, hi = self.a_bounds()
         if lo > hi:
             raise ValueError(f"the a-range {lo}..{hi} is empty")

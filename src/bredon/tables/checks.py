@@ -45,7 +45,8 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.ok for c in self.cells)
+        """Every cell holds, and there is at least one: a suite that checked nothing fails."""
+        return bool(self.cells) and all(c.ok for c in self.cells)
 
     @property
     def failures(self) -> List[CellResult]:
@@ -125,41 +126,35 @@ def check_weight0_mod2(p_max: int = 8, a_max: int = 12, **_) -> CheckReport:
     return report
 
 
+def _structural(suite: str, check: Callable, cases: Dict[str, tuple]) -> CheckReport:
+    """One flag per case: ok when ``check(*args)`` returns, failed with the
+    ``CheckFailure`` text when it raises one."""
+    report = CheckReport(suite)
+    for key, args in cases.items():
+        try:
+            check(*args)
+            report.add_flag(key, True)
+        except sigmacx.CheckFailure as exc:
+            report.add_flag(key, False, str(exc))
+    return report
+
+
 def check_free_orbit(p_max: int = 8, **_) -> CheckReport:
     """Free-orbit complexes carry the coefficient group at degree -p only."""
-    report = CheckReport("free-orbit")
-    for p in range(-p_max, p_max + 1):
-        for m in (0, 2):
-            try:
-                sigmacx.free_orbit_acyclicity(p, m)
-                report.add_flag(f"(p={p}, m={m})", True)
-            except sigmacx.CheckFailure as exc:
-                report.add_flag(f"(p={p}, m={m})", False, str(exc))
-    return report
+    return _structural("free-orbit", sigmacx.free_orbit_acyclicity, {
+        f"(p={p}, m={m})": (p, m) for p in range(-p_max, p_max + 1) for m in (0, 2)})
 
 
 def check_transfer(p_max: int = 8, **_) -> CheckReport:
     """Transfer/restriction composites: 2*id, id + involution, induced maps."""
-    report = CheckReport("transfer-restriction")
-    for p in range(-p_max, p_max + 1):
-        try:
-            sigmacx.transfer_restriction_check(p)
-            report.add_flag(f"(p={p})", True)
-        except sigmacx.CheckFailure as exc:
-            report.add_flag(f"(p={p})", False, str(exc))
-    return report
+    return _structural("transfer-restriction", sigmacx.transfer_restriction_check,
+                       {f"(p={p})": (p,) for p in range(-p_max, p_max + 1)})
 
 
 def check_cone_tower(p_max: int = 7, **_) -> CheckReport:
     """cone(transfer at p) matches the complex at p+1 for 0 <= p <= p_max."""
-    report = CheckReport("cone-tower")
-    for p in range(0, p_max + 1):
-        try:
-            sigmacx.cone_tower_check(p)
-            report.add_flag(f"(p={p})", True)
-        except sigmacx.CheckFailure as exc:
-            report.add_flag(f"(p={p})", False, str(exc))
-    return report
+    return _structural("cone-tower", sigmacx.cone_tower_check,
+                       {f"(p={p})": (p,) for p in range(0, p_max + 1)})
 
 
 def _compare_derived(report: CheckReport, weight: str, profile_name: str,

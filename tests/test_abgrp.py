@@ -559,6 +559,13 @@ class TestMatrixAlgebraAgainstDenseOracle:
         with pytest.raises(IndexError):
             a.entry(2, 0)
 
+    def test_from_rows_refuses_cols_that_disagree_with_its_rows(self):
+        # this used to return a 1x2 matrix
+        with pytest.raises(ValueError, match=r"^rows of length 2 disagree with cols=3$"):
+            IntegerMatrix.from_rows([[1, 2]], cols=3)
+        assert IntegerMatrix.from_rows([[1, 2]], cols=2).cols == 2
+        assert IntegerMatrix.from_rows([], cols=3).cols == 3
+
     @pytest.mark.parametrize("key", [(-1, 0), (0, 7), (2, 0), (0, -1)])
     def test_constructor_rejects_keys_outside_the_shape(self, key):
         # (-1, 0) used to land in the last row, (0, 7) to stay outside the shape

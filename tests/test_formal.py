@@ -6,9 +6,11 @@ import pytest
 
 from bredon import formal, sigmacx
 from bredon.formal import (
+    ATOM_TEXT,
     AXIOMS,
+    Atom,
     ConditionalGroup,
-    Et,
+    FieldProfile,
     FormalGroup,
     FormalRuleError,
     KMODSQ,
@@ -33,6 +35,7 @@ from bredon.formal import (
     two_torsion,
     universal_coeff,
 )
+from bredon.tables import parse_formal_group
 from bredon.tables.checks import _formal_as_exact
 
 GEN = PROFILES["general"]
@@ -47,7 +50,7 @@ def fg(*atoms):
 
 def check_profile_confluence(profile) -> bool:
     """Normalization terminates and is idempotent on every atom."""
-    base = [ZA, Z2, KSTAR, KSQ, KMODSQ, KSQMOD4, TORS2K, Et(2, 1)]
+    base = [ZA, Z2, KSTAR, KSQ, KMODSQ, KSQMOD4, TORS2K]
     for a in base:
         seen = set()
         g = FormalGroup.of(a)
@@ -99,10 +102,6 @@ class TestCoefficientFunctors:
         with pytest.raises(FormalRuleError):
             two_torsion(fg(KSQ), GEN)
 
-    def test_opaque_atoms_have_no_rules(self):
-        with pytest.raises(FormalRuleError):
-            tensor_Z2(fg(Et(2, 2)), GEN)
-
     def test_universal_coeff(self):
         assert universal_coeff(fg(Z2), fg(KMODSQ), GEN) == fg(Z2, KMODSQ)
         assert universal_coeff(fg(KSTAR), fg(Z2), EU) == fg(Z2, Z2)
@@ -126,14 +125,53 @@ class TestNieDecomposition:
         assert nie_decompose(0, 2, 0, 0) == fg(Z2)
 
     def test_symbolic_fallback(self):
-        g = nie_decompose(0, 2, 1, 2)
-        assert any(a.kind == "Et" for a in g.atoms)
+        # the second layer needs a mod-2 group in weight 2, outside the vocabulary
+        with pytest.raises(FormalRuleError, match="degree 2 and weight 2"):
+            nie_decompose(0, 2, 1, 2)
 
     def test_guards(self):
         with pytest.raises(ValueError):
             nie_decompose(0, -1, 0, 0)
         assert motivic_cohomology(2, 1, 2) == ZERO_FG
         assert motivic_cohomology(3, 2, 0) == ZERO_FG
+
+
+class TestClosedVocabulary:
+    """Seven atoms, one pass of rewrites, nothing past weight 1."""
+
+    @pytest.mark.parametrize("kind", ["Et", "Mot", "z", "Z/2", ""])
+    def test_unknown_kind_is_refused(self, kind):
+        with pytest.raises(ValueError, match=f"unknown atom kind {kind!r}"):
+            Atom(kind)
+
+    def test_rewrite_into_a_rewritten_atom_is_refused(self):
+        with pytest.raises(ValueError, match="rewrites k\\*2 to an atom that it rewrites again"):
+            FieldProfile("chained", {KSQ: (KSTAR,), KSTAR: (Z2,)}, "yes")
+
+    def test_motivic_cohomology_stops_at_weight_one(self):
+        with pytest.raises(FormalRuleError, match="degree 1 and weight 2"):
+            motivic_cohomology(1, 2, 2)
+        with pytest.raises(FormalRuleError, match="degree 0 and weight 3"):
+            motivic_cohomology(0, 3, 0)
+        assert motivic_cohomology(3, 2, 0) == ZERO_FG  # above the weight line
+        assert motivic_cohomology(-1, 2, 2) == ZERO_FG  # mod 2 in a negative degree
+        assert motivic_cohomology(5, -1, 0) == ZERO_FG
+        low = {(a, w, c): motivic_cohomology(a, w, c)
+               for a in range(-2, 3) for w in (0, 1) for c in (0, 2)}
+        assert {k: g for k, g in low.items() if not g.is_zero()} == {
+            (0, 0, 0): fg(ZA), (0, 0, 2): fg(Z2), (1, 1, 0): fg(KSTAR),
+            (0, 1, 2): fg(Z2), (1, 1, 2): fg(KMODSQ)}
+        with pytest.raises(ValueError, match=r"^coefficient 3 is neither 0 \(Z\)"):
+            motivic_cohomology(0, 0, 3)
+
+    def test_every_atom_text_parses_and_renders_back(self):
+        for kind, text in ATOM_TEXT.items():
+            g = parse_formal_group(text)
+            assert g.atoms == (Atom(kind),) and g.render() == text
+        # the table's order is the canonical order of a sum
+        everything = " (+) ".join(ATOM_TEXT.values())
+        assert parse_formal_group(" (+) ".join(reversed(ATOM_TEXT.values()))).render() \
+            == everything
 
 
 class TestSolveWindow:
@@ -386,6 +424,12 @@ class TestInductionDriver:
             with pytest.raises(ValueError, match=rf"^coefficient {coeff} is neither 0 \(Z\) "
                                                  r"nor 2 \(Z/2\)$"):
                 derive(EU, 2, coeff=coeff)
+
+    @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+    def test_negative_depth_is_refused(self, derive):
+        # it used to return two empty tables with no note
+        with pytest.raises(ValueError, match="^the depth n_max must be at least 0, not -3$"):
+            derive("qclosed", -3)
 
     @pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
     @pytest.mark.parametrize("n_max", [0, 1])

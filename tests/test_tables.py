@@ -215,11 +215,25 @@ class TestGridSpecSource:
         ({"weight": "2", "source": "derived", "p_range": 0}, "^unknown weight '2';"),
         ({"source": "bogus", "p_range": 0},
          "^unknown source 'bogus'; use 'computed', 'fixture' or 'derived'$"),
+        # this used to give no cells, and a grid of only its header
+        ({"p_range": -1, "a_min": 0, "a_max": 0}, "^the p-range must be at least 0, not -1$"),
     ])
     def test_explicit_invalid_source_still_raises(self, spec):
         kwargs, error = spec
         with pytest.raises(ValueError, match=error):
             grid_cells(GridSpec(**kwargs))
+
+
+class TestEmptyReports:
+    @pytest.mark.parametrize("suite, p_max", [
+        (checks.check_weight0_integral, -2), (checks.check_weight0_mod2, -1),
+        (checks.check_free_orbit, -1), (checks.check_transfer, -1),
+        (checks.check_cone_tower, -1)])
+    def test_a_suite_that_checked_nothing_fails(self, suite, p_max):
+        # these used to report "PASS ...: 0/0 cells"
+        report = suite(p_max=p_max)
+        assert not report.cells and not report.passed
+        assert report.summary() == f"FAIL {report.suite}: 0/0 cells"
 
 
 class TestDerivedSuites:
