@@ -36,6 +36,11 @@ def _commands() -> dict:
         for fmt in ("text", "json", "csv"):
             commands[f"grid-{weight}-{fmt}"] = ["grid", "--weight", weight, *profile,
                                                 "--p-range", "2", "--format", fmt]
+    for weight in ("1", "sigma"):
+        for fmt in ("text", "json"):
+            commands[f"grid-derived-{weight}-{fmt}"] = [
+                "grid", "--weight", weight, "--profile", "qclosed", "--source", "derived",
+                "--p-range", "3", "--format", fmt]
     return commands
 
 
