@@ -42,4 +42,4 @@ print("\nCohomology of a two-step window ker(d_out)/im(d_in):")
 d_in = IntegerMatrix.from_rows([[2], [-2]])
 d_out = IntegerMatrix.from_rows([[2, 2]])
 print("  d_in = (2,-2)^T, d_out = (2,2):", cohomology_at(d_in, d_out))
-print("  same window mod 2:", mod_m_cohomology_at(d_in, d_out, 2))
+print("  same window mod 2:", mod_m_cohomology_at(d_in, d_out))

@@ -671,19 +671,20 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix.from_row_dicts(y, b.cols)
 
 
-def check_modulus(m: int, integral: bool = True) -> None:
-    """The one coefficient rule, checked by every public entry before any work.
+def check_modulus(m: int) -> None:
+    """The one coefficient rule, checked by every public entry that takes a
+    coefficient, before any work.
 
-    The coefficients are Z, written 0, where the entry is ``integral``, and
-    Z/2, written 2; groups over any other Z/m follow from the integral ones
-    by the universal coefficient theorem.
+    The coefficients are Z, written 0, and Z/2, written 2; groups over any
+    other Z/m follow from the integral ones by the universal coefficient
+    theorem.
     """
-    if not (m == 2 or integral and m == 0):
-        raise ValueError(f"coefficient {m} is {'neither 0 (Z) nor' if integral else 'not'} 2 (Z/2)")
+    if m not in (0, 2):
+        raise ValueError(f"coefficient {m} is neither 0 (Z) nor 2 (Z/2)")
 
 
-def rank_mod(a: IntegerMatrix, m: int) -> int:
-    """Rank of A over Z/2; m must be 2.
+def rank_mod(a: IntegerMatrix) -> int:
+    """Rank of A over Z/2.
 
     This is an xor basis of the row bitsets, keyed by highest set bit, which
     does not use the integral engine.  Keyed by the lowest set bit instead,
@@ -691,7 +692,6 @@ def rank_mod(a: IntegerMatrix, m: int) -> int:
     differential of the free complex at shift 10 once took 8.4 s CPU that
     way against 0.25 s (Python 3.11, 2-core Xeon).
     """
-    check_modulus(m, integral=False)
     basis: dict = {}
     for row in a._rows:
         x = 0
@@ -779,35 +779,6 @@ class FgAbelianGroup:
             orders += [0] * g.free_rank + list(g.invariant_factors)
         return FgAbelianGroup.from_cyclic_orders(orders)
 
-    def tensor(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        """Tensor product over Z, via gcds of cyclic orders."""
-        orders = []
-        mine = [0] * self.free_rank + list(self.invariant_factors)
-        theirs = [0] * other.free_rank + list(other.invariant_factors)
-        for a in mine:
-            for b in theirs:
-                if a and b:
-                    orders.append(gcd(a, b))
-                else:
-                    orders.append(a or b)  # Z (x) Z/b = Z/b, Z (x) Z = Z
-        return FgAbelianGroup.from_cyclic_orders(orders)
-
-    def tor(self, other: "FgAbelianGroup") -> "FgAbelianGroup":
-        """Tor(-, -): only torsion parts interact, again via gcds."""
-        orders = [gcd(a, b) for a in self.invariant_factors for b in other.invariant_factors]
-        return FgAbelianGroup.from_cyclic_orders(orders)
-
-    def two_primary_part(self) -> "FgAbelianGroup":
-        orders = []
-        for f in self.invariant_factors:
-            two = 1
-            while f % 2 == 0:
-                two *= 2
-                f //= 2
-            if two > 1:
-                orders.append(two)
-        return FgAbelianGroup.from_cyclic_orders(orders)
-
     def to_json(self) -> dict:
         return {"rank": self.free_rank, "torsion": list(self.invariant_factors)}
 
@@ -867,16 +838,15 @@ def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
     return FgAbelianGroup.from_cyclic_orders([0] * (d_in.rows - rank(d_out) - len(diag)) + diag)
 
 
-def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int) -> FgAbelianGroup:
-    """H over Z/2 (m = 2) of a raw window, checked first: (Z/2)^(rank - r(d_in) - r(d_out)),
+def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
+    """H over Z/2 of a raw window, checked first: (Z/2)^(rank - r(d_in) - r(d_out)),
     with r the rank over Z/2 from the bitset kernel.
 
-    >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2))
+    >>> print(mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1)))
     Z/2
     """
-    check_modulus(m, integral=False)  # so that m = 0 is refused, not read as Z
-    _check_window(d_in, d_out, m)
-    return FgAbelianGroup(0, (2,) * (d_in.rows - rank_mod(d_in, m) - rank_mod(d_out, m)))
+    _check_window(d_in, d_out, 2)
+    return FgAbelianGroup(0, (2,) * (d_in.rows - rank_mod(d_in) - rank_mod(d_out)))
 
 
 # ----------------------------------------------------------------------

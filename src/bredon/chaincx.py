@@ -3,7 +3,7 @@
 A complex stores ranks per degree and integer differentials d^i: C^i -> C^{i+1}
 with d^{i+1} @ d^i = 0.  Provided operations: validation, tensor product with
 Koszul signs, mapping cones, cohomology (over Z or Z/2), induced maps on
-integral cohomology with classification flags, and Euler characteristics.
+integral cohomology with a multiplication-by-n test, and Euler characteristics.
 
 Sign conventions are calibrated once and fixed:
 
@@ -54,10 +54,7 @@ from .abgrp import (
     cohomology_at,  # unused here; the benchmark tracer pins chaincx.cohomology_at as an alias
     cohomology_presentation,
     is_exact_at,
-    map_is_injective,
     map_is_multiplication_by,
-    map_is_surjective,
-    map_is_zero,
     map_on_cohomology,
     rank_mod,
 )
@@ -153,7 +150,7 @@ class CochainComplex:
             return 0
         r = self._mod2_ranks.get(degree)
         if r is None:
-            r = self._mod2_ranks[degree] = rank_mod(d, 2)
+            r = self._mod2_ranks[degree] = rank_mod(d)
         return r
 
 
@@ -412,18 +409,6 @@ class InducedMap:
     source: tuple    # the orders of the source's canonical generators, 0 for a free one
     target: tuple
 
-    def is_zero(self) -> bool:
-        return map_is_zero(self.matrix, self.target)
-
-    def is_injective(self) -> bool:
-        return map_is_injective(self.matrix, self.source, self.target)
-
-    def is_surjective(self) -> bool:
-        return map_is_surjective(self.matrix, self.target)
-
-    def is_isomorphism(self) -> bool:
-        return self.is_injective() and self.is_surjective()
-
     def is_multiplication_by(self, n: int) -> bool:
         """True when source and target forms agree and the map is x -> n x."""
         return map_is_multiplication_by(self.matrix, n, self.source, self.target)
@@ -435,7 +420,7 @@ def induced_map(f: ChainMap, degree: int) -> InducedMap:
     >>> c = two_term_complex(2)
     >>> induced_map(ChainMap.identity(c), 0).is_multiplication_by(1)
     True
-    >>> induced_map(ChainMap.identity(c).scale(0), 0).is_zero()
+    >>> induced_map(ChainMap.identity(c).scale(0), 0).is_multiplication_by(0)
     True
     """
     return _induced(f.component(degree), degree, f.source, degree, f.target, degree)

@@ -303,12 +303,11 @@ def motivic_cohomology(a: int, w: int, coeff: int = 0) -> FormalGroup:
                           "is outside the atom vocabulary")
 
 
-def nie_decompose(a: int, q: int, b: int, coeff: int = 0) -> FormalGroup:
-    """Decomposition of the (a + 2q*sigma, b + q*sigma) group along the diagonal.
+def nie_decompose(a: int, q: int, b: int) -> FormalGroup:
+    """Decomposition of the integral (a + 2q*sigma, b + q*sigma) group along the diagonal.
 
-    Integrally the group splits as q mod-2 motivic pieces plus one integral
-    motivic piece; with mod-2 coefficients each layer contributes two mod-2
-    pieces.  Valid for b, q >= 0 over characteristic-zero fields.
+    The group splits as q mod-2 motivic pieces plus one integral motivic
+    piece.  Valid for b, q >= 0 over characteristic-zero fields.
 
     >>> print(nie_decompose(0, 1, 0))
     Z/2
@@ -317,16 +316,8 @@ def nie_decompose(a: int, q: int, b: int, coeff: int = 0) -> FormalGroup:
     """
     if q < 0 or b < 0:
         raise ValueError("the diagonal decomposition needs b, q >= 0")
-    if coeff == 0:
-        parts = [motivic_cohomology(a + 2 * j, j + b, 2) for j in range(q)]
-        parts.append(motivic_cohomology(a + 2 * q, b + q, 0))
-    else:
-        parts = []
-        for j in range(q):
-            parts.append(motivic_cohomology(a + 2 * j, j + b, 2))
-            parts.append(motivic_cohomology(a + 2 * j + 1, j + b, 2))
-        parts.append(motivic_cohomology(a + 2 * q, q + b, 2))
-    return ZERO_FG.direct_sum(*parts)
+    parts = [motivic_cohomology(a + 2 * j, j + b, 2) for j in range(q)]
+    return ZERO_FG.direct_sum(*parts, motivic_cohomology(a + 2 * q, b + q, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -404,8 +395,8 @@ class WindowNode:
 class WindowArrow:
     """An arrow with optional tags.
 
-    Tags: ``zero``, ``mult2:Z``, ``mult2:Kstar``, ``incl-ksq``, and
-    ``axiom:<id>`` provenance markers.
+    Tags: ``zero``, ``mult2:Kstar``, ``incl-ksq``, and ``axiom:<id>``
+    provenance markers.
     """
 
     tags: Tuple[str, ...] = ()
@@ -448,11 +439,10 @@ class WindowSolution:
         return not self.contradictions
 
 
-_MULT2_TABLE = {
-    "mult2:Kstar": (FormalGroup.of(TORS2K), FormalGroup.of(KSQ), FormalGroup.of(KMODSQ),
-                    FormalGroup.of(KSTAR)),
-    "mult2:Z": (ZERO_FG, FormalGroup.of(ZA), FormalGroup.of(Z2), FormalGroup.of(ZA)),
-}
+# multiplication by 2 on the units: its kernel, image and cokernel, and the
+# group at both of its ends
+_MULT2_KSTAR = (FormalGroup.of(TORS2K), FormalGroup.of(KSQ), FormalGroup.of(KMODSQ),
+                FormalGroup.of(KSTAR))
 
 
 def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
@@ -499,8 +489,8 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
         for tag in ar.tags:
             if tag == "zero":
                 ar.kernel, ar.image = FULL, ZERO_FG
-            elif tag in _MULT2_TABLE:
-                ker, img, cok, on = (normalize(g, profile) for g in _MULT2_TABLE[tag])
+            elif tag == "mult2:Kstar":
+                ker, img, cok, on = (normalize(g, profile) for g in _MULT2_KSTAR)
                 ar.kernel, ar.image, ar.cokernel = ker, img, cok
                 for k in (idx, idx + 1):
                     g = nodes[k].group
@@ -793,7 +783,7 @@ def derive_weight_sigma(profile: FieldProfile, n_max: int, coeff: int = 0) -> Di
             negative.append((-1, {2: sol.values["B(2,-1)"]},
                              ("P-sigma", "A-EC2", "A-diag", "A-delta-sq", "LES")))
     positive = [squares, (1, {0: FormalGroup.of(Z2)}, ("P-sigma",)),
-                (2, {a: nie_decompose(a, 1, 0, 0) for a in (-1, 0)}, ("P-2q",))]
+                (2, {a: nie_decompose(a, 1, 0) for a in (-1, 0)}, ("P-2q",))]
     # the units entry of the base column restricts by the identity
     return _derive("sigma", profile, n_max, coeff, {
         "positive": (positive, "A-alpha", "iso", []),

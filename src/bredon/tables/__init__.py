@@ -107,16 +107,16 @@ class Predicate:
     def __init__(self, text: str):
         self.text = text
         try:
-            tree = ast.parse(text, mode="eval")
-        except SyntaxError as exc:
+            for node in ast.walk(ast.parse(text, mode="eval")):
+                if (not isinstance(node, _GRAMMAR)
+                        or isinstance(node, ast.Name) and node.id not in _NAMES
+                        or isinstance(node, ast.Constant) and not isinstance(node.value, int)):
+                    what = ast.unparse(node) or type(node).__name__
+                    raise FixtureError(
+                        f"predicate {text!r}: {what} is outside the predicate grammar")
+        except (SyntaxError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise FixtureError(f"predicate {text!r} is outside the predicate grammar: "
-                               f"{exc.msg}") from None
-        for node in ast.walk(tree):
-            if (not isinstance(node, _GRAMMAR)
-                    or isinstance(node, ast.Name) and node.id not in _NAMES
-                    or isinstance(node, ast.Constant) and not isinstance(node.value, int)):
-                what = ast.unparse(node) or type(node).__name__
-                raise FixtureError(f"predicate {text!r}: {what} is outside the predicate grammar")
+                               f"{getattr(exc, 'msg', exc)}") from None
 
     @functools.cached_property
     def _code(self):
@@ -145,7 +145,7 @@ def parse_exact_group(text: str) -> FgAbelianGroup:
     text = text.strip()
     if text == "0":
         return FgAbelianGroup.zero()
-    orders = []
+    free, orders = 0, []
     for part in text.split("(+)"):
         part = part.strip()
         match = _SUMMAND.fullmatch(part)
@@ -156,8 +156,8 @@ def parse_exact_group(text: str) -> FgAbelianGroup:
         if order:
             orders.append(int(order))
         else:
-            orders.extend([0] * int(rank or 1))
-    return FgAbelianGroup.from_cyclic_orders(orders)
+            free += int(rank or 1)  # counted, not listed: Z^r costs nothing for any r
+    return FgAbelianGroup(free, FgAbelianGroup.from_cyclic_orders(orders).invariant_factors)
 
 
 def parse_formal_group(text: str) -> FormalGroup:

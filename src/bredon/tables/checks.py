@@ -13,6 +13,8 @@ from typing import Callable, Dict, List
 from .. import sigmacx
 from ..abgrp import FgAbelianGroup, tensor_Z2_group, two_torsion_group
 from ..formal import (
+    Z2,
+    ZA,
     FormalGroup,
     derive_weight1,
     derive_weight_sigma,
@@ -57,26 +59,23 @@ class CheckReport:
         exp_s = expected if isinstance(expected, str) else expected.render()
         self.cells.append(CellResult(key, got_s == exp_s, got_s, exp_s, citation))
 
-    def add_flag(self, key: str, ok: bool, detail: str = "", citation: str = ""):
-        self.cells.append(CellResult(key, ok, detail if not ok else "ok",
-                                     "ok", citation))
+    def add_flag(self, key: str, ok: bool, detail: str = ""):
+        self.cells.append(CellResult(key, ok, detail if not ok else "ok", "ok"))
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status} {self.suite}: {len(self.cells) - len(self.failures)}/{len(self.cells)} cells"
 
 
+# the cyclic order of each atom that has an exact group: Z is 0, Z/2 is 2
+_EXACT_ORDER = {ZA: 0, Z2: 2}
+
+
 def _formal_as_exact(g: FormalGroup) -> FgAbelianGroup:
     """A fully resolved formal group (only Z and Z/2 atoms) as an exact group."""
-    orders = []
-    for atom in g.atoms:
-        if atom.kind == "Z":
-            orders.append(0)
-        elif atom.kind == "Z2":
-            orders.append(2)
-        else:
-            raise ValueError(f"formal group {g} is not fully resolved")
-    return FgAbelianGroup.from_cyclic_orders(orders)
+    if any(atom not in _EXACT_ORDER for atom in g.atoms):
+        raise ValueError(f"formal group {g} is not fully resolved")
+    return FgAbelianGroup.from_cyclic_orders(_EXACT_ORDER[atom] for atom in g.atoms)
 
 
 # ---------------------------------------------------------------------------
@@ -93,12 +92,16 @@ def check_fixture_coverage(**_) -> CheckReport:
     return report
 
 
-def check_weight0_integral(p_max: int = 8, a_max: int = 12, **_) -> CheckReport:
+# the degrees a that the weight-0 suites check at every shift: |a| <= 12
+_A_RANGE = range(-12, 13)
+
+
+def check_weight0_integral(p_max: int = 8, **_) -> CheckReport:
     """Chain-level weight-0 groups equal both closed-form tables exactly."""
     report = CheckReport("weight0-integral")
     table = load_table("weight0_integral.json")
     for p in range(-p_max, p_max + 1):
-        for a in range(-a_max, a_max + 1):
+        for a in _A_RANGE:
             computed = sigmacx.weight0(a, p, 0)
             expected, source = table.lookup(a, p)
             point = bredon_point_closed_form(a, p, 0)
@@ -109,12 +112,12 @@ def check_weight0_integral(p_max: int = 8, a_max: int = 12, **_) -> CheckReport:
     return report
 
 
-def check_weight0_mod2(p_max: int = 8, a_max: int = 12, **_) -> CheckReport:
+def check_weight0_mod2(p_max: int = 8, **_) -> CheckReport:
     """Direct mod-2 groups equal the universal-coefficient combination and the band table."""
     report = CheckReport("weight0-mod2")
     table = load_table("weight0_mod2.json")
     for p in range(-p_max, p_max + 1):
-        for a in range(-a_max, a_max + 1):
+        for a in _A_RANGE:
             direct = sigmacx.weight0(a, p, 2)
             uct = tensor_Z2_group(sigmacx.weight0(a, p, 0)).direct_sum(
                 two_torsion_group(sigmacx.weight0(a + 1, p, 0)))

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from math import gcd
 
 import pytest
 
@@ -204,6 +205,37 @@ def determinant(a: abgrp.IntegerMatrix) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1]
+
+
+def _cyclic_orders(g: abgrp.FgAbelianGroup) -> list:
+    return [0] * g.free_rank + list(g.invariant_factors)
+
+
+def tensor_group(g: abgrp.FgAbelianGroup, h: abgrp.FgAbelianGroup) -> abgrp.FgAbelianGroup:
+    """G (x) H over Z, via gcds of cyclic orders: the Kuenneth and UCT oracle."""
+    orders = []
+    for a in _cyclic_orders(g):
+        for b in _cyclic_orders(h):
+            orders.append(gcd(a, b) if a and b else a or b)  # Z (x) Z/b = Z/b, Z (x) Z = Z
+    return abgrp.FgAbelianGroup.from_cyclic_orders(orders)
+
+
+def tor_group(g: abgrp.FgAbelianGroup, h: abgrp.FgAbelianGroup) -> abgrp.FgAbelianGroup:
+    """Tor(G, H): only torsion parts interact, again via gcds."""
+    return abgrp.FgAbelianGroup.from_cyclic_orders(
+        gcd(a, b) for a in g.invariant_factors for b in h.invariant_factors)
+
+
+def two_primary_part(g: abgrp.FgAbelianGroup) -> abgrp.FgAbelianGroup:
+    """The 2-primary part of the torsion of G."""
+    orders = []
+    for f in g.invariant_factors:
+        two = 1
+        while f % 2 == 0:
+            two *= 2
+            f //= 2
+        orders.append(two)
+    return abgrp.FgAbelianGroup.from_cyclic_orders(orders)
 
 
 @pytest.fixture

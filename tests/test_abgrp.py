@@ -24,7 +24,14 @@ from bredon.abgrp import (
     two_torsion_group,
 )
 
-from conftest import assert_transforms, determinant, random_complex, rank_mod_oracle
+from conftest import (
+    assert_transforms,
+    determinant,
+    random_complex,
+    rank_mod_oracle,
+    tensor_group,
+    tor_group,
+)
 
 Z = FgAbelianGroup.free(1)
 Z2 = FgAbelianGroup.cyclic(2)
@@ -273,10 +280,10 @@ class TestCanonicalForm:
         assert g.to_json() == {"rank": 2, "torsion": [2, 4]}
         assert ZERO.render() == "0"
 
-    def test_tensor_and_tor(self):
+    def test_tensor_and_tor_oracles(self):
         a = FgAbelianGroup.from_cyclic_orders([0, 4])
-        assert a.tensor(a) == FgAbelianGroup.from_cyclic_orders([0, 4, 4, 4])
-        assert a.tor(a) == FgAbelianGroup.cyclic(4)
+        assert tensor_group(a, a) == FgAbelianGroup.from_cyclic_orders([0, 4, 4, 4])
+        assert tor_group(a, a) == FgAbelianGroup.cyclic(4)
 
 
 class TestCohomologyAt:
@@ -306,9 +313,9 @@ class TestCohomologyAt:
         with pytest.raises(ValueError, match="not zero"):
             cohomology_at(one, three)
         with pytest.raises(ValueError, match="not zero mod 2"):
-            mod_m_cohomology_at(one, three, 2)
+            mod_m_cohomology_at(one, three)
         with pytest.raises(ValueError, match="mismatch"):
-            mod_m_cohomology_at(IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(1, 3), 2)
+            mod_m_cohomology_at(IntegerMatrix.zeros(2, 1), IntegerMatrix.zeros(1, 3))
 
     @staticmethod
     def _windows(rng):
@@ -363,18 +370,18 @@ class TestPresentation:
 
 class TestModM:
     def test_two_reduction(self):
-        h = mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1), 2)
+        h = mod_m_cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1))
         assert h == Z2
 
     def test_rank_two_zero_maps(self):
-        h = mod_m_cohomology_at(IntegerMatrix.zeros(2, 0), IntegerMatrix.zeros(0, 2), 2)
+        h = mod_m_cohomology_at(IntegerMatrix.zeros(2, 0), IntegerMatrix.zeros(0, 2))
         assert h == FgAbelianGroup(0, (2, 2))
 
     def test_three_term_complex_middle(self):
         # the two-shift fixed-point complex at its middle degree, mod 2
         d_in = IntegerMatrix.from_rows([[1, 1], [-1, -1]])
         d_out = IntegerMatrix.from_rows([[2, 2]])
-        assert mod_m_cohomology_at(d_in, d_out, 2) == Z2
+        assert mod_m_cohomology_at(d_in, d_out) == Z2
 
     def test_rank_mod_against_minors_oracle(self, rng):
         # rank over F_2 = largest k with 2 not dividing the gcd of the k x k minors
@@ -384,13 +391,7 @@ class TestModM:
                 [[rng.randint(-4, 4) for _ in range(c)] for _ in range(r)], cols=c)
             gcds = [minors_gcd_oracle(a, k) for k in range(1, min(r, c) + 1)]
             expected = max((k for k, g in enumerate(gcds, 1) if g % 2), default=0)
-            assert rank_mod(a, 2) == expected
-
-    def test_rejects_composite_modulus(self):
-        # Z/2 is the one modulus; Z is refused too, not read as a modulus
-        for m in (4, 3, 0):
-            with pytest.raises(ValueError, match=rf"^coefficient {m} is not 2 \(Z/2\)$"):
-                mod_m_cohomology_at(IntegerMatrix.zeros(1, 0), IntegerMatrix.zeros(0, 1), m)
+            assert rank_mod(a) == expected
 
 
 def scattered(rng: random.Random, rows: int, cols: int, per_row: int) -> IntegerMatrix:
@@ -407,7 +408,7 @@ def uniform(rng: random.Random, rows: int, cols: int) -> IntegerMatrix:
 
 
 class TestRankModTwoAtScale:
-    """The bitset kernel of rank_mod(a, 2) against the sparse echelon oracle,
+    """The bitset kernel of rank_mod(a) against the sparse echelon oracle,
     at the column counts of the orbit differentials; even entries must drop
     out, and products through a narrow middle give long dependent chains."""
 
@@ -418,14 +419,14 @@ class TestRankModTwoAtScale:
         cases = [scattered(rng, rng.randint(200, 500), cols, rng.randint(1, 4)),
                  scattered(rng, 300, 20 + seed * 30, 2) @ scattered(rng, 20 + seed * 30, cols, 3)]
         for a in cases + [a.transpose() for a in cases]:
-            assert rank_mod(a, 2) == rank_mod_oracle(a, 2), (seed, a.rows, a.cols)
+            assert rank_mod(a) == rank_mod_oracle(a, 2), (seed, a.rows, a.cols)
 
     def test_dense(self):
         rng = random.Random(100)
         cases = [uniform(rng, 80, 600), uniform(rng, 400, 120),
                  uniform(rng, 200, 25) @ uniform(rng, 25, 560)]
         for a in cases + [a.transpose() for a in cases]:
-            assert rank_mod(a, 2) == rank_mod_oracle(a, 2), (a.rows, a.cols)
+            assert rank_mod(a) == rank_mod_oracle(a, 2), (a.rows, a.cols)
 
 
 class TestTwoPrimaryFunctors:

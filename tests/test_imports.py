@@ -1,11 +1,15 @@
 """Every name a module of the package imports is used there, every
-top-level name it defines is used somewhere, and no file outside abgrp.py
-touches IntegerMatrix's private storage.
+top-level name and method it defines is used somewhere, and no file outside
+abgrp.py touches IntegerMatrix's private storage.
 
 Checked on the syntax tree with the standard library alone: an imported
 name must appear as a name in the module body or be listed in ``__all__``;
-a top-level definition must be loaded by name in the package, the
-benchmark, the demos or the scripts, unless it is listed in ``TEST_ONLY``.
+a top-level definition, or a method ``Class.method`` of a top-level class,
+must be loaded by name in the package, the benchmark, the demos or the
+scripts, unless it is listed in ``TEST_ONLY``.  A method counts as loaded
+when its name is read as an attribute anywhere, of whatever object: the
+check cannot tell two methods of one name apart, so it finds the methods
+whose name nothing outside the tests reads.
 """
 
 import ast
@@ -56,6 +60,18 @@ def top_level_names(tree: ast.Module) -> set:
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
 
 
+def definitions(tree: ast.Module) -> set:
+    """The top-level names, and each method of a top-level class as
+    ``Class.method``; dunder methods are left out, the language calls them."""
+    names = top_level_names(tree)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names |= {f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not (m.name.startswith("__") and m.name.endswith("__"))}
+    return names
+
+
 def loaded_names(tree: ast.Module) -> set:
     loads = set()
     for node in ast.walk(tree):
@@ -79,8 +95,9 @@ def span_bindings(tree: ast.Module) -> set:
 
 
 def unloaded_definitions(*folders) -> set:
-    """(module, name) of each top-level definition of the package that no file
-    under folders loads by name, nor the benchmark's SPAN_GROUPS."""
+    """(module, name) of each definition of the package (a top-level name or
+    ``Class.method``) that no file under folders loads by name, nor the
+    benchmark's SPAN_GROUPS."""
     loads = span_bindings(ast.parse((ROOT / "bench" / "spans.py").read_text()))
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
@@ -89,7 +106,8 @@ def unloaded_definitions(*folders) -> set:
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         module = path.relative_to(PACKAGE).as_posix()
-        found |= {(module, name) for name in top_level_names(tree) - loads}
+        found |= {(module, name) for name in definitions(tree)
+                  if name.rpartition(".")[2] not in loads}
     return found
 
 
@@ -98,12 +116,14 @@ def test_no_dead_definitions():
     assert not found, sorted(found)
 
 
-# top-level definitions that only the tests load, each kept for its reason
+# definitions that only the tests load, each kept for its reason
 TEST_ONLY = {
     ("chaincx.py", "tensor"): "the acceptance tests check the tensor product formula with it",
     ("chaincx.py", "two_term_complex"): "the Z --n--> Z builder of the module's doctests",
     ("chaincx.py", "euler_characteristic"): "an invariant the tests compare with cohomology",
     ("formal.py", "SEEDS"): "the seed labels a derivation trail may cite besides AXIOMS",
+    ("abgrp.py", "IntegerMatrix.diagonal"): "the Smith-form tests and the module doctest "
+                                            "read D's diagonal without the private rows",
 }
 
 

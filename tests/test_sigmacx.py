@@ -588,7 +588,7 @@ class TestEngineOnOrbitDifferentials:
                 assert all(hi % lo == 0 for lo, hi in zip(diag, diag[1:])), (where, k)
                 for ell, ranks in swept.items():
                     assert sum(1 for d in diag if d % ell) == ranks[k], (where, k, ell)
-                assert sum(1 for d in diag if d % 2) == rank_mod(a, 2), (where, k)
+                assert sum(1 for d in diag if d % 2) == rank_mod(a), (where, k)
 
     def test_swept_oracle_against_the_whole_matrix_oracle(self, rng):
         # the lemma on complexes whose differentials lose rank mod 2 and 3

@@ -13,8 +13,8 @@ import pytest
 from bredon import tables
 from bredon.tables import checks
 from bredon.abgrp import FgAbelianGroup
-from bredon.formal import (PROFILES, ConditionalGroup, FormalGroup, KMODSQ, KSQ, KSTAR, Z2,
-                           ZERO_FG, get_profile, normalize)
+from bredon.formal import (ATOM_TEXT, PROFILES, Atom, ConditionalGroup, FormalGroup, KMODSQ,
+                           KSQ, KSTAR, Z2, ZA, ZERO_FG, get_profile, normalize)
 from bredon.tables import (
     ALL_TABLE_FILES,
     FixtureError,
@@ -260,6 +260,17 @@ class TestDerivedSuites:
             assert runs == [f"{weight}/{prof} coeff={coeff}" for prof, coeff in (
                 ("quadratically_closed", 0), ("quadratically_closed", 2),
                 ("euclidean", 0), ("euclidean", 2), ("formally_real", 0))]
+
+
+class TestFormalAsExact:
+    def test_z_and_z2_atoms_map_to_their_cyclic_groups(self):
+        assert checks._formal_as_exact(FormalGroup.of(ZA, Z2, ZA)) == FgAbelianGroup(2, (2,))
+        assert checks._formal_as_exact(ZERO_FG) == ZERO
+
+    @pytest.mark.parametrize("kind", [k for k in ATOM_TEXT if Atom(k) not in (ZA, Z2)])
+    def test_every_other_atom_is_refused(self, kind):
+        with pytest.raises(ValueError, match="is not fully resolved$"):
+            checks._formal_as_exact(FormalGroup.of(Z2, Atom(kind)))
 
 
 class TestCoefficients:
