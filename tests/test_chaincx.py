@@ -312,7 +312,8 @@ class TestCohomologyAndEuler:
                 z_ell, ranks = FgAbelianGroup.cyclic(ell), swept_ranks_oracle(c, ell)
                 for k in range(lo - 1, hi + 1):
                     n = c.rank(k) - ranks.get(k - 1, 0) - ranks.get(k, 0)
-                    uct = tensor_group(integral[k], z_ell).direct_sum(tor_group(integral[k + 1], z_ell))
+                    uct = tensor_group(integral[k], z_ell).direct_sum(
+                        tor_group(integral[k + 1], z_ell))
                     assert FgAbelianGroup(0, (ell,) * n) == uct, (c, k, ell)
 
     def test_presentation_leaves_cohomology_nothing_to_reduce(self, handed):
