@@ -11,16 +11,22 @@ every part in a fresh process, one at a time:
 * the wall time of ``python -m bredon check all`` and of the tier-1 suite;
 * the reach rows: for each shift and orbit type, the CPU time of building
   the complex and of all its integral groups (``all_cohomology``), and the
-  peak RSS of the process, each the median of REPEAT fresh processes.
-  Every such process also times the benchmark's calibration kernel, so the
-  host's speed at that moment is on record next to the CPU times.
+  peak RSS of the process, each the median of REPEAT fresh processes;
+* the check rows: for each suite of CHECKS, the wall and CPU time of
+  ``bredon check <suite> --p-max CHECK_P_MAX``, run through ``bredon.cli``,
+  each the median of REPEAT fresh processes.
+
+Every reach and check process also times the benchmark's calibration
+kernel, so the host's speed at that moment is on record next to the times.
 
 The file also records the machine facts and the git sha of the checkout.
 Compare two snapshots taken on the same host, one after the other.
 """
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import platform
@@ -36,7 +42,9 @@ HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
 REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"))
 SEED, SECONDS = 7, 10.0   # of each bench/run.py run
-REPEAT = 3                # fresh processes per reach row
+REPEAT = 3                # fresh processes per reach or check row
+CHECKS = ("cone-tower", "transfer-restriction")
+CHECK_P_MAX = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 
@@ -124,25 +132,54 @@ def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
             "groups_sha256": hashlib.sha256(rendered.encode()).hexdigest()}
 
 
+def check_once(suite: str, repo: Path) -> dict:
+    """Run one check suite through the command line's entry in this process."""
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    from worker import _calibrate  # the benchmark's fixed kernel
+
+    from bredon.cli import main as bredon
+
+    kernel = statistics.median(_calibrate()[1] for _ in range(3))
+    wall, cpu = time.perf_counter(), time.process_time()
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = bredon(["check", suite, "--p-max", str(CHECK_P_MAX)])
+    return {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
+            "kernel_cpu_s": kernel, "exit_code": code,
+            "summary": out.getvalue().splitlines()[0]}
+
+
+def _repeated(flag: list, repo: Path, keys: tuple, same: str) -> dict:
+    """REPEAT fresh processes of this script with flag: the median and every
+    value of each key, and the value of ``same``, which they must agree on."""
+    runs = []
+    for _ in range(REPEAT):
+        _, proc = _timed([sys.executable, str(Path(__file__).resolve()), *flag,
+                          "--repo", str(repo)], repo, 900)
+        if proc.returncode != 0:
+            raise RuntimeError(f"{' '.join(flag)} failed:\n{proc.stderr[-2000:]}")
+        runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
+    if len({r[same] for r in runs}) != 1:
+        raise RuntimeError(f"the runs of {' '.join(flag)} disagree on {same}")
+    row = {"repeat": REPEAT, same: runs[0][same]}
+    for key in keys:
+        row[key] = statistics.median(r[key] for r in runs)
+        row[key + "_all"] = [r[key] for r in runs]
+    return row
+
+
 def reach(repo: Path) -> list:
-    rows = []
-    for shift, orbit_type in REACH:
-        runs = []
-        for _ in range(REPEAT):
-            _, proc = _timed([sys.executable, str(Path(__file__).resolve()), "--reach-one",
-                              str(shift), orbit_type, "--repo", str(repo)], repo, 900)
-            if proc.returncode != 0:
-                raise RuntimeError(f"reach run {shift} {orbit_type} failed:\n{proc.stderr[-2000:]}")
-            runs.append(json.loads(proc.stdout.strip().splitlines()[-1]))
-        if len({r["groups_sha256"] for r in runs}) != 1:
-            raise RuntimeError(f"reach runs of {shift} {orbit_type} disagree on the groups")
-        row = {"shift": shift, "orbit_type": orbit_type, "repeat": REPEAT,
-               "groups_sha256": runs[0]["groups_sha256"]}
-        for key in ("build_cpu_s", "h_cpu_s", "peak_rss_mb", "kernel_cpu_s"):
-            row[key] = statistics.median(r[key] for r in runs)
-            row[key + "_all"] = [r[key] for r in runs]
-        rows.append(row)
-    return rows
+    return [{"shift": shift, "orbit_type": orbit_type,
+             **_repeated(["--reach-one", str(shift), orbit_type], repo,
+                         ("build_cpu_s", "h_cpu_s", "peak_rss_mb", "kernel_cpu_s"),
+                         "groups_sha256")}
+            for shift, orbit_type in REACH]
+
+
+def checks(repo: Path) -> list:
+    return [{"suite": suite, "p_max": CHECK_P_MAX,
+             **_repeated(["--check-one", suite], repo, ("wall_s", "cpu_s", "kernel_cpu_s"),
+                         "summary")}
+            for suite in CHECKS]
 
 
 def main(argv=None) -> int:
@@ -152,10 +189,14 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--reach-one", nargs=2, metavar=("SHIFT", "TYPE"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--check-one", metavar="SUITE", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if args.reach_one:
         print(json.dumps(reach_once(int(args.reach_one[0]), args.reach_one[1], repo)))
+        return 0
+    if args.check_one:
+        print(json.dumps(check_once(args.check_one, repo)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -165,6 +206,7 @@ def main(argv=None) -> int:
     snapshot["check_all"] = check_all(repo)
     snapshot["tier1"] = tier1(repo)
     snapshot["reach"] = reach(repo)
+    snapshot["checks"] = checks(repo)
     snapshot["loadavg_after"] = os.getloadavg()
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {args.out}")

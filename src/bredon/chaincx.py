@@ -67,22 +67,41 @@ class ComplexError(ValueError):
 class CochainComplex:
     """A bounded complex of free abelian groups with integer differentials.
 
-    Every complex is validated once, when it is built (shapes and d.d = 0,
-    raising ComplexError), so nothing that reads its windows checks again.
-    It owns one ``MorseRecord`` of its differentials, from its lowest degree
-    to its highest, made when something first sweeps it, and the rank over
-    Z/2 of each differential, taken when a group mod 2 first needs it.
+    Every complex is proven a complex once, when it is built, so nothing
+    that reads its windows checks again.  The constructor validates (shapes
+    and d.d = 0, raising ComplexError), and so does every complex built from
+    caller data, by ``unit_complex``, ``two_term_complex``, ``shift`` or
+    ``tensor``.  Two constructions are certified instead, and skip only the
+    validation, through the private ``_certified``: the orbit complexes of
+    ``sigmacx.build_sigma_complex``, after the coface certificate of their
+    slot blocks, and ``cone`` of a map known to be a chain map, by the cone
+    lemma in its docstring.  A complex owns one ``MorseRecord`` of its
+    differentials, from its lowest degree to its highest, made when
+    something first sweeps it, and the rank over Z/2 of each differential,
+    taken when a group mod 2 first needs it.
     """
 
     __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks")
 
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
+        self._adopt(components, differentials)
+        validate(self)
+
+    @classmethod
+    def _certified(cls, components: Dict[int, int],
+                   differentials: Dict[int, IntegerMatrix]) -> "CochainComplex":
+        """The complex of ``__init__``, without ``validate``: only for a
+        construction whose certificate has proven d.d = 0."""
+        c = cls.__new__(cls)
+        c._adopt(components, differentials)
+        return c
+
+    def _adopt(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
         self._pres_cache: Dict[int, CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
         self._mod2_ranks: Dict[int, int] = {}
-        validate(self)
 
     # -- shape -----------------------------------------------------------
     def rank(self, degree: int) -> int:
@@ -294,9 +313,17 @@ def tensor(c: CochainComplex, d: CochainComplex) -> CochainComplex:
 # ---------------------------------------------------------------------------
 
 class ChainMap:
-    """A degreewise map f: source -> target commuting with the differentials."""
+    """A degreewise map f: source -> target commuting with the differentials.
 
-    __slots__ = ("source", "target", "maps")
+    A map built with ``check=True`` is validated (shapes and every square
+    f d = d f).  One fact is recorded: whether the map is known to commute
+    with d, because it was validated here or because ``_certified`` built it
+    after a certificate; ``cone`` reads it.  A map built with ``check=False``
+    from caller data, or by ``compose``, ``add`` or ``scale``, is not known
+    to be one.
+    """
+
+    __slots__ = ("source", "target", "maps", "_chain")
 
     def __init__(self, source: CochainComplex, target: CochainComplex,
                  maps: Dict[int, IntegerMatrix], check: bool = True):
@@ -305,6 +332,16 @@ class ChainMap:
         self.maps = {d: m for d, m in maps.items() if not m.is_zero()}
         if check:
             self.validate()
+        self._chain = check
+
+    @classmethod
+    def _certified(cls, source: CochainComplex, target: CochainComplex,
+                   maps: Dict[int, IntegerMatrix]) -> "ChainMap":
+        """A map built with ``check=False`` whose certificate has proven that
+        it commutes with d, recorded as a chain map."""
+        f = cls(source, target, maps, check=False)
+        f._chain = True
+        return f
 
     def component(self, degree: int) -> IntegerMatrix:
         m = self.maps.get(degree)
@@ -359,6 +396,13 @@ class ChainMap:
 def cone(f: ChainMap) -> CochainComplex:
     """Mapping cone with Cone^i = target^i (+) source^{i+1}.
 
+    Lemma (Weibel, *An Introduction to Homological Algebra*, section 1.5): with
+    D = [[d_T, f], [0, -d_S]], D.D = [[d_T d_T, d_T f - f d_S], [0, d_S d_S]],
+    which is zero when S and T are complexes and f is a chain map.  Every
+    CochainComplex is a complex once built, so the cone of a map known to be
+    a chain map (validated when it was built, or certified) is built without
+    validation; the cone of any other map validates.
+
     >>> acyclic = cone(ChainMap.identity(unit_complex()))
     >>> all_cohomology(acyclic)
     {}
@@ -373,7 +417,7 @@ def cone(f: ChainMap) -> CochainComplex:
         [t.rank(d + 1), s.rank(d + 2)], [t.rank(d), s.rank(d + 1)],
         {(0, 0): t.differential(d), (0, 1): f.component(d + 1), (1, 1): -s.differential(d + 1)})
         for d in sorted(comps)}
-    return CochainComplex(comps, diffs)
+    return CochainComplex._certified(comps, diffs) if f._chain else CochainComplex(comps, diffs)
 
 
 def cone_inclusion(f: ChainMap, c: CochainComplex) -> ChainMap:

@@ -25,15 +25,27 @@ degrees -2, -1, 0; for the dual complex g(a) = (a,a) and f(a,b) = (a-b, a-b)
 on degrees 0, 1, 2.  The Koszul sign for acting in slot s of a subset S is
 (-1)^(number of elements of S greater than s).
 
+Complexes and maps are certified by construction rather than validated.
+A differential is a signed sum of slot blocks, so d.d = 0 follows from the
+coface identity of the blocks (``_coface_certificate``, lemma in
+``build_sigma_complex``), and tr, res and the flip commute with d once
+their per-arity blocks commute with each slot block (``_map_certificate``,
+lemma in ``_per_arity_map``).  Each certificate is a few products of
+blocks, checked once per process for each arity a build uses, and raises
+``ComplexError`` when an identity fails; ``chaincx.validate`` and
+``ChainMap.validate`` stay the tests' oracle for both.
+
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
 about triples per step in n; the default grid bound keeps n at most 8
 (total rank 3281 at the fixed point).  Building a complex and its integral
 cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
-rate.  At the fixed point, measured in a fresh Python 3.11 process on a
-shared 2-core Intel Xeon host: n = 11 takes 1.2-2.2 s of CPU to build and
-about 1 s for all integral groups, within 110 MB; n = 12 (total rank
-265721, the ``SHIFT_BOUND``) 4-7 s to build and 3 s for its groups, within
-300 MB.  Most of a build is the check d.d = 0 that every complex passes.
+rate.  Measured in a fresh Python 3.11 process on a shared 2-core Intel
+Xeon host: at n = 11 the fixed-point complex takes 0.4 s of CPU to build
+and about 0.8 s for all integral groups, within 105 MB, and the free-orbit
+one 0.8 s and 1.8 s within 190 MB; n = 12 (total rank 265721 at the fixed
+point, the ``SHIFT_BOUND``) takes 1.9 s to build and 2.8 s for its groups,
+within 290 MB.  Before the certificates, when every build formed d.d, the
+builds took 1.3 s (fixed, n = 11), 2.5 s (free, n = 11) and 3.6 s (n = 12).
 """
 
 from __future__ import annotations
@@ -45,8 +57,8 @@ from math import comb
 from typing import Dict, List, Tuple
 
 from .abgrp import FgAbelianGroup, IntegerMatrix, check_modulus
-from .chaincx import (ChainMap, CochainComplex, all_cohomology, cohomology, cone, induced_map,
-                      unit_complex)
+from .chaincx import (ChainMap, CochainComplex, ComplexError, all_cohomology, cohomology, cone,
+                      induced_map, unit_complex)
 
 FIXED = "fixed"
 FREE = "free"
@@ -150,6 +162,55 @@ def _component_layout(n: int, j: int, orbit_type: str):
     return blocks, {s: k * size for k, s in enumerate(blocks)}
 
 
+def _slot_blocks(kind: str, j: int, orbit_type: str) -> list:
+    """The blocks of the differential between arities j + 1 and j, one per
+    slot idx = 0..j of the larger subset: a push from arity j + 1 to j, or a
+    pull from j to j + 1, deleting or inserting the coordinate first + idx,
+    where the free orbit's first coordinate is its free bit."""
+    first = 1 if orbit_type == FREE else 0
+    upper, lower = (j + 1, orbit_type), (j, orbit_type)
+    ends = (upper, lower) if kind == "push" else (lower, upper)
+    return [_orbit_rows(kind, first + idx, *ends) for idx in range(j + 1)]
+
+
+def _as_matrix(block, cols: int) -> IntegerMatrix:
+    """A block in the form of ``_orbit_rows`` as a fresh IntegerMatrix."""
+    return IntegerMatrix.from_row_dicts([dict(row) for row in block], cols)
+
+
+def _slot_matrices(kind: str, j: int, orbit_type: str) -> List[IntegerMatrix]:
+    """``_slot_blocks`` as matrices, for the certificates' products."""
+    cols = _arity_size(j + 1 if kind == "push" else j, orbit_type)
+    return [_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type)]
+
+
+@lru_cache(maxsize=None)
+def _coface_certificate(kind: str, k: int, orbit_type: str) -> bool:
+    """The coface identity of the slot blocks through arity k; raises ComplexError.
+
+    With D_i the push deleting slot i (or the pull inserting it), the blocks
+    of the two differentials between arities k and k - 2 must satisfy, for
+    slots a < c of the size-k subset,
+
+        push:  D_a . D_c = D_(c-1) . D_a     (delete c then a, or a then c - 1)
+        pull:  D_c . D_a = D_a . D_(c-1)     (insert a then c, or c - 1 then a)
+
+    the simplicial and cosimplicial identities (Weibel, *An Introduction to
+    Homological Algebra*, section 8.1).  Memoised per (kind, arity, orbit type):
+    a build checks only the arities it uses, once per process.
+    """
+    low, high = _slot_matrices(kind, k - 2, orbit_type), _slot_matrices(kind, k - 1, orbit_type)
+    for a, c in combinations(range(k), 2):
+        if kind == "push":
+            same = low[a] @ high[c] == low[c - 1] @ high[a]
+        else:
+            same = high[c] @ low[a] == high[a] @ low[c - 1]
+        if not same:
+            raise ComplexError(f"{kind} blocks of arity {k} ({orbit_type}) fail the coface "
+                               f"identity at slots {a} < {c}")
+    return True
+
+
 @lru_cache(maxsize=None)
 def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     """The evaluated complex for a shift of n copies of the sign representation.
@@ -158,6 +219,18 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     spanned by (subset of size j, orbit class of arity j) pairs and the
     differential given by signed pushforwards; for n < 0 it lives on degrees
     0..-n built dually from pullbacks; n = 0 is the unit complex.
+
+    Lemma (d.d = 0 by construction).  The block of d from the component of
+    a subset T of size j + 1 to that of T minus its element in slot idx is
+    (-1)^(j - idx) D_idx, and no other block is nonzero.  So the block of
+    d.d from a subset U of size k = j + 2 to U minus {u_a, u_c}, a < c, is
+    a sum over the two orders of deleting u_a and u_c.  Deleting u_a first
+    leaves u_c in slot c - 1, with sign (-1)^(j + 1 - a) (-1)^(j - c + 1);
+    deleting u_c first leaves u_a in slot a, with sign (-1)^(j + 1 - c)
+    (-1)^(j - a).  The signs are opposite, and the blocks are the two sides
+    of the coface identity that ``_coface_certificate`` checks for arity k;
+    the pull case is the transpose of the same argument.  So once each
+    arity 2..|n| is certified, the complex is built without ``validate``.
 
     >>> build_sigma_complex(SigmaSpec(1)).differential(-1).to_rows()
     [[2]]
@@ -172,19 +245,19 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     if n == 0:
         return unit_complex()
     m, push = abs(n), n > 0
+    kind = "push" if push else "pull"
+    for k in range(2, m + 1):
+        _coface_certificate(kind, k, orbit_type)
     comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
-    first = 1 if orbit_type == FREE else 0
     diffs: Dict[int, IntegerMatrix] = {}
     for j in range(m):
         # d joins arity j + 1 and arity j: slot idx of the larger subset has
         # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
         _, small_off = _component_layout(m, j, orbit_type)
         big_size = _arity_size(j + 1, orbit_type)
-        upper, lower = (j + 1, orbit_type), (j, orbit_type)
-        kind, ends = ("push", (upper, lower)) if push else ("pull", (lower, upper))
-        blocks = [_orbit_rows(kind, first + idx, *ends) for idx in range(j + 1)]
         src, tgt = (-(j + 1), -j) if push else (j, j + 1)
         rows: List[dict] = [{} for _ in range(comps[tgt])]
+        blocks = _slot_blocks(kind, j, orbit_type)
         for k, big in enumerate(combinations(range(1, m + 1), j + 1)):
             for idx, block in enumerate(blocks):
                 small = small_off[big[:idx] + big[idx + 1:]]
@@ -193,7 +266,7 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
                 for r, entries in enumerate(block, row):
                     rows[r].update([(col + c, sign * v) for c, v in entries])
         diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
-    return CochainComplex(comps, diffs)
+    return CochainComplex._certified(comps, diffs)
 
 
 def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
@@ -221,10 +294,48 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # Transfer and restriction
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind: str) -> bool:
+    """The orbit block of kind commutes with every slot block between arities
+    j and j + 1; raises ComplexError.
+
+    With phi_i the block of kind at arity i and D_idx, D'_idx the slot blocks
+    of the source and target type: phi_j D_idx = D'_idx phi_(j+1) for a push,
+    phi_(j+1) D_idx = D'_idx phi_j for a pull.  Memoised per arity.
+    """
+    lo, hi = (_as_matrix(_orbit_rows(kind, 0, (i, src_type), (i, tgt_type)),
+                         _arity_size(i, src_type)) for i in (j, j + 1))
+    pairs = zip(_slot_matrices(diff_kind, j, src_type), _slot_matrices(diff_kind, j, tgt_type))
+    for idx, (d_src, d_tgt) in enumerate(pairs):
+        if diff_kind == "push":
+            same = lo @ d_src == d_tgt @ hi
+        else:
+            same = hi @ d_src == d_tgt @ lo
+        if not same:
+            raise ComplexError(f"{kind} block does not commute with the {diff_kind} block "
+                               f"of slot {idx} between arities {j} and {j + 1}")
+    return True
+
+
 def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
-                   kind: str) -> Dict[int, IntegerMatrix]:
-    """Assemble a degreewise map from the orbit block of kind (same subset layout)."""
+                   kind: str) -> ChainMap:
+    """The chain map that the orbit block of kind gives on each subset's
+    component (same subset layout on both sides), built after its certificate.
+
+    Lemma (a chain map by construction).  The map is block-diagonal over the
+    subsets, with the block phi_j of kind on each subset of size j.  The
+    block from T to T minus its slot idx of f.d is phi_j (-1)^(j - idx) D_idx
+    for a push (phi_(j+1) (-1)^(j - idx) D_idx from T minus slot idx to T for
+    a pull), and that of d.f is (-1)^(j - idx) D'_idx phi_(j+1) (or
+    (-1)^(j - idx) D'_idx phi_j): the same sign and the same position, so
+    f.d = d.f once ``_map_certificate`` holds for every arity j < |n|.
+    """
     m = abs(n)
+    source = build_sigma_complex(SigmaSpec(n, orbit_type_src))
+    target = build_sigma_complex(SigmaSpec(n, orbit_type_tgt))
+    diff_kind = "push" if n > 0 else "pull"
+    for j in range(m):
+        _map_certificate(kind, j, orbit_type_src, orbit_type_tgt, diff_kind)
     maps = {}
     for j in range(m + 1):
         block = _orbit_rows(kind, 0, (j, orbit_type_src), (j, orbit_type_tgt))
@@ -233,7 +344,7 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
         maps[-j if n > 0 else j] = IntegerMatrix.from_row_dicts(
             [{off + c: v for c, v in entries} for off in range(0, cols, size) for entries in block],
             cols)
-    return maps
+    return ChainMap._certified(source, target, maps)
 
 
 def transfer_map(p: int) -> ChainMap:
@@ -241,9 +352,7 @@ def transfer_map(p: int) -> ChainMap:
 
     Orbit sum: forget the free bit.
     """
-    free_cx = build_sigma_complex(SigmaSpec(p, FREE))
-    fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(free_cx, fixed_cx, _per_arity_map(p, FREE, FIXED, "tr"))
+    return _per_arity_map(p, FREE, FIXED, "tr")
 
 
 def restriction_map(p: int) -> ChainMap:
@@ -251,15 +360,12 @@ def restriction_map(p: int) -> ChainMap:
 
     Orbit expansion: prepend a free bit 0 and 1.
     """
-    free_cx = build_sigma_complex(SigmaSpec(p, FREE))
-    fixed_cx = build_sigma_complex(SigmaSpec(p, FIXED))
-    return ChainMap(fixed_cx, free_cx, _per_arity_map(p, FIXED, FREE, "res"))
+    return _per_arity_map(p, FIXED, FREE, "res")
 
 
 def involution_map(p: int) -> ChainMap:
     """The free-coordinate flip on the free-orbit complex."""
-    free_cx = build_sigma_complex(SigmaSpec(p, FREE))
-    return ChainMap(free_cx, free_cx, _per_arity_map(p, FREE, FREE, "flip"))
+    return _per_arity_map(p, FREE, FREE, "flip")
 
 
 class CheckFailure(AssertionError):

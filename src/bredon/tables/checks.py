@@ -8,6 +8,7 @@ reportable finding rather than a bare assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from inspect import signature
 from typing import Callable, Dict, List
 
 from .. import sigmacx
@@ -82,7 +83,7 @@ def _formal_as_exact(g: FormalGroup) -> FgAbelianGroup:
 # Suites
 # ---------------------------------------------------------------------------
 
-def check_fixture_coverage(**_) -> CheckReport:
+def check_fixture_coverage() -> CheckReport:
     """Disjointness of every fixture table over its declared range."""
     report = CheckReport("fixture-coverage")
     for name in ALL_TABLE_FILES:
@@ -96,7 +97,7 @@ def check_fixture_coverage(**_) -> CheckReport:
 _A_RANGE = range(-12, 13)
 
 
-def check_weight0_integral(p_max: int = 8, **_) -> CheckReport:
+def check_weight0_integral(p_max: int = 8) -> CheckReport:
     """Chain-level weight-0 groups equal both closed-form tables exactly."""
     report = CheckReport("weight0-integral")
     table = load_table("weight0_integral.json")
@@ -112,7 +113,7 @@ def check_weight0_integral(p_max: int = 8, **_) -> CheckReport:
     return report
 
 
-def check_weight0_mod2(p_max: int = 8, **_) -> CheckReport:
+def check_weight0_mod2(p_max: int = 8) -> CheckReport:
     """Direct mod-2 groups equal the universal-coefficient combination and the band table."""
     report = CheckReport("weight0-mod2")
     table = load_table("weight0_mod2.json")
@@ -142,19 +143,19 @@ def _structural(suite: str, check: Callable, cases: Dict[str, tuple]) -> CheckRe
     return report
 
 
-def check_free_orbit(p_max: int = 8, **_) -> CheckReport:
+def check_free_orbit(p_max: int = 8) -> CheckReport:
     """Free-orbit complexes carry the coefficient group at degree -p only."""
     return _structural("free-orbit", sigmacx.free_orbit_acyclicity, {
         f"(p={p}, m={m})": (p, m) for p in range(-p_max, p_max + 1) for m in (0, 2)})
 
 
-def check_transfer(p_max: int = 8, **_) -> CheckReport:
+def check_transfer(p_max: int = 8) -> CheckReport:
     """Transfer/restriction composites: 2*id, id + involution, induced maps."""
     return _structural("transfer-restriction", sigmacx.transfer_restriction_check,
                        {f"(p={p})": (p,) for p in range(-p_max, p_max + 1)})
 
 
-def check_cone_tower(p_max: int = 7, **_) -> CheckReport:
+def check_cone_tower(p_max: int = 7) -> CheckReport:
     """cone(transfer at p) matches the complex at p+1 for 0 <= p <= p_max."""
     return _structural("cone-tower", sigmacx.cone_tower_check,
                        {f"(p={p})": (p,) for p in range(0, p_max + 1)})
@@ -200,17 +201,17 @@ def _check_derived(suite: str, weight: str, n_max: int) -> CheckReport:
     return report
 
 
-def check_weight1_derived(n_max: int = 16, **_) -> CheckReport:
+def check_weight1_derived(n_max: int = 16) -> CheckReport:
     """Derived weight-1 tables vs the stated case tables, integrally and mod 2."""
     return _check_derived("weight1-derived", "1", n_max)
 
 
-def check_weight_sigma_derived(n_max: int = 16, **_) -> CheckReport:
+def check_weight_sigma_derived(n_max: int = 16) -> CheckReport:
     """Derived sign-weight tables vs the stated case tables."""
     return _check_derived("weight-sigma-derived", "sigma", n_max)
 
 
-def check_qclosed_coincidence(n_max: int = 16, **_) -> CheckReport:
+def check_qclosed_coincidence(n_max: int = 16) -> CheckReport:
     """Over a quadratically closed field the mod-2 tables collapse to the point table."""
     report = CheckReport("qclosed-coincidence")
     profile = "quadratically_closed"
@@ -244,7 +245,7 @@ def check_qclosed_coincidence(n_max: int = 16, **_) -> CheckReport:
     return report
 
 
-def check_corner_values(**_) -> CheckReport:
+def check_corner_values() -> CheckReport:
     """The four diagonal corner values, integrally and mod 2."""
     report = CheckReport("corner-values")
     for cell in load_cells("corner_values.json"):
@@ -274,9 +275,16 @@ SUITES: Dict[str, Callable[..., CheckReport]] = {
 
 
 def check(suite: str, **options) -> List[CheckReport]:
-    """Run one suite (or 'all'); unknown names raise KeyError."""
-    if suite == "all":
-        return [fn(**options) for fn in SUITES.values()]
-    if suite not in SUITES:
+    """Run one suite (or 'all'), passing each suite the options its signature
+    names; unknown suite names raise KeyError, and an option that no suite
+    takes raises TypeError."""
+    names = {name for fn in SUITES.values() for name in signature(fn).parameters}
+    unknown = sorted(set(options) - names)
+    if unknown:
+        raise TypeError(f"check() got unknown options {', '.join(unknown)}; "
+                        f"the suites take {', '.join(sorted(names))}")
+    if suite != "all" and suite not in SUITES:
         raise KeyError(f"unknown suite {suite!r}; known: {', '.join(sorted(SUITES))}, all")
-    return [SUITES[suite](**options)]
+    chosen = SUITES.values() if suite == "all" else [SUITES[suite]]
+    return [fn(**{k: v for k, v in options.items() if k in signature(fn).parameters})
+            for fn in chosen]

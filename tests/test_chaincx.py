@@ -163,6 +163,31 @@ class TestCone:
         assert c == two_term_complex(2)
         assert sorted(c.components) == [-1, 0]
 
+    def test_a_caller_map_that_is_not_a_chain_map_raises(self):
+        c = two_term_complex(2)
+        with pytest.raises(ComplexError, match="does not commute"):
+            ChainMap(c, c, {-1: IntegerMatrix.from_rows([[1]])})
+
+    def test_the_cone_of_an_unchecked_caller_map_validates(self):
+        c = two_term_complex(2)
+        f = ChainMap(c, c, {-1: IntegerMatrix.from_rows([[1]])}, check=False)
+        with pytest.raises(ComplexError, match="d.d != 0"):
+            cone(f)
+
+    def test_only_the_cone_of_a_known_chain_map_skips_validate(self, monkeypatch):
+        c = two_term_complex(2)
+        checked = ChainMap(c, c, {d: IntegerMatrix.identity(1) for d in (-1, 0)})
+        unchecked = [ChainMap.identity(c), checked.scale(2), checked.compose(checked),
+                     ChainMap(c, c, dict(checked.maps), check=False)]
+        calls = []
+        validate = chaincx.validate
+        monkeypatch.setattr(chaincx, "validate", lambda cx: calls.append(cx) or validate(cx))
+        cone(checked)
+        assert calls == []
+        for f in unchecked:
+            cone(f)
+        assert len(calls) == len(unchecked)
+
     def test_cone_les_random(self, rng):
         for _ in range(20):
             f = random_chain_map(rng, random_complex(rng), random_complex(rng))

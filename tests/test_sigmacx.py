@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bredon import abgrp, sigmacx
+from bredon import abgrp, chaincx, sigmacx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -13,12 +13,15 @@ from bredon.abgrp import (
     snf_diagonal,
 )
 from bredon.chaincx import (
+    ChainMap,
     CochainComplex,
+    ComplexError,
     all_cohomology,
     cohomology,
     cone,
     tensor,
     unit_complex,
+    validate,
 )
 from bredon.sigmacx import (
     FIXED,
@@ -316,6 +319,108 @@ class TestOrbitMemo:
                                     ("res", 0, (3, FIXED), (3, FREE)),
                                     ("flip", 0, (3, FREE), (3, FREE))):
             assert _frozen(sigmacx._orbit_rows(kind, pos, src, tgt)), kind
+
+
+@pytest.fixture
+def fresh_memos():
+    """Empty the orbit blocks, the certificates and the complexes before and
+    after a test, so that a planted block is certified and built afresh and
+    leaves nothing behind."""
+    memos = (sigmacx._orbit_rows, sigmacx._coface_certificate, sigmacx._map_certificate,
+             build_sigma_complex)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
+def _plant(monkeypatch, key, change):
+    """Serve change(block) for the orbit block of key, every other block as it is."""
+    original = sigmacx._orbit_rows
+
+    def planted(*args):
+        return change(original(*args)) if args == key else original(*args)
+
+    monkeypatch.setattr(sigmacx, "_orbit_rows", planted)
+
+
+def _bump_first_entry(block):
+    (col, value), *rest = block[0]
+    return (((col, value + 1), *rest),) + block[1:]
+
+
+class TestCertificates:
+    """The certified constructions skip validate; validate is their oracle here."""
+
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_every_orbit_complex_passes_validate(self, orbit_type):
+        for p in range(-9, 10):
+            assert validate(build_sigma_complex(SigmaSpec(p, orbit_type))), p
+
+    def test_transfer_restriction_and_flip_pass_validate(self):
+        for p in range(-8, 9):
+            for f in (transfer_map(p), restriction_map(p), involution_map(p)):
+                assert f.validate(), p
+
+    def test_cones_of_the_transfer_pass_validate(self):
+        for p in range(0, 8):
+            assert validate(cone(transfer_map(p))), p
+
+    def test_certified_builds_skip_validate(self, monkeypatch, fresh_memos):
+        calls = []
+        monkeypatch.setattr(chaincx, "validate", lambda c: calls.append(c) or True)
+        monkeypatch.setattr(ChainMap, "validate", lambda f: calls.append(f) or True)
+        build_sigma_complex(SigmaSpec(3, FIXED))
+        transfer_map(-3)
+        cone(transfer_map(3))
+        assert calls == []
+
+    @pytest.mark.parametrize("kind,n", [("push", 4), ("pull", -4)])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_a_changed_block_entry_fails_the_build(self, monkeypatch, fresh_memos,
+                                                   kind, n, orbit_type):
+        first = 1 if orbit_type == FREE else 0
+        ends = ((3, orbit_type), (2, orbit_type))
+        key = (kind, first + 1) + (ends if kind == "push" else ends[::-1])
+        _plant(monkeypatch, key, _bump_first_entry)
+        with pytest.raises(ComplexError, match="coface identity"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+
+    @pytest.mark.parametrize("kind,n", [("push", 5), ("pull", -5)])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_two_swapped_slot_blocks_fail_the_build(self, monkeypatch, fresh_memos,
+                                                    kind, n, orbit_type):
+        first = 1 if orbit_type == FREE else 0
+        ends = ((4, orbit_type), (3, orbit_type))
+        ends = ends if kind == "push" else ends[::-1]
+        original = sigmacx._orbit_rows
+        swap = {first: first + 2, first + 2: first}
+
+        def swapped(k, pos, src, tgt):
+            if k == kind and (src, tgt) == ends:
+                pos = swap.get(pos, pos)
+            return original(k, pos, src, tgt)
+
+        monkeypatch.setattr(sigmacx, "_orbit_rows", swapped)
+        with pytest.raises(ComplexError, match="coface identity"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+
+    @pytest.mark.parametrize("make,kind,src,tgt", [
+        (transfer_map, "tr", FREE, FIXED), (restriction_map, "res", FIXED, FREE),
+        (involution_map, "flip", FREE, FREE)])
+    def test_a_changed_map_block_fails_the_map(self, monkeypatch, fresh_memos,
+                                               make, kind, src, tgt):
+        _plant(monkeypatch, (kind, 0, (2, src), (2, tgt)), _bump_first_entry)
+        for p in (3, -3):
+            with pytest.raises(ComplexError, match="does not commute"):
+                make(p)
+
+    def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
+        _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
+        for _ in range(2):
+            with pytest.raises(ComplexError):
+                build_sigma_complex(SigmaSpec(4, FIXED))
 
 
 class TestBuildComplex:

@@ -236,6 +236,30 @@ class TestEmptyReports:
         assert report.summary() == f"FAIL {report.suite}: 0/0 cells"
 
 
+class TestCheckOptions:
+    @pytest.mark.parametrize("suite", ["weight0-integral", "corner-values", "all"])
+    def test_a_misspelt_option_raises(self, suite):
+        # it used to be swallowed, and the suite ran at its defaults
+        with pytest.raises(TypeError, match="p_mx"):
+            checks.check(suite, p_mx=3)
+
+    def test_a_suite_takes_no_option_it_does_not_name(self):
+        with pytest.raises(TypeError):
+            checks.check_weight0_integral(n_max=3)
+        with pytest.raises(TypeError):
+            checks.check_corner_values(p_max=3)
+
+    def test_all_passes_each_suite_its_own_options(self):
+        reports = checks.check("all", p_max=1, n_max=1)
+        assert [r.suite for r in reports] == list(checks.SUITES)
+        assert all(r.passed for r in reports), [r.summary() for r in reports if not r.passed]
+        by_suite = {r.suite: r for r in reports}
+        assert len(by_suite["weight0-integral"].cells) == 3 * len(checks._A_RANGE)
+        assert len(by_suite["cone-tower"].cells) == 2
+        # n_max = 1: three shifts, |a| <= 3 for weights 1 and sigma, |a| <= 5 for weight 0
+        assert len(by_suite["qclosed-coincidence"].cells) == 2 * 3 * 7 + 3 * 7 + 3 * 11
+
+
 class TestDerivedSuites:
     def test_stopped_negative_cone_names_its_farthest_column(self):
         report = checks.CheckReport("derived")
