@@ -239,7 +239,6 @@ class TestEmptyReports:
 class TestCheckOptions:
     @pytest.mark.parametrize("suite", ["weight0-integral", "corner-values", "all"])
     def test_a_misspelt_option_raises(self, suite):
-        # it used to be swallowed, and the suite ran at its defaults
         with pytest.raises(TypeError, match="p_mx"):
             checks.check(suite, p_mx=3)
 
