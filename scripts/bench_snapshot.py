@@ -40,7 +40,7 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
-REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"))
+REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"), (12, "fixed"), (12, "free"))
 SEED, SECONDS = 7, 10.0   # of each bench/run.py run
 REPEAT = 3                # fresh processes per reach or check row
 CHECKS = ("cone-tower", "transfer-restriction")

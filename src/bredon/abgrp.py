@@ -143,12 +143,24 @@ class IntegerMatrix:
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
+        # _add_scaled inlined: each row lists its keys in the order that
+        # adding the scaled rows of other one by one inserts them, and adding
+        # a row to an empty sum is a copy or a scaled copy of it
         right = other._rows
         out = []
         for row in self._rows:
             acc: dict = {}
             for k, v in row.items():
-                _add_scaled(acc, right[k], v)
+                if not acc:
+                    acc = dict(right[k]) if v == 1 else {j: v * w for j, w in right[k].items()}
+                    continue
+                get = acc.get
+                for j, w in right[k].items():
+                    s = get(j, 0) + v * w
+                    if s:
+                        acc[j] = s
+                    else:
+                        acc.pop(j, None)
             out.append(acc)
         return IntegerMatrix.from_row_dicts(out, other.cols)
 

@@ -14,10 +14,11 @@ pullback inserts one, the transfer forgets the free coordinate, the
 restriction prepends both values of it, and the involution flips it.  The
 complex for a shift by n copies of the sign representation assembles the
 pushforwards (n > 0) or pullbacks (n < 0) over the subset lattice of {1..n}
-with Koszul signs.  Each basis and each block is built once per process and
-kept as nested tuples; complexes and maps are written from them straight
-into row dicts, every row listing its columns in the order the blocks meet
-them.
+with Koszul signs.  A class is coded as the integer of its bit string, so
+each rule is a shift and a mask.  Each block is built once per process and
+kept as nested tuples; each row of a complex or map is written once, from
+its (offset, signed block) sources, listing its columns in the order the
+blocks meet them.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -40,12 +41,15 @@ about triples per step in n; the default grid bound keeps n at most 8
 (total rank 3281 at the fixed point).  Building a complex and its integral
 cohomology (one bottom-up sweep, ``chaincx.cohomology``) grow at the same
 rate.  Measured in a fresh Python 3.11 process on a shared 2-core Intel
-Xeon host: at n = 11 the fixed-point complex takes 0.4 s of CPU to build
-and about 0.8 s for all integral groups, within 105 MB, and the free-orbit
-one 0.8 s and 1.8 s within 190 MB; n = 12 (total rank 265721 at the fixed
-point, the ``SHIFT_BOUND``) takes 1.9 s to build and 2.8 s for its groups,
-within 290 MB.  Before the certificates, when every build formed d.d, the
-builds took 1.3 s (fixed, n = 11), 2.5 s (free, n = 11) and 3.6 s (n = 12).
+Xeon host (medians of three): at n = 11 the fixed-point complex takes
+0.17 s of CPU to build and about 0.6 s for all integral groups, within
+115 MB, and the free-orbit one 0.3 s and 1.2 s within 200 MB; n = 12 (the
+``SHIFT_BOUND``) takes 0.5 s and 2.0 s within 290 MB at the fixed point
+(total rank 265721), and 1.2 s and 4.1 s within 555 MB at the free orbit.
+About half of each build is its certificates.  When rows were gathered
+block by block, and classes were tuples, the builds took 0.33 s and 0.64 s
+(n = 11) and 1.3 s and 2.1 s (n = 12); when every build formed d.d, 1.3 s
+and 2.5 s (n = 11).
 """
 
 from __future__ import annotations
@@ -107,46 +111,53 @@ def orbit_basis(j: int, orbit_type: str = FIXED) -> List[Tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _basis(j: int, orbit_type: str) -> Tuple[Tuple[int, ...], ...]:
-    width = j + (1 if orbit_type == FREE else 0)
+    width = _width(j, orbit_type)
     return tuple((0,) + bits for bits in product((0, 1), repeat=width - 1)) if width else ((),)
+
+
+def _width(j: int, orbit_type: str) -> int:
+    """The number of coordinates of an arity-j class: j, and the free bit at the free orbit."""
+    return j + (1 if orbit_type == FREE else 0)
 
 
 def _arity_size(j: int, orbit_type: str) -> int:
     """The number of orbit classes of arity j, len(orbit_basis(j, orbit_type))."""
-    width = j + (1 if orbit_type == FREE else 0)
-    return 2 ** (width - 1) if width else 1
-
-
-# The point rules of the orbit blocks: the images of a point v, given the
-# 0-based position of the coordinate that a push deletes or a pull inserts.
-_RULES = {
-    "push": lambda v, pos: (v[:pos] + v[pos + 1:],),
-    "pull": lambda v, pos: (v[:pos] + (0,) + v[pos:], v[:pos] + (1,) + v[pos:]),
-    "tr": lambda v, pos: (v[1:],),                    # forget the free bit
-    "res": lambda v, pos: ((0,) + v, (1,) + v),       # prepend both free bits
-    "flip": lambda v, pos: ((1 - v[0],) + v[1:],),    # flip the free bit
-}
+    width = _width(j, orbit_type)
+    return 1 << (width - 1) if width else 1
 
 
 @lru_cache(maxsize=None)
 def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]):
     """The block of a map of orbit classes, from the arity and type src to tgt.
 
-    The cycle of a source class is its orbit {v, complement(v)}, or the single
-    point () of the fixed arity-0 class.  The rule of kind gives a point's
-    images: one for a map of points, both lifts for a pullback.  The
-    coefficient of a target class is the number of images equal to its
-    canonical representative.  Returns, per target class, its (column,
-    coefficient) pairs in the order they first arise; the memo is immutable.
+    A point of width w is its bit string read as an integer, coordinate 0
+    the top bit, so a class's canonical representative is the one below
+    2^(w-1), and that integer is the class's index in ``orbit_basis``.  The
+    cycle of a source class q is its orbit {q, complement(q)}, or the single
+    point of the fixed arity-0 class.  A push (or the transfer, at the free
+    bit) deletes the coordinate at pos, a pull (or the restriction) inserts
+    both values of it, and the flip complements the free bit.  The
+    coefficient of a target class is the number of images equal to it.
+    Returns, per target class, its (column, coefficient) pairs in ascending
+    column order; the memo is immutable.
     """
-    index = {b: i for i, b in enumerate(_basis(*tgt))}
-    rows: List[dict] = [{} for _ in index]
-    for col, bits in enumerate(_basis(*src)):
-        for point in ((bits, tuple(1 - b for b in bits)) if bits else ((),)):
-            for q in _RULES[kind](point, pos):
-                if q in index:
-                    row = rows[index[q]]
-                    row[col] = row.get(col, 0) + 1
+    width, cols = _width(*src), range(_arity_size(*src))
+    full, half = (1 << width) - 1, _arity_size(*tgt)   # a target point q is canonical iff q < half
+    if kind == "flip":
+        top = 1 << (width - 1)
+        images = [(col, x ^ top) for col in cols for x in (col, col ^ full)]
+    elif kind in ("push", "tr"):
+        low = (1 << (width - 1 - pos)) - 1              # the coordinates after pos
+        images = [(col, x >> 1 & ~low | x & low) for col in cols for x in (col, col ^ full)]
+    else:                                               # pull, res: both lifts
+        low = (1 << (width - pos)) - 1
+        images = [(col, y | e) for col in cols for x in ((col, col ^ full) if width else (0,))
+                  for y in ((x & ~low) << 1 | x & low,) for e in (0, low + 1)]
+    rows: List[dict] = [{} for _ in range(half)]
+    for col, q in images:
+        if q < half:
+            row = rows[q]
+            row[col] = row.get(col, 0) + 1
     return tuple(tuple(row.items()) for row in rows)
 
 
@@ -162,15 +173,42 @@ def _component_layout(n: int, j: int, orbit_type: str):
     return blocks, {s: k * size for k, s in enumerate(blocks)}
 
 
-def _slot_blocks(kind: str, j: int, orbit_type: str) -> list:
+def _checked_layout(n: int, j: int, orbit_type: str):
+    """``_component_layout``, after checking that the k-th of its C(n, j)
+    subsets starts at k * size; raises ComplexError.  With blocks whose rows
+    and columns lie in range(size) (``_checked_block``), every entry an
+    assembly writes then lies in its component, and no two subsets overlap."""
+    blocks, offsets = _component_layout(n, j, orbit_type)
+    size, count = _arity_size(j, orbit_type), comb(n, j)
+    starts = [offsets.get(s) for s in blocks]
+    if len(offsets) != count or starts != list(range(0, count * size, size)):
+        raise ComplexError(f"the subset offsets of arity {j} in shift {n} ({orbit_type}) "
+                           f"are not the multiples of {size}")
+    return blocks, offsets
+
+
+def _checked_block(block, rows: int, cols: int, what: str):
+    """block, after checking that it has rows rows and its columns lie in
+    range(cols); raises ComplexError."""
+    if len(block) != rows or not all(0 <= c < cols for row in block for c, _ in row):
+        raise ComplexError(f"the {what} block does not fit its {rows} x {cols} shape")
+    return block
+
+
+@lru_cache(maxsize=None)
+def _slot_blocks(kind: str, j: int, orbit_type: str) -> tuple:
     """The blocks of the differential between arities j + 1 and j, one per
     slot idx = 0..j of the larger subset: a push from arity j + 1 to j, or a
     pull from j to j + 1, deleting or inserting the coordinate first + idx,
-    where the free orbit's first coordinate is its free bit."""
+    where the free orbit's first coordinate is its free bit.  Each is checked
+    to fit its shape; memoised, so once per process."""
     first = 1 if orbit_type == FREE else 0
     upper, lower = (j + 1, orbit_type), (j, orbit_type)
     ends = (upper, lower) if kind == "push" else (lower, upper)
-    return [_orbit_rows(kind, first + idx, *ends) for idx in range(j + 1)]
+    rows, cols = _arity_size(*ends[1]), _arity_size(*ends[0])
+    return tuple(_checked_block(_orbit_rows(kind, first + idx, *ends), rows, cols,
+                                f"{kind} slot {idx} between arities {j} and {j + 1} ({orbit_type})")
+                 for idx in range(j + 1))
 
 
 def _as_matrix(block, cols: int) -> IntegerMatrix:
@@ -178,10 +216,12 @@ def _as_matrix(block, cols: int) -> IntegerMatrix:
     return IntegerMatrix.from_row_dicts([dict(row) for row in block], cols)
 
 
-def _slot_matrices(kind: str, j: int, orbit_type: str) -> List[IntegerMatrix]:
-    """``_slot_blocks`` as matrices, for the certificates' products."""
+@lru_cache(maxsize=None)
+def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, ...]:
+    """``_slot_blocks`` as matrices, for the certificates' products; memoised,
+    so each block is converted once per process."""
     cols = _arity_size(j + 1 if kind == "push" else j, orbit_type)
-    return [_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type)]
+    return tuple(_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type))
 
 
 @lru_cache(maxsize=None)
@@ -231,6 +271,14 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     of the coface identity that ``_coface_certificate`` checks for arity k;
     the pull case is the transpose of the same argument.  So once each
     arity 2..|n| is certified, the complex is built without ``validate``.
+    That the blocks land where the lemma puts them is checked at build:
+    each subset's offset (``_checked_layout``) and each block's shape
+    (``_checked_block``).
+
+    Each row is written once, from its (offset, signed block) sources: for a
+    push, the row of a class of S gathers the supersets T of S in
+    lexicographic order; for a pull, the row of a class of T gathers its
+    slots 0..j.  Its columns are listed in that order.
 
     >>> build_sigma_complex(SigmaSpec(1)).differential(-1).to_rows()
     [[2]]
@@ -253,18 +301,24 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     for j in range(m):
         # d joins arity j + 1 and arity j: slot idx of the larger subset has
         # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
-        _, small_off = _component_layout(m, j, orbit_type)
-        big_size = _arity_size(j + 1, orbit_type)
-        src, tgt = (-(j + 1), -j) if push else (j, j + 1)
-        rows: List[dict] = [{} for _ in range(comps[tgt])]
-        blocks = _slot_blocks(kind, j, orbit_type)
-        for k, big in enumerate(combinations(range(1, m + 1), j + 1)):
-            for idx, block in enumerate(blocks):
-                small = small_off[big[:idx] + big[idx + 1:]]
-                row, col = (small, k * big_size) if push else (k * big_size, small)
-                sign = -1 if (j - idx) % 2 else 1
-                for r, entries in enumerate(block, row):
-                    rows[r].update([(col + c, sign * v) for c, v in entries])
+        smalls, small_off = _checked_layout(m, j, orbit_type)
+        bigs, big_off = _checked_layout(m, j + 1, orbit_type)
+        blocks = [block if (j - idx) % 2 == 0 else tuple(tuple((c, -v) for c, v in row)
+                                                         for row in block)
+                  for idx, block in enumerate(_slot_blocks(kind, j, orbit_type))]
+        if push:
+            sources = {small: [] for small in smalls}
+            for big in bigs:
+                for idx, block in enumerate(blocks):
+                    sources[big[:idx] + big[idx + 1:]].append((big_off[big], block))
+            subsets, size = smalls, _arity_size(j, orbit_type)
+        else:
+            sources = {big: [(small_off[big[:idx] + big[idx + 1:]], block)
+                             for idx, block in enumerate(blocks)] for big in bigs}
+            subsets, size = bigs, _arity_size(j + 1, orbit_type)
+        rows = [{off + c: v for off, block in pairs for c, v in block[r]}
+                for subset in subsets for pairs in (sources[subset],) for r in range(size)]
+        src = -(j + 1) if push else j
         diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
     return CochainComplex._certified(comps, diffs)
 
@@ -294,6 +348,13 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # Transfer and restriction
 # ---------------------------------------------------------------------------
 
+def _map_block(kind: str, j: int, src_type: str, tgt_type: str):
+    """The orbit block of tr, res or the flip at arity j, checked to fit its shape."""
+    return _checked_block(_orbit_rows(kind, 0, (j, src_type), (j, tgt_type)),
+                          _arity_size(j, tgt_type), _arity_size(j, src_type),
+                          f"{kind} arity {j}")
+
+
 @lru_cache(maxsize=None)
 def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind: str) -> bool:
     """The orbit block of kind commutes with every slot block between arities
@@ -303,8 +364,8 @@ def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind:
     of the source and target type: phi_j D_idx = D'_idx phi_(j+1) for a push,
     phi_(j+1) D_idx = D'_idx phi_j for a pull.  Memoised per arity.
     """
-    lo, hi = (_as_matrix(_orbit_rows(kind, 0, (i, src_type), (i, tgt_type)),
-                         _arity_size(i, src_type)) for i in (j, j + 1))
+    lo, hi = (_as_matrix(_map_block(kind, i, src_type, tgt_type), _arity_size(i, src_type))
+              for i in (j, j + 1))
     pairs = zip(_slot_matrices(diff_kind, j, src_type), _slot_matrices(diff_kind, j, tgt_type))
     for idx, (d_src, d_tgt) in enumerate(pairs):
         if diff_kind == "push":
@@ -336,15 +397,23 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
     diff_kind = "push" if n > 0 else "pull"
     for j in range(m):
         _map_certificate(kind, j, orbit_type_src, orbit_type_tgt, diff_kind)
-    maps = {}
+    blocks = _map_blocks(kind, m, orbit_type_src, orbit_type_tgt)
+    return ChainMap._certified(source, target,
+                               {(-j if n > 0 else j): a for j, a in enumerate(blocks)})
+
+
+@lru_cache(maxsize=None)
+def _map_blocks(kind: str, m: int, src_type: str, tgt_type: str) -> Tuple[IntegerMatrix, ...]:
+    """Per arity j = 0..m, the block-diagonal matrix with the orbit block of
+    kind on each of the C(m, j) subsets.  The maps at n and -n share them,
+    since only their degrees differ; memoised, and never mutated."""
+    out = []
     for j in range(m + 1):
-        block = _orbit_rows(kind, 0, (j, orbit_type_src), (j, orbit_type_tgt))
-        size = _arity_size(j, orbit_type_src)
+        size, block = _arity_size(j, src_type), _map_block(kind, j, src_type, tgt_type)
         cols = comb(m, j) * size
-        maps[-j if n > 0 else j] = IntegerMatrix.from_row_dicts(
-            [{off + c: v for c, v in entries} for off in range(0, cols, size) for entries in block],
-            cols)
-    return ChainMap._certified(source, target, maps)
+        out.append(IntegerMatrix.from_row_dicts(
+            [{off + c: v for c, v in row} for off in range(0, cols, size) for row in block], cols))
+    return tuple(out)
 
 
 def transfer_map(p: int) -> ChainMap:

@@ -542,6 +542,47 @@ class TestMatrixAlgebraAgainstDenseOracle:
         assert prod.is_zero() and prod.nnz() == 0 and list(prod.items()) == []
         assert prod == IntegerMatrix.zeros(3, 3) and snf_diagonal(prod) == []
 
+    def test_product_rows_list_keys_as_the_scaled_sums_insert_them(self, rng):
+        # the pivot paths of the engine follow each row's key order, so a
+        # product must list its keys as adding the scaled rows one by one
+        # (abgrp._add_scaled) inserts them: a key that cancels and comes back
+        # moves to the end, and a row of one entry is a copy or a multiple
+        def reference(a, b):
+            rows_b = row_dicts(b)
+            out = []
+            for row in row_dicts(a):
+                acc = {}
+                for k, v in row.items():
+                    abgrp._add_scaled(acc, rows_b[k], v)
+                out.append(acc)
+            return [((i, j), v) for i, row in enumerate(out) for j, v in row.items()]
+
+        def row_dicts(a):
+            rows = [{} for _ in range(a.rows)]
+            for (i, j), v in a.items():
+                rows[i][j] = v
+            return rows
+
+        a = IntegerMatrix.from_rows([[1, 1, 1], [0, 3, 0], [0, 0, -2], [0, 0, 0]])
+        b = IntegerMatrix(3, 3, {(0, 2): 1, (0, 0): 1, (1, 1): 2, (1, 0): -1, (2, 0): 5})
+        prod = a @ b
+        assert list(prod.items()) == reference(a, b) == [
+            ((0, 2), 1), ((0, 1), 2), ((0, 0), 5), ((1, 1), 6), ((1, 0), -3), ((2, 0), -10)]
+        def shuffled(rows, cols):
+            # keys in a random order, so that no row's order is sorted by accident
+            entries = [((i, j), v) for i, row in enumerate(rows) for j, v in enumerate(row) if v]
+            rng.shuffle(entries)
+            return IntegerMatrix(len(rows), cols, dict(entries))
+
+        for _ in range(200):
+            r, inner, c = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+            x = [[rng.choice((0, 0, 1, -1, 2, -3)) for _ in range(inner)] for _ in range(r)]
+            y = [[rng.choice((0, 1, -1, 1, -1)) for _ in range(c)] for _ in range(inner)]
+            a, b = shuffled(x, inner), shuffled(y, c)
+            prod = a @ b
+            assert prod.to_rows() == dense_matmul(x, y, inner, c)
+            assert list(prod.items()) == reference(a, b)
+
     def test_equality_ignores_the_memo_and_checks_shape(self):
         a, b = IntegerMatrix.from_rows([[2, 4], [6, 8]]), IntegerMatrix.from_rows([[2, 4], [6, 8]])
         snf_diagonal(a)

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from bredon import abgrp, chaincx, sigmacx
+from bredon import abgrp, chaincx, cli, sigmacx
 from bredon.abgrp import (
     FgAbelianGroup,
     IntegerMatrix,
@@ -62,9 +62,11 @@ def _cycle_points(bits, free):
     return [bits, tuple(1 - b for b in bits)]
 
 
-def _express_in_basis(point_multiset, arity, orbit_type):
-    basis = orbit_basis(arity, orbit_type)
-    index = {b: i for i, b in enumerate(basis)}
+def _basis_index(arity, orbit_type):
+    return {b: i for i, b in enumerate(orbit_basis(arity, orbit_type))}
+
+
+def _express_in_basis(point_multiset, index):
     coeffs = {}
     for point, mult in point_multiset.items():
         if point in index:
@@ -77,13 +79,14 @@ def oracle_push(j, drop_index, orbit_type):
     src = orbit_basis(j, orbit_type)
     tgt = orbit_basis(j - 1, orbit_type)
     pos = drop_index - 1 + (1 if free else 0)
+    index = _basis_index(j - 1, orbit_type)
     entries = {}
     for col, bits in enumerate(src):
         image = {}
         for point in _cycle_points(bits, free):
             shorter = point[:pos] + point[pos + 1:]
             image[shorter] = image.get(shorter, 0) + 1
-        for row, c in _express_in_basis(image, j - 1, orbit_type).items():
+        for row, c in _express_in_basis(image, index).items():
             entries[(row, col)] = c
     return IntegerMatrix(len(tgt), len(src), entries)
 
@@ -93,6 +96,7 @@ def oracle_pull(j, insert_index, orbit_type):
     src = orbit_basis(j - 1, orbit_type)
     tgt = orbit_basis(j, orbit_type)
     pos = insert_index - 1 + (1 if free else 0)
+    index = _basis_index(j, orbit_type)
     entries = {}
     for col, bits in enumerate(src):
         fiber = {}
@@ -100,7 +104,7 @@ def oracle_pull(j, insert_index, orbit_type):
             for b in (0, 1):
                 lifted = point[:pos] + (b,) + point[pos:]
                 fiber[lifted] = fiber.get(lifted, 0) + 1
-        for row, c in _express_in_basis(fiber, j, orbit_type).items():
+        for row, c in _express_in_basis(fiber, index).items():
             entries[(row, col)] = c
     return IntegerMatrix(len(tgt), len(src), entries)
 
@@ -128,7 +132,11 @@ def orbit_block(kind, j, index, orbit_type):
     1-based coordinate index, read from the memoised rows of sigmacx."""
     big, small = (j, orbit_type), (j - 1, orbit_type)
     src, tgt = (big, small) if kind == "push" else (small, big)
-    pos = index - 1 + (1 if orbit_type == FREE else 0)
+    return memoised_block(kind, index - 1 + (1 if orbit_type == FREE else 0), src, tgt)
+
+
+def memoised_block(kind, pos, src, tgt):
+    """sigmacx's memoised rows of a block as a matrix, each row in their order."""
     rows = sigmacx._orbit_rows(kind, pos, src, tgt)
     return IntegerMatrix(len(rows), len(orbit_basis(*src)),
                          {(i, c): v for i, row in enumerate(rows) for c, v in row})
@@ -157,9 +165,10 @@ class TestPushPull:
                 assert all(m.entry(i, j) in (0, 1) for i in range(4))
 
     def test_against_enumeration_oracle(self):
-        # equal matrices, each row listing its keys in the same order
+        # equal matrices, each row listing its keys in the same order, at
+        # every arity a build within the shift bound uses
         for orbit_type in (FIXED, FREE):
-            for j in range(1, 7):
+            for j in range(1, sigmacx.SHIFT_BOUND + 1):
                 for idx in range(1, j + 1):
                     where = (j, idx, orbit_type)
                     assert_same_rows(orbit_block("push", j, idx, orbit_type),
@@ -253,6 +262,23 @@ def assert_same_rows(got, want, where):
     assert list(got.items()) == list(want.items()), where
 
 
+MAP_IMAGES = (("tr", FREE, FIXED, lambda v: (v[1:],)),
+              ("res", FIXED, FREE, lambda v: ((0,) + v, (1,) + v)),
+              ("flip", FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)))
+
+
+class TestMapBlocks:
+    def test_against_the_reference_blocks(self):
+        # the tr, res and flip blocks of sigmacx against the label-tuple rule,
+        # key order included, at every arity a map within the shift bound uses
+        for kind, src_type, tgt_type, image in MAP_IMAGES:
+            for j in range(sigmacx.SHIFT_BOUND + 1):
+                want = reference_block(reference_basis(j, src_type),
+                                       reference_basis(j, tgt_type), image)
+                assert_same_rows(memoised_block(kind, 0, (j, src_type), (j, tgt_type)), want,
+                                 (kind, j))
+
+
 class TestFastAssembly:
     """Every complex and map with |p| <= 8 against the reference assembly."""
 
@@ -269,10 +295,8 @@ class TestFastAssembly:
 
     def test_transfer_restriction_involution(self):
         for p in range(-8, 9):
-            maps = ((transfer_map(p), FREE, FIXED, lambda v: (v[1:],)),
-                    (restriction_map(p), FIXED, FREE, lambda v: ((0,) + v, (1,) + v)),
-                    (involution_map(p), FREE, FREE, lambda v: ((1 - v[0],) + v[1:],)))
-            for k, (f, src_type, tgt_type, image) in enumerate(maps):
+            maps = (transfer_map(p), restriction_map(p), involution_map(p))
+            for k, (f, (_, src_type, tgt_type, image)) in enumerate(zip(maps, MAP_IMAGES)):
                 want = reference_map(p, src_type, tgt_type, image)
                 assert set(f.maps) <= set(want), (p, k)
                 for d, a in want.items():
@@ -306,6 +330,9 @@ class TestOrbitMemo:
             assert_same_rows(involution_map(3).component(d), a, d)
 
     def test_memoised_values_are_immutable(self):
+        for j in range(5):
+            for orbit_type in (FIXED, FREE):
+                orbit_basis(j, orbit_type)
         build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED))
         transfer_map(-3)
         assert sigmacx._basis.cache_info().currsize > 0
@@ -319,14 +346,17 @@ class TestOrbitMemo:
                                     ("res", 0, (3, FIXED), (3, FREE)),
                                     ("flip", 0, (3, FREE), (3, FREE))):
             assert _frozen(sigmacx._orbit_rows(kind, pos, src, tgt)), kind
+        for kind, j, orbit_type in (("push", 3, FIXED), ("pull", 2, FREE)):
+            assert _frozen(sigmacx._slot_blocks(kind, j, orbit_type)), kind
 
 
 @pytest.fixture
 def fresh_memos():
-    """Empty the orbit blocks, the certificates and the complexes before and
-    after a test, so that a planted block is certified and built afresh and
-    leaves nothing behind."""
-    memos = (sigmacx._orbit_rows, sigmacx._coface_certificate, sigmacx._map_certificate,
+    """Empty the orbit blocks, their matrices, the certificates, the map
+    blocks and the complexes before and after a test, so that a planted block
+    is certified and built afresh and leaves nothing behind."""
+    memos = (sigmacx._orbit_rows, sigmacx._slot_blocks, sigmacx._slot_matrices,
+             sigmacx._coface_certificate, sigmacx._map_certificate, sigmacx._map_blocks,
              build_sigma_complex)
     for memo in memos:
         memo.cache_clear()
@@ -415,6 +445,44 @@ class TestCertificates:
         for p in (3, -3):
             with pytest.raises(ComplexError, match="does not commute"):
                 make(p)
+
+    @pytest.mark.parametrize("n", [4, -4])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_a_shifted_subset_offset_fails_the_build(self, monkeypatch, capsys, fresh_memos,
+                                                     n, orbit_type):
+        # the layout lemma is checked at build: the second subset of arity 2
+        # starting one column late fails with a one-line error, not an
+        # IndexError from a later sweep
+        original = sigmacx._component_layout
+
+        def shifted(m, j, orbit_type):
+            blocks, offsets = original(m, j, orbit_type)
+            return blocks, {**offsets, blocks[1]: offsets[blocks[1]] + 1} if j == 2 else offsets
+
+        monkeypatch.setattr(sigmacx, "_component_layout", shifted)
+        with pytest.raises(ComplexError, match="subset offsets of arity 2"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+        if orbit_type == FIXED:
+            assert cli.main(["weight0", "--a", "0", "--p", str(n)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bredon: error: the subset offsets") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", [("push", 1, (3, FIXED), (2, FIXED)),
+                                     ("pull", 2, (2, FREE), (3, FREE)),
+                                     ("res", 0, (2, FIXED), (2, FREE))])
+    def test_a_block_outside_its_shape_fails(self, monkeypatch, fresh_memos, key):
+        # a column past the block's width fails the shape check before a
+        # certificate's product or the assembly reads it
+        def widened(block):
+            (col, value), *rest = block[-1]
+            return block[:-1] + (((col + 64, value), *rest),)
+
+        _plant(monkeypatch, key, widened)
+        make = {"push": lambda: build_sigma_complex(SigmaSpec(4, FIXED)),
+                "pull": lambda: build_sigma_complex(SigmaSpec(-4, FREE)),
+                "res": lambda: restriction_map(3)}[key[0]]
+        with pytest.raises(ComplexError, match="does not fit"):
+            make()
 
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
         _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
