@@ -14,7 +14,10 @@ every part in a fresh process, one at a time:
   peak RSS of the process, each the median of REPEAT fresh processes;
 * the check rows: for each suite of CHECKS, the wall and CPU time of
   ``bredon check <suite> --p-max CHECK_P_MAX``, run through ``bredon.cli``,
-  each the median of REPEAT fresh processes.
+  each the median of REPEAT fresh processes;
+* the size row: the physical lines and the code lines (the lines that hold
+  a token other than a comment, a docstring or layout, by ``tokenize``) of
+  each module of src/bredon, and their totals.
 
 Every reach and check process also times the benchmark's calibration
 kernel, so the host's speed at that moment is on record next to the times.
@@ -24,6 +27,7 @@ Compare two snapshots taken on the same host, one after the other.
 """
 
 import argparse
+import ast
 import contextlib
 import hashlib
 import io
@@ -36,6 +40,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tokenize
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
@@ -47,6 +52,8 @@ CHECKS = ("cone-tower", "transfer-restriction")
 CHECK_P_MAX = 10
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
+LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+          tokenize.ENCODING, tokenize.ENDMARKER}
 
 
 def _env(repo: Path) -> dict:
@@ -109,6 +116,33 @@ def tier1(repo: Path) -> dict:
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {kind: int(n) for n, kind in re.findall(r"(\d+) (passed|failed|error)", summary)}
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": summary, **counts}
+
+
+def _code_lines(text: str) -> int:
+    """The number of lines that hold a token other than a comment, a
+    docstring (of a module, class or function) or layout."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(text)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type not in LAYOUT:
+            lines.update(range(token.start[0], token.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def size(repo: Path) -> dict:
+    """Physical and code lines of each module of src/bredon, and in total."""
+    root = repo / "src" / "bredon"
+    modules = {}
+    for path in sorted(root.rglob("*.py")):
+        text = path.read_text()
+        modules[path.relative_to(root).as_posix()] = {"lines": len(text.splitlines()),
+                                                      "code_lines": _code_lines(text)}
+    return {"lines": sum(m["lines"] for m in modules.values()),
+            "code_lines": sum(m["code_lines"] for m in modules.values()), "modules": modules}
 
 
 def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
@@ -207,6 +241,7 @@ def main(argv=None) -> int:
     snapshot["tier1"] = tier1(repo)
     snapshot["reach"] = reach(repo)
     snapshot["checks"] = checks(repo)
+    snapshot["size"] = size(repo)
     snapshot["loadavg_after"] = os.getloadavg()
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -14,11 +14,14 @@ pullback inserts one, the transfer forgets the free coordinate, the
 restriction prepends both values of it, and the involution flips it.  The
 complex for a shift by n copies of the sign representation assembles the
 pushforwards (n > 0) or pullbacks (n < 0) over the subset lattice of {1..n}
-with Koszul signs.  A class is coded as the integer of its bit string, so
-each rule is a shift and a mask.  Each block is built once per process and
-kept as nested tuples; each row of a complex or map is written once, from
-its (offset, signed block) sources, listing its columns in the order the
-blocks meet them.
+with Koszul signs.  A class is coded, everywhere, as the integer of its
+canonical bit string, so each rule (and the cone identification) is a shift
+and a mask.  A component of arity j is laid out subset by subset, in the
+lexicographic order of ``_subset_index``, the subset of rank k at column
+k times the number of arity-j classes.  Each block is built once per
+process and kept as nested tuples; each row of a complex or map is written
+once, from its (offset, signed block) sources, listing its columns in the
+order the blocks meet them.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 from math import comb
 from typing import Dict, List, Tuple
 
@@ -85,43 +88,14 @@ class SigmaSpec:
             raise ValueError(f"orbit_type must be 'fixed' or 'free', got {self.orbit_type!r}")
 
 
-def canonical_bits(bits: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The lexicographically smaller of a bit string and its complement."""
-    if bits and bits[0] == 1:
-        return tuple(1 - b for b in bits)
-    return tuple(bits)
-
-
-def orbit_basis(j: int, orbit_type: str = FIXED) -> List[Tuple[int, ...]]:
-    """Ordered basis labels for arity j sections.
-
-    Fixed point: orbit classes of {0,1}^j, canonical representatives in
-    lexicographic order (2^(j-1) classes for j >= 1, one empty class for
-    j = 0).  Free orbit: one extra leading coordinate (2^j classes).
-
-    >>> orbit_basis(2)
-    [(0, 0), (0, 1)]
-    >>> len(orbit_basis(3)), len(orbit_basis(3, FREE))
-    (4, 8)
-    """
-    if j < 0:
-        raise ValueError("arity must be nonnegative")
-    return list(_basis(j, orbit_type))
-
-
-@lru_cache(maxsize=None)
-def _basis(j: int, orbit_type: str) -> Tuple[Tuple[int, ...], ...]:
-    width = _width(j, orbit_type)
-    return tuple((0,) + bits for bits in product((0, 1), repeat=width - 1)) if width else ((),)
-
-
 def _width(j: int, orbit_type: str) -> int:
     """The number of coordinates of an arity-j class: j, and the free bit at the free orbit."""
     return j + (1 if orbit_type == FREE else 0)
 
 
 def _arity_size(j: int, orbit_type: str) -> int:
-    """The number of orbit classes of arity j, len(orbit_basis(j, orbit_type))."""
+    """The number of orbit classes of arity j: 2^(width - 1), as the
+    canonical codes are the integers below it, or 1 at width 0."""
     width = _width(j, orbit_type)
     return 1 << (width - 1) if width else 1
 
@@ -132,7 +106,8 @@ def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str])
 
     A point of width w is its bit string read as an integer, coordinate 0
     the top bit, so a class's canonical representative is the one below
-    2^(w-1), and that integer is the class's index in ``orbit_basis``.  The
+    2^(w-1), and that integer is the class's code: its column in a subset's
+    block, classes in lexicographic order of their representatives.  The
     cycle of a source class q is its orbit {q, complement(q)}, or the single
     point of the fixed arity-0 class.  A push (or the transfer, at the free
     bit) deletes the coordinate at pos, a pull (or the restriction) inserts
@@ -161,30 +136,11 @@ def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str])
     return tuple(tuple(row.items()) for row in rows)
 
 
-def _subset_blocks(n: int, j: int) -> List[Tuple[int, ...]]:
-    """Size-j subsets of {1..n} in lexicographic order."""
-    return list(combinations(range(1, n + 1), j))
-
-
-def _component_layout(n: int, j: int, orbit_type: str):
-    """Offsets of the subset blocks inside the degree component."""
-    blocks = _subset_blocks(n, j)
-    size = _arity_size(j, orbit_type)
-    return blocks, {s: k * size for k, s in enumerate(blocks)}
-
-
-def _checked_layout(n: int, j: int, orbit_type: str):
-    """``_component_layout``, after checking that the k-th of its C(n, j)
-    subsets starts at k * size; raises ComplexError.  With blocks whose rows
-    and columns lie in range(size) (``_checked_block``), every entry an
-    assembly writes then lies in its component, and no two subsets overlap."""
-    blocks, offsets = _component_layout(n, j, orbit_type)
-    size, count = _arity_size(j, orbit_type), comb(n, j)
-    starts = [offsets.get(s) for s in blocks]
-    if len(offsets) != count or starts != list(range(0, count * size, size)):
-        raise ComplexError(f"the subset offsets of arity {j} in shift {n} ({orbit_type}) "
-                           f"are not the multiples of {size}")
-    return blocks, offsets
+def _subset_index(m: int, j: int) -> Dict[Tuple[int, ...], int]:
+    """The size-j subsets of {1..m}, each with its rank in lexicographic order.
+    In a component of arity j, the block of a subset of rank k starts at
+    column k * _arity_size(j, orbit_type)."""
+    return {s: k for k, s in enumerate(combinations(range(1, m + 1), j))}
 
 
 def _checked_block(block, rows: int, cols: int, what: str):
@@ -271,9 +227,10 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     of the coface identity that ``_coface_certificate`` checks for arity k;
     the pull case is the transpose of the same argument.  So once each
     arity 2..|n| is certified, the complex is built without ``validate``.
-    That the blocks land where the lemma puts them is checked at build:
-    each subset's offset (``_checked_layout``) and each block's shape
-    (``_checked_block``).
+    The blocks land where the lemma puts them: the subset of rank k in
+    ``_subset_index`` starts at column k * _arity_size(j), by construction,
+    and each block is checked at build to fit its shape (``_checked_block``),
+    so every entry lies in its subset's block and no two blocks overlap.
 
     Each row is written once, from its (offset, signed block) sources: for a
     push, the row of a class of S gathers the supersets T of S in
@@ -301,23 +258,23 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     for j in range(m):
         # d joins arity j + 1 and arity j: slot idx of the larger subset has
         # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
-        smalls, small_off = _checked_layout(m, j, orbit_type)
-        bigs, big_off = _checked_layout(m, j + 1, orbit_type)
+        smalls, bigs = _subset_index(m, j), _subset_index(m, j + 1)
+        small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
         blocks = [block if (j - idx) % 2 == 0 else tuple(tuple((c, -v) for c, v in row)
                                                          for row in block)
                   for idx, block in enumerate(_slot_blocks(kind, j, orbit_type))]
         if push:
-            sources = {small: [] for small in smalls}
-            for big in bigs:
+            sources = [[] for _ in smalls]
+            for big, k in bigs.items():
                 for idx, block in enumerate(blocks):
-                    sources[big[:idx] + big[idx + 1:]].append((big_off[big], block))
-            subsets, size = smalls, _arity_size(j, orbit_type)
+                    sources[smalls[big[:idx] + big[idx + 1:]]].append((k * big_size, block))
+            size = small_size
         else:
-            sources = {big: [(small_off[big[:idx] + big[idx + 1:]], block)
-                             for idx, block in enumerate(blocks)] for big in bigs}
-            subsets, size = bigs, _arity_size(j + 1, orbit_type)
+            sources = [[(smalls[big[:idx] + big[idx + 1:]] * small_size, block)
+                        for idx, block in enumerate(blocks)] for big in bigs]
+            size = big_size
         rows = [{off + c: v for off, block in pairs for c, v in block[r]}
-                for subset in subsets for pairs in (sources[subset],) for r in range(size)]
+                for pairs in sources for r in range(size)]
         src = -(j + 1) if push else j
         diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
     return CochainComplex._certified(comps, diffs)
@@ -493,36 +450,26 @@ def transfer_restriction_check(p: int) -> bool:
 
 
 def cone_identification(p: int):
-    """The degreewise basis bijection cone(tr at p) -> complex at p+1.
+    """The degreewise basis bijection cone(tr at p) -> complex at p+1, p >= 0.
 
-    Cone basis order per degree: the fixed-point block (subsets of {1..p}),
-    then the free block one degree up; target basis: subsets of {1..p+1},
-    where a free label (S, (e, v)) corresponds to (S + {p+1}, v*e) with the
-    free bit moved last (and canonicalized).  Returns, per degree, the list
+    Cone basis order per degree -j: the fixed-point block (the size-j
+    subsets S of {1..p}, each with its classes), then the free block one
+    degree up (the size-(j-1) subsets).  A fixed class x of S keeps its code
+    at S.  A free class x of S, its free bit 0, goes to S + {p+1} with the
+    free bit moved last: its code is y = x << 1, complemented to the
+    canonical class when y's top bit is set.  Returns, per degree, the list
     mapping cone basis positions to target positions; each is a permutation.
     """
-    m = p
-    target_spec = SigmaSpec(p + 1, FIXED)
     perms = {}
-    for j in range(m + 2):
-        deg = -j
-        _, tgt_off = _component_layout(m + 1, j, FIXED)
-        tgt_index_arity = {b: i for i, b in enumerate(orbit_basis(j, FIXED))}
-        perm = []
-        # fixed block: subsets of {1..p} of size j
-        if j <= m:
-            for subset in _subset_blocks(m, j):
-                for bits in orbit_basis(j, FIXED):
-                    perm.append(tgt_off[subset] + tgt_index_arity[bits])
-        # free block: subsets of size j-1 with the extra factor appended
-        if 1 <= j <= m + 1:
-            for subset in _subset_blocks(m, j - 1):
-                big = subset + (m + 1,)
-                for bits in orbit_basis(j - 1, FREE):
-                    moved = canonical_bits(bits[1:] + (bits[0],))
-                    perm.append(tgt_off[big] + tgt_index_arity[moved])
-        if perm:
-            perms[deg] = perm
+    for j in range(p + 2):
+        index, size = _subset_index(p + 1, j), _arity_size(j, FIXED)
+        perm = [index[s] * size + x for s in _subset_index(p, j) for x in range(size)]
+        if j:
+            full = (1 << j) - 1
+            for s in _subset_index(p, j - 1):
+                for y in (x << 1 for x in range(_arity_size(j - 1, FREE))):
+                    perm.append(index[s + (p + 1,)] * size + (y ^ full if y >> (j - 1) else y))
+        perms[-j] = perm
     return perms
 
 

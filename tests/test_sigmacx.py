@@ -28,11 +28,10 @@ from bredon.sigmacx import (
     FREE,
     SigmaSpec,
     build_sigma_complex,
-    canonical_bits,
+    cone_identification,
     cone_tower_check,
     free_orbit_acyclicity,
     involution_map,
-    orbit_basis,
     restriction_map,
     transfer_map,
     transfer_restriction_check,
@@ -54,7 +53,39 @@ ZERO = FgAbelianGroup.zero()
 # back) the cycle gives a multiset of points, and the coefficient of a basis
 # class in that multiset is the multiplicity of its canonical representative.
 # This is the rule sigmacx._orbit_rows implements; the tensor-power oracle
-# below checks it independently.
+# below checks it independently.  The basis labels are the classes' canonical
+# representatives as tuples, enumerated bit by bit, independently of the
+# integer codes of sigmacx.
+
+def reference_basis(j, orbit_type):
+    """The canonical representatives of the arity-j classes in lexicographic
+    order: (0,) followed by every bit string of width - 1, or () at width 0."""
+    width = j + (1 if orbit_type == FREE else 0)
+    if width == 0:
+        return [()]
+    return [(0,) + tuple((k >> (width - 2 - i)) & 1 for i in range(width - 1))
+            for k in range(2 ** (width - 1))]
+
+
+def reference_identification(p):
+    """cone_identification as it reads from the label tuples: per degree -j,
+    a fixed label (S, v) of the cone goes to (S, v) at p + 1, and a free
+    label (S, (e, v)) to (S + {p+1}, v e), the free bit moved last and the
+    label made canonical."""
+    perms = {}
+    for j in range(p + 2):
+        _, offset, _ = reference_layout(p + 1, j, FIXED)
+        index = _basis_index(j, FIXED)
+        perm = [offset[s] + index[bits] for s in combinations(range(1, p + 1), j)
+                for bits in reference_basis(j, FIXED)]
+        for s in (combinations(range(1, p + 1), j - 1) if j else ()):
+            for bits in reference_basis(j - 1, FREE):
+                moved = bits[1:] + bits[:1]
+                moved = tuple(1 - b for b in moved) if moved[0] else moved
+                perm.append(offset[s + (p + 1,)] + index[moved])
+        perms[-j] = perm
+    return perms
+
 
 def _cycle_points(bits, free):
     if not free and not bits:
@@ -63,7 +94,7 @@ def _cycle_points(bits, free):
 
 
 def _basis_index(arity, orbit_type):
-    return {b: i for i, b in enumerate(orbit_basis(arity, orbit_type))}
+    return {b: i for i, b in enumerate(reference_basis(arity, orbit_type))}
 
 
 def _express_in_basis(point_multiset, index):
@@ -76,8 +107,8 @@ def _express_in_basis(point_multiset, index):
 
 def oracle_push(j, drop_index, orbit_type):
     free = orbit_type == FREE
-    src = orbit_basis(j, orbit_type)
-    tgt = orbit_basis(j - 1, orbit_type)
+    src = reference_basis(j, orbit_type)
+    tgt = reference_basis(j - 1, orbit_type)
     pos = drop_index - 1 + (1 if free else 0)
     index = _basis_index(j - 1, orbit_type)
     entries = {}
@@ -93,8 +124,8 @@ def oracle_push(j, drop_index, orbit_type):
 
 def oracle_pull(j, insert_index, orbit_type):
     free = orbit_type == FREE
-    src = orbit_basis(j - 1, orbit_type)
-    tgt = orbit_basis(j, orbit_type)
+    src = reference_basis(j - 1, orbit_type)
+    tgt = reference_basis(j, orbit_type)
     pos = insert_index - 1 + (1 if free else 0)
     index = _basis_index(j, orbit_type)
     entries = {}
@@ -111,11 +142,14 @@ def oracle_pull(j, insert_index, orbit_type):
 
 class TestOrbitBasis:
     def test_sizes(self):
-        assert orbit_basis(0, FIXED) == [()]
-        assert orbit_basis(2, FIXED) == [(0, 0), (0, 1)]
-        assert len(orbit_basis(3, FIXED)) == 4
-        assert len(orbit_basis(3, FREE)) == 8
-        assert orbit_basis(0, FREE) == [(0,)]
+        assert reference_basis(0, FIXED) == [()]
+        assert reference_basis(2, FIXED) == [(0, 0), (0, 1)]
+        assert len(reference_basis(3, FIXED)) == 4
+        assert len(reference_basis(3, FREE)) == 8
+        assert reference_basis(0, FREE) == [(0,)]
+        for j in range(sigmacx.SHIFT_BOUND + 1):
+            for orbit_type in (FIXED, FREE):
+                assert sigmacx._arity_size(j, orbit_type) == len(reference_basis(j, orbit_type))
 
     def test_enumeration_oracle(self):
         # brute force: orbits of the complement action on bit strings
@@ -123,8 +157,8 @@ class TestOrbitBasis:
             seen = set()
             for k in range(2 ** j):
                 bits = tuple((k >> (j - 1 - i)) & 1 for i in range(j))
-                seen.add(canonical_bits(bits))
-            assert sorted(seen) == orbit_basis(j, FIXED)
+                seen.add(tuple(1 - b for b in bits) if bits and bits[0] else bits)
+            assert sorted(seen) == reference_basis(j, FIXED)
 
 
 def orbit_block(kind, j, index, orbit_type):
@@ -138,7 +172,7 @@ def orbit_block(kind, j, index, orbit_type):
 def memoised_block(kind, pos, src, tgt):
     """sigmacx's memoised rows of a block as a matrix, each row in their order."""
     rows = sigmacx._orbit_rows(kind, pos, src, tgt)
-    return IntegerMatrix(len(rows), len(orbit_basis(*src)),
+    return IntegerMatrix(len(rows), len(reference_basis(*src)),
                          {(i, c): v for i, row in enumerate(rows) for c, v in row})
 
 
@@ -185,14 +219,6 @@ class TestPushPull:
 # keys in the order the dict first met them, and the pivot path of a reduction
 # (so every U, V, f, g and induced matrix) follows that order, so the fast
 # assembly must match it key for key, not only as a matrix.
-
-def reference_basis(j, orbit_type):
-    width = j + (1 if orbit_type == FREE else 0)
-    if width == 0:
-        return [()]
-    return [(0,) + tuple((k >> (width - 2 - i)) & 1 for i in range(width - 1))
-            for k in range(2 ** (width - 1))]
-
 
 def reference_block(src, tgt, image):
     row = {b: i for i, b in enumerate(tgt)}
@@ -309,17 +335,17 @@ def _frozen(value):
 
 
 class TestOrbitMemo:
-    """The orbit memo hands out copies, and holds nothing a caller could mutate."""
+    """Every caller gets fresh lists, and the memos hold nothing a caller could mutate."""
 
     def test_mutating_results_changes_nothing_later(self):
-        basis = orbit_basis(3, FREE)
-        want_basis = list(basis)
-        basis.reverse()
-        basis.append((9, 9, 9, 9))
-        basis[0] = ()
+        perms = cone_identification(3)
+        want_perms = {d: list(perm) for d, perm in perms.items()}
+        perms[-1].reverse()
+        perms[-2].append(99)
+        perms[0] = []
         spec = SigmaSpec(3, FREE)
         cached = build_sigma_complex(spec)
-        assert orbit_basis(3, FREE) == want_basis == reference_basis(3, FREE)
+        assert cone_identification(3) == want_perms == reference_identification(3)
         assert_same_rows(orbit_block("push", 3, 2, FREE), oracle_push(3, 2, FREE), "push")
         assert_same_rows(orbit_block("pull", 3, 2, FREE), oracle_pull(3, 2, FREE), "pull")
         fresh = build_sigma_complex.__wrapped__(spec)
@@ -330,16 +356,9 @@ class TestOrbitMemo:
             assert_same_rows(involution_map(3).component(d), a, d)
 
     def test_memoised_values_are_immutable(self):
-        for j in range(5):
-            for orbit_type in (FIXED, FREE):
-                orbit_basis(j, orbit_type)
         build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED))
         transfer_map(-3)
-        assert sigmacx._basis.cache_info().currsize > 0
         assert sigmacx._orbit_rows.cache_info().currsize > 0
-        for j in range(5):
-            for orbit_type in (FIXED, FREE):
-                assert _frozen(sigmacx._basis(j, orbit_type))
         for kind, pos, src, tgt in (("push", 0, (4, FIXED), (3, FIXED)),
                                     ("pull", 1, (2, FREE), (3, FREE)),
                                     ("tr", 0, (3, FREE), (3, FIXED)),
@@ -446,33 +465,13 @@ class TestCertificates:
             with pytest.raises(ComplexError, match="does not commute"):
                 make(p)
 
-    @pytest.mark.parametrize("n", [4, -4])
-    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
-    def test_a_shifted_subset_offset_fails_the_build(self, monkeypatch, capsys, fresh_memos,
-                                                     n, orbit_type):
-        # the layout lemma is checked at build: the second subset of arity 2
-        # starting one column late fails with a one-line error, not an
-        # IndexError from a later sweep
-        original = sigmacx._component_layout
-
-        def shifted(m, j, orbit_type):
-            blocks, offsets = original(m, j, orbit_type)
-            return blocks, {**offsets, blocks[1]: offsets[blocks[1]] + 1} if j == 2 else offsets
-
-        monkeypatch.setattr(sigmacx, "_component_layout", shifted)
-        with pytest.raises(ComplexError, match="subset offsets of arity 2"):
-            build_sigma_complex(SigmaSpec(n, orbit_type))
-        if orbit_type == FIXED:
-            assert cli.main(["weight0", "--a", "0", "--p", str(n)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("bredon: error: the subset offsets") and err.count("\n") == 1
-
     @pytest.mark.parametrize("key", [("push", 1, (3, FIXED), (2, FIXED)),
                                      ("pull", 2, (2, FREE), (3, FREE)),
                                      ("res", 0, (2, FIXED), (2, FREE))])
-    def test_a_block_outside_its_shape_fails(self, monkeypatch, fresh_memos, key):
+    def test_a_block_outside_its_shape_fails(self, monkeypatch, capsys, fresh_memos, key):
         # a column past the block's width fails the shape check before a
-        # certificate's product or the assembly reads it
+        # certificate's product or the assembly reads it: a one-line error,
+        # not an IndexError from a later sweep
         def widened(block):
             (col, value), *rest = block[-1]
             return block[:-1] + (((col + 64, value), *rest),)
@@ -483,6 +482,10 @@ class TestCertificates:
                 "res": lambda: restriction_map(3)}[key[0]]
         with pytest.raises(ComplexError, match="does not fit"):
             make()
+        if key[0] == "push":
+            assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bredon: error: the push slot 1") and err.count("\n") == 1
 
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
         _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
@@ -630,6 +633,16 @@ class TestConeTower:
         c3 = build_sigma_complex(SigmaSpec(3, FIXED))
         assert {d: str(g) for d, g in all_cohomology(c3).items()} == {0: "Z/2", -2: "Z/2"}
 
+    def test_identification_against_the_label_tuples(self):
+        # the integer codes against the tuple labels, and a permutation of the
+        # basis at p + 1, through p = 10 (`check all` runs the tower to p = 7)
+        for p in range(0, 11):
+            perms = cone_identification(p)
+            assert perms == reference_identification(p), p
+            for j in range(p + 2):
+                rank = reference_layout(p + 1, j, FIXED)[2]
+                assert sorted(perms[-j]) == list(range(rank)), (p, j)
+
 
 # -- tensor-power oracle ------------------------------------------------------
 #
@@ -678,7 +691,7 @@ def tensor_power_model(p):
 
         def labels(orbit_type):
             return [(subset, bits) for subset in combinations(range(1, m + 1), j)
-                    for bits in orbit_basis(j, orbit_type)]
+                    for bits in reference_basis(j, orbit_type)]
 
         free_labels, fixed_labels = labels(FREE), labels(FIXED)
         free[d] = IntegerMatrix(len(words), len(free_labels), {
