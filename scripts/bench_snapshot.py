@@ -12,8 +12,8 @@ every part in a fresh process, one at a time:
 * the reach rows: for each shift and orbit type, the CPU time of building
   the complex and of all its integral groups (``all_cohomology``), and the
   peak RSS of the process, each the median of REPEAT fresh processes;
-* the check rows: for each suite of CHECKS, the wall and CPU time of
-  ``bredon check <suite> --p-max CHECK_P_MAX``, run through ``bredon.cli``,
+* the check rows: for each command line of CHECKS, the wall and CPU time
+  of ``bredon check <suites> --<option> <value>``, run through ``bredon.cli``,
   each the median of REPEAT fresh processes;
 * the size row: the physical lines and the code lines (the lines that hold
   a token other than a comment, a docstring or layout, by ``tokenize``) of
@@ -48,8 +48,10 @@ WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
 REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"), (12, "fixed"), (12, "free"))
 SEED, SECONDS = 7, 10.0   # of each bench/run.py run
 REPEAT = 3                # fresh processes per reach or check row
-CHECKS = ("cone-tower", "transfer-restriction")
-CHECK_P_MAX = 10
+# (suites, option, value) of each check row; the last is the derived suites'
+# step of the tier-1 workflow
+CHECKS = (("cone-tower", "p-max", 10), ("transfer-restriction", "p-max", 10),
+          ("weight1-derived weight-sigma-derived qclosed-coincidence", "n-max", 32))
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -166,8 +168,8 @@ def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
             "groups_sha256": hashlib.sha256(rendered.encode()).hexdigest()}
 
 
-def check_once(suite: str, repo: Path) -> dict:
-    """Run one check suite through the command line's entry in this process."""
+def check_once(suites: str, option: str, value: str, repo: Path) -> dict:
+    """Run check suites through the command line's entry in this process."""
     sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
     from worker import _calibrate  # the benchmark's fixed kernel
 
@@ -176,10 +178,10 @@ def check_once(suite: str, repo: Path) -> dict:
     kernel = statistics.median(_calibrate()[1] for _ in range(3))
     wall, cpu = time.perf_counter(), time.process_time()
     with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = bredon(["check", suite, "--p-max", str(CHECK_P_MAX)])
+        code = bredon(["check", *suites.split(), f"--{option}", value])
     return {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
             "kernel_cpu_s": kernel, "exit_code": code,
-            "summary": out.getvalue().splitlines()[0]}
+            "summary": "; ".join(out.getvalue().splitlines())}
 
 
 def _repeated(flag: list, repo: Path, keys: tuple, same: str) -> dict:
@@ -210,10 +212,10 @@ def reach(repo: Path) -> list:
 
 
 def checks(repo: Path) -> list:
-    return [{"suite": suite, "p_max": CHECK_P_MAX,
-             **_repeated(["--check-one", suite], repo, ("wall_s", "cpu_s", "kernel_cpu_s"),
-                         "summary")}
-            for suite in CHECKS]
+    return [{"suite": suites, option.replace("-", "_"): value,
+             **_repeated(["--check-one", suites, option, str(value)], repo,
+                         ("wall_s", "cpu_s", "kernel_cpu_s"), "summary")}
+            for suites, option, value in CHECKS]
 
 
 def main(argv=None) -> int:
@@ -223,14 +225,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, help="the JSON file to write")
     parser.add_argument("--reach-one", nargs=2, metavar=("SHIFT", "TYPE"),
                         help=argparse.SUPPRESS)
-    parser.add_argument("--check-one", metavar="SUITE", help=argparse.SUPPRESS)
+    parser.add_argument("--check-one", nargs=3, metavar=("SUITES", "OPTION", "VALUE"),
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if args.reach_one:
         print(json.dumps(reach_once(int(args.reach_one[0]), args.reach_one[1], repo)))
         return 0
     if args.check_one:
-        print(json.dumps(check_once(args.check_one, repo)))
+        print(json.dumps(check_once(*args.check_one, repo)))
         return 0
     if args.out is None:
         parser.error("--out is required")

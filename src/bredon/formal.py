@@ -32,7 +32,7 @@ k*/k*2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from .abgrp import check_modulus
@@ -221,14 +221,18 @@ def get_profile(name) -> FieldProfile:
 
 
 def normalize(g: FormalGroup, profile: FieldProfile) -> FormalGroup:
-    """Apply the profile rewrites, one substitution per atom.
+    """Apply the profile rewrites, one substitution per atom; ``g`` itself
+    when the profile rewrites none of its atoms.
 
     >>> print(normalize(FormalGroup.of(KSQ, TORS2K), PROFILES["euclidean"]))
     Z/2 (+) k*2
     """
+    rewrites = profile.rewrites
+    if not any(a in rewrites for a in g.atoms):
+        return g
     atoms: List[Atom] = []
     for a in g.atoms:
-        rule = profile.rewrites.get(a)
+        rule = rewrites.get(a)
         if rule is None:
             atoms.append(a)
         else:
@@ -457,9 +461,9 @@ def solve_window(window: LesWindow, profile: FieldProfile) -> WindowSolution:
     >>> print(solve_window(w, PROFILES["general"]).values["X"])
     0
     """
-    nodes = [replace(n, group=None if n.group is None else normalize(n.group, profile))
+    nodes = [WindowNode(n.label, None if n.group is None else normalize(n.group, profile))
              for n in window.nodes]
-    arrows = [replace(a) for a in window.arrows]
+    arrows = [WindowArrow(a.tags, a.kernel, a.image, a.cokernel) for a in window.arrows]
     contradictions: List[str] = []
 
     def set_node(k: int, value: FormalGroup):
@@ -573,12 +577,18 @@ class TableEntry:
 
 @dataclass
 class DerivedTable:
-    """One derived cone table: entries indexed by (a, p) with axiom trails."""
+    """One derived cone table: entries indexed by (a, p) with axiom trails.
+
+    A zero entry is not stored; ``entry`` returns one shared, frozen zero
+    entry per column trail.
+    """
 
     weight: str
     columns: Dict[int, Dict[int, TableEntry]] = field(default_factory=dict)
     column_trails: Dict[int, Tuple[str, ...]] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
+    _zeros: Dict[Tuple[str, ...], TableEntry] = field(default_factory=dict, init=False,
+                                                      repr=False, compare=False)
 
     def entry(self, a: int, p: int) -> TableEntry:
         col = self.columns.get(p)
@@ -587,7 +597,11 @@ class DerivedTable:
         e = col.get(a)
         if e is not None:
             return e
-        return TableEntry(ZERO_FG, self.column_trails.get(p, ()))
+        trail = self.column_trails.get(p, ())
+        zero = self._zeros.get(trail)
+        if zero is None:
+            zero = self._zeros[trail] = TableEntry(ZERO_FG, trail)
+        return zero
 
     def group(self, a: int, p: int) -> Optional[FormalGroup]:
         return self.entry(a, p).group
@@ -685,6 +699,8 @@ def _advance(table: DerivedTable, profile: FieldProfile, p: int, step: int,
 
 def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
     out = DerivedTable(table.weight, notes=list(table.notes))
+    # the columns transport along isomorphisms, so the same pairs of groups recur
+    values: Dict[Tuple[FormalGroup, FormalGroup], FormalGroup] = {}
     for p in table.derived_shifts():
         out.column_trails[p] = tuple(dict.fromkeys(table.column_trails.get(p, ()) + ("UCT",)))
         out.columns[p] = {}
@@ -693,12 +709,15 @@ def _apply_uct(table: DerivedTable, profile: FieldProfile) -> DerivedTable:
         for a in sorted(degrees):
             lo = table.entry(a, p)
             hi = table.entry(a + 1, p)
-            try:
-                val = universal_coeff(lo.group, hi.group, profile)
-            except FormalRuleError as exc:
-                out.columns[p][a] = TableEntry(None, (), str(exc))
-                out.notes.append(f"mod-2 entry (a={a}, p={p}): {exc}")
-                continue
+            val = values.get((lo.group, hi.group))
+            if val is None:
+                try:
+                    val = values[lo.group, hi.group] = universal_coeff(lo.group, hi.group,
+                                                                       profile)
+                except FormalRuleError as exc:
+                    out.columns[p][a] = TableEntry(None, (), str(exc))
+                    out.notes.append(f"mod-2 entry (a={a}, p={p}): {exc}")
+                    continue
             trail = tuple(dict.fromkeys(lo.trail + hi.trail + ("UCT",)))
             if not val.is_zero():
                 out.columns[p][a] = TableEntry(val, trail)

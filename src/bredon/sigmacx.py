@@ -229,8 +229,9 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     arity 2..|n| is certified, the complex is built without ``validate``.
     The blocks land where the lemma puts them: the subset of rank k in
     ``_subset_index`` starts at column k * _arity_size(j), by construction,
-    and each block is checked at build to fit its shape (``_checked_block``),
-    so every entry lies in its subset's block and no two blocks overlap.
+    each block is checked at build to fit its shape (``_checked_block``), and
+    each (offset, block) source to end within its component, so every entry
+    lies in its subset's block and no two blocks overlap.
 
     Each row is written once, from its (offset, signed block) sources: for a
     push, the row of a class of S gathers the supersets T of S in
@@ -273,9 +274,15 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
             sources = [[(smalls[big[:idx] + big[idx + 1:]] * small_size, block)
                         for idx, block in enumerate(blocks)] for big in bigs]
             size = big_size
+        src = -(j + 1) if push else j
+        # each block's columns lie in range(width), so a source whose block
+        # ends past the component would write a column the matrix lacks
+        last = comps[src] - (big_size if push else small_size)
+        if max([off for pairs in sources for off, _ in pairs]) > last:
+            raise ComplexError(f"a block of the differential from degree {src} ends past its "
+                               f"{comps[src]} columns")
         rows = [{off + c: v for off, block in pairs for c, v in block[r]}
                 for pairs in sources for r in range(size)]
-        src = -(j + 1) if push else j
         diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
     return CochainComplex._certified(comps, diffs)
 

@@ -10,9 +10,12 @@ not checked: a cell that no row matches falls through to the catch-all row.
 Each predicate is checked whole against a small grammar when it is loaded
 (see ``Predicate``).
 
-A table compiles all its predicates into one expression, and resolves each
-cell once: the row that holds at (a, p), and that row's value under each
-field profile, are memoised on the table the first time they are asked for.
+A table compiles all its predicates into one function of (a, p), and
+resolves each cell once: the row that holds at (a, p), and that row's value
+under each field profile, are memoised on the table the first time they are
+asked for.  A closed form reads the fixture directory on every call, and
+takes a table that is already loaded from that directory without loading it
+again.
 
 Rendering grammar for exact groups: ``0``, ``Z``, ``Z^r``, ``Z/d``, joined
 by `` (+) ``; formal atoms render as ``k*``, ``k*2``, ``k*/k*2``,
@@ -66,11 +69,17 @@ def _known(obj: dict, keys: tuple, where: str) -> dict:
     return obj
 
 
+_SHIFT_TEXT = re.compile(r"0|-?[1-9][0-9]*")  # str(p) of an integer p
+
+
 def _profile_lists(obj: dict, key: str, required: tuple = ()) -> dict:
     """obj[key], or {} when it is absent: an object that maps the keys in
-    ``required``, or any keys when none are, to lists of names from ``PROFILES``."""
+    ``required``, or shifts (the texts of integers) when none are, to lists of
+    names from ``PROFILES``."""
     value = _typed(obj, key, dict, {})
-    if not ((not required or set(required) == set(value)) and all(
+    keys_hold = (set(required) == set(value) if required
+                 else all(type(k) is str and _SHIFT_TEXT.fullmatch(k) for k in value))
+    if not (keys_hold and all(
             type(names) is list and all(type(n) is str and n in PROFILES for n in names)
             for names in value.values())):
         raise FixtureError(f"the key {key!r} must map {', '.join(required) or 'shifts'} "
@@ -95,13 +104,21 @@ _GRAMMAR = (ast.Expression, ast.Name, ast.Load, ast.Constant,
 _NAMES = ("a", "p")
 
 
+def _compiled(texts, where: str):
+    """One function of (a, p) that returns the values of the predicate texts,
+    in order, as a tuple; Python evaluates it with no builtins."""
+    # each text ends its own line, so a trailing comment cannot swallow the rest
+    source = "lambda a, p: (" + "".join(f"({text}\n)," for text in texts) + ")"
+    return eval(compile(source, where, "eval"), {"__builtins__": {}})
+
+
 class Predicate:
     """A whitelisted arithmetic/boolean expression over the integers a and p.
 
     The whole tree is checked against the grammar once, at construction.
-    A ``FixtureTable`` evaluates its predicates together from their texts;
-    a predicate called on its own compiles its text on the first call, and
-    Python evaluates it with no builtins.
+    A ``FixtureTable`` evaluates its predicates together in one function;
+    a predicate called on its own compiles its text the same way, alone, on
+    the first call.
     """
 
     def __init__(self, text: str):
@@ -119,12 +136,12 @@ class Predicate:
                                f"{getattr(exc, 'msg', exc)}") from None
 
     @functools.cached_property
-    def _code(self):
-        return compile(self.text, "<predicate>", "eval")
+    def _truth(self):
+        return _compiled((self.text,), "<predicate>")
 
     def __call__(self, a: int, p: int) -> bool:
         try:
-            return bool(eval(self._code, {"__builtins__": {}}, {"a": a, "p": p}))
+            return bool(self._truth(a, p)[0])
         except ArithmeticError as exc:
             raise FixtureError(f"predicate {self.text!r} fails at (a={a}, p={p}): {exc}") from None
 
@@ -200,8 +217,8 @@ class FixtureTable:
     Coverage is checked for disjointness only: a cell that no row matches
     falls through to the final catch-all row, which every table must have.
 
-    All guarded predicates are compiled into one expression that yields their
-    truth values, so a cell costs one evaluation.  The row that holds at each
+    All guarded predicates are compiled into one function that returns their
+    truth values, so a cell costs one call.  The row that holds at each
     (a, p) and the value of each row under each profile are memoised on the
     table; both derive from its immutable rows, so the memos are idempotent.
     An overlap is never stored and raises on every call.
@@ -219,7 +236,8 @@ class FixtureTable:
                 raise FixtureError("the key 'range' must map each variable to [low, high] integers")
         self.cone_profiles = None if "cone_profiles" not in data else _profile_lists(
             data, "cone_profiles", ("positive", "negative", "zero"))
-        self.shift_profiles = _profile_lists(data, "shift_profiles")
+        self.shift_profiles = {int(shift): names for shift, names
+                               in _profile_lists(data, "shift_profiles").items()}
         self.rows: List[FixtureRow] = []
         parse = parse_exact_group if self.kind == "exact" else parse_formal_group
         for i, row in enumerate(data["rows"]):
@@ -241,17 +259,15 @@ class FixtureTable:
         if not self.rows or self.rows[-1].predicate is not None:
             raise FixtureError(f"{self.table_id}: final row must be the catch-all")
         self._guarded = [i for i, r in enumerate(self.rows) if r.predicate is not None]
-        # each text ends its own line, so a trailing comment cannot swallow the rest
-        self._truths = compile(
-            "(" + "".join(f"({self.rows[i].predicate.text}\n)," for i in self._guarded) + ")",
-            f"<{self.table_id} predicates>", "eval")
+        self._truths = _compiled((self.rows[i].predicate.text for i in self._guarded),
+                                 f"<{self.table_id} predicates>")
         self._row_at: Dict[Tuple[int, int], int] = {}
         self._resolved: Dict[Tuple[int, Optional[FieldProfile]], tuple] = {}
 
     def profiles_for(self, p: int) -> Optional[List[str]]:
         if self.cone_profiles is None:
             return None
-        shift = self.shift_profiles.get(str(p))
+        shift = self.shift_profiles.get(p)
         if shift is not None:
             return shift
         cone = "positive" if p > 0 else "negative" if p < 0 else "zero"
@@ -260,22 +276,21 @@ class FixtureTable:
     def _matching(self, a: int, p: int) -> List[int]:
         """The indices of the rows, catch-all excluded, whose predicate holds at (a, p)."""
         try:
-            truths = eval(self._truths, {"__builtins__": {}}, {"a": a, "p": p})
+            truths = self._truths(a, p)
         except ArithmeticError:
             # row by row, so that the error names the failing predicate and the point
             truths = [self.rows[i].predicate(a=a, p=p) for i in self._guarded]
         return [i for i, holds in zip(self._guarded, truths) if holds]
 
     def _row_index(self, a: int, p: int) -> int:
-        """The index of the row that holds at (a, p), memoised unless rows overlap there."""
-        index = self._row_at.get((a, p))
-        if index is None:
-            matched = self._matching(a, p)
-            if len(matched) > 1:
-                raise FixtureError(
-                    f"{self.table_id}: rows overlap at (a={a}, p={p}): "
-                    + "; ".join(self.rows[i].source for i in matched))
-            index = self._row_at[(a, p)] = matched[0] if matched else len(self.rows) - 1
+        """The index of the row that holds at (a, p), a cell not yet in the
+        memo; stored unless rows overlap there."""
+        matched = self._matching(a, p)
+        if len(matched) > 1:
+            raise FixtureError(
+                f"{self.table_id}: rows overlap at (a={a}, p={p}): "
+                + "; ".join(self.rows[i].source for i in matched))
+        index = self._row_at[(a, p)] = matched[0] if matched else len(self.rows) - 1
         return index
 
     def lookup(self, a: int, p: int, profile: Optional[FieldProfile] = None):
@@ -287,7 +302,9 @@ class FixtureTable:
                 raise TheoremRangeError(
                     f"{self.table_id} at shift {p} is stated only for {allowed}, "
                     f"not {profile.name}")
-        index = self._row_index(a, p)
+        index = self._row_at.get((a, p))
+        if index is None:
+            index = self._row_index(a, p)
         cell = self._resolved.get((index, profile))
         if cell is None:
             row = self.rows[index]
@@ -389,8 +406,15 @@ ALL_TABLE_FILES = list(_TABLE_FILES.values())
 
 
 def _table(table: str, coeff: int) -> FixtureTable:
-    check_modulus(coeff)
-    return load_table(_TABLE_FILES[(table, coeff)])
+    """The table of a closed form, from the fixture directory of this call;
+    the coefficient rule is checked only for a key that names no table."""
+    try:
+        name = _TABLE_FILES[(table, coeff)]
+    except (KeyError, TypeError):
+        check_modulus(coeff)
+        raise
+    found = _CACHE.get((fixture_dir(), name))
+    return found if found is not None else load_table(name)
 
 
 # ---------------------------------------------------------------------------

@@ -487,6 +487,27 @@ class TestCertificates:
             err = capsys.readouterr().err
             assert err.startswith("bredon: error: the push slot 1") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("n, orbit_type", [(4, FIXED), (-4, FREE)])
+    def test_a_block_past_its_component_fails(self, monkeypatch, capsys, fresh_memos,
+                                              n, orbit_type):
+        # every arity-2 rank after the first moved up by one: each block fits
+        # its shape, but the last subset's block ends past the component; a
+        # one-line error at the build, not an IndexError from a later sweep
+        original = sigmacx._subset_index
+
+        def shifted(m, j):
+            ranks = original(m, j)
+            return {s: k + (j == 2 and k > 0) for s, k in ranks.items()}
+
+        monkeypatch.setattr(sigmacx, "_subset_index", shifted)
+        with pytest.raises(ComplexError, match="ends past its"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+        if n > 0:
+            assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bredon: error: a block of the differential") \
+                and err.count("\n") == 1
+
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
         _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
         for _ in range(2):

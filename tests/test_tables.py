@@ -14,7 +14,8 @@ from bredon import tables
 from bredon.tables import checks
 from bredon.abgrp import FgAbelianGroup
 from bredon.formal import (ATOM_TEXT, PROFILES, Atom, ConditionalGroup, FormalGroup, KMODSQ,
-                           KSQ, KSTAR, Z2, ZA, ZERO_FG, get_profile, normalize)
+                           KSQ, KSTAR, Z2, ZA, ZERO_FG, TableEntry, derive_weight1,
+                           derive_weight_sigma, get_profile, normalize)
 from bredon.tables import (
     ALL_TABLE_FILES,
     FixtureError,
@@ -344,11 +345,34 @@ class TestFixtureHygiene:
         data = json.loads(path.read_text())
         data["rows"][0]["group"] = "Z/2"
         path.write_text(json.dumps(data))
-        monkeypatch.setenv("BREDON_FIXTURE_DIR", str(tmp_path))
-        assert fixture_dir() == str(tmp_path)
-        assert weight0_closed_form(-2, 2, 0) == C2  # the corrupted corner
-        monkeypatch.delenv("BREDON_FIXTURE_DIR")
+        # every row of the other closed forms' tables holds one stand-in group
+        stand_ins = {"point_integral.json": ("Z^5", FgAbelianGroup.free(5)),
+                     "weight1_integral.json": ("Z/2 (+) Z/2 (+) Z/2", FormalGroup.of(Z2, Z2, Z2)),
+                     "weight_sigma_integral.json": ("Z (+) Z", FormalGroup.of(ZA, ZA))}
+        for name, (text, _) in stand_ins.items():
+            data = json.loads((tmp_path / name).read_text())
+            for row in data["rows"]:
+                row.pop("conditional", None)
+                row["group"] = text
+            (tmp_path / name).write_text(json.dumps(data))
+        # each closed form first resolves its cell from the default directory
+        cells = {"point_integral.json": lambda: bredon_point_closed_form(0, 0),
+                 "weight1_integral.json": lambda: weight1_closed_form(0, 1, profile="general"),
+                 "weight_sigma_integral.json": lambda: weight_sigma_closed_form(1, 0,
+                                                                                profile="qclosed")}
+        shipped = {name: cell() for name, cell in cells.items()}
+        assert shipped == {"point_integral.json": Z, "weight1_integral.json": FormalGroup.of(Z2),
+                           "weight_sigma_integral.json": FormalGroup.of(KSTAR)}
         assert weight0_closed_form(-2, 2, 0) == Z
+        for _ in range(2):  # mid-process, both ways, twice
+            monkeypatch.setenv("BREDON_FIXTURE_DIR", str(tmp_path))
+            assert fixture_dir() == str(tmp_path)
+            assert weight0_closed_form(-2, 2, 0) == C2  # the corrupted corner
+            assert {name: cell() for name, cell in cells.items()} == {
+                name: value for name, (_, value) in stand_ins.items()}
+            monkeypatch.delenv("BREDON_FIXTURE_DIR")
+            assert weight0_closed_form(-2, 2, 0) == Z
+            assert {name: cell() for name, cell in cells.items()} == shipped
 
 
 def _row_by_row(table, a, p, profile):
@@ -387,6 +411,32 @@ class TestCellMemo:
                     assert table.lookup(a, p, profile) == expected
                     assert table.lookup(a, p, profile) == expected
 
+    def test_a_disallowed_profile_raises_after_an_allowed_one_resolved_the_cell(self):
+        assert weight1_closed_form(0, 4, 0, "qclosed") == FormalGroup.of(Z2)
+        table = tables.load_table("weight1_integral.json")
+        for _ in range(2):
+            with pytest.raises(TheoremRangeError, match="not general"):
+                weight1_closed_form(0, 4, 0, "general")
+            with pytest.raises(TheoremRangeError, match="not formally_real"):
+                table.lookup(0, 4, get_profile("formally_real"))
+            with pytest.raises(TheoremRangeError, match="needs a field profile"):
+                table.lookup(0, 4)
+        assert weight1_closed_form(0, 4, 0, "qclosed") == FormalGroup.of(Z2)
+
+    def test_shift_keys_are_the_texts_of_integers(self):
+        data = {**_table_data("a == 0"), "kind": "formal",
+                "cone_profiles": {"positive": ["euclidean"], "negative": ["formally_real"],
+                                  "zero": ["general"]},
+                "shift_profiles": {"0": ["quadratically_closed"], "-3": ["general"],
+                                   "12": ["general"]}}
+        table = FixtureTable(data)
+        assert [table.profiles_for(p) for p in (0, -3, 12, 1, -1)] == [
+            ["quadratically_closed"], ["general"], ["general"], ["euclidean"], ["formally_real"]]
+        for key in ("01", "-0", "+2", " 2", "2.0", "two"):
+            data["shift_profiles"] = {key: ["general"]}
+            with pytest.raises(FixtureError, match="must map shifts to lists"):
+                FixtureTable(data)
+
     def test_overlap_raises_on_every_call(self):
         table = FixtureTable(_table_data("a >= 0", "a == 0"))
         for _ in range(2):
@@ -407,6 +457,28 @@ class TestCellMemo:
         assert table.lookup(0, 0) == (Z, "row 0")
         assert table.lookup(1, 0) == (Z, "row 1")
         assert table.lookup(2, 0) == (ZERO, "rest")
+
+
+@pytest.mark.parametrize("coeff", [0, 2])
+@pytest.mark.parametrize("profile", ["quadratically_closed", "euclidean", "formally_real"])
+@pytest.mark.parametrize("derive", [derive_weight1, derive_weight_sigma])
+def test_derived_entries_match_their_columns(derive, profile, coeff):
+    # entry(a, p) is the stored entry, one zero entry per column trail, or
+    # the note of a column not derived
+    for table in derive(get_profile(profile), 8, coeff=coeff).values():
+        zeros = {}
+        for p in range(-9, 10):
+            for a in range(-10, 11):
+                if p not in table.columns:
+                    expected = TableEntry(None, (), f"column {p} not derived")
+                elif a in table.columns[p]:
+                    expected = table.columns[p][a]
+                else:
+                    expected = TableEntry(ZERO_FG, table.column_trails.get(p, ()))
+                got = table.entry(a, p)
+                assert got == expected, (a, p)
+                if expected.group == ZERO_FG:
+                    assert zeros.setdefault(got.trail, got) is got  # shared per trail
 
 
 def test_derive_requests_evaluate_each_cell_once(monkeypatch):
