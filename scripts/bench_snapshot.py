@@ -17,7 +17,12 @@ every part in a fresh process, one at a time:
   each the median of REPEAT fresh processes;
 * the size row: the physical lines and the code lines (the lines that hold
   a token other than a comment, a docstring or layout, by ``tokenize``) of
-  each module of src/bredon, and their totals.
+  each module of src/bredon, and their totals, with the number of functions
+  that the allow-list of ``scripts/reach.py`` keeps uncalled and their lines;
+* the digest row: one sha256 over every differential of every orbit complex
+  with |p| <= DIGEST_SHIFT, fixed and free, and every component of tr, res
+  and the flip at those shifts, each matrix by its name, its shape and its
+  sorted ``items()``; equal digests mean byte-identical complexes and maps.
 
 Every reach and check process also times the benchmark's calibration
 kernel, so the host's speed at that moment is on record next to the times.
@@ -43,6 +48,8 @@ import time
 import tokenize
 from pathlib import Path
 
+import reach as reachability
+
 HERE = Path(__file__).resolve().parent.parent
 WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
 REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"), (12, "fixed"), (12, "free"))
@@ -52,6 +59,7 @@ REPEAT = 3                # fresh processes per reach or check row
 # step of the tier-1 workflow
 CHECKS = (("cone-tower", "p-max", 10), ("transfer-restriction", "p-max", 10),
           ("weight1-derived weight-sigma-derived qclosed-coincidence", "n-max", 32))
+DIGEST_SHIFT = 9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider"]
 LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
@@ -143,8 +151,41 @@ def size(repo: Path) -> dict:
         text = path.read_text()
         modules[path.relative_to(root).as_posix()] = {"lines": len(text.splitlines()),
                                                       "code_lines": _code_lines(text)}
+    kept = reachability.allowed(repo)
     return {"lines": sum(m["lines"] for m in modules.values()),
-            "code_lines": sum(m["code_lines"] for m in modules.values()), "modules": modules}
+            "code_lines": sum(m["code_lines"] for m in modules.values()),
+            "allowed_uncalled": len(kept), "allowed_uncalled_lines": sum(kept.values()),
+            "modules": modules}
+
+
+def digest_once(repo: Path) -> dict:
+    """The digest of every orbit complex and map with |p| <= DIGEST_SHIFT, in this process."""
+    sys.path.insert(0, str(repo / "src"))
+    from bredon import sigmacx
+
+    digest, matrices = hashlib.sha256(), 0
+    for p in range(-DIGEST_SHIFT, DIGEST_SHIFT + 1):
+        named = [(f"{orbit_type} {p} d^{k}", m)
+                 for orbit_type in (sigmacx.FIXED, sigmacx.FREE)
+                 for k, m in sorted(sigmacx.build_sigma_complex(
+                     sigmacx.SigmaSpec(p, orbit_type)).differentials.items())]
+        named += [(f"{name} {p} at {k}", m)
+                  for name, make in (("tr", sigmacx.transfer_map), ("res", sigmacx.restriction_map),
+                                     ("flip", sigmacx.involution_map))
+                  for k, m in sorted(make(p).maps.items())]
+        for name, m in named:
+            digest.update(f"{name} {m.rows}x{m.cols} {sorted(m.items())}\n".encode())
+        matrices += len(named)
+        sigmacx.build_sigma_complex.cache_clear()
+    return {"max_shift": DIGEST_SHIFT, "matrices": matrices, "sha256": digest.hexdigest()}
+
+
+def digest(repo: Path) -> dict:
+    _, proc = _timed([sys.executable, str(Path(__file__).resolve()), "--digest-one",
+                      "--repo", str(repo)], repo, 900)
+    if proc.returncode != 0:
+        raise RuntimeError(f"--digest-one failed:\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
@@ -227,6 +268,7 @@ def main(argv=None) -> int:
                         help=argparse.SUPPRESS)
     parser.add_argument("--check-one", nargs=3, metavar=("SUITES", "OPTION", "VALUE"),
                         help=argparse.SUPPRESS)
+    parser.add_argument("--digest-one", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     repo = args.repo.resolve()
     if args.reach_one:
@@ -234,6 +276,9 @@ def main(argv=None) -> int:
         return 0
     if args.check_one:
         print(json.dumps(check_once(*args.check_one, repo)))
+        return 0
+    if args.digest_one:
+        print(json.dumps(digest_once(repo)))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -245,6 +290,7 @@ def main(argv=None) -> int:
     snapshot["reach"] = reach(repo)
     snapshot["checks"] = checks(repo)
     snapshot["size"] = size(repo)
+    snapshot["digest"] = digest(repo)
     snapshot["loadavg_after"] = os.getloadavg()
     args.out.write_text(json.dumps(snapshot, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -3,7 +3,7 @@
 Subpackages:
 
 * ``abgrp``   -- Smith normal form and finitely generated abelian groups;
-* ``chaincx`` -- bounded cochain complexes, tensors, cones, induced maps;
+* ``chaincx`` -- bounded cochain complexes, cones, induced maps;
 * ``sigmacx`` -- the orbit-combinatorial cycle complexes along the sign
   representation and the weight-0 computation engine;
 * ``formal``  -- formal groups under field profiles and the exact-sequence

@@ -19,8 +19,8 @@ normal form of A is a triple (U, D, V) of integer matrices with
     D = U @ A @ V,   U and V unimodular,   D diagonal with d1 | d2 | ...
 
 >>> U, D, V = smith_normal_form(IntegerMatrix.from_rows([[2, 4], [6, 8]]))
->>> D.diagonal()
-[2, 4]
+>>> D.to_rows()
+[[2, 0], [0, 4]]
 """
 
 from __future__ import annotations
@@ -115,11 +115,6 @@ class IntegerMatrix:
         return cls(rows, cols, {(i, i): int(v) for i, v in enumerate(diag) if v})
 
     # -- access --------------------------------------------------------
-    def entry(self, i: int, j: int) -> int:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError("entry index out of range")
-        return self._rows[i].get(j, 0)
-
     def to_rows(self) -> list:
         out = [[0] * self.cols for _ in range(self.rows)]
         for (i, j), v in self.items():
@@ -130,14 +125,8 @@ class IntegerMatrix:
         """The nonzero entries as ((row, column), value) pairs, row by row."""
         return (((i, j), v) for i, row in enumerate(self._rows) for j, v in row.items())
 
-    def nnz(self) -> int:
-        return sum(map(len, self._rows))
-
     def is_zero(self) -> bool:
         return not any(self._rows)
-
-    def diagonal(self) -> list:
-        return [self._rows[i].get(i, 0) for i in range(min(self.rows, self.cols))]
 
     # -- algebra ---------------------------------------------------------
     def __matmul__(self, other: "IntegerMatrix") -> "IntegerMatrix":
@@ -181,21 +170,6 @@ class IntegerMatrix:
         return IntegerMatrix.from_row_dicts(
             [{j: c * v for j, v in row.items()} for row in self._rows], self.cols)
 
-    def transpose(self) -> "IntegerMatrix":
-        out = [{} for _ in range(self.cols)]
-        for i, row in enumerate(self._rows):
-            for j, v in row.items():
-                out[j][i] = v
-        return IntegerMatrix.from_row_dicts(out, self.rows)
-
-    def kron(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        """The Kronecker product: row (i, k) and column (j, l), with the index
-        of ``self`` major, hold self[i, j] * other[k, l]."""
-        n = other.cols
-        return IntegerMatrix.from_row_dicts(
-            [{j * n + l: a * b for j, a in row.items() for l, b in right.items()}
-             for row in self._rows for right in other._rows], self.cols * n)
-
     def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
         if self.rows != other.rows:
             raise ValueError("row mismatch in hstack")
@@ -212,7 +186,7 @@ class IntegerMatrix:
     def __repr__(self) -> str:
         if self.rows * self.cols <= 64:
             return f"IntegerMatrix({self.to_rows()!r})"
-        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={self.nnz()})"
+        return f"IntegerMatrix({self.rows}x{self.cols}, nnz={sum(map(len, self._rows))})"
 
 
 # ----------------------------------------------------------------------

@@ -1,16 +1,12 @@
 """Bounded cochain complexes of free finitely generated abelian groups.
 
 A complex stores ranks per degree and integer differentials d^i: C^i -> C^{i+1}
-with d^{i+1} @ d^i = 0.  Provided operations: validation, tensor product with
-Koszul signs, mapping cones, cohomology (over Z or Z/2), induced maps on
-integral cohomology with a multiplication-by-n test, and Euler characteristics.
+with d^{i+1} @ d^i = 0.  Provided operations: validation, mapping cones,
+cohomology (over Z or Z/2), and induced maps on integral cohomology with a
+multiplication-by-n test.
 
 Sign conventions are calibrated once and fixed:
 
-* tensor: d(x (x) y) = dx (x) y + (-1)^p x (x) dy for x of degree p, with the
-  summands C^p (x) D^q at total degree n concatenated in decreasing order of
-  p (increasing homological degree of the first factor), each summand's basis
-  in the Kronecker order (the C-index major);
 * cone(f: S -> T): Cone^i = T^i (+) S^{i+1} with block differential
   [[d_T, f], [0, -d_S]], so that cone(2: Z -> Z) lives on degrees -1, 0;
 * the Morse retraction: the sweep of a complex C (``abgrp.MorseRecord``)
@@ -29,14 +25,11 @@ complex by the bitset kernel ``abgrp.rank_mod`` and kept on the complex;
 this path uses neither the integral engine nor M, so it stays an
 independent check of the universal-coefficient result over Z.
 
->>> zz = two_term_complex(2)     # Z --2--> Z on degrees -1, 0
+>>> zz = CochainComplex({-1: 1, 0: 1}, {-1: IntegerMatrix.from_rows([[2]])})  # Z --2--> Z
 >>> print(cohomology(zz, 0))
 Z/2
->>> sq = tensor(zz, zz)
->>> [sq.rank(i) for i in (-2, -1, 0)]
-[1, 2, 1]
->>> print(cohomology(sq, -1))    # the naive tensor square is NOT torsion-free
-Z/2
+>>> print(cohomology(zz, 0, 2), cohomology(zz, -1, 2))   # over Z/2 both degrees survive
+Z/2 Z/2
 """
 
 from __future__ import annotations
@@ -70,12 +63,11 @@ class CochainComplex:
     Every complex is proven a complex once, when it is built, so nothing
     that reads its windows checks again.  The constructor validates (shapes
     and d.d = 0, raising ComplexError), and so does every complex built from
-    caller data, by ``unit_complex``, ``two_term_complex``, ``shift`` or
-    ``tensor``.  Two constructions are certified instead, and skip only the
-    validation, through the private ``_certified``: the orbit complexes of
-    ``sigmacx.build_sigma_complex``, after the coface certificate of their
-    slot blocks, and ``cone`` of a map known to be a chain map, by the cone
-    lemma in its docstring.  A complex owns one ``MorseRecord`` of its
+    caller data, by ``unit_complex`` or ``shift``.  Two constructions are
+    certified instead, and skip only the validation, through the private
+    ``_certified``: the orbit complexes of ``sigmacx.build_sigma_complex``,
+    after the coface certificate of their slot blocks, and ``cone`` of a map
+    known to be a chain map, by the cone lemma in its docstring.  A complex owns one ``MorseRecord`` of its
     differentials, from its lowest degree to its highest, made when
     something first sweeps it, and the rank over Z/2 of each differential,
     taken when a group mod 2 first needs it.
@@ -192,15 +184,6 @@ def unit_complex() -> CochainComplex:
     return CochainComplex({0: 1}, {})
 
 
-def two_term_complex(n: int, low: int = -1) -> CochainComplex:
-    """Z --n--> Z on degrees (low, low+1)."""
-    return CochainComplex({low: 1, low + 1: 1}, {low: IntegerMatrix.from_rows([[n]])})
-
-
-def euler_characteristic(c: CochainComplex) -> int:
-    return sum((-1) ** (d % 2) * r for d, r in c.components.items())
-
-
 def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/2 (m = 2) coefficients.
 
@@ -265,47 +248,6 @@ def all_cohomology(c: CochainComplex, m: int = 0) -> Dict[int, FgAbelianGroup]:
         if not g.is_trivial():
             out[degree] = g
     return out
-
-
-# ---------------------------------------------------------------------------
-# Tensor product
-# ---------------------------------------------------------------------------
-
-def _tensor_blocks(c: CochainComplex, d: CochainComplex, n: int) -> list:
-    """Summands (p, q) with p+q = n, in decreasing order of p."""
-    out = []
-    for p in sorted(c.components, reverse=True):
-        q = n - p
-        if d.rank(q):
-            out.append((p, q))
-    return out
-
-
-def tensor(c: CochainComplex, d: CochainComplex) -> CochainComplex:
-    """Tensor product complex with the Koszul sign rule.
-
-    In the Kronecker basis of each summand, d^n has the blocks d_C (x) 1 from
-    C^p (x) D^q to C^(p+1) (x) D^q and (-1)^p 1 (x) d_D to C^p (x) D^(q+1).
-
-    >>> t = tensor(two_term_complex(2), unit_complex())
-    >>> t == two_term_complex(2)
-    True
-    """
-    blocks = {p + q: _tensor_blocks(c, d, p + q) for p in c.components for q in d.components}
-    sizes = {n: [c.rank(p) * d.rank(q) for p, q in bl] for n, bl in blocks.items()}
-    diffs: Dict[int, IntegerMatrix] = {}
-    for n in sorted(blocks):
-        at = {pq: r for r, pq in enumerate(blocks.get(n + 1, []))}
-        parts = {}
-        for k, (p, q) in enumerate(blocks[n]):
-            dc, dd = c.differentials.get(p), d.differentials.get(q)
-            if dc is not None:
-                parts[at[p + 1, q], k] = dc.kron(IntegerMatrix.identity(d.rank(q)))
-            if dd is not None:
-                ones = IntegerMatrix.identity(c.rank(p))
-                parts[at[p, q + 1], k] = ones.kron(-dd if p % 2 else dd)
-        diffs[n] = IntegerMatrix.from_blocks(sizes.get(n + 1, []), sizes[n], parts)
-    return CochainComplex({n: sum(s) for n, s in sizes.items()}, diffs)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +403,7 @@ class InducedMap:
 def induced_map(f: ChainMap, degree: int) -> InducedMap:
     """The induced map on integral cohomology at the given degree.
 
-    >>> c = two_term_complex(2)
+    >>> c = CochainComplex({-1: 1, 0: 1}, {-1: IntegerMatrix.from_rows([[2]])})
     >>> induced_map(ChainMap.identity(c), 0).is_multiplication_by(1)
     True
     >>> induced_map(ChainMap.identity(c).scale(0), 0).is_multiplication_by(0)

@@ -1,4 +1,7 @@
-"""Shared builders for randomized structural tests."""
+"""Shared builders for randomized structural tests, and the oracles that
+only tests need: matrix transposes, Kronecker products and entry counts read
+through ``items()``, the tensor product of complexes, the Euler
+characteristic, and the Kuenneth/UCT group functors."""
 
 from __future__ import annotations
 
@@ -8,6 +11,69 @@ from math import gcd
 import pytest
 
 from bredon import abgrp, chaincx
+
+
+def transpose(a: abgrp.IntegerMatrix) -> abgrp.IntegerMatrix:
+    return abgrp.IntegerMatrix(a.cols, a.rows, {(j, i): v for (i, j), v in a.items()})
+
+
+def nnz(a: abgrp.IntegerMatrix) -> int:
+    return sum(1 for _ in a.items())
+
+
+def diagonal(a: abgrp.IntegerMatrix) -> list:
+    entries = dict(a.items())
+    return [entries.get((i, i), 0) for i in range(min(a.rows, a.cols))]
+
+
+def kron(a: abgrp.IntegerMatrix, b: abgrp.IntegerMatrix) -> abgrp.IntegerMatrix:
+    """The Kronecker product: row (i, k) and column (j, l), with the index
+    of ``a`` major, hold a[i, j] * b[k, l]."""
+    return abgrp.IntegerMatrix(
+        a.rows * b.rows, a.cols * b.cols,
+        {(i * b.rows + k, j * b.cols + l): x * y
+         for (i, j), x in a.items() for (k, l), y in b.items()})
+
+
+def two_term_complex(n: int, low: int = -1) -> chaincx.CochainComplex:
+    """Z --n--> Z on degrees (low, low+1)."""
+    return chaincx.CochainComplex({low: 1, low + 1: 1},
+                                  {low: abgrp.IntegerMatrix.from_rows([[n]])})
+
+
+def euler_characteristic(c: chaincx.CochainComplex) -> int:
+    return sum((-1) ** (d % 2) * r for d, r in c.components.items())
+
+
+def _tensor_blocks(c: chaincx.CochainComplex, d: chaincx.CochainComplex, n: int) -> list:
+    """Summands (p, q) with p+q = n, in decreasing order of p."""
+    return [(p, n - p) for p in sorted(c.components, reverse=True) if d.rank(n - p)]
+
+
+def tensor(c: chaincx.CochainComplex, d: chaincx.CochainComplex) -> chaincx.CochainComplex:
+    """The tensor product complex with the Koszul sign rule, validated when built.
+
+    d(x (x) y) = dx (x) y + (-1)^p x (x) dy for x of degree p.  The summands
+    C^p (x) D^q at total degree n are concatenated in decreasing order of p,
+    each summand's basis in the Kronecker order (the C-index major), so d^n
+    has the blocks d_C (x) 1 from C^p (x) D^q to C^(p+1) (x) D^q and
+    (-1)^p 1 (x) d_D to C^p (x) D^(q+1).
+    """
+    blocks = {p + q: _tensor_blocks(c, d, p + q) for p in c.components for q in d.components}
+    sizes = {n: [c.rank(p) * d.rank(q) for p, q in bl] for n, bl in blocks.items()}
+    diffs = {}
+    for n in sorted(blocks):
+        at = {pq: r for r, pq in enumerate(blocks.get(n + 1, []))}
+        parts = {}
+        for k, (p, q) in enumerate(blocks[n]):
+            dc, dd = c.differentials.get(p), d.differentials.get(q)
+            if dc is not None:
+                parts[at[p + 1, q], k] = kron(dc, abgrp.IntegerMatrix.identity(d.rank(q)))
+            if dd is not None:
+                ones = abgrp.IntegerMatrix.identity(c.rank(p))
+                parts[at[p, q + 1], k] = kron(ones, -dd if p % 2 else dd)
+        diffs[n] = abgrp.IntegerMatrix.from_blocks(sizes.get(n + 1, []), sizes[n], parts)
+    return chaincx.CochainComplex({n: sum(s) for n, s in sizes.items()}, diffs)
 
 
 def random_matrix(rng: random.Random, rows: int, cols: int, emax: int) -> abgrp.IntegerMatrix:
@@ -37,8 +103,8 @@ def assert_transforms(red: abgrp._Reduction, rng: random.Random, where=None):
         some_cols = rng.sample(cols, rng.randint(0, len(cols)))
         assert red.matrix_u(some_rows) == pick(u, row_at, some_rows), where
         assert red.matrix_u_inverse(some_rows) == \
-            pick(u_inv.transpose(), row_at, some_rows).transpose(), where
-        assert red.matrix_v(some_cols) == pick(v.transpose(), col_at, some_cols).transpose(), where
+            transpose(pick(transpose(u_inv), row_at, some_rows)), where
+        assert red.matrix_v(some_cols) == transpose(pick(transpose(v), col_at, some_cols)), where
         assert red.matrix_v_inverse(some_cols) == pick(v_inv, col_at, some_cols), where
 
 
@@ -58,9 +124,9 @@ def random_complex(rng: random.Random, max_deg: int = 2, max_rank: int = 3,
             rows, cols = comps[d + 1], comps[d]
             m = random_matrix(rng, rows, cols, emax)
             if prev is not None:
-                left_kernel = abgrp.kernel_basis(prev.transpose())
+                left_kernel = abgrp.kernel_basis(transpose(prev))
                 coeffs = random_matrix(rng, rows, left_kernel.cols, emax)
-                m = coeffs @ left_kernel.transpose()
+                m = coeffs @ transpose(left_kernel)
             diffs[d] = m
             prev = m
         else:
@@ -82,17 +148,17 @@ def random_chain_map(rng: random.Random, source: chaincx.CochainComplex,
                 nv += 1
     constraints = []
     for d in degs:
-        dc, dd = source.differential(d), target.differential(d)
+        dc, dd = source.differential(d).to_rows(), target.differential(d).to_rows()
         for i in range(target.rank(d + 1)):
             for j in range(source.rank(d)):
                 row = {}
                 for k in range(source.rank(d + 1)):
-                    v = dc.entry(k, j)
+                    v = dc[k][j]
                     if v:
                         key = var_index[(d + 1, i, k)]
                         row[key] = row.get(key, 0) + v
                 for k in range(target.rank(d)):
-                    v = dd.entry(i, k)
+                    v = dd[i][k]
                     if v:
                         key = var_index[(d, k, j)]
                         row[key] = row.get(key, 0) - v

@@ -27,10 +27,15 @@ from bredon.abgrp import (
 from conftest import (
     assert_transforms,
     determinant,
+    diagonal,
+    kron,
+    nnz,
     random_complex,
     rank_mod_oracle,
+    tensor,
     tensor_group,
     tor_group,
+    transpose,
 )
 
 Z = FgAbelianGroup.free(1)
@@ -61,7 +66,7 @@ def assert_snf_contract(a: IntegerMatrix):
     assert (u @ a) @ v == d
     assert abs(determinant(u)) == 1
     assert abs(determinant(v)) == 1
-    diag = d.diagonal()
+    diag = diagonal(d)
     for (i, j), value in d.items():
         assert i == j and value > 0
     for k in range(1, len(diag)):
@@ -256,8 +261,8 @@ class TestNoEntryBlowUp:
                                          for _ in range(n)])
             u, d, v = smith_normal_form(a)
             assert u @ a @ v == d, seed
-            diag = d.diagonal()
-            assert all(x >= 0 for x in diag) and d.nnz() == sum(1 for x in diag if x), seed
+            diag = diagonal(d)
+            assert all(x >= 0 for x in diag) and nnz(d) == sum(1 for x in diag if x), seed
             assert all(y % x == 0 if x else y == 0 for x, y in zip(diag, diag[1:])), seed
             assert abs(determinant(u)) == 1 and abs(determinant(v)) == 1, seed
 
@@ -326,16 +331,16 @@ class TestCohomologyAt:
             n, m = rng.randint(1, 4), rng.randint(0, 3)
             d_in = IntegerMatrix.from_rows(
                 [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)], cols=m)
-            left_kernel = kernel_basis(d_in.transpose())
+            left_kernel = kernel_basis(transpose(d_in))
             k = rng.randint(0, 3)
             coeffs = IntegerMatrix.from_rows(
                 [[rng.randint(-2, 2) for _ in range(left_kernel.cols)] for _ in range(k)],
                 cols=left_kernel.cols)
-            d_out = coeffs @ left_kernel.transpose()
+            d_out = coeffs @ transpose(left_kernel)
             yield d_in, d_out, cohomology_at(d_in, d_out)
         for _ in range(20):
             c = random_complex(rng, max_deg=3, max_rank=3, emax=2)
-            for cx in (c, chaincx.tensor(c, c)):
+            for cx in (c, tensor(c, c)):
                 lo, hi = cx.support()
                 for n in filter(cx.rank, range(lo, hi + 1)):
                     yield cx.differential(n - 1), cx.differential(n), chaincx.cohomology(cx, n)
@@ -418,14 +423,14 @@ class TestRankModTwoAtScale:
         cols = rng.randint(500, 640)
         cases = [scattered(rng, rng.randint(200, 500), cols, rng.randint(1, 4)),
                  scattered(rng, 300, 20 + seed * 30, 2) @ scattered(rng, 20 + seed * 30, cols, 3)]
-        for a in cases + [a.transpose() for a in cases]:
+        for a in cases + [transpose(a) for a in cases]:
             assert rank_mod(a) == rank_mod_oracle(a, 2), (seed, a.rows, a.cols)
 
     def test_dense(self):
         rng = random.Random(100)
         cases = [uniform(rng, 80, 600), uniform(rng, 400, 120),
                  uniform(rng, 200, 25) @ uniform(rng, 25, 560)]
-        for a in cases + [a.transpose() for a in cases]:
+        for a in cases + [transpose(a) for a in cases]:
             assert rank_mod(a) == rank_mod_oracle(a, 2), (a.rows, a.cols)
 
 
@@ -478,15 +483,11 @@ class TestMatrixAlgebraAgainstDenseOracle:
             assert a.to_rows() == rows
             assert IntegerMatrix(r, c, nonzero) == a
             assert dict(a.items()) == nonzero and len(list(a.items())) == len(nonzero)
-            assert a.nnz() == len(nonzero) and a.is_zero() == (not nonzero)
-            assert a.diagonal() == [rows[i][i] for i in range(min(r, c))]
-            for i in range(r):
-                for j in range(c):
-                    assert a.entry(i, j) == rows[i][j]
+            assert a.is_zero() == (not nonzero)
 
     def test_zero_entries_are_dropped(self):
         a = IntegerMatrix(2, 2, {(0, 0): 0, (1, 0): 3})
-        assert a.nnz() == 1 and dict(a.items()) == {(1, 0): 3}
+        assert dict(a.items()) == {(1, 0): 3}
         assert IntegerMatrix(2, 2, {(0, 1): 0}).is_zero()
         assert IntegerMatrix(2, 2, {(0, 1): 0}) == IntegerMatrix.zeros(2, 2)
 
@@ -498,11 +499,12 @@ class TestMatrixAlgebraAgainstDenseOracle:
             for k in (-3, -1, 0, 1, 2):
                 s = a.scale(k)
                 assert s.to_rows() == [[k * v for v in row] for row in rows]
-                assert s.nnz() == (0 if k == 0 else a.nnz())
-            t = a.transpose()
+                assert nnz(s) == (0 if k == 0 else nnz(a))
+            # the tests' transpose oracle
+            t = transpose(a)
             assert (t.rows, t.cols) == (c, r)
             assert t.to_rows() == [[rows[i][j] for i in range(r)] for j in range(c)]
-            assert t.transpose() == a
+            assert transpose(t) == a
 
     def test_binary_operations(self, rng):
         for r, c in self.shapes(rng):
@@ -510,7 +512,7 @@ class TestMatrixAlgebraAgainstDenseOracle:
             a, b = IntegerMatrix.from_rows(x, cols=c), IntegerMatrix.from_rows(y, cols=c)
             total = a + b
             assert total.to_rows() == [[u + v for u, v in zip(p, q)] for p, q in zip(x, y)]
-            assert total.nnz() == sum(1 for row in total.to_rows() for v in row if v)
+            assert nnz(total) == sum(1 for row in total.to_rows() for v in row if v)
             assert (a + (-a)).is_zero() and a + (-a) == IntegerMatrix.zeros(r, c)
             assert (a == b) == (x == y) and a == IntegerMatrix.from_rows(x, cols=c)
             k = rng.randint(0, 4)
@@ -524,22 +526,22 @@ class TestMatrixAlgebraAgainstDenseOracle:
             assert blocks.to_rows() == h.to_rows() + [[0] * c + q for q in z]
             assert list(blocks.items()) == sorted(blocks.items())  # blocks in column order
             assert IntegerMatrix.from_blocks([r, k], [c, 0], {}) == IntegerMatrix.zeros(r + k, c)
-            kron = a.kron(zm)
-            assert (kron.rows, kron.cols) == (r * r, c * k)
-            assert kron.to_rows() == [[u * v for u in p for v in q] for p in x for q in z]
-            assert kron.nnz() == sum(1 for row in kron.to_rows() for v in row if v)
+            # the Kronecker oracle of the tests' tensor product
+            product = kron(a, zm)
+            assert (product.rows, product.cols) == (r * r, c * k)
+            assert product.to_rows() == [[u * v for u in p for v in q] for p in x for q in z]
             for inner_cols in (0, 1, rng.randint(2, 5)):
                 w = dense(rng, c, inner_cols)
                 prod = a @ IntegerMatrix.from_rows(w, cols=inner_cols)
                 assert (prod.rows, prod.cols) == (r, inner_cols)
                 assert prod.to_rows() == dense_matmul(x, w, c, inner_cols)
-                assert prod.nnz() == sum(1 for row in prod.to_rows() for v in row if v)
+                assert nnz(prod) == sum(1 for row in prod.to_rows() for v in row if v)
 
     def test_product_that_cancels(self):
         a = IntegerMatrix.from_rows([[1, 1], [2, 2], [0, 0]])
         b = IntegerMatrix.from_rows([[3, -1, 0], [-3, 1, 0]])
         prod = a @ b
-        assert prod.is_zero() and prod.nnz() == 0 and list(prod.items()) == []
+        assert prod.is_zero() and list(prod.items()) == []
         assert prod == IntegerMatrix.zeros(3, 3) and snf_diagonal(prod) == []
 
     def test_product_rows_list_keys_as_the_scaled_sums_insert_them(self, rng):
@@ -598,8 +600,6 @@ class TestMatrixAlgebraAgainstDenseOracle:
                     lambda: IntegerMatrix.from_blocks([2], [2], {(0, 0): a})):
             with pytest.raises(ValueError):
                 bad()
-        with pytest.raises(IndexError):
-            a.entry(2, 0)
 
     def test_from_rows_refuses_cols_that_disagree_with_its_rows(self):
         # this used to return a 1x2 matrix
@@ -801,7 +801,7 @@ class TestCollapse:
         c = build_sigma_complex(SigmaSpec(9, FIXED))
         lo, hi = c.support()
         swept = c._record().sweep(hi - lo)
-        assert sum(f.nnz() for f in swept.f) <= 600
+        assert sum(map(nnz, swept.f)) <= 600
         assert all(0 <= faces <= units for faces, units in zip(swept.faces, swept.units))
         assert sum(swept.faces) > 0.75 * sum(swept.units)
 

@@ -10,7 +10,14 @@ import time
 from bredon import abgrp, chaincx, sigmacx
 from bredon.tables import checks
 
-from conftest import random_chain_map, random_complex, tensor_group, tor_group, two_primary_part
+from conftest import (
+    random_chain_map,
+    random_complex,
+    tensor,
+    tensor_group,
+    tor_group,
+    two_primary_part,
+)
 from test_abgrp import assert_snf_contract
 
 SEED = 1729
@@ -87,7 +94,7 @@ def test_criterion_8_property_suites():
     for _ in range(200):
         c = random_complex(rng, max_deg=2, max_rank=3, emax=3)
         d = random_complex(rng, max_deg=2, max_rank=3, emax=3)
-        t = chaincx.tensor(c, d)
+        t = tensor(c, d)
         chaincx.validate(t)
         lo, hi = t.support()
         c_lo, c_hi = c.support()

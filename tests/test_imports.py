@@ -1,15 +1,15 @@
 """Every name a module of the package imports is used there, every
-top-level name and method it defines is used somewhere, and no file outside
-abgrp.py touches IntegerMatrix's private storage.
+top-level name that is not a function is read outside the tests, and no
+file outside abgrp.py touches IntegerMatrix's private storage.
 
-Checked on the syntax tree with the standard library alone: an imported
-name must appear as a name in the module body or be listed in ``__all__``;
-a top-level definition, or a method ``Class.method`` of a top-level class,
-must be loaded by name in the package, the benchmark, the demos or the
-scripts, unless it is listed in ``TEST_ONLY``.  A method counts as loaded
-when its name is read as an attribute anywhere, of whatever object: the
-check cannot tell two methods of one name apart, so it finds the methods
-whose name nothing outside the tests reads.
+Checked on the syntax tree with the standard library alone.  An imported
+name must appear as a name in the module body or be listed in ``__all__``.
+A top-level class or assigned name of the package must be loaded by name in
+the package, the benchmark, the demos or the scripts, unless it is listed
+in ``TESTS_READ``.  Functions and methods are not checked here: the
+reachability trace of ``scripts/reach.py`` (``tests/test_reach.py``)
+demands that some entry point calls each one.  This guard keeps what a
+trace cannot see, names that are never called.
 """
 
 import ast
@@ -48,9 +48,10 @@ def test_no_unused_imports():
 
 
 def top_level_names(tree: ast.Module) -> set:
+    """The top-level classes and assigned names, dunders left out."""
     names = set()
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        if isinstance(node, ast.ClassDef):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -58,18 +59,6 @@ def top_level_names(tree: ast.Module) -> set:
                 elts = target.elts if isinstance(target, ast.Tuple) else [target]
                 names |= {t.id for t in elts if isinstance(t, ast.Name)}
     return {n for n in names if not (n.startswith("__") and n.endswith("__"))}
-
-
-def definitions(tree: ast.Module) -> set:
-    """The top-level names, and each method of a top-level class as
-    ``Class.method``; dunder methods are left out, the language calls them."""
-    names = top_level_names(tree)
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef):
-            names |= {f"{node.name}.{m.name}" for m in node.body
-                      if isinstance(m, (ast.FunctionDef, ast.AsyncFunctionDef))
-                      and not (m.name.startswith("__") and m.name.endswith("__"))}
-    return names
 
 
 def loaded_names(tree: ast.Module) -> set:
@@ -84,21 +73,10 @@ def loaded_names(tree: ast.Module) -> set:
     return loads
 
 
-def span_bindings(tree: ast.Module) -> set:
-    """The names in the benchmark's SPAN_GROUPS bindings, read without importing it."""
-    for node in tree.body:
-        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "SPAN_GROUPS":
-            groups = ast.literal_eval(node.value)
-            return {part for _, bindings in groups.values()
-                    for binding in bindings for part in binding.split(".")}
-    raise AssertionError("bench/spans.py has no SPAN_GROUPS table")
-
-
-def unloaded_definitions(*folders) -> set:
-    """(module, name) of each definition of the package (a top-level name or
-    ``Class.method``) that no file under folders loads by name, nor the
-    benchmark's SPAN_GROUPS."""
-    loads = span_bindings(ast.parse((ROOT / "bench" / "spans.py").read_text()))
+def unloaded_names(*folders) -> set:
+    """(module, name) of each top-level class or assigned name of the package
+    that no file under folders loads by name."""
+    loads = set()
     for folder in folders:
         for path in sorted((ROOT / folder).rglob("*.py")):
             loads |= loaded_names(ast.parse(path.read_text(), str(path)))
@@ -106,33 +84,22 @@ def unloaded_definitions(*folders) -> set:
     for path in sorted(PACKAGE.rglob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
         module = path.relative_to(PACKAGE).as_posix()
-        found |= {(module, name) for name in definitions(tree)
-                  if name.rpartition(".")[2] not in loads}
+        found |= {(module, name) for name in top_level_names(tree) if name not in loads}
     return found
 
 
-def test_no_dead_definitions():
-    found = unloaded_definitions("src", "tests", "bench", "demos")
-    assert not found, sorted(found)
-
-
-# definitions that only the tests load, each kept for its reason
-TEST_ONLY = {
-    ("chaincx.py", "tensor"): "the acceptance tests check the tensor product formula with it",
-    ("chaincx.py", "two_term_complex"): "the Z --n--> Z builder of the module's doctests",
-    ("chaincx.py", "euler_characteristic"): "an invariant the tests compare with cohomology",
+# names that only the tests read, each kept for its reason
+TESTS_READ = {
     ("formal.py", "SEEDS"): "the seed labels a derivation trail may cite besides AXIOMS",
-    ("abgrp.py", "IntegerMatrix.diagonal"): "the Smith-form tests and the module doctest "
-                                            "read D's diagonal without the private rows",
 }
 
 
-def test_no_definitions_only_tests_load():
-    # a definition that only tests reach is dead weight in the package: delete
-    # it, move it into tests/ if it is a test oracle, or list it above
-    found = unloaded_definitions("src", "bench", "demos", "scripts")
-    assert found - set(TEST_ONLY) == set(), sorted(found - set(TEST_ONLY))
-    assert set(TEST_ONLY) - found == set(), "stale entries: " + str(sorted(set(TEST_ONLY) - found))
+def test_no_names_only_tests_read():
+    # a class or value that only tests read is dead weight in the package:
+    # delete it, move it into tests/ if it is a test oracle, or list it above
+    found = unloaded_names("src", "bench", "demos", "scripts")
+    assert found - set(TESTS_READ) == set(), sorted(found - set(TESTS_READ))
+    assert set(TESTS_READ) - found == set(), "stale entries: " + str(sorted(set(TESTS_READ) - found))
 
 
 def matrix_private_names() -> set:
