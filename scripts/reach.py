@@ -2,8 +2,8 @@
 
     python3 scripts/reach.py [--repo PATH]
 
-Runs every entry point in one fresh interpreter under ``sys.setprofile``,
-with the profiler on before ``bredon`` is first imported:
+Runs every entry point in one fresh interpreter under ``cProfile``, with
+the profiler on before ``bredon`` is first imported:
 
 * the CLI commands whose outputs ``tests/test_golden.py`` pins (GOLDEN);
 * ``check all`` at its defaults, and two ``export`` runs;

@@ -657,16 +657,20 @@ def solve(a: IntegerMatrix, b: IntegerMatrix) -> Optional[IntegerMatrix]:
     return red.matrix_v([j for _, j, _ in red.pivots]) @ IntegerMatrix.from_row_dicts(y, b.cols)
 
 
+# each coefficient, by its modulus, and its text: Z is written 0, Z/2 is written 2
+COEFF_TEXT = {0: "Z", 2: "Z/2"}
+
+
 def check_modulus(m: int) -> None:
     """The one coefficient rule, checked by every public entry that takes a
     coefficient, before any work.
 
-    The coefficients are Z, written 0, and Z/2, written 2; groups over any
-    other Z/m follow from the integral ones by the universal coefficient
-    theorem.
+    The coefficients are those of ``COEFF_TEXT``; groups over any other Z/m
+    follow from the integral ones by the universal coefficient theorem.
     """
-    if m not in (0, 2):
-        raise ValueError(f"coefficient {m} is neither 0 (Z) nor 2 (Z/2)")
+    if m not in tuple(COEFF_TEXT):
+        raise ValueError(f"coefficient {m} is neither "
+                         + " nor ".join(f"{c} ({text})" for c, text in COEFF_TEXT.items()))
 
 
 def rank_mod(a: IntegerMatrix) -> int:
@@ -839,49 +843,35 @@ def mod_m_cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianG
 # Presentations and maps between cohomology groups
 # ----------------------------------------------------------------------
 
-class _Cycles:
-    """The integral cycles {b : d_out @ b = 0}, a basis of them, and coordinates.
-
-    One reduction D = U @ d_out @ V gives both: the cycles are spanned by
-    the columns of V past the pivots, and the coordinates of a cycle c in
-    that basis are the rows of V^-1 @ c past the pivots.  It sees raw
-    windows and the windows of a complex's Morse model only, never a
-    complex's own differentials.
-    """
-
-    __slots__ = ("d_out", "basis", "inverse")
-
-    def __init__(self, d_out: IntegerMatrix):
-        self.d_out = d_out
-        red = _reduce(d_out)
-        free = sorted(red.live_cols)
-        self.basis = red.matrix_v(free)
-        self.inverse = red.matrix_v_inverse(free)
-
-    def coordinates(self, b: IntegerMatrix) -> Optional[IntegerMatrix]:
-        """Y with basis @ Y = B, or None if a column of B is not a cycle."""
-        return self.inverse @ b if (self.d_out @ b).is_zero() else None
-
-
 @dataclass
 class CohomologyPresentation:
     """A cohomology group with explicit canonical generators.
 
-    ``cycles.basis`` columns span the cycles in chain coordinates, and
-    ``cycles.coordinates`` reads a cycle in that basis.  With D = U @ X @ V
-    the Smith form of the boundaries X in that basis, the generators are the
-    rows of U whose diagonal entry is not 1: ``transform`` = U[those, :]
-    carries basis coordinates to canonical coordinates, in which the
-    relation matrix is diag(orders), and ``inverse`` = U^-1[:, those] lifts
-    each generator to a cycle, so transform @ inverse = 1.  ``orders`` is
-    the group's invariant factors followed by a 0 per free generator.
+    One reduction D = U' @ d_out @ V' gives the cycles {b : d_out @ b = 0}:
+    the columns of ``basis`` = V'[:, past the pivots] span them, and
+    ``coordinates`` reads a cycle c in that basis as ``to_basis`` @ c, the
+    rows of V'^-1 @ c past the pivots.  With D = U @ X @ V the Smith form of
+    the boundaries X in that basis, the generators are the rows of U whose
+    diagonal entry is not 1: ``transform`` = U[those, :] carries basis
+    coordinates to canonical coordinates, in which the relation matrix is
+    diag(orders), and ``inverse`` = U^-1[:, those] lifts each generator to a
+    cycle, so transform @ inverse = 1.  ``orders`` is the group's invariant
+    factors followed by a 0 per free generator.  It sees raw windows and the
+    windows of a complex's Morse model only, never a complex's own
+    differentials.
     """
 
     group: FgAbelianGroup
-    cycles: _Cycles
+    d_out: IntegerMatrix
+    basis: IntegerMatrix
+    to_basis: IntegerMatrix
     transform: IntegerMatrix
     inverse: IntegerMatrix
     orders: tuple
+
+    def coordinates(self, b: IntegerMatrix) -> Optional[IntegerMatrix]:
+        """Y with basis @ Y = B, or None if a column of B is not a cycle."""
+        return self.to_basis @ b if (self.d_out @ b).is_zero() else None
 
 
 def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix) -> CohomologyPresentation:
@@ -897,16 +887,17 @@ def cohomology_presentation(d_in: IntegerMatrix, d_out: IntegerMatrix) -> Cohomo
     """
     if d_in.rows != d_out.cols:
         raise ValueError("window mismatch")
-    cycles = _Cycles(d_out)
-    x = cycles.coordinates(d_in)
-    if x is None:
+    cycles = _reduce(d_out)
+    free = sorted(cycles.live_cols)
+    basis, to_basis = cycles.matrix_v(free), cycles.matrix_v_inverse(free)
+    if not (d_out @ d_in).is_zero():
         raise ValueError("d_out @ d_in is not zero")
-    red = _reduce(x)
+    red = _reduce(to_basis @ d_in)
     surviving = [i for i, _, d in red.pivots if d != 1] + sorted(red.live_rows)
     orders = tuple(d for _, _, d in red.pivots if d != 1) + (0,) * len(red.live_rows)
-    return CohomologyPresentation(FgAbelianGroup.from_cyclic_orders(orders), cycles,
-                                  red.matrix_u(surviving), red.matrix_u_inverse(surviving),
-                                  orders)
+    return CohomologyPresentation(FgAbelianGroup.from_cyclic_orders(orders), d_out, basis,
+                                  to_basis, red.matrix_u(surviving),
+                                  red.matrix_u_inverse(surviving), orders)
 
 
 def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
@@ -918,7 +909,7 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
     ``source.inverse``, mapped, and read in the target's generators by
     ``target.transform``; torsion rows are reduced modulo their orders.
     """
-    coords = target.cycles.coordinates(f @ source.cycles.basis)
+    coords = target.coordinates(f @ source.basis)
     if coords is None:
         raise ValueError("chain map does not preserve kernels")
     m = target.transform @ coords @ source.inverse

@@ -12,17 +12,18 @@ import argparse
 import sys
 
 from . import sigmacx
+from .abgrp import COEFF_TEXT
 from .chaincx import explain
-from .formal import PROFILE_ALIASES, derive_weight1, derive_weight_sigma, get_profile
-from .tables import GridSpec, export_grid, render_grid
+from .formal import PROFILE_ALIASES, get_profile
+from .tables import DERIVED_WEIGHTS, GridSpec, export_grid, render_grid
 from .tables.checks import SUITES, check
 
 
 def _coeff(value: str) -> int:
-    if value in ("Z", "0"):
-        return 0
-    if value in ("2", "Z/2"):
-        return 2
+    """A coefficient, written as its modulus or its text."""
+    for m, text in COEFF_TEXT.items():
+        if value in (str(m), text):
+            return m
     raise argparse.ArgumentTypeError("coefficients must be Z or 2")
 
 
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     # options shared by grid and export; each keeps its own --format default
     table = argparse.ArgumentParser(add_help=False)
-    table.add_argument("--weight", choices=["0", "1", "sigma"], default="0")
+    table.add_argument("--weight", choices=["0", *DERIVED_WEIGHTS], default="0")
     table.add_argument("--p-range", type=int, default=3)
     table.add_argument("--a-min", type=int, default=None)
     table.add_argument("--a-max", type=int, default=None)
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
                       choices=["text", "json", "csv"])
 
     derive = sub.add_parser("derive", help="replay the table derivations")
-    derive.add_argument("--weight", choices=["1", "sigma"], required=True)
+    derive.add_argument("--weight", choices=list(DERIVED_WEIGHTS), required=True)
     derive.add_argument("--profile", required=True, choices=list(PROFILE_ALIASES))
     derive.add_argument("--n-max", type=int, default=8)
     derive.add_argument("--coeff", type=_coeff, default=0)
@@ -128,12 +129,11 @@ def _dispatch(args) -> int:
 
     if args.command == "derive":
         profile = get_profile(args.profile)
-        deriver = derive_weight1 if args.weight == "1" else derive_weight_sigma
-        tables = deriver(profile, args.n_max, coeff=args.coeff)
+        tables = DERIVED_WEIGHTS[args.weight][0](profile, args.n_max, coeff=args.coeff)
         for cone in ("positive", "negative"):
             table = tables[cone]
             print(f"# weight {args.weight}, {cone} cone, profile {profile.name}, "
-                  f"coeff {'Z' if args.coeff == 0 else 'Z/2'}")
+                  f"coeff {COEFF_TEXT[args.coeff]}")
             for p in table.derived_shifts():
                 entries = table.columns.get(p, {})
                 for a in sorted(entries):

@@ -30,8 +30,9 @@ on degrees 0, 1, 2.  The Koszul sign for acting in slot s of a subset S is
 (-1)^(number of elements of S greater than s).
 
 Complexes and maps are certified by construction rather than validated.
-A differential is a signed sum of slot blocks, so d.d = 0 follows from the
-coface identity of the blocks (``_coface_certificate``, lemma in
+A differential is a sum of slot blocks, each with the sign that
+``_koszul_sign`` gives it, so d.d = 0 follows from the coface identity of the
+blocks and of their signs (``_slot_matrices``, lemma in
 ``build_sigma_complex``), and tr, res and the flip commute with d once
 their per-arity blocks commute with each slot block (``_map_certificate``,
 lemma in ``_per_arity_map``).  Each certificate is a few products of
@@ -172,17 +173,18 @@ def _as_matrix(block, cols: int) -> IntegerMatrix:
     return IntegerMatrix.from_row_dicts([dict(row) for row in block], cols)
 
 
+def _koszul_sign(j: int, idx: int) -> int:
+    """The sign of slot idx in the differential between arities j + 1 and j:
+    the slot has j - idx elements above it, so (-1)^(j - idx)."""
+    return -1 if (j - idx) % 2 else 1
+
+
 @lru_cache(maxsize=None)
 def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, ...]:
-    """``_slot_blocks`` as matrices, for the certificates' products; memoised,
-    so each block is converted once per process."""
-    cols = _arity_size(j + 1 if kind == "push" else j, orbit_type)
-    return tuple(_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type))
-
-
-@lru_cache(maxsize=None)
-def _coface_certificate(kind: str, k: int, orbit_type: str) -> bool:
-    """The coface identity of the slot blocks through arity k; raises ComplexError.
+    """``_slot_blocks`` as matrices, after certifying the coface identity
+    through arity k = j + 1 against ``_slot_matrices(kind, j - 1)``, which
+    certifies the arities below; raises ComplexError.  Memoised, so each block
+    is converted and each arity certified once per process.
 
     With D_i the push deleting slot i (or the pull inserting it), the blocks
     of the two differentials between arities k and k - 2 must satisfy, for
@@ -192,19 +194,24 @@ def _coface_certificate(kind: str, k: int, orbit_type: str) -> bool:
         pull:  D_c . D_a = D_a . D_(c-1)     (insert a then c, or c - 1 then a)
 
     the simplicial and cosimplicial identities (Weibel, *An Introduction to
-    Homological Algebra*, section 8.1).  Memoised per (kind, arity, orbit type):
-    a build checks only the arities it uses, once per process.
+    Homological Algebra*, section 8.1), and their Koszul signs must be
+    opposite: sign(k - 2, a) sign(k - 1, c) = -sign(k - 2, c - 1) sign(k - 1, a).
     """
-    low, high = _slot_matrices(kind, k - 2, orbit_type), _slot_matrices(kind, k - 1, orbit_type)
-    for a, c in combinations(range(k), 2):
+    cols = _arity_size(j + 1 if kind == "push" else j, orbit_type)
+    high = tuple(_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type))
+    low = _slot_matrices(kind, j - 1, orbit_type) if j else ()
+    for a, c in combinations(range(j + 1), 2):
         if kind == "push":
             same = low[a] @ high[c] == low[c - 1] @ high[a]
         else:
             same = high[c] @ low[a] == high[a] @ low[c - 1]
-        if not same:
-            raise ComplexError(f"{kind} blocks of arity {k} ({orbit_type}) fail the coface "
-                               f"identity at slots {a} < {c}")
-    return True
+        opposite = (_koszul_sign(j - 1, a) * _koszul_sign(j, c)
+                    == -_koszul_sign(j - 1, c - 1) * _koszul_sign(j, a))
+        if not (same and opposite):
+            raise ComplexError(f"{kind} {'blocks' if not same else 'Koszul signs'} of arity "
+                               f"{j + 1} ({orbit_type}) fail the coface identity at slots "
+                               f"{a} < {c}")
+    return high
 
 
 @lru_cache(maxsize=None)
@@ -218,15 +225,17 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
 
     Lemma (d.d = 0 by construction).  The block of d from the component of
     a subset T of size j + 1 to that of T minus its element in slot idx is
-    (-1)^(j - idx) D_idx, and no other block is nonzero.  So the block of
+    sign(j, idx) D_idx, with sign(j, idx) = (-1)^(j - idx) from
+    ``_koszul_sign``, and no other block is nonzero.  So the block of
     d.d from a subset U of size k = j + 2 to U minus {u_a, u_c}, a < c, is
     a sum over the two orders of deleting u_a and u_c.  Deleting u_a first
     leaves u_c in slot c - 1, with sign (-1)^(j + 1 - a) (-1)^(j - c + 1);
     deleting u_c first leaves u_a in slot a, with sign (-1)^(j + 1 - c)
     (-1)^(j - a).  The signs are opposite, and the blocks are the two sides
-    of the coface identity that ``_coface_certificate`` checks for arity k;
-    the pull case is the transpose of the same argument.  So once each
-    arity 2..|n| is certified, the complex is built without ``validate``.
+    of the coface identity; ``_slot_matrices`` checks both for arity k, the
+    signs as the function that the build reads.  The pull case is the
+    transpose of the same argument.  So once each arity 2..|n| is certified,
+    the complex is built without ``validate``.
     The blocks land where the lemma puts them: the subset of rank k in
     ``_subset_index`` starts at column k * _arity_size(j), by construction,
     each block is checked at build to fit its shape (``_checked_block``), and
@@ -252,17 +261,15 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
         return unit_complex()
     m, push = abs(n), n > 0
     kind = "push" if push else "pull"
-    for k in range(2, m + 1):
-        _coface_certificate(kind, k, orbit_type)
+    _slot_matrices(kind, m - 1, orbit_type)   # certifies the arities 2..m
     comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
     diffs: Dict[int, IntegerMatrix] = {}
     for j in range(m):
-        # d joins arity j + 1 and arity j: slot idx of the larger subset has
-        # j - idx elements above it, so its Koszul sign is (-1)^(j - idx)
+        # d joins arity j + 1 and arity j, slot idx with its Koszul sign
         smalls, bigs = _subset_index(m, j), _subset_index(m, j + 1)
         small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
-        blocks = [block if (j - idx) % 2 == 0 else tuple(tuple((c, -v) for c, v in row)
-                                                         for row in block)
+        blocks = [block if _koszul_sign(j, idx) == 1 else tuple(tuple((c, -v) for c, v in row)
+                                                                for row in block)
                   for idx, block in enumerate(_slot_blocks(kind, j, orbit_type))]
         if push:
             sources = [[] for _ in smalls]

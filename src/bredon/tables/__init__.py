@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..abgrp import FgAbelianGroup, check_modulus
+from ..abgrp import COEFF_TEXT, FgAbelianGroup, check_modulus
 from ..formal import (
     ATOM_TEXT,
     Atom,
@@ -40,6 +40,8 @@ from ..formal import (
     FieldProfile,
     FormalGroup,
     PROFILES,
+    derive_weight1,
+    derive_weight_sigma,
     get_profile,
     normalize,
 )
@@ -377,14 +379,22 @@ _CELL_KEYS = {"weight": str, "a": int, "p": int, "coeff": str, "group": str, "so
 
 
 def _cells(data: dict) -> list:
+    """The cells, each refused here, not in a suite, when it lacks a key or a
+    source note, holds a key of a wrong type, or names a weight, coefficient
+    or group that the suite cannot read; every value keeps its text."""
     _known(data, ("table", "cells"), "the document")
+    cells = []
     for i, cell in enumerate(data["cells"]):
         _known(cell, tuple(_CELL_KEYS), f"cell {i}")
         if not _typed(cell, "source", str, "").strip():
             raise FixtureError(f"{data['table']}: cell lacks a source note")
-    # a cell without one of these keys, or with a wrong type, raises here, not in a suite
-    return [{k: _typed(cell, k, kind) for k, kind in _CELL_KEYS.items()}
-            for cell in data["cells"]]
+        cells.append({k: _typed(cell, k, kind) for k, kind in _CELL_KEYS.items()})
+        for key, known in (("weight", DERIVED_WEIGHTS), ("coeff", COEFF_TEXT.values())):
+            if cell[key] not in known:
+                raise FixtureError(f"cell {i} holds the {key} {cell[key]!r}; use "
+                                   + " or ".join(map(repr, known)))
+        parse_formal_group(cell["group"])
+    return cells
 
 
 def load_cells(name: str) -> list:
@@ -470,14 +480,19 @@ def weight_sigma_closed_form(a: int, p: int, coeff: int = 0,
     return _table("sigma", coeff).lookup(a, p, get_profile(profile))[0]
 
 
+# each derived weight, with the derivation that replays its table and its closed form
+DERIVED_WEIGHTS = {"1": (derive_weight1, weight1_closed_form),
+                   "sigma": (derive_weight_sigma, weight_sigma_closed_form)}
+
+
 # ---------------------------------------------------------------------------
 # Grids, rendering, export
 # ---------------------------------------------------------------------------
 
 @dataclass
 class GridSpec:
-    weight: str = "0"          # "0" | "1" | "sigma"
-    coeff: int = 0             # 0 | 2
+    weight: str = "0"          # "0" or a key of DERIVED_WEIGHTS
+    coeff: int = 0             # a key of COEFF_TEXT
     p_range: int = 3
     a_min: Optional[int] = None
     a_max: Optional[int] = None
@@ -486,8 +501,9 @@ class GridSpec:
     source: Optional[str] = None
 
     def __post_init__(self):
-        if self.weight not in ("0", "1", "sigma"):
-            raise ValueError(f"unknown weight {self.weight!r}; use '0', '1' or 'sigma'")
+        if self.weight not in ("0", *DERIVED_WEIGHTS):
+            raise ValueError(f"unknown weight {self.weight!r}; use '0', "
+                             + " or ".join(map(repr, DERIVED_WEIGHTS)))
         if self.source not in (None, "computed", "fixture", "derived"):
             raise ValueError(f"unknown source {self.source!r}; "
                              "use 'computed', 'fixture' or 'derived'")
@@ -515,16 +531,13 @@ class GridSpec:
 def grid_cells(spec: GridSpec) -> List[dict]:
     """Evaluate a grid; each cell follows the export schema."""
     from .. import sigmacx
-    from ..formal import derive_weight1, derive_weight_sigma
 
     a_lo, a_hi = spec.a_bounds()
     prof = get_profile(spec.profile)
-    coeff_str = "Z" if spec.coeff == 0 else "Z/2"
     cells = []
     derived = None
     if spec.source == "derived":
-        deriver = derive_weight1 if spec.weight == "1" else derive_weight_sigma
-        derived = deriver(prof, spec.p_range + 1, coeff=spec.coeff)
+        derived = DERIVED_WEIGHTS[spec.weight][0](prof, spec.p_range + 1, coeff=spec.coeff)
     for p in range(-spec.p_range, spec.p_range + 1):
         for a in range(a_lo, a_hi + 1):
             citation = ""
@@ -540,7 +553,7 @@ def grid_cells(spec: GridSpec) -> List[dict]:
                 except TheoremRangeError as exc:
                     group, citation = None, str(exc)
             cells.append({
-                "a": a, "p": p, "weight": spec.weight, "coeff": coeff_str,
+                "a": a, "p": p, "weight": spec.weight, "coeff": COEFF_TEXT[spec.coeff],
                 "group": group.to_json() if group is not None else None,
                 "rendered": group.render() if group is not None else "?",
                 "source": spec.source,

@@ -8,27 +8,22 @@ reportable finding rather than a bare assertion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from inspect import signature
 from typing import Callable, Dict, List
 
 from .. import sigmacx
-from ..abgrp import FgAbelianGroup, tensor_Z2_group, two_torsion_group
-from ..formal import (
-    Z2,
-    ZA,
-    FormalGroup,
-    derive_weight1,
-    derive_weight_sigma,
-)
+from ..abgrp import COEFF_TEXT, FgAbelianGroup, tensor_Z2_group, two_torsion_group
+# derive_weight1 is unused here; the benchmark tracer pins tables.checks.derive_weight1
+from ..formal import Z2, ZA, FormalGroup, derive_weight1
 from . import (
     ALL_TABLE_FILES,
+    DERIVED_WEIGHTS,
     TheoremRangeError,
     bredon_point_closed_form,
     load_cells,
     load_table,
     weight0_closed_form,
-    weight1_closed_form,
-    weight_sigma_closed_form,
 )
 
 
@@ -97,37 +92,35 @@ def check_fixture_coverage() -> CheckReport:
 _A_RANGE = range(-12, 13)
 
 
-def check_weight0_integral(p_max: int = 8) -> CheckReport:
-    """Chain-level weight-0 groups equal both closed-form tables exactly."""
-    report = CheckReport("weight0-integral")
-    table = load_table("weight0_integral.json")
+def _weight0_three_way(suite: str, fixture: str, m: int, other: str, second: Callable,
+                       p_max: int) -> CheckReport:
+    """At each (a, p) with |p| <= p_max and a in _A_RANGE, the computed weight-0
+    group over the coefficient m equals that of the table in ``fixture`` and
+    second(a, p), which the cell reports as ``other``."""
+    report = CheckReport(suite)
+    table = load_table(fixture)
     for p in range(-p_max, p_max + 1):
         for a in _A_RANGE:
-            computed = sigmacx.weight0(a, p, 0)
+            got, also = sigmacx.weight0(a, p, m), second(a, p)
             expected, source = table.lookup(a, p)
-            point = bredon_point_closed_form(a, p, 0)
-            ok = computed == expected == point
             report.cells.append(CellResult(
-                f"(a={a}, p={p})", ok, computed.render(),
-                f"{expected.render()} / point {point.render()}", source))
+                f"(a={a}, p={p})", got == expected == also, got.render(),
+                f"{expected.render()} / {other} {also.render()}", source))
     return report
+
+
+def check_weight0_integral(p_max: int = 8) -> CheckReport:
+    """Chain-level weight-0 groups equal both closed-form tables exactly."""
+    return _weight0_three_way("weight0-integral", "weight0_integral.json", 0, "point",
+                              bredon_point_closed_form, p_max)
 
 
 def check_weight0_mod2(p_max: int = 8) -> CheckReport:
     """Direct mod-2 groups equal the universal-coefficient combination and the band table."""
-    report = CheckReport("weight0-mod2")
-    table = load_table("weight0_mod2.json")
-    for p in range(-p_max, p_max + 1):
-        for a in _A_RANGE:
-            direct = sigmacx.weight0(a, p, 2)
-            uct = tensor_Z2_group(sigmacx.weight0(a, p, 0)).direct_sum(
-                two_torsion_group(sigmacx.weight0(a + 1, p, 0)))
-            expected, source = table.lookup(a, p)
-            ok = direct == uct == expected
-            report.cells.append(CellResult(
-                f"(a={a}, p={p})", ok, direct.render(),
-                f"{expected.render()} / uct {uct.render()}", source))
-    return report
+    return _weight0_three_way(
+        "weight0-mod2", "weight0_mod2.json", 2, "uct",
+        lambda a, p: tensor_Z2_group(sigmacx.weight0(a, p, 0)).direct_sum(
+            two_torsion_group(sigmacx.weight0(a + 1, p, 0))), p_max)
 
 
 def _structural(suite: str, check: Callable, cases: Dict[str, tuple]) -> CheckReport:
@@ -163,8 +156,7 @@ def check_cone_tower(p_max: int = 7) -> CheckReport:
 
 def _compare_derived(report: CheckReport, weight: str, profile_name: str,
                      n_max: int, coeff: int, cones: tuple):
-    deriver = derive_weight1 if weight == "1" else derive_weight_sigma
-    closed = weight1_closed_form if weight == "1" else weight_sigma_closed_form
+    deriver, closed = DERIVED_WEIGHTS[weight]
     tables = deriver(profile_name, n_max, coeff=coeff)
     for cone in cones:
         table = tables[cone]
@@ -212,47 +204,35 @@ def check_weight_sigma_derived(n_max: int = 16) -> CheckReport:
 
 
 def check_qclosed_coincidence(n_max: int = 16) -> CheckReport:
-    """Over a quadratically closed field the mod-2 tables collapse to the point table."""
+    """Over a quadratically closed field the mod-2 tables collapse to the point
+    table and to each other, and integral weight 0 is the point table over
+    every field."""
     report = CheckReport("qclosed-coincidence")
-    profile = "quadratically_closed"
-    for weight, closed in (("1", weight1_closed_form), ("sigma", weight_sigma_closed_form)):
+    mod2 = {weight: partial(closed, coeff=2, profile="quadratically_closed")
+            for weight, (_, closed) in DERIVED_WEIGHTS.items()}
+    # (key, how far a runs past n_max, got, expected, citation)
+    comparisons = [(f"weight {weight}", 2, lambda a, p, f=f: _formal_as_exact(f(a, p)),
+                    partial(bredon_point_closed_form, coeff=2),
+                    "mod-2 coincidence with the point table") for weight, f in mod2.items()]
+    comparisons += [("weights " + " vs ".join(mod2), 2, *mod2.values(),
+                     "mod-2 coincidence of the two cones"),
+                    ("weight 0", 4, weight0_closed_form, bredon_point_closed_form,
+                     "weight-0 integral coincidence with the point table")]
+    for key, margin, got, expected, citation in comparisons:
         for p in range(-n_max, n_max + 1):
-            for a in range(-n_max - 2, n_max + 3):
-                formal = closed(a, p, coeff=2, profile=profile)
-                got = _formal_as_exact(formal)
-                expected = bredon_point_closed_form(a, p, 2)
-                report.cells.append(CellResult(
-                    f"weight {weight} (a={a}, p={p})", got == expected,
-                    got.render(), expected.render(),
-                    "mod-2 coincidence with the point table"))
-    # the two mod-2 tables also coincide with each other
-    for p in range(-n_max, n_max + 1):
-        for a in range(-n_max - 2, n_max + 3):
-            one = weight1_closed_form(a, p, coeff=2, profile=profile)
-            sig = weight_sigma_closed_form(a, p, coeff=2, profile=profile)
-            report.cells.append(CellResult(
-                f"weights 1 vs sigma (a={a}, p={p})", one == sig,
-                one.render(), sig.render(), "mod-2 coincidence of the two cones"))
-    # integral weight 0 coincides with the point table over every field
-    for p in range(-n_max, n_max + 1):
-        for a in range(-n_max - 4, n_max + 5):
-            got = weight0_closed_form(a, p, 0)
-            expected = bredon_point_closed_form(a, p, 0)
-            report.cells.append(CellResult(
-                f"weight 0 (a={a}, p={p})", got == expected,
-                got.render(), expected.render(),
-                "weight-0 integral coincidence with the point table"))
+            for a in range(-n_max - margin, n_max + margin + 1):
+                report.add(f"{key} (a={a}, p={p})", got(a, p), expected(a, p), citation)
     return report
 
 
 def check_corner_values() -> CheckReport:
     """The four diagonal corner values, integrally and mod 2."""
     report = CheckReport("corner-values")
+    modulus = {text: m for m, text in COEFF_TEXT.items()}
     for cell in load_cells("corner_values.json"):
-        coeff = 0 if cell["coeff"] == "Z" else 2
-        closed = weight1_closed_form if cell["weight"] == "1" else weight_sigma_closed_form
-        try:
-            got = closed(cell["a"], cell["p"], coeff=coeff)  # the general profile
+        closed = DERIVED_WEIGHTS[cell["weight"]][1]
+        try:  # the general profile
+            got = closed(cell["a"], cell["p"], coeff=modulus[cell["coeff"]])
         except TheoremRangeError as exc:  # a cell outside the table's stated range fails
             got = str(exc)
         report.add(f"{cell['weight']} (a={cell['a']}, p={cell['p']}, {cell['coeff']})",

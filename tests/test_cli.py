@@ -257,13 +257,22 @@ def replacing(*keys_and_value):
     ("corner_values.json", replacing("cells", 0, "kind", "exact"),
      ": cell 0 holds the key 'kind', which nothing reads; "
      "the keys read there are weight, a, p, coeff, group, source"),
+    # each of these used to run: weight 0 against the sign-weight table and Z/3
+    # as Z/2, both printing ok, and the unparsable group as a failed cell
+    ("corner_values.json", replacing("cells", 0, "weight", "0"),
+     ": cell 0 holds the weight '0'; use '1' or 'sigma'"),
+    ("corner_values.json", replacing("cells", 0, "coeff", "Z/3"),
+     ": cell 0 holds the coeff 'Z/3'; use 'Z' or 'Z/2'"),
+    ("corner_values.json", replacing("cells", 0, "group", "Z/2 +"),
+     ": cannot parse formal atom 'Z/2 +'"),
 ], ids=["rows-int", "rows-item-int", "cells-object", "table-list", "cells-int", "row-group-int",
         "row-when-int", "row-source-int", "range-int", "range-bound-int", "row-conditional-text",
         "cell-source-int", "cell-a-text", "table-int", "kind-int", "kind-cells",
         "cone-profiles-one-cone", "cone-profiles-unknown-name", "shift-profiles-int",
         "shift-profiles-text", "row-otherwise-int", "rows-empty", "table-coeff", "row-unknown-key",
         "catch-all-when", "conditional-unknown-key", "range-unknown-variable",
-        "cone-profiles-unknown-cone", "cells-kind", "cell-unknown-key"])
+        "cone-profiles-unknown-cone", "cells-kind", "cell-unknown-key", "cell-weight-0",
+        "cell-coeff-z3", "cell-group-unparsed"])
 def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monkeypatch,
                                                        name, edit, error):
     path = use_fixture_copy(tmp_path, monkeypatch, name, edit)

@@ -381,8 +381,7 @@ def fresh_memos():
     blocks and the complexes before and after a test, so that a planted block
     is certified and built afresh and leaves nothing behind."""
     memos = (sigmacx._orbit_rows, sigmacx._slot_blocks, sigmacx._slot_matrices,
-             sigmacx._coface_certificate, sigmacx._map_certificate, sigmacx._map_blocks,
-             build_sigma_complex)
+             sigmacx._map_certificate, sigmacx._map_blocks, build_sigma_complex)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -459,6 +458,18 @@ class TestCertificates:
 
         monkeypatch.setattr(sigmacx, "_orbit_rows", swapped)
         with pytest.raises(ComplexError, match="coface identity"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+
+    @pytest.mark.parametrize("n", [4, -4])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    @pytest.mark.parametrize("slot", [(1, 0), (2, 1), (3, 3)])
+    def test_one_flipped_koszul_sign_fails_the_build(self, monkeypatch, fresh_memos,
+                                                     n, orbit_type, slot):
+        original = sigmacx._koszul_sign
+        monkeypatch.setattr(sigmacx, "_koszul_sign",
+                            lambda j, idx: -original(j, idx) if (j, idx) == slot
+                            else original(j, idx))
+        with pytest.raises(ComplexError, match="Koszul signs of arity .* coface identity"):
             build_sigma_complex(SigmaSpec(n, orbit_type))
 
     @pytest.mark.parametrize("make,kind,src,tgt", [
