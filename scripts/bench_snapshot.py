@@ -23,6 +23,9 @@ every part in a fresh process, one at a time:
   with |p| <= DIGEST_SHIFT, fixed and free, and every component of tr, res
   and the flip at those shifts, each matrix by its name, its shape and its
   sorted ``items()``; equal digests mean byte-identical complexes and maps.
+  ``sha256_ordered`` hashes the same matrices with ``items()`` in stored
+  row order: the sorted digest cannot see the order of a row's keys, and
+  the pivot paths of a reduction (so U, V, f, g and induced maps) follow it.
 
 Every reach and check process also times the benchmark's calibration
 kernel, so the host's speed at that moment is on record next to the times.
@@ -163,7 +166,7 @@ def digest_once(repo: Path) -> dict:
     sys.path.insert(0, str(repo / "src"))
     from bredon import sigmacx
 
-    digest, matrices = hashlib.sha256(), 0
+    digest, ordered, matrices = hashlib.sha256(), hashlib.sha256(), 0
     for p in range(-DIGEST_SHIFT, DIGEST_SHIFT + 1):
         named = [(f"{orbit_type} {p} d^{k}", m)
                  for orbit_type in (sigmacx.FIXED, sigmacx.FREE)
@@ -175,9 +178,11 @@ def digest_once(repo: Path) -> dict:
                   for k, m in sorted(make(p).maps.items())]
         for name, m in named:
             digest.update(f"{name} {m.rows}x{m.cols} {sorted(m.items())}\n".encode())
+            ordered.update(f"{name} {m.rows}x{m.cols} {list(m.items())}\n".encode())
         matrices += len(named)
         sigmacx.build_sigma_complex.cache_clear()
-    return {"max_shift": DIGEST_SHIFT, "matrices": matrices, "sha256": digest.hexdigest()}
+    return {"max_shift": DIGEST_SHIFT, "matrices": matrices, "sha256": digest.hexdigest(),
+            "sha256_ordered": ordered.hexdigest()}
 
 
 def digest(repo: Path) -> dict:

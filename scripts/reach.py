@@ -57,7 +57,6 @@ ALLOWED = {
     "abgrp.kernel_lattice": _UNDER_TRACER,
     "abgrp.lattice_contains": _UNDER_TRACER,
     "abgrp._relations": _UNDER_TRACER,
-    "abgrp.IntegerMatrix.hstack": _UNDER_TRACER,
 }
 
 

@@ -40,9 +40,11 @@ class IntegerMatrix:
     differentials of the cycle complexes stay cheap.  The one keyed
     constructor takes ``data`` keyed by (row, column) inside the shape, as
     ``items()`` reads entries back; the one row-dict constructor,
-    ``from_row_dicts``, takes one dict per row; ``from_blocks`` places
-    matrices as the blocks of a larger one.  Zero-row and zero-column
-    matrices are first-class and represent maps to or from the zero group.
+    ``from_row_dicts``, takes one dict per row, unchecked; the one block
+    constructor, ``from_bands``, stacks bands of matrix blocks, checking
+    that each block fits its band, and assembles every block matrix.
+    Zero-row and zero-column matrices are first-class and represent maps
+    to or from the zero group.
 
     Matrices may share row dicts (a row slice does); no row dict is mutated
     once it belongs to a matrix, and the reduction engine works on copies.
@@ -86,21 +88,40 @@ class IntegerMatrix:
         return cls.from_row_dicts([{j: int(v) for j, v in enumerate(r) if v} for r in rows], c)
 
     @classmethod
-    def from_blocks(cls, row_sizes: Sequence[int], col_sizes: Sequence[int],
-                    blocks: dict) -> "IntegerMatrix":
-        """The block matrix whose block (r, c) is ``blocks[r, c]``, of shape
-        row_sizes[r] x col_sizes[c], or zero when it is not given.  Each row
-        lists its entries block by block from the left, each in its block's order.
+    def from_bands(cls, cols: int, bands: Iterable) -> "IntegerMatrix":
+        """The matrix of cols columns stacked from bands of rows.
+
+        Each band is (height, [(offset, block), ...]): height rows, with the
+        matrix block at columns offset .. offset + block.cols - 1 and zero
+        in the columns no block covers.  Each row lists its entries source
+        by source in the order given, each in its block's order.  A block
+        of another height, or one that starts before 0, ends past cols or
+        overlaps another block of its band, raises a one-line ValueError.
         """
-        if any((b.rows, b.cols) != (row_sizes[r], col_sizes[c]) for (r, c), b in blocks.items()):
-            raise ValueError("a block does not match its row and column sizes")
-        offsets = [sum(col_sizes[:c]) for c in range(len(col_sizes) + 1)]
-        out = []
-        for r, size in enumerate(row_sizes):
-            band = [(offsets[c], b._rows) for (s, c), b in sorted(blocks.items()) if s == r]
-            out.extend({off + j: v for off, rows in band for j, v in rows[i].items()}
-                       for i in range(size))
-        return cls.from_row_dicts(out, offsets[-1])
+        # id(block) -> (block, its rows as (column, value) pairs), read once
+        # per block; holding the block keeps its id from being reused
+        pairs: dict = {}
+        placed = []
+        for b, (height, sources) in enumerate(bands):
+            band, spans = [], []
+            for off, block in sources:
+                end = off + block.cols
+                if block.rows != height or off < 0 or end > cols:
+                    raise ValueError(f"band {b}: a block of height {block.rows} at columns "
+                                     f"{off}..{end - 1} does not fit height {height} and "
+                                     f"columns 0..{cols - 1}")
+                held = pairs.get(id(block))
+                if held is None:
+                    held = pairs[id(block)] = block, [tuple(row.items()) for row in block._rows]
+                band.append((off, held[1]))
+                spans.append((off, end))
+            spans.sort()
+            for (_, end), (later, _) in zip(spans, spans[1:]):
+                if later < end:
+                    raise ValueError(f"band {b}: two blocks overlap at column {later}")
+            placed.append((height, band))
+        return cls.from_row_dicts([{off + j: v for off, rows in band for j, v in rows[i]}
+                                   for height, band in placed for i in range(height)], cols)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "IntegerMatrix":
@@ -169,14 +190,6 @@ class IntegerMatrix:
             return IntegerMatrix.zeros(self.rows, self.cols)
         return IntegerMatrix.from_row_dicts(
             [{j: c * v for j, v in row.items()} for row in self._rows], self.cols)
-
-    def hstack(self, other: "IntegerMatrix") -> "IntegerMatrix":
-        if self.rows != other.rows:
-            raise ValueError("row mismatch in hstack")
-        c = self.cols
-        return IntegerMatrix.from_row_dicts(
-            [left | {j + c: v for j, v in right.items()}
-             for left, right in zip(self._rows, other._rows)], c + other.cols)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntegerMatrix):
@@ -918,10 +931,12 @@ def map_on_cohomology(f: IntegerMatrix, source: CohomologyPresentation,
          for row, o in zip(m._rows, target.orders)], m.cols)
 
 
-def _relations(orders: tuple) -> IntegerMatrix:
-    """The relation matrix of Z^s / diag(orders), orders[i] = 0 marking a free generator."""
+def _relations(f: IntegerMatrix, orders: tuple) -> IntegerMatrix:
+    """[f | R], with R the relation matrix of Z^s / diag(orders), orders[i] = 0
+    marking a free generator."""
     cols = [i for i, o in enumerate(orders) if o]
-    return IntegerMatrix(len(orders), len(cols), {(i, t): orders[i] for t, i in enumerate(cols)})
+    r = IntegerMatrix(len(orders), len(cols), {(i, t): orders[i] for t, i in enumerate(cols)})
+    return IntegerMatrix.from_bands(f.cols + r.cols, [(len(orders), [(0, f), (f.cols, r)])])
 
 
 def kernel_lattice(f: IntegerMatrix, source: tuple, target: tuple) -> IntegerMatrix:
@@ -930,9 +945,8 @@ def kernel_lattice(f: IntegerMatrix, source: tuple, target: tuple) -> IntegerMat
     Here and below a group is given by its ``orders``, as presented by
     ``CohomologyPresentation``.
     """
-    k = kernel_basis(f.hstack(_relations(target)))
-    top = IntegerMatrix.from_row_dicts(k._rows[:len(source)], k.cols)
-    return top.hstack(_relations(source))
+    k = kernel_basis(_relations(f, target))
+    return _relations(IntegerMatrix.from_row_dicts(k._rows[:len(source)], k.cols), source)
 
 
 def lattice_contains(generators: IntegerMatrix, vectors: IntegerMatrix) -> bool:
@@ -943,7 +957,7 @@ def is_exact_at(f1: IntegerMatrix, f2: IntegerMatrix, b: tuple, c: tuple) -> boo
     """Exactness of A --f1--> B --f2--> C at B (image = kernel)."""
     if not map_is_zero(f2 @ f1, c):
         return False
-    return lattice_contains(f1.hstack(_relations(b)), kernel_lattice(f2, b, c))
+    return lattice_contains(_relations(f1, b), kernel_lattice(f2, b, c))
 
 
 def map_is_zero(f: IntegerMatrix, target: tuple) -> bool:
@@ -952,11 +966,12 @@ def map_is_zero(f: IntegerMatrix, target: tuple) -> bool:
 
 
 def map_is_injective(f: IntegerMatrix, source: tuple, target: tuple) -> bool:
-    return lattice_contains(_relations(source), kernel_lattice(f, source, target))
+    return lattice_contains(_relations(IntegerMatrix.zeros(len(source), 0), source),
+                            kernel_lattice(f, source, target))
 
 
 def map_is_surjective(f: IntegerMatrix, target: tuple) -> bool:
-    return lattice_contains(f.hstack(_relations(target)), IntegerMatrix.identity(len(target)))
+    return lattice_contains(_relations(f, target), IntegerMatrix.identity(len(target)))
 
 
 def map_is_multiplication_by(f: IntegerMatrix, n: int, source: tuple, target: tuple) -> bool:

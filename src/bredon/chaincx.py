@@ -355,17 +355,17 @@ def cone(f: ChainMap) -> CochainComplex:
         comps[d] = comps.get(d, 0) + r
     for d, r in s.components.items():
         comps[d - 1] = comps.get(d - 1, 0) + r
-    diffs = {d: IntegerMatrix.from_blocks(
-        [t.rank(d + 1), s.rank(d + 2)], [t.rank(d), s.rank(d + 1)],
-        {(0, 0): t.differential(d), (0, 1): f.component(d + 1), (1, 1): -s.differential(d + 1)})
+    diffs = {d: IntegerMatrix.from_bands(comps[d], [
+        (t.rank(d + 1), [(0, t.differential(d)), (t.rank(d), f.component(d + 1))]),
+        (s.rank(d + 2), [(t.rank(d), -s.differential(d + 1))])])
         for d in sorted(comps)}
     return CochainComplex._certified(comps, diffs) if f._chain else CochainComplex(comps, diffs)
 
 
 def cone_inclusion(f: ChainMap, c: CochainComplex) -> ChainMap:
     """The inclusion target -> cone(f) (identity onto the first block)."""
-    maps = {d: IntegerMatrix.from_blocks([r, f.source.rank(d + 1)], [r],
-                                         {(0, 0): IntegerMatrix.identity(r)})
+    maps = {d: IntegerMatrix.from_bands(r, [(r, [(0, IntegerMatrix.identity(r))]),
+                                            (f.source.rank(d + 1), [])])
             for d, r in f.target.components.items()}
     return ChainMap(f.target, c, maps, check=False)
 
@@ -375,8 +375,8 @@ def cone_projection(f: ChainMap, c: CochainComplex) -> ChainMap:
     maps = {}
     for d in c.components:
         r = f.source.rank(d + 1)
-        maps[d] = IntegerMatrix.from_blocks([r], [f.target.rank(d), r],
-                                            {(0, 1): IntegerMatrix.identity(r)})
+        t = f.target.rank(d)
+        maps[d] = IntegerMatrix.from_bands(t + r, [(r, [(t, IntegerMatrix.identity(r))])])
     return ChainMap(c, f.source.shift(1), maps, check=False)
 
 

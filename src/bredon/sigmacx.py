@@ -5,7 +5,7 @@ a j-fold product of free orbits, taken at a point, have a basis indexed by
 orbits of the flip action on bit strings {0,1}^j (the class of v is {v, v~}
 with v~ the complement); at the free orbit one extra coordinate is appended.
 
-Every map between these bases follows one cycle rule (``_orbit_rows``): a
+Every map between these bases follows one cycle rule (``_orbit_block``): a
 class is the cycle {v, v~}, or the single point () for the fixed arity-0
 class; carry each point along a map of points, or take both of its lifts for
 a pullback, and the coefficient of a target class is the number of images
@@ -19,9 +19,11 @@ canonical bit string, so each rule (and the cone identification) is a shift
 and a mask.  A component of arity j is laid out subset by subset, in the
 lexicographic order of ``_subset_index``, the subset of rank k at column
 k times the number of arity-j classes.  Each block is built once per
-process and kept as nested tuples; each row of a complex or map is written
-once, from its (offset, signed block) sources, listing its columns in the
-order the blocks meet them.
+process, as an ``IntegerMatrix``, and every complex or map is assembled by
+the one block constructor, ``IntegerMatrix.from_bands``, from its (offset,
+signed block) sources: each row is written once, listing its columns in
+the order the blocks meet them, and a block that ends past its component
+or overlaps another is refused.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -102,7 +104,7 @@ def _arity_size(j: int, orbit_type: str) -> int:
 
 
 @lru_cache(maxsize=None)
-def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]):
+def _orbit_block(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]) -> IntegerMatrix:
     """The block of a map of orbit classes, from the arity and type src to tgt.
 
     A point of width w is its bit string read as an integer, coordinate 0
@@ -113,9 +115,9 @@ def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str])
     point of the fixed arity-0 class.  A push (or the transfer, at the free
     bit) deletes the coordinate at pos, a pull (or the restriction) inserts
     both values of it, and the flip complements the free bit.  The
-    coefficient of a target class is the number of images equal to it.
-    Returns, per target class, its (column, coefficient) pairs in ascending
-    column order; the memo is immutable.
+    coefficient of a target class is the number of images equal to it, and
+    each row lists its columns in ascending order.  Memoised, so once per
+    process; the matrix is never mutated.
     """
     width, cols = _width(*src), range(_arity_size(*src))
     full, half = (1 << width) - 1, _arity_size(*tgt)   # a target point q is canonical iff q < half
@@ -134,7 +136,7 @@ def _orbit_rows(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str])
         if q < half:
             row = rows[q]
             row[col] = row.get(col, 0) + 1
-    return tuple(tuple(row.items()) for row in rows)
+    return IntegerMatrix.from_row_dicts(rows, len(cols))
 
 
 def _subset_index(m: int, j: int) -> Dict[Tuple[int, ...], int]:
@@ -142,35 +144,6 @@ def _subset_index(m: int, j: int) -> Dict[Tuple[int, ...], int]:
     In a component of arity j, the block of a subset of rank k starts at
     column k * _arity_size(j, orbit_type)."""
     return {s: k for k, s in enumerate(combinations(range(1, m + 1), j))}
-
-
-def _checked_block(block, rows: int, cols: int, what: str):
-    """block, after checking that it has rows rows and its columns lie in
-    range(cols); raises ComplexError."""
-    if len(block) != rows or not all(0 <= c < cols for row in block for c, _ in row):
-        raise ComplexError(f"the {what} block does not fit its {rows} x {cols} shape")
-    return block
-
-
-@lru_cache(maxsize=None)
-def _slot_blocks(kind: str, j: int, orbit_type: str) -> tuple:
-    """The blocks of the differential between arities j + 1 and j, one per
-    slot idx = 0..j of the larger subset: a push from arity j + 1 to j, or a
-    pull from j to j + 1, deleting or inserting the coordinate first + idx,
-    where the free orbit's first coordinate is its free bit.  Each is checked
-    to fit its shape; memoised, so once per process."""
-    first = 1 if orbit_type == FREE else 0
-    upper, lower = (j + 1, orbit_type), (j, orbit_type)
-    ends = (upper, lower) if kind == "push" else (lower, upper)
-    rows, cols = _arity_size(*ends[1]), _arity_size(*ends[0])
-    return tuple(_checked_block(_orbit_rows(kind, first + idx, *ends), rows, cols,
-                                f"{kind} slot {idx} between arities {j} and {j + 1} ({orbit_type})")
-                 for idx in range(j + 1))
-
-
-def _as_matrix(block, cols: int) -> IntegerMatrix:
-    """A block in the form of ``_orbit_rows`` as a fresh IntegerMatrix."""
-    return IntegerMatrix.from_row_dicts([dict(row) for row in block], cols)
 
 
 def _koszul_sign(j: int, idx: int) -> int:
@@ -181,10 +154,14 @@ def _koszul_sign(j: int, idx: int) -> int:
 
 @lru_cache(maxsize=None)
 def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, ...]:
-    """``_slot_blocks`` as matrices, after certifying the coface identity
-    through arity k = j + 1 against ``_slot_matrices(kind, j - 1)``, which
-    certifies the arities below; raises ComplexError.  Memoised, so each block
-    is converted and each arity certified once per process.
+    """The blocks of the differential between arities j + 1 and j, one per
+    slot idx = 0..j of the larger subset: a push from arity j + 1 to j, or a
+    pull from j to j + 1, deleting or inserting the coordinate first + idx,
+    where the free orbit's first coordinate is its free bit.  Each block is
+    checked to fit its shape, and the coface identity through arity
+    k = j + 1 is certified against ``_slot_matrices(kind, j - 1)``, which
+    certifies the arities below; raises ComplexError.  Memoised, so each
+    arity is certified once per process.
 
     With D_i the push deleting slot i (or the pull inserting it), the blocks
     of the two differentials between arities k and k - 2 must satisfy, for
@@ -197,8 +174,15 @@ def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, .
     Homological Algebra*, section 8.1), and their Koszul signs must be
     opposite: sign(k - 2, a) sign(k - 1, c) = -sign(k - 2, c - 1) sign(k - 1, a).
     """
-    cols = _arity_size(j + 1 if kind == "push" else j, orbit_type)
-    high = tuple(_as_matrix(block, cols) for block in _slot_blocks(kind, j, orbit_type))
+    first = 1 if orbit_type == FREE else 0
+    upper, lower = (j + 1, orbit_type), (j, orbit_type)
+    ends = (upper, lower) if kind == "push" else (lower, upper)
+    rows, cols = _arity_size(*ends[1]), _arity_size(*ends[0])
+    high = tuple(_orbit_block(kind, first + idx, *ends) for idx in range(j + 1))
+    for idx, block in enumerate(high):
+        if (block.rows, block.cols) != (rows, cols):
+            raise ComplexError(f"the {kind} slot {idx} block between arities {j} and {j + 1} "
+                               f"({orbit_type}) does not fit its {rows} x {cols} shape")
     low = _slot_matrices(kind, j - 1, orbit_type) if j else ()
     for a, c in combinations(range(j + 1), 2):
         if kind == "push":
@@ -237,15 +221,17 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     transpose of the same argument.  So once each arity 2..|n| is certified,
     the complex is built without ``validate``.
     The blocks land where the lemma puts them: the subset of rank k in
-    ``_subset_index`` starts at column k * _arity_size(j), by construction,
-    each block is checked at build to fit its shape (``_checked_block``), and
-    each (offset, block) source to end within its component, so every entry
-    lies in its subset's block and no two blocks overlap.
+    ``_subset_index`` starts at column k * _arity_size(j), by construction;
+    ``_slot_matrices`` checks that each block fits its shape, and
+    ``IntegerMatrix.from_bands`` that no block ends past its component or
+    overlaps another in its band, so every entry lies in its subset's block.
 
-    Each row is written once, from its (offset, signed block) sources: for a
-    push, the row of a class of S gathers the supersets T of S in
-    lexicographic order; for a pull, the row of a class of T gathers its
-    slots 0..j.  Its columns are listed in that order.
+    Each differential is one ``from_bands`` call, one band per subset of
+    the rows' arity, each with its (offset, signed block) sources: for a
+    push, the band of S gathers the supersets T of S in lexicographic
+    order; for a pull, the band of T gathers its slots 0..j.  Each row
+    lists its columns in that order.  A block the constructor refuses
+    raises ComplexError, naming the differential.
 
     >>> build_sigma_complex(SigmaSpec(1)).differential(-1).to_rows()
     [[2]]
@@ -268,29 +254,25 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
         # d joins arity j + 1 and arity j, slot idx with its Koszul sign
         smalls, bigs = _subset_index(m, j), _subset_index(m, j + 1)
         small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
-        blocks = [block if _koszul_sign(j, idx) == 1 else tuple(tuple((c, -v) for c, v in row)
-                                                                for row in block)
-                  for idx, block in enumerate(_slot_blocks(kind, j, orbit_type))]
+        blocks = [block if _koszul_sign(j, idx) == 1 else -block
+                  for idx, block in enumerate(_slot_matrices(kind, j, orbit_type))]
         if push:
             sources = [[] for _ in smalls]
             for big, k in bigs.items():
                 for idx, block in enumerate(blocks):
                     sources[smalls[big[:idx] + big[idx + 1:]]].append((k * big_size, block))
-            size = small_size
+            height = small_size
         else:
             sources = [[(smalls[big[:idx] + big[idx + 1:]] * small_size, block)
                         for idx, block in enumerate(blocks)] for big in bigs]
-            size = big_size
+            height = big_size
         src = -(j + 1) if push else j
-        # each block's columns lie in range(width), so a source whose block
-        # ends past the component would write a column the matrix lacks
-        last = comps[src] - (big_size if push else small_size)
-        if max([off for pairs in sources for off, _ in pairs]) > last:
-            raise ComplexError(f"a block of the differential from degree {src} ends past its "
-                               f"{comps[src]} columns")
-        rows = [{off + c: v for off, block in pairs for c, v in block[r]}
-                for pairs in sources for r in range(size)]
-        diffs[src] = IntegerMatrix.from_row_dicts(rows, comps[src])
+        try:
+            diffs[src] = IntegerMatrix.from_bands(comps[src], [(height, pairs)
+                                                               for pairs in sources])
+        except ValueError as exc:
+            raise ComplexError(f"the differential from degree {src} of shift {n} "
+                               f"({orbit_type}): {exc}") from None
     return CochainComplex._certified(comps, diffs)
 
 
@@ -319,24 +301,21 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # Transfer and restriction
 # ---------------------------------------------------------------------------
 
-def _map_block(kind: str, j: int, src_type: str, tgt_type: str):
-    """The orbit block of tr, res or the flip at arity j, checked to fit its shape."""
-    return _checked_block(_orbit_rows(kind, 0, (j, src_type), (j, tgt_type)),
-                          _arity_size(j, tgt_type), _arity_size(j, src_type),
-                          f"{kind} arity {j}")
-
-
 @lru_cache(maxsize=None)
 def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind: str) -> bool:
-    """The orbit block of kind commutes with every slot block between arities
-    j and j + 1; raises ComplexError.
+    """The orbit blocks of kind at arities j and j + 1 fit their shapes and
+    commute with every slot block between them; raises ComplexError.
 
     With phi_i the block of kind at arity i and D_idx, D'_idx the slot blocks
     of the source and target type: phi_j D_idx = D'_idx phi_(j+1) for a push,
     phi_(j+1) D_idx = D'_idx phi_j for a pull.  Memoised per arity.
     """
-    lo, hi = (_as_matrix(_map_block(kind, i, src_type, tgt_type), _arity_size(i, src_type))
-              for i in (j, j + 1))
+    lo, hi = (_orbit_block(kind, 0, (i, src_type), (i, tgt_type)) for i in (j, j + 1))
+    for i, block in ((j, lo), (j + 1, hi)):
+        rows, cols = _arity_size(i, tgt_type), _arity_size(i, src_type)
+        if (block.rows, block.cols) != (rows, cols):
+            raise ComplexError(f"the {kind} block of arity {i} does not fit its {rows} x {cols} "
+                               f"shape")
     pairs = zip(_slot_matrices(diff_kind, j, src_type), _slot_matrices(diff_kind, j, tgt_type))
     for idx, (d_src, d_tgt) in enumerate(pairs):
         if diff_kind == "push":
@@ -380,10 +359,10 @@ def _map_blocks(kind: str, m: int, src_type: str, tgt_type: str) -> Tuple[Intege
     since only their degrees differ; memoised, and never mutated."""
     out = []
     for j in range(m + 1):
-        size, block = _arity_size(j, src_type), _map_block(kind, j, src_type, tgt_type)
+        block, size = _orbit_block(kind, 0, (j, src_type), (j, tgt_type)), _arity_size(j, src_type)
         cols = comb(m, j) * size
-        out.append(IntegerMatrix.from_row_dicts(
-            [{off + c: v for c, v in row} for off in range(0, cols, size) for row in block], cols))
+        out.append(IntegerMatrix.from_bands(cols, [(_arity_size(j, tgt_type), [(off, block)])
+                                                   for off in range(0, cols, size)]))
     return tuple(out)
 
 

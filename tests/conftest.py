@@ -64,15 +64,18 @@ def tensor(c: chaincx.CochainComplex, d: chaincx.CochainComplex) -> chaincx.Coch
     diffs = {}
     for n in sorted(blocks):
         at = {pq: r for r, pq in enumerate(blocks.get(n + 1, []))}
-        parts = {}
-        for k, (p, q) in enumerate(blocks[n]):
+        bands = [(size, []) for size in sizes.get(n + 1, [])]
+        off = 0
+        for (p, q), size in zip(blocks[n], sizes[n]):
             dc, dd = c.differentials.get(p), d.differentials.get(q)
             if dc is not None:
-                parts[at[p + 1, q], k] = kron(dc, abgrp.IntegerMatrix.identity(d.rank(q)))
+                bands[at[p + 1, q]][1].append(
+                    (off, kron(dc, abgrp.IntegerMatrix.identity(d.rank(q)))))
             if dd is not None:
                 ones = abgrp.IntegerMatrix.identity(c.rank(p))
-                parts[at[p, q + 1], k] = kron(ones, -dd if p % 2 else dd)
-        diffs[n] = abgrp.IntegerMatrix.from_blocks(sizes.get(n + 1, []), sizes[n], parts)
+                bands[at[p, q + 1]][1].append((off, kron(ones, -dd if p % 2 else dd)))
+            off += size
+        diffs[n] = abgrp.IntegerMatrix.from_bands(off, bands)
     return chaincx.CochainComplex({n: sum(s) for n, s in sizes.items()}, diffs)
 
 

@@ -518,14 +518,20 @@ class TestMatrixAlgebraAgainstDenseOracle:
             k = rng.randint(0, 4)
             z = dense(rng, r, k)
             zm = IntegerMatrix.from_rows(z, cols=k)
-            h = a.hstack(zm)
+            h = IntegerMatrix.from_bands(c + k, [(r, [(0, a), (c, zm)])])
             assert (h.rows, h.cols) == (r, c + k)
             assert h.to_rows() == [p + q for p, q in zip(x, z)]
             # [[a, z], [0, z]] with the zero block left out, then no blocks at all
-            blocks = IntegerMatrix.from_blocks([r, r], [c, k], {(0, 1): zm, (1, 1): zm, (0, 0): a})
+            blocks = IntegerMatrix.from_bands(c + k, [(r, [(0, a), (c, zm)]), (r, [(c, zm)])])
             assert blocks.to_rows() == h.to_rows() + [[0] * c + q for q in z]
             assert list(blocks.items()) == sorted(blocks.items())  # blocks in column order
-            assert IntegerMatrix.from_blocks([r, k], [c, 0], {}) == IntegerMatrix.zeros(r + k, c)
+            assert IntegerMatrix.from_bands(c, [(r, []), (k, [])]) == IntegerMatrix.zeros(r + k, c)
+            # each row lists its entries source by source, in the order given
+            swapped = IntegerMatrix.from_bands(c + k, [(r, [(c, zm), (0, a)])])
+            assert swapped == h
+            assert list(swapped.items()) == [((i, j), v) for i in range(r) for j, v in
+                                             [*((c + j, v) for j, v in enumerate(z[i]) if v),
+                                              *((j, v) for j, v in enumerate(x[i]) if v)]]
             # the Kronecker oracle of the tests' tensor product
             product = kron(a, zm)
             assert (product.rows, product.cols) == (r * r, c * k)
@@ -595,11 +601,29 @@ class TestMatrixAlgebraAgainstDenseOracle:
     def test_shape_errors(self):
         a = IntegerMatrix.zeros(2, 3)
         for bad in (lambda: a @ a, lambda: a + IntegerMatrix.zeros(3, 2),
-                    lambda: a.hstack(IntegerMatrix.zeros(3, 1)),
-                    lambda: IntegerMatrix.from_rows([[1, 2], [3]]),
-                    lambda: IntegerMatrix.from_blocks([2], [2], {(0, 0): a})):
+                    lambda: IntegerMatrix.from_rows([[1, 2], [3]])):
             with pytest.raises(ValueError):
                 bad()
+
+    @pytest.mark.parametrize("bands, message", [
+        ([(2, [(0, IntegerMatrix.zeros(3, 1))])],
+         "band 0: a block of height 3 at columns 0..0 does not fit height 2 and columns 0..3"),
+        ([(1, []), (2, [(-1, IntegerMatrix.identity(2))])],
+         "band 1: a block of height 2 at columns -1..0 does not fit height 2 and columns 0..3"),
+        ([(2, [(3, IntegerMatrix.identity(2))])],
+         "band 0: a block of height 2 at columns 3..4 does not fit height 2 and columns 0..3"),
+        ([(2, [(0, IntegerMatrix.identity(2)), (1, IntegerMatrix.identity(2))])],
+         "band 0: two blocks overlap at column 1"),
+        ([(2, [(2, IntegerMatrix.identity(2)), (0, IntegerMatrix.zeros(2, 3))])],
+         "band 0: two blocks overlap at column 2"),
+    ])
+    def test_from_bands_refuses_a_block_that_does_not_fit(self, bands, message):
+        # a block of the wrong height, one that starts before column 0, one
+        # that ends past the last column and two that overlap, the second
+        # pair given right to left
+        with pytest.raises(ValueError) as err:
+            IntegerMatrix.from_bands(4, bands)
+        assert str(err.value) == message
 
     def test_from_rows_refuses_cols_that_disagree_with_its_rows(self):
         # this used to return a 1x2 matrix

@@ -1,5 +1,7 @@
 """Orbit combinatorics, the shift complexes, and the structural checks."""
 
+import gc
+import re
 from itertools import combinations, product
 
 import pytest
@@ -57,7 +59,7 @@ ZERO = FgAbelianGroup.zero()
 # single point for the fixed arity-0 class.  Pushing forward (or pulling
 # back) the cycle gives a multiset of points, and the coefficient of a basis
 # class in that multiset is the multiplicity of its canonical representative.
-# This is the rule sigmacx._orbit_rows implements; the tensor-power oracle
+# This is the rule sigmacx._orbit_block implements; the tensor-power oracle
 # below checks it independently.  The basis labels are the classes' canonical
 # representatives as tuples, enumerated bit by bit, independently of the
 # integer codes of sigmacx.
@@ -168,17 +170,10 @@ class TestOrbitBasis:
 
 def orbit_block(kind, j, index, orbit_type):
     """The push from arity j to j - 1, or the pull from j - 1 to j, at the
-    1-based coordinate index, read from the memoised rows of sigmacx."""
+    1-based coordinate index: the memoised block of sigmacx."""
     big, small = (j, orbit_type), (j - 1, orbit_type)
     src, tgt = (big, small) if kind == "push" else (small, big)
-    return memoised_block(kind, index - 1 + (1 if orbit_type == FREE else 0), src, tgt)
-
-
-def memoised_block(kind, pos, src, tgt):
-    """sigmacx's memoised rows of a block as a matrix, each row in their order."""
-    rows = sigmacx._orbit_rows(kind, pos, src, tgt)
-    return IntegerMatrix(len(rows), len(reference_basis(*src)),
-                         {(i, c): v for i, row in enumerate(rows) for c, v in row})
+    return sigmacx._orbit_block(kind, index - 1 + (1 if orbit_type == FREE else 0), src, tgt)
 
 
 class TestPushPull:
@@ -307,8 +302,8 @@ class TestMapBlocks:
             for j in range(sigmacx.SHIFT_BOUND + 1):
                 want = reference_block(reference_basis(j, src_type),
                                        reference_basis(j, tgt_type), image)
-                assert_same_rows(memoised_block(kind, 0, (j, src_type), (j, tgt_type)), want,
-                                 (kind, j))
+                assert_same_rows(sigmacx._orbit_block(kind, 0, (j, src_type), (j, tgt_type)),
+                                 want, (kind, j))
 
 
 class TestFastAssembly:
@@ -335,13 +330,18 @@ class TestFastAssembly:
                     assert_same_rows(f.component(d), a, (p, k, d))
 
 
-def _frozen(value):
-    return isinstance(value, (int, str)) or (
-        isinstance(value, tuple) and all(_frozen(x) for x in value))
+def _row_dicts(matrix):
+    """The dicts that a matrix holds, one per row, found through the garbage
+    collector so that the test does not read abgrp's private layout."""
+    held = [d for value in gc.get_referents(matrix) if isinstance(value, list)
+            for d in value if isinstance(d, dict)]
+    assert len(held) == matrix.rows
+    return held
 
 
 class TestOrbitMemo:
-    """Every caller gets fresh lists, and the memos hold nothing a caller could mutate."""
+    """Every caller gets fresh lists, and no matrix a caller gets shares a row
+    with a memoised block."""
 
     def test_mutating_results_changes_nothing_later(self):
         perms = cone_identification(3)
@@ -362,17 +362,22 @@ class TestOrbitMemo:
             assert_same_rows(involution_map(3).component(d), a, d)
 
     def test_memoised_values_are_immutable(self):
-        build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED))
-        transfer_map(-3)
-        assert sigmacx._orbit_rows.cache_info().currsize > 0
-        for kind, pos, src, tgt in (("push", 0, (4, FIXED), (3, FIXED)),
-                                    ("pull", 1, (2, FREE), (3, FREE)),
-                                    ("tr", 0, (3, FREE), (3, FIXED)),
-                                    ("res", 0, (3, FIXED), (3, FREE)),
-                                    ("flip", 0, (3, FREE), (3, FREE))):
-            assert _frozen(sigmacx._orbit_rows(kind, pos, src, tgt)), kind
-        for kind, j, orbit_type in (("push", 3, FIXED), ("pull", 2, FREE)):
-            assert _frozen(sigmacx._slot_blocks(kind, j, orbit_type)), kind
+        # every assembled matrix writes fresh rows, so no caller can reach a
+        # row of a memoised block through a complex, a map or a cone
+        assembled = [d for c in (build_sigma_complex.__wrapped__(SigmaSpec(4, FIXED)),
+                                 build_sigma_complex.__wrapped__(SigmaSpec(-3, FREE)),
+                                 cone(transfer_map(3)))
+                     for d in c.differentials.values()]
+        for make in (transfer_map, restriction_map, involution_map):
+            assembled += [*make(3).maps.values(), *make(-3).maps.values()]
+        memoised = [block for kind, j, orbit_type in (("push", 3, FIXED), ("pull", 2, FREE),
+                                                      ("push", 2, FREE))
+                    for block in sigmacx._slot_matrices(kind, j, orbit_type)]
+        memoised += [sigmacx._orbit_block(kind, 0, (j, src), (j, tgt))
+                     for kind, src, tgt, _ in MAP_IMAGES for j in range(4)]
+        assert sigmacx._orbit_block.cache_info().currsize >= len(memoised)
+        rows = {id(row) for block in memoised for row in _row_dicts(block)}
+        assert not any(id(row) in rows for a in assembled for row in _row_dicts(a))
 
 
 @pytest.fixture
@@ -380,8 +385,8 @@ def fresh_memos():
     """Empty the orbit blocks, their matrices, the certificates, the map
     blocks and the complexes before and after a test, so that a planted block
     is certified and built afresh and leaves nothing behind."""
-    memos = (sigmacx._orbit_rows, sigmacx._slot_blocks, sigmacx._slot_matrices,
-             sigmacx._map_certificate, sigmacx._map_blocks, build_sigma_complex)
+    memos = (sigmacx._orbit_block, sigmacx._slot_matrices, sigmacx._map_certificate,
+             sigmacx._map_blocks, build_sigma_complex)
     for memo in memos:
         memo.cache_clear()
     yield
@@ -391,17 +396,17 @@ def fresh_memos():
 
 def _plant(monkeypatch, key, change):
     """Serve change(block) for the orbit block of key, every other block as it is."""
-    original = sigmacx._orbit_rows
+    original = sigmacx._orbit_block
 
     def planted(*args):
         return change(original(*args)) if args == key else original(*args)
 
-    monkeypatch.setattr(sigmacx, "_orbit_rows", planted)
+    monkeypatch.setattr(sigmacx, "_orbit_block", planted)
 
 
 def _bump_first_entry(block):
-    (col, value), *rest = block[0]
-    return (((col, value + 1), *rest),) + block[1:]
+    (first, value), *rest = block.items()
+    return IntegerMatrix(block.rows, block.cols, {first: value + 1, **dict(rest)})
 
 
 class TestCertificates:
@@ -448,7 +453,7 @@ class TestCertificates:
         first = 1 if orbit_type == FREE else 0
         ends = ((4, orbit_type), (3, orbit_type))
         ends = ends if kind == "push" else ends[::-1]
-        original = sigmacx._orbit_rows
+        original = sigmacx._orbit_block
         swap = {first: first + 2, first + 2: first}
 
         def swapped(k, pos, src, tgt):
@@ -456,7 +461,7 @@ class TestCertificates:
                 pos = swap.get(pos, pos)
             return original(k, pos, src, tgt)
 
-        monkeypatch.setattr(sigmacx, "_orbit_rows", swapped)
+        monkeypatch.setattr(sigmacx, "_orbit_block", swapped)
         with pytest.raises(ComplexError, match="coface identity"):
             build_sigma_complex(SigmaSpec(n, orbit_type))
 
@@ -486,12 +491,12 @@ class TestCertificates:
                                      ("pull", 2, (2, FREE), (3, FREE)),
                                      ("res", 0, (2, FIXED), (2, FREE))])
     def test_a_block_outside_its_shape_fails(self, monkeypatch, capsys, fresh_memos, key):
-        # a column past the block's width fails the shape check before a
-        # certificate's product or the assembly reads it: a one-line error,
-        # not an IndexError from a later sweep
+        # an entry 64 columns past the block's width, the block widened to
+        # hold it, fails the shape check before a certificate's product or
+        # the assembly reads it: a one-line error, not a shape mismatch
         def widened(block):
-            (col, value), *rest = block[-1]
-            return block[:-1] + (((col + 64, value), *rest),)
+            return IntegerMatrix(block.rows, block.cols + 64,
+                                 {**dict(block.items()), (block.rows - 1, block.cols + 63): 1})
 
         _plant(monkeypatch, key, widened)
         make = {"push": lambda: build_sigma_complex(SigmaSpec(4, FIXED)),
@@ -517,12 +522,40 @@ class TestCertificates:
             return {s: k + (j == 2 and k > 0) for s, k in ranks.items()}
 
         monkeypatch.setattr(sigmacx, "_subset_index", shifted)
-        with pytest.raises(ComplexError, match="ends past its"):
+        last = {4: "band 2: a block of height 1 at columns 12..13 does not fit height 1 "
+                   "and columns 0..11",
+                -4: "band 2: a block of height 8 at columns 24..27 does not fit height 8 "
+                    "and columns 0..23"}[n]
+        degree = -2 if n > 0 else 2
+        with pytest.raises(ComplexError, match=f"^the differential from degree {degree} of "
+                                               f"shift {n} .*: {re.escape(last)}$"):
             build_sigma_complex(SigmaSpec(n, orbit_type))
         if n > 0:
             assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("bredon: error: a block of the differential") \
+            assert err.startswith("bredon: error: the differential from degree -2") \
+                and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, orbit_type", [(4, FIXED), (-4, FREE)])
+    def test_two_subsets_at_one_rank_fail_the_build(self, monkeypatch, capsys, fresh_memos,
+                                                    n, orbit_type):
+        # the second arity-2 subset given the rank of the first: every block
+        # fits its shape and ends within its component, but two blocks of a
+        # band overlap; unchecked, the build wrote one over the other and
+        # the complex had d.d != 0
+        original = sigmacx._subset_index
+
+        def shared(m, j):
+            ranks = original(m, j)
+            return {s: k - (j == 2 and k == 1) for s, k in ranks.items()}
+
+        monkeypatch.setattr(sigmacx, "_subset_index", shared)
+        with pytest.raises(ComplexError, match="overlap"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+        if n > 0:
+            assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("bredon: error: the differential from degree -2") \
                 and err.count("\n") == 1
 
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
