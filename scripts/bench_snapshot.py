@@ -58,9 +58,11 @@ WORKLOADS = ("weight0-grid", "free-orbit", "chain-maps", "derive")
 REACH = ((10, "fixed"), (10, "free"), (11, "fixed"), (11, "free"), (12, "fixed"), (12, "free"))
 SEED, SECONDS = 7, 10.0   # of each bench/run.py run
 REPEAT = 3                # fresh processes per reach or check row
-# (suites, option, value) of each check row; the last is the derived suites'
-# step of the tier-1 workflow
+# (suites, option, value) of each check row: the group suites run in one
+# process, where every shift meets its twin; the last is the derived
+# suites' step of the tier-1 workflow
 CHECKS = (("cone-tower", "p-max", 10), ("transfer-restriction", "p-max", 10),
+          ("free-orbit weight0-integral weight0-mod2", "p-max", 10),
           ("weight1-derived weight-sigma-derived qclosed-coincidence", "n-max", 32))
 DIGEST_SHIFT = 9
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush, heapreplace
 from math import gcd
+from operator import index
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 
@@ -61,6 +62,7 @@ class IntegerMatrix:
         for (i, j), v in data.items():
             if not (0 <= i < rows and 0 <= j < cols):
                 raise ValueError("entry index out of range")
+            v = _integer(v, "matrix entry at ({}, {})", i, j)
             if v:
                 by_row[i][j] = v
         self.rows, self.cols, self._rows = rows, cols, by_row
@@ -85,7 +87,9 @@ class IntegerMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != c:
             raise ValueError(f"rows of length {c} disagree with cols={cols}")
-        return cls.from_row_dicts([{j: int(v) for j, v in enumerate(r) if v} for r in rows], c)
+        checked = [[_integer(v, "matrix entry at ({}, {})", i, j) for j, v in enumerate(r)]
+                   for i, r in enumerate(rows)]
+        return cls.from_row_dicts([{j: v for j, v in enumerate(r) if v} for r in checked], c)
 
     @classmethod
     def from_bands(cls, cols: int, bands: Iterable) -> "IntegerMatrix":
@@ -133,7 +137,7 @@ class IntegerMatrix:
 
     @classmethod
     def from_diagonal(cls, diag: Sequence[int], rows: int, cols: int) -> "IntegerMatrix":
-        return cls(rows, cols, {(i, i): int(v) for i, v in enumerate(diag) if v})
+        return cls(rows, cols, {(i, i): v for i, v in enumerate(diag) if v})
 
     # -- access --------------------------------------------------------
     def to_rows(self) -> list:
@@ -196,6 +200,14 @@ class IntegerMatrix:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
+    def is_transpose_of(self, other: "IntegerMatrix") -> bool:
+        """Whether this matrix is other's transpose, compared entry by entry."""
+        mine = self._rows
+        return ((self.rows, self.cols) == (other.cols, other.rows)
+                and sum(map(len, mine)) == sum(map(len, other._rows))
+                and all(mine[j].get(i) == v for i, row in enumerate(other._rows)
+                        for j, v in row.items()))
+
     def __repr__(self) -> str:
         if self.rows * self.cols <= 64:
             return f"IntegerMatrix({self.to_rows()!r})"
@@ -205,6 +217,16 @@ class IntegerMatrix:
 # ----------------------------------------------------------------------
 # Sparse unimodular reduction engine
 # ----------------------------------------------------------------------
+
+def _integer(v, what: str, *at) -> int:
+    """v as an int, through ``operator.index``, so that numpy and sympy
+    integers pass; any other value raises a one-line ValueError naming what,
+    formatted with at only then."""
+    try:
+        return index(v)
+    except TypeError:
+        raise ValueError(f"{what.format(*at)} is {v!r}, not an integer") from None
+
 
 def _add_scaled(target: dict, source: dict, c: int):
     """target += c * source, for sparse vectors stored as dicts of nonzeros."""
@@ -531,7 +553,12 @@ class MorseRecord:
     and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are read off
     the logs by ``_replay``, the replay that builds every transform, on M's
     generators alone, and each log is dropped once it has been read.  The
-    sweep takes the Smith diagonal of each d_M^t once, when it fixes d_M^t.
+    sweep takes the Smith diagonal of each d_M^t once, when it fixes d_M^t,
+    and ``diagonal`` hands out the whole Smith diagonal of d^t.  A group
+    of C is fixed by these diagonals and the ranks of C: H^t is
+    Z^(rank C^t - r(t-1) - r(t)), with r the lengths of the diagonals of
+    d^(t-1) and d^t, plus a Z/e for each entry e > 1 of the diagonal of
+    d^(t-1) (``chaincx.cohomology``).
 
     The reduced positions, diagonals included, are published as one
     immutable value, so a record shared between threads is at worst swept
@@ -561,18 +588,11 @@ class MorseRecord:
         d_in = s.d[t - 1] if t else IntegerMatrix.zeros(s.g[0].cols, 0)
         return d_in, s.d[t], s.f[t], s.g[t]
 
-    def group(self, t: int) -> FgAbelianGroup:
-        """H^t(M), which is H^t(C), from the diagonals of d_M^(t-1) and d_M^t; 0 outside 0..n.
-
-        A class with a multiple in im d_M^(t-1) is a cycle, so the torsion is
-        read off the diagonal below; the free rank is rank M^t less both ranks.
-        """
-        if not 0 <= t < len(self.differentials):
-            return FgAbelianGroup.zero()
+    def diagonal(self, t: int) -> tuple:
+        """The Smith diagonal of d^t (0 <= t <= n), sweeping through t + 1:
+        one 1 per unit pivot, then the diagonal of d_M^t."""
         s = self.sweep(t + 1)
-        below = s.diag[t - 1] if t else ()
-        return FgAbelianGroup.from_cyclic_orders(
-            (0,) * (s.g[t].cols - len(below) - len(s.diag[t])) + below)
+        return (1,) * s.units[t] + s.diag[t]
 
     def _step(self, s: _Swept) -> _Swept:
         t = len(s.g)
@@ -764,7 +784,7 @@ class FgAbelianGroup:
         multiples, so one pass leaves a divisibility chain; the 1s it leaves
         come first and are dropped.  No order is factored.
         """
-        orders = [abs(int(o)) for o in orders]
+        orders = [abs(o if type(o) is int else _integer(o, "a cyclic order")) for o in orders]
         fs = [o for o in orders if o > 1]
         for i in range(len(fs)):
             for j in range(i + 1, len(fs)):
@@ -827,8 +847,9 @@ def _check_window(d_in: IntegerMatrix, d_out: IntegerMatrix, m: int):
 def cohomology_at(d_in: IntegerMatrix, d_out: IntegerMatrix) -> FgAbelianGroup:
     """ker(d_out)/im(d_in) for a raw window, checked first to be a complex.
 
-    Read as in ``MorseRecord.group``, which a ``CochainComplex`` uses
-    instead: the complex was verified when it was built.
+    Read off the Smith diagonals of the window, as ``chaincx.cohomology``
+    reads a ``CochainComplex``; a complex takes them from a Morse record
+    instead, unchecked, as it was verified when it was built.
 
     >>> print(cohomology_at(IntegerMatrix.from_rows([[2]]), IntegerMatrix.zeros(0, 1)))
     Z/2

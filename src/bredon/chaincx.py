@@ -16,14 +16,23 @@ Sign conventions are calibrated once and fixed:
   homotopy is h^{k+1} = -V_k[:, A_k] U_k[B_k, :]: C^{k+1} -> C^k, so that
   g.f = 1 + d h + h d, and h.h = 0, f.h = 0 and h.g = 0.
 
-The coefficients are Z and Z/2, each with one engine.  Over Z the group
-H^k(C) is H^k(M), read off the Smith diagonals of M's differentials that the
-record takes once, as ``explain`` does, and a chain map phi: S -> T induces
-the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over Z/2 the groups of C
-come from the ranks of C's own differentials over Z/2, each taken once per
-complex by the bitset kernel ``abgrp.rank_mod`` and kept on the complex;
-this path uses neither the integral engine nor M, so it stays an
-independent check of the universal-coefficient result over Z.
+The coefficients are Z and Z/2, each with one engine.  A group of C is
+read from the Smith diagonals (over Z) or the ranks over Z/2 of C's
+differentials, C's own or its certified twin's.  Over Z each diagonal is
+one 1 per unit pivot of the sweep, then the diagonal of the differential
+of M that the record takes once, as ``explain`` reads it, and a chain map
+phi: S -> T induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over
+Z/2 the ranks are those of the differentials themselves, each taken once
+by the bitset kernel ``abgrp.rank_mod`` and kept on the complex; this path
+uses neither the integral engine nor M, so it stays an independent check
+of the universal-coefficient result over Z.
+
+A twin of C is a complex T whose differential from degree -k-1 is the
+transpose of C's d^k, for each k of a set the twin covers; T's components
+are then those of C in the opposite degrees, as for the dual complex
+Hom(C, Z).  A transpose has the Smith diagonal and the ranks of the
+matrix, so a group of C can be read off T's record and ranks.  The caller
+certifies the transposes before it links the two (``_link_twin``).
 
 >>> zz = CochainComplex({-1: 1, 0: 1}, {-1: IntegerMatrix.from_rows([[2]])})  # Z --2--> Z
 >>> print(cohomology(zz, 0))
@@ -36,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, List, Optional
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .abgrp import (
     CohomologyPresentation,
@@ -50,6 +59,7 @@ from .abgrp import (
     map_is_multiplication_by,
     map_on_cohomology,
     rank_mod,
+    snf_diagonal,
 )
 
 
@@ -70,10 +80,13 @@ class CochainComplex:
     known to be a chain map, by the cone lemma in its docstring.  A complex owns one ``MorseRecord`` of its
     differentials, from its lowest degree to its highest, made when
     something first sweeps it, and the rank over Z/2 of each differential,
-    taken when a group mod 2 first needs it.
+    taken when a group mod 2 first needs it.  A complex may be linked once
+    to a certified twin, and then keeps the Smith diagonals it reduced
+    alone, of the differentials the twin does not cover.
     """
 
-    __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks")
+    __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks",
+                 "_twin", "_lone", "__weakref__")
 
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self._adopt(components, differentials)
@@ -94,6 +107,8 @@ class CochainComplex:
         self._pres_cache: Dict[int, CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
         self._mod2_ranks: Dict[int, int] = {}
+        self._twin: Optional[Tuple["CochainComplex", FrozenSet[int]]] = None
+        self._lone: Dict[int, tuple] = {}
 
     # -- shape -----------------------------------------------------------
     def rank(self, degree: int) -> int:
@@ -154,12 +169,48 @@ class CochainComplex:
             pres = self._pres_cache[degree] = cohomology_presentation(d_in, d_out)
         return pres
 
+    def _link_twin(self, twin: "CochainComplex", covered: FrozenSet[int]):
+        """Read groups through twin from now on: for each k in covered, the
+        caller has proven twin's d^(-k-1) the transpose of this d^k.  The
+        twin reads through this complex too, unless it is linked already.
+        Each link is set once, after the certificate."""
+        self._twin = (twin, covered)
+        if twin._twin is None:
+            twin._twin = (self, frozenset(-k - 1 for k in covered))
+
+    def _diagonal(self, degree: int) -> tuple:
+        """The Smith diagonal of d^degree, empty for a zero differential.
+
+        From this complex's own record if it has one; else, when a linked
+        twin has a record, from the twin's, or by reducing d^degree alone
+        if the twin does not cover it; else this complex sweeps itself.
+        """
+        d = self.differentials.get(degree)
+        if d is None:
+            return ()
+        if self._morse is None and self._twin is not None:
+            twin, covered = self._twin
+            if twin._morse is not None:
+                if degree in covered:
+                    return twin._morse.diagonal(-degree - 1 - twin.support()[0])
+                lone = self._lone.get(degree)
+                if lone is None:
+                    lone = self._lone[degree] = tuple(snf_diagonal(d))
+                return lone
+        return self._record().diagonal(degree - self.support()[0])
+
     def _rank_mod2(self, degree: int) -> int:
-        """The rank of d^degree over Z/2, by the bitset kernel, once per differential."""
+        """The rank of d^degree over Z/2, by the bitset kernel, once per
+        differential and twin: this complex's own, else a linked twin's if
+        the twin has taken it, else taken and kept here."""
         d = self.differentials.get(degree)
         if d is None:
             return 0
         r = self._mod2_ranks.get(degree)
+        if r is None and self._twin is not None:
+            twin, covered = self._twin
+            if degree in covered:
+                r = twin._mod2_ranks.get(-degree - 1)
         if r is None:
             r = self._mod2_ranks[degree] = rank_mod(d)
         return r
@@ -188,22 +239,29 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
     """H^degree(C) with Z (m = 0) or Z/2 (m = 2) coefficients.
 
     C was verified when it was built, so no product d.d is formed here.
-    Over Z this is H^degree of the Morse model M, read off the diagonals
-    of d_M that its record took (``MorseRecord.group``).  M comes from one
+    The group is read from the Smith diagonals and Z/2 ranks of C's
+    differentials, its own or its certified twin's.  Over Z it is
+    Z^(rank C^k - r(k-1) - r(k)), with r(i) the length of the Smith
+    diagonal of d^i, plus a Z/e for each entry e > 1 of the diagonal of
+    d^(k-1).  The diagonals come from C's own Morse record, made by one
     sweep from the lowest degree up, which reduces each differential and
     each d_M once whatever degrees are asked for, in any order; a query
-    sweeps through the differential above its degree, which fixes M's
-    generators there.  Mod 2 the group is (Z/2)^n with
-    n = rank C^k - r(k-1) - r(k), where r(i) is the rank of d^i over Z/2:
-    each complex ranks each of its differentials once, by the bitset
-    kernel, and keeps the rank, so d^k serves as d_out at k and as d_in at
-    k + 1 without a second elimination.
+    sweeps through the differential above its degree.  A complex that has
+    no record and a linked twin that has one reads the twin's instead,
+    and reduces alone only a differential the twin does not cover.  Mod 2
+    the group is (Z/2)^n with n = rank C^k - r(k-1) - r(k), where r(i) is
+    the rank of d^i over Z/2: each differential is ranked once, by the
+    bitset kernel, on C or on its twin, and the rank is kept, so d^k
+    serves as d_out at k and as d_in at k + 1 without a second
+    elimination.
     """
     check_modulus(m)
     if m == 2:
         n = c.rank(degree) - c._rank_mod2(degree - 1) - c._rank_mod2(degree)
         return FgAbelianGroup(0, (2,) * n)
-    return c._record().group(degree - c.support()[0])
+    below, above = c._diagonal(degree - 1), c._diagonal(degree)
+    return FgAbelianGroup.from_cyclic_orders(
+        (0,) * (c.rank(degree) - len(below) - len(above)) + tuple(e for e in below if e != 1))
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
@@ -225,9 +283,9 @@ def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
              f"Morse model: ranks {_by_degree(model)} (total {sum(model.values())})"]
     for name, k in (("d_in", degree - 1), ("d_out", degree)):
         a = c.differential(k)
-        units, faces, diag = (swept.units[k - lo], swept.faces[k - lo], swept.diag[k - lo]) \
-            if lo <= k <= hi else (0, 0, ())
-        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby((1,) * units + diag))
+        units, faces, diag = (swept.units[k - lo], swept.faces[k - lo],
+                              c._record().diagonal(k - lo)) if lo <= k <= hi else (0, 0, ())
+        runs = ", ".join(f"{v} x {len(list(run))}" for v, run in groupby(diag))
         line = (f"{name} = d^{k} ({a.rows}x{a.cols}): Smith diagonal {runs or 'empty'}; "
                 f"{units} unit pivots ({faces} free faces)")
         if m:

@@ -42,6 +42,28 @@ blocks, checked once per process for each arity a build uses, and raises
 ``ComplexError`` when an identity fails; ``chaincx.validate`` and
 ``ChainMap.validate`` stay the tests' oracle for both.
 
+Duality lemma (the twins).  The complex at -n is the transpose of the one
+at n: its differential from degree k is the transpose of the differential
+at n from degree -k-1, for every k at the free orbit and for k >= 1 at
+the fixed point.  Both differentials sum the same slot positions with the
+same Koszul signs over the same subset layout, and the pull block of a
+slot is the transpose of its push block: deleting the slot maps the cycle
+{x, x~} of a class onto the cycle {y, y~} of one class, one point onto
+each, so the push counts 1 for that pair, and inserting both values of
+the slot into y and y~ gives four points of which exactly one is x, so
+the pull counts 1 too.  The exception is the fixed
+arity-0 class, the single point (): both points of an arity-1 class push
+onto it (2), and it pulls back to one canonical point (1), so the fixed
+pull differential from degree 0 is half the transpose.  The link is made
+where groups are asked for (``weight0``, ``free_orbit_acyclicity`` and
+the target of ``cone_tower_check``, through ``_for_groups``): when the
+cache has already built the twin, ``_twin_degrees`` checks the lemma entry
+by entry, raising ``ComplexError`` on the first differential that fails
+it, and the two are linked, so a group of either is read off the Smith
+diagonals and Z/2 ranks of whichever one was swept (``chaincx.cohomology``).
+A lone query never builds a twin, and a complex built through
+``build_sigma_complex.__wrapped__`` is never linked.
+
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
 about triples per step in n; the default grid bound keeps n at most 8
 (total rank 3281 at the fixed point).  Building a complex and its integral
@@ -64,7 +86,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, List, Tuple
+from weakref import WeakValueDictionary
 
 from .abgrp import FgAbelianGroup, IntegerMatrix, check_modulus
 from .chaincx import (ChainMap, CochainComplex, ComplexError, all_cohomology, cohomology, cone,
@@ -146,6 +169,16 @@ def _subset_index(m: int, j: int) -> Dict[Tuple[int, ...], int]:
     return {s: k for k, s in enumerate(combinations(range(1, m + 1), j))}
 
 
+def _checked_index(m: int, j: int, n: int, orbit_type: str) -> Dict[Tuple[int, ...], int]:
+    """``_subset_index(m, j)``, checked to rank its C(m, j) subsets 0, 1, ...
+    in its own order, as the build reads it; raises ComplexError."""
+    index = _subset_index(m, j)
+    if list(index.values()) != list(range(comb(m, j))):
+        raise ComplexError(f"the arity-{j} subset layout of shift {n} ({orbit_type}) does not "
+                           f"rank its {comb(m, j)} subsets 0, 1, ... in order")
+    return index
+
+
 def _koszul_sign(j: int, idx: int) -> int:
     """The sign of slot idx in the differential between arities j + 1 and j:
     the slot has j - idx elements above it, so (-1)^(j - idx)."""
@@ -221,7 +254,8 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     transpose of the same argument.  So once each arity 2..|n| is certified,
     the complex is built without ``validate``.
     The blocks land where the lemma puts them: the subset of rank k in
-    ``_subset_index`` starts at column k * _arity_size(j), by construction;
+    ``_subset_index`` starts at column k * _arity_size(j), and the build
+    checks that each arity's index ranks its subsets 0, 1, ... in order;
     ``_slot_matrices`` checks that each block fits its shape, and
     ``IntegerMatrix.from_bands`` that no block ends past its component or
     overlaps another in its band, so every entry lies in its subset's block.
@@ -249,10 +283,11 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     kind = "push" if push else "pull"
     _slot_matrices(kind, m - 1, orbit_type)   # certifies the arities 2..m
     comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
+    indexes = [_checked_index(m, j, n, orbit_type) for j in range(m + 1)]
     diffs: Dict[int, IntegerMatrix] = {}
     for j in range(m):
         # d joins arity j + 1 and arity j, slot idx with its Koszul sign
-        smalls, bigs = _subset_index(m, j), _subset_index(m, j + 1)
+        smalls, bigs = indexes[j], indexes[j + 1]
         small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
         blocks = [block if _koszul_sign(j, idx) == 1 else -block
                   for idx, block in enumerate(_slot_matrices(kind, j, orbit_type))]
@@ -276,6 +311,45 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     return CochainComplex._certified(comps, diffs)
 
 
+# the complexes that the cache of build_sigma_complex has handed to this
+# module, by spec, held weakly: a group query looks its twin up here, so it
+# never builds one, and a complex built through __wrapped__ is never here
+_built: "WeakValueDictionary[SigmaSpec, CochainComplex]" = WeakValueDictionary()
+
+
+def _cached(spec: SigmaSpec) -> CochainComplex:
+    """build_sigma_complex(spec), recorded in ``_built``."""
+    c = _built[spec] = build_sigma_complex(spec)
+    return c
+
+
+def _for_groups(spec: SigmaSpec) -> CochainComplex:
+    """The cached complex of spec, linked to its twin at -n if the cache has
+    built that one, after the twin certificate (``_twin_degrees``)."""
+    c = _cached(spec)
+    if spec.n and c._twin is None:
+        twin = _built.get(SigmaSpec(-spec.n, spec.orbit_type))
+        if twin is not None:
+            c._link_twin(twin, _twin_degrees(c, twin, spec))
+    return c
+
+
+def _twin_degrees(c: CochainComplex, twin: CochainComplex, spec: SigmaSpec) -> FrozenSet[int]:
+    """The degrees k whose d^k of c is, entry by entry, the transpose of the
+    twin's d^(-k-1): every degree but the fixed arity-0 differential, which
+    is 2 on each subset for a push and 1 for a pull.  Raises ComplexError
+    on the first that is not (see the duality lemma of the module)."""
+    lo, hi = c.support()
+    lone = (-1 if spec.n > 0 else 0) if spec.orbit_type == FIXED else None
+    covered = [k for k in range(lo, hi) if k != lone]
+    for k in covered:
+        if not c.differential(k).is_transpose_of(twin.differential(-k - 1)):
+            raise ComplexError(f"the differential from degree {k} of shift {spec.n} "
+                               f"({spec.orbit_type}) is not the transpose of its twin's "
+                               f"at shift {-spec.n}")
+    return frozenset(covered)
+
+
 def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     """Weight-0 equivariant cohomology in cohomological index a + p*sigma.
 
@@ -293,8 +367,7 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     lo, hi = (-p, 0) if p >= 0 else (0, -p)
     if a < lo or a > hi:
         return FgAbelianGroup.zero()
-    c = build_sigma_complex(SigmaSpec(p, FIXED))
-    return cohomology(c, a, m)
+    return cohomology(_for_groups(SigmaSpec(p, FIXED)), a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +415,8 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
     f.d = d.f once ``_map_certificate`` holds for every arity j < |n|.
     """
     m = abs(n)
-    source = build_sigma_complex(SigmaSpec(n, orbit_type_src))
-    target = build_sigma_complex(SigmaSpec(n, orbit_type_tgt))
+    source = _cached(SigmaSpec(n, orbit_type_src))
+    target = _cached(SigmaSpec(n, orbit_type_tgt))
     diff_kind = "push" if n > 0 else "pull"
     for j in range(m):
         _map_certificate(kind, j, orbit_type_src, orbit_type_tgt, diff_kind)
@@ -398,7 +471,7 @@ def free_orbit_acyclicity(p: int, m: int = 0) -> bool:
     True
     """
     check_modulus(m)
-    c = build_sigma_complex(SigmaSpec(p, FREE))
+    c = _for_groups(SigmaSpec(p, FREE))
     expected = FgAbelianGroup.free(1) if m == 0 else FgAbelianGroup.cyclic(m)
     lo, hi = c.support()
     for a in range(lo, hi + 1):
@@ -478,7 +551,7 @@ def cone_tower_check(p: int) -> bool:
     """
     tr = transfer_map(p)
     cn = cone(tr)
-    target = build_sigma_complex(SigmaSpec(p + 1, FIXED))
+    target = _for_groups(SigmaSpec(p + 1, FIXED))
     if {d: r for d, r in cn.components.items()} != dict(target.components):
         raise CheckFailure(f"cone ranks at shift {p} do not match shift {p + 1}")
     perms = cone_identification(p)

@@ -1,6 +1,8 @@
 """Smith normal form, canonical groups, and the two-step cohomology windows."""
 
 import random
+import re
+from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
@@ -490,6 +492,43 @@ class TestMatrixAlgebraAgainstDenseOracle:
         assert dict(a.items()) == {(1, 0): 3}
         assert IntegerMatrix(2, 2, {(0, 1): 0}).is_zero()
         assert IntegerMatrix(2, 2, {(0, 1): 0}) == IntegerMatrix.zeros(2, 2)
+
+    @pytest.mark.parametrize("make, text", [
+        (lambda: IntegerMatrix(2, 2, {(0, 0): 0.5, (1, 1): 3}), "matrix entry at (0, 0) is 0.5"),
+        (lambda: IntegerMatrix.from_rows([[1.7, 2]]), "matrix entry at (0, 0) is 1.7"),
+        (lambda: IntegerMatrix.from_rows([[1, 2], [3, Fraction(7, 2)]]),
+         "matrix entry at (1, 1) is Fraction(7, 2)"),
+        (lambda: IntegerMatrix.from_diagonal([1.5], 1, 1), "matrix entry at (0, 0) is 1.5"),
+        (lambda: FgAbelianGroup.from_cyclic_orders([2.5]), "a cyclic order is 2.5")])
+    def test_a_value_that_is_not_an_integer_is_refused(self, make, text):
+        # kept as a float, or truncated to 1 and 2, before the refusal
+        with pytest.raises(ValueError, match=f"^{re.escape(text)}, not an integer$"):
+            make()
+
+    def test_numpy_and_sympy_integers_are_integers(self):
+        numpy, sympy = pytest.importorskip("numpy"), pytest.importorskip("sympy")
+        a = IntegerMatrix.from_rows([[numpy.int64(2), sympy.Integer(-3)], [True, 0]])
+        assert a.to_rows() == [[2, -3], [1, 0]]
+        assert all(type(v) is int for _, v in a.items())
+        assert IntegerMatrix.from_diagonal([numpy.int32(4)], 1, 2).to_rows() == [[4, 0]]
+        assert FgAbelianGroup.from_cyclic_orders([numpy.int64(4), sympy.Integer(6), 0]) == \
+            FgAbelianGroup(1, (2, 12))
+
+    def test_transpose_comparison(self, rng):
+        for r, c in self.shapes(rng):
+            rows = dense(rng, r, c)
+            a = IntegerMatrix.from_rows(rows, cols=c)
+            t = IntegerMatrix(c, r, {(j, i): v for (i, j), v in a.items()})
+            assert t.is_transpose_of(a) and a.is_transpose_of(t)
+            assert a.is_transpose_of(a) == (a == t)
+            for (i, j), v in list(a.items())[:3]:
+                for changed in ({**dict(a.items()), (i, j): v + 1},
+                                {k: w for k, w in a.items() if k != (i, j)}):
+                    assert not t.is_transpose_of(IntegerMatrix(r, c, changed)), (i, j)
+            zeros = [(i, j) for i in range(r) for j in range(c) if not rows[i][j]]
+            if zeros:
+                extra = IntegerMatrix(r, c, {**dict(a.items()), zeros[0]: 1})
+                assert not t.is_transpose_of(extra) and not extra.is_transpose_of(t)
 
     def test_unary_operations(self, rng):
         for r, c in self.shapes(rng):

@@ -383,15 +383,20 @@ class TestOrbitMemo:
 @pytest.fixture
 def fresh_memos():
     """Empty the orbit blocks, their matrices, the certificates, the map
-    blocks and the complexes before and after a test, so that a planted block
+    blocks, the complexes and the registry of built complexes that group
+    queries find twins in, before and after a test, so that a planted block
     is certified and built afresh and leaves nothing behind."""
     memos = (sigmacx._orbit_block, sigmacx._slot_matrices, sigmacx._map_certificate,
              sigmacx._map_blocks, build_sigma_complex)
-    for memo in memos:
-        memo.cache_clear()
+
+    def empty():
+        for memo in memos:
+            memo.cache_clear()
+        sigmacx._built.clear()
+
+    empty()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    empty()
 
 
 def _plant(monkeypatch, key, change):
@@ -407,6 +412,21 @@ def _plant(monkeypatch, key, change):
 def _bump_first_entry(block):
     (first, value), *rest = block.items()
     return IntegerMatrix(block.rows, block.cols, {first: value + 1, **dict(rest)})
+
+
+def _assert_layout_refused(monkeypatch, capsys, n, orbit_type, arity, change):
+    """Serve change(j, ranks) for every subset layout: the build of shift n
+    fails in one line naming the first broken arity, and so does the command
+    line at the fixed point."""
+    original = sigmacx._subset_index
+    monkeypatch.setattr(sigmacx, "_subset_index", lambda m, j: change(j, original(m, j)))
+    message = (f"the arity-{arity} subset layout of shift {n} ({orbit_type}) does not rank "
+               f"its {len(original(abs(n), arity))} subsets 0, 1, ... in order")
+    with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+        build_sigma_complex(SigmaSpec(n, orbit_type))
+    if orbit_type == FIXED:
+        assert cli.main(["weight0", "--a", "0", "--p", str(n)]) == 2
+        assert capsys.readouterr().err == f"bredon: error: {message}\n"
 
 
 class TestCertificates:
@@ -513,56 +533,153 @@ class TestCertificates:
     def test_a_block_past_its_component_fails(self, monkeypatch, capsys, fresh_memos,
                                               n, orbit_type):
         # every arity-2 rank after the first moved up by one: each block fits
-        # its shape, but the last subset's block ends past the component; a
-        # one-line error at the build, not an IndexError from a later sweep
-        original = sigmacx._subset_index
-
-        def shifted(m, j):
-            ranks = original(m, j)
-            return {s: k + (j == 2 and k > 0) for s, k in ranks.items()}
-
-        monkeypatch.setattr(sigmacx, "_subset_index", shifted)
-        last = {4: "band 2: a block of height 1 at columns 12..13 does not fit height 1 "
-                   "and columns 0..11",
-                -4: "band 2: a block of height 8 at columns 24..27 does not fit height 8 "
-                    "and columns 0..23"}[n]
-        degree = -2 if n > 0 else 2
-        with pytest.raises(ComplexError, match=f"^the differential from degree {degree} of "
-                                               f"shift {n} .*: {re.escape(last)}$"):
-            build_sigma_complex(SigmaSpec(n, orbit_type))
-        if n > 0:
-            assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("bredon: error: the differential from degree -2") \
-                and err.count("\n") == 1
+        # its shape, but the last subset's block would end past the
+        # component; the layout check refuses it before any block is placed
+        _assert_layout_refused(monkeypatch, capsys, n, orbit_type, 2,
+                               lambda j, ranks: {s: k + (j == 2 and k > 0)
+                                                 for s, k in ranks.items()})
 
     @pytest.mark.parametrize("n, orbit_type", [(4, FIXED), (-4, FREE)])
     def test_two_subsets_at_one_rank_fail_the_build(self, monkeypatch, capsys, fresh_memos,
                                                     n, orbit_type):
         # the second arity-2 subset given the rank of the first: every block
         # fits its shape and ends within its component, but two blocks of a
-        # band overlap; unchecked, the build wrote one over the other and
-        # the complex had d.d != 0
-        original = sigmacx._subset_index
+        # band would overlap; unchecked, the build wrote one over the other
+        # and the complex had d.d != 0
+        _assert_layout_refused(monkeypatch, capsys, n, orbit_type, 2,
+                               lambda j, ranks: {s: k - (j == 2 and k == 1)
+                                                 for s, k in ranks.items()})
 
-        def shared(m, j):
-            ranks = original(m, j)
-            return {s: k - (j == 2 and k == 1) for s, k in ranks.items()}
+    @pytest.mark.parametrize("n", [4, -4])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    @pytest.mark.parametrize("layout, arity", [("reversed", 1), ("merged", 2)])
+    def test_a_broken_subset_layout_fails_the_build(self, monkeypatch, capsys, fresh_memos,
+                                                    n, orbit_type, layout, arity):
+        # every rank reversed, or (3, 4) given the rank of (1, 2): no block
+        # ends past its component and no two overlap in a band, and unchecked
+        # the build gave a complex with d.d != 0 (all but the reversed push)
+        def reversed_ranks(j, ranks):
+            return {s: len(ranks) - 1 - k for s, k in ranks.items()}
 
-        monkeypatch.setattr(sigmacx, "_subset_index", shared)
-        with pytest.raises(ComplexError, match="overlap"):
-            build_sigma_complex(SigmaSpec(n, orbit_type))
-        if n > 0:
-            assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith("bredon: error: the differential from degree -2") \
-                and err.count("\n") == 1
+        def merged(j, ranks):
+            return {s: ranks[(1, 2)] if s == (3, 4) else k for s, k in ranks.items()}
+
+        _assert_layout_refused(monkeypatch, capsys, n, orbit_type, arity,
+                               {"reversed": reversed_ranks, "merged": merged}[layout])
 
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
         _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
         for _ in range(2):
             with pytest.raises(ComplexError):
                 build_sigma_complex(SigmaSpec(4, FIXED))
+
+
+def _negate_pull_arity(monkeypatch, j, orbit_type):
+    """Every Koszul sign of the pull differential from arity j flipped: each
+    of its slot blocks is served negated, and no push block changes."""
+    first = 1 if orbit_type == FREE else 0
+    keys = {("pull", first + idx, (j, orbit_type), (j + 1, orbit_type)) for idx in range(j + 1)}
+    original = sigmacx._orbit_block
+    monkeypatch.setattr(sigmacx, "_orbit_block",
+                        lambda *args: -original(*args) if args in keys else original(*args))
+
+
+@pytest.fixture(scope="module")
+def own_groups():
+    """(p, orbit type) -> the nonzero groups over Z and over Z/2 of every
+    orbit complex with 1 <= |p| <= 9, each from its own sweep and ranks."""
+    out = {}
+    for p in range(-9, 10):
+        for orbit_type in (FIXED, FREE):
+            if p:
+                c = build_sigma_complex.__wrapped__(SigmaSpec(p, orbit_type))
+                out[p, orbit_type] = (all_cohomology(c), all_cohomology(c, 2))
+    return out
+
+
+class TestTwins:
+    """The complexes at p and -p are twins: a group of one is read off the
+    Smith diagonals and Z/2 ranks the other has taken, after the transpose
+    certificate, and the groups do not depend on which one was swept."""
+
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    @pytest.mark.parametrize("first", [1, -1])
+    def test_groups_through_the_twin_equal_the_own_sweep(self, fresh_memos, own_groups,
+                                                         orbit_type, first):
+        # the complex at first * p is swept only as far as its lowest group
+        # needs; its twin then reads every group, from the top down, through
+        # it, extending its sweep, and the first reads the rest back
+        for size in range(1, 10):
+            specs = [SigmaSpec(sign * size, orbit_type) for sign in (first, -first)]
+            swept = sigmacx._for_groups(specs[0])
+            lo = swept.support()[0]
+            cohomology(swept, lo), cohomology(swept, lo, 2)
+            read = sigmacx._for_groups(specs[1])
+            assert read._twin[0] is swept and swept._twin[0] is read
+            for c, spec in ((read, specs[1]), (swept, specs[0])):
+                lo, hi = c.support()
+                for m, want in zip((0, 2), own_groups[spec.n, orbit_type]):
+                    got = {k: cohomology(c, k, m) for k in range(hi + 1, lo - 2, -1)}
+                    assert {k: g for k, g in got.items() if not g.is_trivial()} == want, (spec, m)
+            assert read._morse is None, specs
+
+    @pytest.mark.parametrize("p", [6, -6])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_a_pair_is_swept_and_ranked_once(self, monkeypatch, fresh_memos, p, orbit_type):
+        # one sweep and one rank over Z/2 per differential serve both twins;
+        # only the fixed arity-0 differential, which the twin does not
+        # cover, is reduced and ranked on each side
+        sweeps, alone, ranked = [], [], []
+        run = abgrp._Reduction.run
+        monkeypatch.setattr(abgrp._Reduction, "run",
+                            lambda red: red.units_only and sweeps.append(red) or run(red))
+        monkeypatch.setattr(chaincx, "snf_diagonal", lambda a: alone.append(a) or snf_diagonal(a))
+        monkeypatch.setattr(chaincx, "rank_mod", lambda a: ranked.append(a) or rank_mod(a))
+        for n in (p, -p):
+            c = sigmacx._for_groups(SigmaSpec(n, orbit_type))
+            all_cohomology(c), all_cohomology(c, 2)
+        lone = orbit_type == FIXED
+        assert len(sweeps) == len(c.differentials) and len(alone) == lone
+        assert len(ranked) == len(c.differentials) + lone
+
+    def test_the_fixed_arity_zero_differential_is_half_the_transpose(self):
+        for p in range(1, 10):
+            push, pull = (build_sigma_complex(SigmaSpec(n, FIXED)) for n in (p, -p))
+            assert not pull.differential(0).is_transpose_of(push.differential(-1)), p
+            assert pull.differential(0).scale(2).is_transpose_of(push.differential(-1)), p
+
+    @pytest.mark.parametrize("orbit_type, suite", [(FIXED, "weight0-integral"),
+                                                   (FREE, "free-orbit")])
+    def test_a_sign_flipped_pull_arity_fails_the_twin_certificate(
+            self, monkeypatch, capsys, fresh_memos, own_groups, orbit_type, suite):
+        # every sign of the pull differential from arity 2 flipped: d.d = 0
+        # still holds, so the build passes and the complex's own groups are
+        # right, but it is no longer the transpose of the push complex
+        _negate_pull_arity(monkeypatch, 2, orbit_type)
+        flipped = sigmacx._for_groups(SigmaSpec(-4, orbit_type))
+        assert validate(flipped)
+        assert (all_cohomology(flipped), all_cohomology(flipped, 2)) == own_groups[-4, orbit_type]
+        message = (f"the differential from degree -3 of shift {{n}} ({orbit_type}) is not the "
+                   f"transpose of its twin's at shift -{{n}}")
+        with pytest.raises(ComplexError, match=f"^{re.escape(message.format(n=4))}$"):
+            cohomology(sigmacx._for_groups(SigmaSpec(4, orbit_type)), 0)
+        build_sigma_complex.cache_clear()
+        sigmacx._built.clear()
+        # the suite runs p = -4, ..., 4, so shift 3 meets its flipped twin first
+        assert cli.main(["check", suite, "--p-max", "4"]) == 2
+        assert capsys.readouterr().err == f"bredon: error: {message.format(n=3)}\n"
+
+    def test_a_lone_group_query_builds_one_complex(self, fresh_memos):
+        assert weight0(2, -5) == weight0_closed_form(2, -5)
+        assert build_sigma_complex.cache_info().misses == 1
+        assert build_sigma_complex(SigmaSpec(-5, FIXED))._twin is None
+
+    def test_a_complex_built_through_wrapped_is_never_linked(self, fresh_memos):
+        loose = build_sigma_complex.__wrapped__(SigmaSpec(-5, FIXED))
+        all_cohomology(loose)
+        assert weight0(-2, 5) == weight0_closed_form(-2, 5)
+        cached = build_sigma_complex(SigmaSpec(5, FIXED))
+        assert loose._twin is None and cached._twin is None and cached._morse is not None
 
 
 class TestBuildComplex:
