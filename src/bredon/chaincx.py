@@ -260,8 +260,8 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
         n = c.rank(degree) - c._rank_mod2(degree - 1) - c._rank_mod2(degree)
         return FgAbelianGroup(0, (2,) * n)
     below, above = c._diagonal(degree - 1), c._diagonal(degree)
-    return FgAbelianGroup.from_cyclic_orders(
-        (0,) * (c.rank(degree) - len(below) - len(above)) + tuple(e for e in below if e != 1))
+    return FgAbelianGroup.from_cyclic_orders((0,) * (c.rank(degree) - len(below) - len(above))
+                                             + below)
 
 
 def explain(c: CochainComplex, degree: int, m: int = 0) -> List[str]:
