@@ -39,8 +39,8 @@ class IntegerMatrix:
     dict {column: value} of nonzero entries per row (``_rows``), which is
     the layout the reduction engine works in, so the large, sparse
     differentials of the cycle complexes stay cheap.  The one keyed
-    constructor takes ``data`` keyed by (row, column) inside the shape, as
-    ``items()`` reads entries back; the one row-dict constructor,
+    constructor takes an integer shape and ``data`` keyed by (row, column)
+    inside it, as ``items()`` reads entries back; the one row-dict constructor,
     ``from_row_dicts``, takes one dict per row, unchecked; the one block
     constructor, ``from_bands``, stacks bands of matrix blocks, checking
     that each block fits its band, and assembles every block matrix.
@@ -56,6 +56,8 @@ class IntegerMatrix:
     __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, data: dict):
+        if type(rows) is not int or type(cols) is not int:
+            rows, cols = _integer(rows, "a row count"), _integer(cols, "a column count")
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         by_row = [{} for _ in range(rows)]
@@ -741,7 +743,9 @@ class FgAbelianGroup:
 
     ``invariant_factors`` is the ascending divisibility chain (each factor
     at least 2 and dividing the next); the representation is unique, so
-    group equality is plain structural comparison.
+    group equality is plain structural comparison.  The rank and factors
+    are ints (numpy and sympy integers become ints); any other value is a
+    one-line ValueError.
 
     >>> FgAbelianGroup(1, (2,)).render()
     'Z (+) Z/2'
@@ -753,10 +757,16 @@ class FgAbelianGroup:
     invariant_factors: tuple = ()
 
     def __post_init__(self):
+        if type(self.free_rank) is not int:
+            object.__setattr__(self, "free_rank", _integer(self.free_rank, "a free rank"))
         if self.free_rank < 0:
             raise ValueError("free rank must be nonnegative")
         fs = self.invariant_factors
         for k, f in enumerate(fs):
+            if type(f) is not int:      # take every factor through _integer, then check again
+                fs = tuple(_integer(v, "an invariant factor") for v in fs)
+                object.__setattr__(self, "invariant_factors", fs)
+                return self.__post_init__()
             if f < 2:
                 raise ValueError("invariant factors must be at least 2")
             if k and fs[k] % fs[k - 1]:

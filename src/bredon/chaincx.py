@@ -18,7 +18,7 @@ Sign conventions are calibrated once and fixed:
 
 The coefficients are Z and Z/2, each with one engine.  A group of C is
 read from the Smith diagonals (over Z) or the ranks over Z/2 of C's
-differentials, C's own or its certified twin's.  Over Z each diagonal is
+differentials, C's own or its linked twin's.  Over Z each diagonal is
 one 1 per unit pivot of the sweep, then the diagonal of the differential
 of M that the record takes once, as ``explain`` reads it, and a chain map
 phi: S -> T induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over
@@ -28,11 +28,12 @@ uses neither the integral engine nor M, so it stays an independent check
 of the universal-coefficient result over Z.
 
 A twin of C is a complex T whose differential from degree -k-1 is the
-transpose of C's d^k, for each k of a set the twin covers; T's components
-are then those of C in the opposite degrees, as for the dual complex
-Hom(C, Z).  A transpose has the Smith diagonal and the ranks of the
-matrix, so a group of C can be read off T's record and ranks.  The caller
-certifies the transposes before it links the two (``_link_twin``).
+transpose of C's d^k, for every k but at most one, the uncovered degree;
+T's components are then those of C in the opposite degrees, as for the
+dual complex Hom(C, Z).  A transpose has the Smith diagonal and the ranks
+of the matrix, so a group of C can be read off T's record and ranks.  Two
+complexes are linked (``_link_twin``) only where they are twins by
+construction, as the orbit complexes at n and -n (``sigmacx``).
 
 >>> zz = CochainComplex({-1: 1, 0: 1}, {-1: IntegerMatrix.from_rows([[2]])})  # Z --2--> Z
 >>> print(cohomology(zz, 0))
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .abgrp import (
     CohomologyPresentation,
@@ -81,8 +82,8 @@ class CochainComplex:
     differentials, from its lowest degree to its highest, made when
     something first sweeps it, and the rank over Z/2 of each differential,
     taken when a group mod 2 first needs it.  A complex may be linked once
-    to a certified twin, and then keeps the Smith diagonals it reduced
-    alone, of the differentials the twin does not cover.
+    to a twin, and then keeps the Smith diagonal it reduced alone, of the
+    one differential the twin does not cover.
     """
 
     __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks",
@@ -107,8 +108,8 @@ class CochainComplex:
         self._pres_cache: Dict[int, CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
         self._mod2_ranks: Dict[int, int] = {}
-        self._twin: Optional[Tuple["CochainComplex", FrozenSet[int]]] = None
-        self._lone: Dict[int, tuple] = {}
+        self._twin: Optional[Tuple["CochainComplex", Optional[int]]] = None
+        self._lone: Optional[tuple] = None
 
     # -- shape -----------------------------------------------------------
     def rank(self, degree: int) -> int:
@@ -169,14 +170,15 @@ class CochainComplex:
             pres = self._pres_cache[degree] = cohomology_presentation(d_in, d_out)
         return pres
 
-    def _link_twin(self, twin: "CochainComplex", covered: FrozenSet[int]):
-        """Read groups through twin from now on: for each k in covered, the
-        caller has proven twin's d^(-k-1) the transpose of this d^k.  The
-        twin reads through this complex too, unless it is linked already.
-        Each link is set once, after the certificate."""
-        self._twin = (twin, covered)
+    def _link_twin(self, twin: "CochainComplex", lone: Optional[int]):
+        """Read groups through twin from now on: twin's d^(-k-1) is the
+        transpose of this d^k for every k but lone (None when the twin
+        covers every degree), by the construction of both.  The twin reads
+        through this complex too, unless it is linked already.  Each link
+        is set once."""
+        self._twin = (twin, lone)
         if twin._twin is None:
-            twin._twin = (self, frozenset(-k - 1 for k in covered))
+            twin._twin = (self, None if lone is None else -lone - 1)
 
     def _diagonal(self, degree: int) -> tuple:
         """The Smith diagonal of d^degree, empty for a zero differential.
@@ -189,14 +191,13 @@ class CochainComplex:
         if d is None:
             return ()
         if self._morse is None and self._twin is not None:
-            twin, covered = self._twin
+            twin, lone = self._twin
             if twin._morse is not None:
-                if degree in covered:
+                if degree != lone:
                     return twin._morse.diagonal(-degree - 1 - twin.support()[0])
-                lone = self._lone.get(degree)
-                if lone is None:
-                    lone = self._lone[degree] = tuple(snf_diagonal(d))
-                return lone
+                if self._lone is None:
+                    self._lone = tuple(snf_diagonal(d))
+                return self._lone
         return self._record().diagonal(degree - self.support()[0])
 
     def _rank_mod2(self, degree: int) -> int:
@@ -208,8 +209,8 @@ class CochainComplex:
             return 0
         r = self._mod2_ranks.get(degree)
         if r is None and self._twin is not None:
-            twin, covered = self._twin
-            if degree in covered:
+            twin, lone = self._twin
+            if degree != lone:
                 r = twin._mod2_ranks.get(-degree - 1)
         if r is None:
             r = self._mod2_ranks[degree] = rank_mod(d)
@@ -240,7 +241,7 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
 
     C was verified when it was built, so no product d.d is formed here.
     The group is read from the Smith diagonals and Z/2 ranks of C's
-    differentials, its own or its certified twin's.  Over Z it is
+    differentials, its own or its linked twin's.  Over Z it is
     Z^(rank C^k - r(k-1) - r(k)), with r(i) the length of the Smith
     diagonal of d^i, plus a Z/e for each entry e > 1 of the diagonal of
     d^(k-1).  The diagonals come from C's own Morse record, made by one

@@ -46,22 +46,22 @@ Duality lemma (the twins).  The complex at -n is the transpose of the one
 at n: its differential from degree k is the transpose of the differential
 at n from degree -k-1, for every k at the free orbit and for k >= 1 at
 the fixed point.  Both differentials sum the same slot positions with the
-same Koszul signs over the same subset layout, and the pull block of a
-slot is the transpose of its push block: deleting the slot maps the cycle
-{x, x~} of a class onto the cycle {y, y~} of one class, one point onto
-each, so the push counts 1 for that pair, and inserting both values of
-the slot into y and y~ gives four points of which exactly one is x, so
-the pull counts 1 too.  The exception is the fixed
+same Koszul signs over the same subset layout, so the lemma holds once the
+pull block of each slot is the transpose of its push block: deleting the
+slot maps the cycle {x, x~} of a class onto the cycle {y, y~} of one
+class, one point onto each, so the push counts 1 for that pair, and
+inserting both values of the slot into y and y~ gives four points of which
+exactly one is x, so the pull counts 1 too.  The exception is the fixed
 arity-0 class, the single point (): both points of an arity-1 class push
 onto it (2), and it pulls back to one canonical point (1), so the fixed
-pull differential from degree 0 is half the transpose.  The link is made
-where groups are asked for (``weight0``, ``free_orbit_acyclicity`` and
-the target of ``cone_tower_check``, through ``_for_groups``): when the
-cache has already built the twin, ``_twin_degrees`` checks the lemma entry
-by entry, raising ``ComplexError`` on the first differential that fails
-it, and the two are linked, so a group of either is read off the Smith
-diagonals and Z/2 ranks of whichever one was swept (``chaincx.cohomology``).
-A lone query never builds a twin, and a complex built through
+pull differential from degree 0 is half the transpose.  ``_slot_matrices``
+certifies this on the blocks, once per process for each pull arity a build
+uses, so every pull complex, a lone query's too, is its push complex's
+twin by construction, and no assembled complex is compared.  ``_cached``
+links each complex it hands out to its twin when the cache already holds
+that twin, so a group of either is read off the Smith diagonals and Z/2
+ranks of whichever one was swept (``chaincx.cohomology``).  A lone query
+never builds a twin, and a complex built through
 ``build_sigma_complex.__wrapped__`` is never linked.
 
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
@@ -86,7 +86,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
-from typing import Dict, FrozenSet, List, Tuple
+from typing import Dict, List, Tuple
 from weakref import WeakValueDictionary
 
 from .abgrp import FgAbelianGroup, IntegerMatrix, check_modulus
@@ -193,8 +193,10 @@ def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, .
     where the free orbit's first coordinate is its free bit.  Each block is
     checked to fit its shape, and the coface identity through arity
     k = j + 1 is certified against ``_slot_matrices(kind, j - 1)``, which
-    certifies the arities below; raises ComplexError.  Memoised, so each
-    arity is certified once per process.
+    certifies the arities below; a pull block is also certified to be the
+    transpose of the push block of its slot, or half of it at the fixed
+    arity 0 (the duality lemma of the module); raises ComplexError.
+    Memoised, so each arity is certified once per process.
 
     With D_i the push deleting slot i (or the pull inserting it), the blocks
     of the two differentials between arities k and k - 2 must satisfy, for
@@ -228,6 +230,13 @@ def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, .
             raise ComplexError(f"{kind} {'blocks' if not same else 'Koszul signs'} of arity "
                                f"{j + 1} ({orbit_type}) fail the coface identity at slots "
                                f"{a} < {c}")
+    half = j == 0 and orbit_type == FIXED       # the push counts 2 there, the pull 1
+    for idx, block in enumerate(high if kind == "pull" else ()):
+        if not (block.scale(2) if half else block).is_transpose_of(
+                _orbit_block("push", first + idx, upper, lower)):
+            raise ComplexError(f"the pull slot {idx} block between arities {j} and {j + 1} "
+                               f"({orbit_type}) is not {'half ' * half}the transpose of its "
+                               f"push block")
     return high
 
 
@@ -264,8 +273,11 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     the rows' arity, each with its (offset, signed block) sources: for a
     push, the band of S gathers the supersets T of S in lexicographic
     order; for a pull, the band of T gathers its slots 0..j.  Each row
-    lists its columns in that order.  A block the constructor refuses
-    raises ComplexError, naming the differential.
+    lists its columns in that order.
+
+    The pull complex at -n is the twin of the push complex at n by
+    construction: both assemble the same signed slots over one layout, from
+    blocks that ``_slot_matrices`` certifies as transposes (module lemma).
 
     >>> build_sigma_complex(SigmaSpec(1)).differential(-1).to_rows()
     [[2]]
@@ -302,52 +314,27 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
                         for idx, block in enumerate(blocks)] for big in bigs]
             height = big_size
         src = -(j + 1) if push else j
-        try:
-            diffs[src] = IntegerMatrix.from_bands(comps[src], [(height, pairs)
-                                                               for pairs in sources])
-        except ValueError as exc:
-            raise ComplexError(f"the differential from degree {src} of shift {n} "
-                               f"({orbit_type}): {exc}") from None
+        diffs[src] = IntegerMatrix.from_bands(comps[src], [(height, pairs) for pairs in sources])
     return CochainComplex._certified(comps, diffs)
 
 
 # the complexes that the cache of build_sigma_complex has handed to this
-# module, by spec, held weakly: a group query looks its twin up here, so it
-# never builds one, and a complex built through __wrapped__ is never here
+# module, by spec, held weakly: _cached looks a twin up here, so it never
+# builds one, and a complex built through __wrapped__ is never here
 _built: "WeakValueDictionary[SigmaSpec, CochainComplex]" = WeakValueDictionary()
 
 
 def _cached(spec: SigmaSpec) -> CochainComplex:
-    """build_sigma_complex(spec), recorded in ``_built``."""
+    """build_sigma_complex(spec), recorded in ``_built``, and linked to its
+    twin at -n when ``_built`` holds that twin.  The two are transposes by
+    construction but at the fixed arity-0 differential, which the link
+    leaves uncovered (the duality lemma of the module)."""
     c = _built[spec] = build_sigma_complex(spec)
-    return c
-
-
-def _for_groups(spec: SigmaSpec) -> CochainComplex:
-    """The cached complex of spec, linked to its twin at -n if the cache has
-    built that one, after the twin certificate (``_twin_degrees``)."""
-    c = _cached(spec)
     if spec.n and c._twin is None:
         twin = _built.get(SigmaSpec(-spec.n, spec.orbit_type))
         if twin is not None:
-            c._link_twin(twin, _twin_degrees(c, twin, spec))
+            c._link_twin(twin, (-1 if spec.n > 0 else 0) if spec.orbit_type == FIXED else None)
     return c
-
-
-def _twin_degrees(c: CochainComplex, twin: CochainComplex, spec: SigmaSpec) -> FrozenSet[int]:
-    """The degrees k whose d^k of c is, entry by entry, the transpose of the
-    twin's d^(-k-1): every degree but the fixed arity-0 differential, which
-    is 2 on each subset for a push and 1 for a pull.  Raises ComplexError
-    on the first that is not (see the duality lemma of the module)."""
-    lo, hi = c.support()
-    lone = (-1 if spec.n > 0 else 0) if spec.orbit_type == FIXED else None
-    covered = [k for k in range(lo, hi) if k != lone]
-    for k in covered:
-        if not c.differential(k).is_transpose_of(twin.differential(-k - 1)):
-            raise ComplexError(f"the differential from degree {k} of shift {spec.n} "
-                               f"({spec.orbit_type}) is not the transpose of its twin's "
-                               f"at shift {-spec.n}")
-    return frozenset(covered)
 
 
 def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
@@ -367,7 +354,7 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     lo, hi = (-p, 0) if p >= 0 else (0, -p)
     if a < lo or a > hi:
         return FgAbelianGroup.zero()
-    return cohomology(_for_groups(SigmaSpec(p, FIXED)), a, m)
+    return cohomology(_cached(SigmaSpec(p, FIXED)), a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +458,7 @@ def free_orbit_acyclicity(p: int, m: int = 0) -> bool:
     True
     """
     check_modulus(m)
-    c = _for_groups(SigmaSpec(p, FREE))
+    c = _cached(SigmaSpec(p, FREE))
     expected = FgAbelianGroup.free(1) if m == 0 else FgAbelianGroup.cyclic(m)
     lo, hi = c.support()
     for a in range(lo, hi + 1):
@@ -551,7 +538,7 @@ def cone_tower_check(p: int) -> bool:
     """
     tr = transfer_map(p)
     cn = cone(tr)
-    target = _for_groups(SigmaSpec(p + 1, FIXED))
+    target = _cached(SigmaSpec(p + 1, FIXED))
     if {d: r for d, r in cn.components.items()} != dict(target.components):
         raise CheckFailure(f"cone ranks at shift {p} do not match shift {p + 1}")
     perms = cone_identification(p)

@@ -499,7 +499,12 @@ class TestMatrixAlgebraAgainstDenseOracle:
         (lambda: IntegerMatrix.from_rows([[1, 2], [3, Fraction(7, 2)]]),
          "matrix entry at (1, 1) is Fraction(7, 2)"),
         (lambda: IntegerMatrix.from_diagonal([1.5], 1, 1), "matrix entry at (0, 0) is 1.5"),
-        (lambda: FgAbelianGroup.from_cyclic_orders([2.5]), "a cyclic order is 2.5")])
+        (lambda: FgAbelianGroup.from_cyclic_orders([2.5]), "a cyclic order is 2.5"),
+        (lambda: IntegerMatrix(2.0, 2, {}), "a row count is 2.0"),
+        (lambda: IntegerMatrix.zeros(2, 1.5), "a column count is 1.5"),
+        (lambda: FgAbelianGroup(2.5, (3.0,)), "a free rank is 2.5"),
+        (lambda: FgAbelianGroup(1, (2.0,)), "an invariant factor is 2.0"),
+        (lambda: FgAbelianGroup(1.0, (2,)), "a free rank is 1.0")])
     def test_a_value_that_is_not_an_integer_is_refused(self, make, text):
         # kept as a float, or truncated to 1 and 2, before the refusal
         with pytest.raises(ValueError, match=f"^{re.escape(text)}, not an integer$"):
@@ -513,6 +518,11 @@ class TestMatrixAlgebraAgainstDenseOracle:
         assert IntegerMatrix.from_diagonal([numpy.int32(4)], 1, 2).to_rows() == [[4, 0]]
         assert FgAbelianGroup.from_cyclic_orders([numpy.int64(4), sympy.Integer(6), 0]) == \
             FgAbelianGroup(1, (2, 12))
+        shaped = IntegerMatrix(numpy.int64(2), sympy.Integer(1), {(1, 0): 5})
+        assert (shaped.rows, shaped.cols) == (2, 1) and type(shaped.cols) is int
+        g = FgAbelianGroup(numpy.int64(1), (sympy.Integer(2), numpy.int32(4)))
+        assert type(g.free_rank) is int and all(type(f) is int for f in g.invariant_factors)
+        assert g == FgAbelianGroup(1, (2, 4)) and hash(g) == hash(FgAbelianGroup(1, (2, 4)))
 
     def test_transpose_comparison(self, rng):
         for r, c in self.shapes(rng):

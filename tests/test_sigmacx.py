@@ -574,11 +574,14 @@ class TestCertificates:
                 build_sigma_complex(SigmaSpec(4, FIXED))
 
 
-def _negate_pull_arity(monkeypatch, j, orbit_type):
-    """Every Koszul sign of the pull differential from arity j flipped: each
-    of its slot blocks is served negated, and no push block changes."""
+def _negate_arity(monkeypatch, kind, j, orbit_type):
+    """Every slot block of the kind differential between arities j and
+    j + 1 served negated, as if each of its Koszul signs were flipped; no
+    block of the other kind changes."""
     first = 1 if orbit_type == FREE else 0
-    keys = {("pull", first + idx, (j, orbit_type), (j + 1, orbit_type)) for idx in range(j + 1)}
+    ends = ((j, orbit_type), (j + 1, orbit_type))
+    ends = ends if kind == "pull" else ends[::-1]
+    keys = {(kind, first + idx, *ends) for idx in range(j + 1)}
     original = sigmacx._orbit_block
     monkeypatch.setattr(sigmacx, "_orbit_block",
                         lambda *args: -original(*args) if args in keys else original(*args))
@@ -611,10 +614,10 @@ class TestTwins:
         # it, extending its sweep, and the first reads the rest back
         for size in range(1, 10):
             specs = [SigmaSpec(sign * size, orbit_type) for sign in (first, -first)]
-            swept = sigmacx._for_groups(specs[0])
+            swept = sigmacx._cached(specs[0])
             lo = swept.support()[0]
             cohomology(swept, lo), cohomology(swept, lo, 2)
-            read = sigmacx._for_groups(specs[1])
+            read = sigmacx._cached(specs[1])
             assert read._twin[0] is swept and swept._twin[0] is read
             for c, spec in ((read, specs[1]), (swept, specs[0])):
                 lo, hi = c.support()
@@ -636,38 +639,76 @@ class TestTwins:
         monkeypatch.setattr(chaincx, "snf_diagonal", lambda a: alone.append(a) or snf_diagonal(a))
         monkeypatch.setattr(chaincx, "rank_mod", lambda a: ranked.append(a) or rank_mod(a))
         for n in (p, -p):
-            c = sigmacx._for_groups(SigmaSpec(n, orbit_type))
+            c = sigmacx._cached(SigmaSpec(n, orbit_type))
             all_cohomology(c), all_cohomology(c, 2)
         lone = orbit_type == FIXED
         assert len(sweeps) == len(c.differentials) and len(alone) == lone
         assert len(ranked) == len(c.differentials) + lone
 
-    def test_the_fixed_arity_zero_differential_is_half_the_transpose(self):
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_the_fixed_arity_zero_differential_is_half_the_transpose(self, orbit_type):
+        # the duality lemma, entry by entry on the assembled complexes: each
+        # differential of C(-p) is the transpose of C(p)'s at the mirrored
+        # degree, but half of it at the fixed arity 0
         for p in range(1, 10):
-            push, pull = (build_sigma_complex(SigmaSpec(n, FIXED)) for n in (p, -p))
-            assert not pull.differential(0).is_transpose_of(push.differential(-1)), p
-            assert pull.differential(0).scale(2).is_transpose_of(push.differential(-1)), p
+            push, pull = (build_sigma_complex(SigmaSpec(n, orbit_type)) for n in (p, -p))
+            for k in range(p):
+                d, twin = pull.differential(k), push.differential(-k - 1)
+                half = orbit_type == FIXED and k == 0
+                assert d.is_transpose_of(twin) != half, (p, k)
+                assert d.scale(2 if half else 1).is_transpose_of(twin), (p, k)
 
     @pytest.mark.parametrize("orbit_type, suite", [(FIXED, "weight0-integral"),
                                                    (FREE, "free-orbit")])
     def test_a_sign_flipped_pull_arity_fails_the_twin_certificate(
-            self, monkeypatch, capsys, fresh_memos, own_groups, orbit_type, suite):
+            self, monkeypatch, capsys, fresh_memos, orbit_type, suite):
         # every sign of the pull differential from arity 2 flipped: d.d = 0
-        # still holds, so the build passes and the complex's own groups are
-        # right, but it is no longer the transpose of the push complex
-        _negate_pull_arity(monkeypatch, 2, orbit_type)
-        flipped = sigmacx._for_groups(SigmaSpec(-4, orbit_type))
-        assert validate(flipped)
-        assert (all_cohomology(flipped), all_cohomology(flipped, 2)) == own_groups[-4, orbit_type]
-        message = (f"the differential from degree -3 of shift {{n}} ({orbit_type}) is not the "
-                   f"transpose of its twin's at shift -{{n}}")
-        with pytest.raises(ComplexError, match=f"^{re.escape(message.format(n=4))}$"):
-            cohomology(sigmacx._for_groups(SigmaSpec(4, orbit_type)), 0)
-        build_sigma_complex.cache_clear()
-        sigmacx._built.clear()
-        # the suite runs p = -4, ..., 4, so shift 3 meets its flipped twin first
+        # still holds, but the pull blocks are no longer the transposes of
+        # the push blocks, so the first build that reads arity 2 fails
+        _negate_arity(monkeypatch, "pull", 2, orbit_type)
+        message = (f"the pull slot 0 block between arities 2 and 3 ({orbit_type}) is not the "
+                   f"transpose of its push block")
+        with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+            build_sigma_complex(SigmaSpec(-4, orbit_type))
+        assert build_sigma_complex(SigmaSpec(-2, orbit_type)) is not None
+        # the suite runs p = -4, ..., 4, so shift -4 is its first build
         assert cli.main(["check", suite, "--p-max", "4"]) == 2
-        assert capsys.readouterr().err == f"bredon: error: {message.format(n=3)}\n"
+        assert capsys.readouterr().err == f"bredon: error: {message}\n"
+
+    def test_a_lone_query_with_a_flipped_pull_arity_fails_at_build(self, monkeypatch,
+                                                                 fresh_memos):
+        _negate_arity(monkeypatch, "pull", 2, FIXED)
+        with pytest.raises(ComplexError, match="^the pull slot 0 block between arities 2 and 3 "):
+            weight0(1, -3)
+        assert not sigmacx._built and build_sigma_complex.cache_info().currsize == 0
+
+    def test_a_negated_fixed_arity_zero_pull_block_fails_the_first_fixed_pull_build(
+            self, monkeypatch, fresh_memos):
+        # d.d = 0 cannot see it, arity 0 having one block, and the twins
+        # leave that differential uncovered; the duality certificate sees it
+        _negate_arity(monkeypatch, "pull", 0, FIXED)
+        assert build_sigma_complex(SigmaSpec(-1, FREE)) is not None
+        assert build_sigma_complex(SigmaSpec(1, FIXED)) is not None
+        with pytest.raises(ComplexError, match=re.escape(
+                "the pull slot 0 block between arities 0 and 1 (fixed) is not half the "
+                "transpose of its push block")):
+            build_sigma_complex(SigmaSpec(-1, FIXED))
+
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_negated_push_blocks_of_one_arity_fail_the_first_pull_build(
+            self, monkeypatch, fresh_memos, orbit_type, j):
+        # every push block between arities j and j + 1 negated: the push
+        # complexes still pass d.d = 0, and the first pull build that reads
+        # arity j refuses its own, correct, blocks against them
+        _negate_arity(monkeypatch, "push", j, orbit_type)
+        assert validate(build_sigma_complex(SigmaSpec(j + 2, orbit_type)))
+        assert build_sigma_complex(SigmaSpec(-j, orbit_type)) is not None
+        half = "half " if j == 0 and orbit_type == FIXED else ""
+        with pytest.raises(ComplexError, match=re.escape(
+                f"the pull slot 0 block between arities {j} and {j + 1} ({orbit_type}) is not "
+                f"{half}the transpose of its push block")):
+            build_sigma_complex(SigmaSpec(-(j + 1), orbit_type))
 
     def test_a_lone_group_query_builds_one_complex(self, fresh_memos):
         assert weight0(2, -5) == weight0_closed_form(2, -5)
