@@ -202,13 +202,13 @@ class IntegerMatrix:
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) and self._rows == other._rows
 
-    def is_transpose_of(self, other: "IntegerMatrix") -> bool:
-        """Whether this matrix is other's transpose, compared entry by entry."""
-        mine = self._rows
-        return ((self.rows, self.cols) == (other.cols, other.rows)
-                and sum(map(len, mine)) == sum(map(len, other._rows))
-                and all(mine[j].get(i) == v for i, row in enumerate(other._rows)
-                        for j, v in row.items()))
+    def transpose(self) -> "IntegerMatrix":
+        """The transpose, each row listing its columns in ascending order."""
+        out: list = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self._rows):
+            for j, v in row.items():
+                out[j][i] = v
+        return IntegerMatrix.from_row_dicts(out, self.rows)
 
     def __repr__(self) -> str:
         if self.rows * self.cols <= 64:

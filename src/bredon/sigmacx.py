@@ -7,23 +7,24 @@ with v~ the complement); at the free orbit one extra coordinate is appended.
 
 Every map between these bases follows one cycle rule (``_orbit_block``): a
 class is the cycle {v, v~}, or the single point () for the fixed arity-0
-class; carry each point along a map of points, or take both of its lifts for
-a pullback, and the coefficient of a target class is the number of images
-equal to its canonical representative.  Pushforward deletes a coordinate,
-pullback inserts one, the transfer forgets the free coordinate, the
-restriction prepends both values of it, and the involution flips it.  The
-complex for a shift by n copies of the sign representation assembles the
-pushforwards (n > 0) or pullbacks (n < 0) over the subset lattice of {1..n}
-with Koszul signs.  A class is coded, everywhere, as the integer of its
-canonical bit string, so each rule (and the cone identification) is a shift
-and a mask.  A component of arity j is laid out subset by subset, in the
-lexicographic order of ``_subset_index``, the subset of rank k at column
-k times the number of arity-j classes.  Each block is built once per
-process, as an ``IntegerMatrix``, and every complex or map is assembled by
-the one block constructor, ``IntegerMatrix.from_bands``, from its (offset,
-signed block) sources: each row is written once, listing its columns in
-the order the blocks meet them, and a block that ends past its component
-or overlaps another is refused.
+class; carry each point along a map of points, and the coefficient of a
+target class is the number of images equal to its canonical
+representative.  Pushforward deletes a coordinate, the transfer forgets the
+free coordinate, and the involution flips it; the pullback and the
+restriction are their duals (the duality lemma below).  The complex for a
+shift by n copies of the sign representation assembles the pushforwards
+(n > 0) or pullbacks (n < 0) over the subset lattice of {1..n} with Koszul
+signs, both from one incidence list per arity (``_faces``).  A class is
+coded, everywhere, as the integer of its canonical bit string, so each rule
+(and the cone identification) is a shift and a mask.  A component of arity
+j is laid out subset by subset, in the lexicographic order of
+``_subset_index``, the subset of rank k at column k times the number of
+arity-j classes.  Each block is built once per process, as an
+``IntegerMatrix``, and every complex or map is assembled by the one block
+constructor, ``IntegerMatrix.from_bands``, from its (offset, signed block)
+sources: each row is written once, listing its columns in the order the
+blocks meet them, and a block that ends past its component or overlaps
+another is refused.
 
 Calibration (fixed once, verified in tests): for the two-step shift at the
 fixed point the differentials are g(a,b) = (a+b, -a-b) and f(a,b) = 2a+2b on
@@ -33,36 +34,42 @@ on degrees 0, 1, 2.  The Koszul sign for acting in slot s of a subset S is
 
 Complexes and maps are certified by construction rather than validated.
 A differential is a sum of slot blocks, each with the sign that
-``_koszul_sign`` gives it, so d.d = 0 follows from the coface identity of the
-blocks and of their signs (``_slot_matrices``, lemma in
-``build_sigma_complex``), and tr, res and the flip commute with d once
-their per-arity blocks commute with each slot block (``_map_certificate``,
-lemma in ``_per_arity_map``).  Each certificate is a few products of
-blocks, checked once per process for each arity a build uses, and raises
+``_koszul_sign`` gives it, placed by the incidence list, so d.d = 0 follows
+from the coface identity of the push blocks and of their signs
+(``_slot_matrices``) and the simplicial identity of the list (``_faces``;
+lemma in ``build_sigma_complex``), and tr, res and the flip commute with d
+once their per-arity blocks commute with each push slot block
+(``_map_certificate``, lemma in ``_per_arity_map``).  Each certificate is
+checked once per process for each arity a build uses, and raises
 ``ComplexError`` when an identity fails; ``chaincx.validate`` and
 ``ChainMap.validate`` stay the tests' oracle for both.
 
-Duality lemma (the twins).  The complex at -n is the transpose of the one
-at n: its differential from degree k is the transpose of the differential
-at n from degree -k-1, for every k at the free orbit and for k >= 1 at
-the fixed point.  Both differentials sum the same slot positions with the
-same Koszul signs over the same subset layout, so the lemma holds once the
-pull block of each slot is the transpose of its push block: deleting the
-slot maps the cycle {x, x~} of a class onto the cycle {y, y~} of one
-class, one point onto each, so the push counts 1 for that pair, and
-inserting both values of the slot into y and y~ gives four points of which
-exactly one is x, so the pull counts 1 too.  The exception is the fixed
-arity-0 class, the single point (): both points of an arity-1 class push
-onto it (2), and it pulls back to one canonical point (1), so the fixed
-pull differential from degree 0 is half the transpose.  ``_slot_matrices``
-certifies this on the blocks, once per process for each pull arity a build
-uses, so every pull complex, a lone query's too, is its push complex's
-twin by construction, and no assembled complex is compared.  ``_cached``
-links each complex it hands out to its twin when the cache already holds
-that twin, so a group of either is read off the Smith diagonals and Z/2
-ranks of whichever one was swept (``chaincx.cohomology``).  A lone query
-never builds a twin, and a complex built through
-``build_sigma_complex.__wrapped__`` is never linked.
+Duality lemma (the twins).  The complex at -n is the dual of the one at n,
+the cochains of S^(n sigma) against its chains, and the module defines it
+so: a pullback block is the transpose of the push block of its slot, and a
+restriction block the transpose of the transfer block, each halved where
+its source is the fixed arity-0 class.  The halving is the one place where
+the cycle rule counts the two directions differently.  Deleting a slot maps
+the cycle {x, x~} of a class onto the cycle {y, y~} of one class, one point
+onto each, so the push counts 1 for that pair, and inserting both values of
+the slot into y and y~ gives four points of which exactly one is x, so a
+pullback counts 1 too; but both points of an arity-1 class push onto the
+single point () (2), which pulls back to one canonical point (1), and the
+transfer and the restriction at arity 0 count 2 and 1 the same way.  An odd
+entry there has no half and raises ``ComplexError``.  Both differentials
+sum the same slot positions with the same Koszul signs over one incidence
+list, so the differential of the complex at -n from degree k is the
+transpose of the one at n from degree -k-1, for every k at the free orbit
+and for k >= 1 at the fixed point, where the one from degree 0 is half the
+transpose.  Nothing on the pull side is certified apart: its cosimplicial
+identities and commuting squares are the push side's transposed, the
+halvings a common factor of both sides.  The tests keep the pullback rule
+as the oracle of the derived blocks.  ``_cached`` links each complex it
+hands out to its twin when the cache already holds that twin, so a group
+of either is read off the Smith diagonals and Z/2 ranks of whichever one
+was swept (``chaincx.cohomology``).  A lone query never builds a twin, and
+a complex built through ``build_sigma_complex.__wrapped__`` is never
+linked.
 
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
 about triples per step in n; the default grid bound keeps n at most 8
@@ -126,6 +133,11 @@ def _arity_size(j: int, orbit_type: str) -> int:
     return 1 << (width - 1) if width else 1
 
 
+# the dual of each kind that has one: a pull or res block is derived from
+# its dual's block, and a map at n < 0 is certified through its dual's square
+_DUAL = {"pull": "push", "tr": "res", "res": "tr", "flip": "flip"}
+
+
 @lru_cache(maxsize=None)
 def _orbit_block(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]) -> IntegerMatrix:
     """The block of a map of orbit classes, from the arity and type src to tgt.
@@ -134,26 +146,33 @@ def _orbit_block(kind: str, pos: int, src: Tuple[int, str], tgt: Tuple[int, str]
     the top bit, so a class's canonical representative is the one below
     2^(w-1), and that integer is the class's code: its column in a subset's
     block, classes in lexicographic order of their representatives.  The
-    cycle of a source class q is its orbit {q, complement(q)}, or the single
-    point of the fixed arity-0 class.  A push (or the transfer, at the free
-    bit) deletes the coordinate at pos, a pull (or the restriction) inserts
-    both values of it, and the flip complements the free bit.  The
-    coefficient of a target class is the number of images equal to it, and
-    each row lists its columns in ascending order.  Memoised, so once per
-    process; the matrix is never mutated.
+    cycle of a source class q is its orbit {q, complement(q)}.  A push (or
+    the transfer, at the free bit) deletes the coordinate at pos, and the
+    flip complements the free bit; the coefficient of a target class is the
+    number of images equal to it.  A pull (or the restriction) is the
+    transpose of the push (or transfer) block from tgt to src, halved where
+    src is the fixed arity-0 class (the duality lemma of the module); an odd
+    entry there raises ComplexError.  Each row lists its columns in
+    ascending order.  Memoised, so once per process; the matrix is never
+    mutated.
     """
+    if kind in ("pull", "res"):
+        block = _orbit_block(_DUAL[kind], pos, tgt, src).transpose()
+        if src != (0, FIXED):
+            return block
+        if any(v % 2 for _, v in block.items()):
+            raise ComplexError(f"the {kind} block from the fixed arity 0 to arity {tgt[0]} "
+                               f"({tgt[1]}) is half the transpose of its {_DUAL[kind]} block, "
+                               f"which has an odd entry")
+        return IntegerMatrix(block.rows, block.cols, {k: v // 2 for k, v in block.items()})
     width, cols = _width(*src), range(_arity_size(*src))
     full, half = (1 << width) - 1, _arity_size(*tgt)   # a target point q is canonical iff q < half
     if kind == "flip":
         top = 1 << (width - 1)
         images = [(col, x ^ top) for col in cols for x in (col, col ^ full)]
-    elif kind in ("push", "tr"):
+    else:                                               # push, tr
         low = (1 << (width - 1 - pos)) - 1              # the coordinates after pos
         images = [(col, x >> 1 & ~low | x & low) for col in cols for x in (col, col ^ full)]
-    else:                                               # pull, res: both lifts
-        low = (1 << (width - pos)) - 1
-        images = [(col, y | e) for col in cols for x in ((col, col ^ full) if width else (0,))
-                  for y in ((x & ~low) << 1 | x & low,) for e in (0, low + 1)]
     rows: List[dict] = [{} for _ in range(half)]
     for col, q in images:
         if q < half:
@@ -169,14 +188,36 @@ def _subset_index(m: int, j: int) -> Dict[Tuple[int, ...], int]:
     return {s: k for k, s in enumerate(combinations(range(1, m + 1), j))}
 
 
-def _checked_index(m: int, j: int, n: int, orbit_type: str) -> Dict[Tuple[int, ...], int]:
-    """``_subset_index(m, j)``, checked to rank its C(m, j) subsets 0, 1, ...
-    in its own order, as the build reads it; raises ComplexError."""
-    index = _subset_index(m, j)
-    if list(index.values()) != list(range(comb(m, j))):
-        raise ComplexError(f"the arity-{j} subset layout of shift {n} ({orbit_type}) does not "
-                           f"rank its {comb(m, j)} subsets 0, 1, ... in order")
-    return index
+@lru_cache(maxsize=None)
+def _faces(m: int, j: int) -> Tuple[Tuple[int, ...], ...]:
+    """The incidence list between the size-(j + 1) and size-j subsets of
+    {1..m}: for each size-(j + 1) subset T, in rank order, the ranks of T
+    minus its slot 0, 1, ..., j.  A push differential groups it by the
+    smaller subset, a pull differential by the larger.
+
+    ``_subset_index(m, j)``, which gives the ranks, is checked to rank its
+    C(m, j) subsets 0, 1, ... in its own order, and each row is certified
+    against ``_faces(m, j - 1)``, which certifies the arities below: for
+    slots a < c, deleting c then a equals deleting a then c - 1 (the
+    simplicial identity on subsets), and deleting a leaves a later subset
+    than deleting c, so each row lists its faces in slot order, which the
+    identity alone cannot see at j = 1.  Raises ComplexError.  Memoised, so
+    once per process; the tuples are immutable.
+    """
+    smalls = _subset_index(m, j)
+    if list(smalls.values()) != list(range(comb(m, j))):
+        raise ComplexError(f"the arity-{j} subset layout of {{1..{m}}} does not rank its "
+                           f"{comb(m, j)} subsets 0, 1, ... in order")
+    below = _faces(m, j - 1) if j else ()
+    pairs, faces = list(combinations(range(j + 1), 2)), []
+    for big in combinations(range(1, m + 1), j + 1):
+        row = tuple(smalls[big[:idx] + big[idx + 1:]] for idx in range(j + 1))
+        for a, c in pairs:
+            if not (row[a] > row[c] and below[row[c]][a] == below[row[a]][c - 1]):
+                raise ComplexError(f"the faces of {big} in {{1..{m}}} fail the simplicial "
+                                   f"identity at slots {a} < {c}")
+        faces.append(row)
+    return tuple(faces)
 
 
 def _koszul_sign(j: int, idx: int) -> int:
@@ -188,55 +229,48 @@ def _koszul_sign(j: int, idx: int) -> int:
 @lru_cache(maxsize=None)
 def _slot_matrices(kind: str, j: int, orbit_type: str) -> Tuple[IntegerMatrix, ...]:
     """The blocks of the differential between arities j + 1 and j, one per
-    slot idx = 0..j of the larger subset: a push from arity j + 1 to j, or a
-    pull from j to j + 1, deleting or inserting the coordinate first + idx,
-    where the free orbit's first coordinate is its free bit.  Each block is
-    checked to fit its shape, and the coface identity through arity
-    k = j + 1 is certified against ``_slot_matrices(kind, j - 1)``, which
-    certifies the arities below; a pull block is also certified to be the
-    transpose of the push block of its slot, or half of it at the fixed
-    arity 0 (the duality lemma of the module); raises ComplexError.
-    Memoised, so each arity is certified once per process.
+    slot idx = 0..j of the larger subset: a push from arity j + 1 to j
+    deleting the coordinate first + idx, where the free orbit's first
+    coordinate is its free bit, or a pull from j to j + 1, its transpose
+    (``_orbit_block``).  Each push block is checked to fit its shape, and
+    the push blocks are certified to satisfy the coface identity through
+    arity k = j + 1 against ``_slot_matrices("push", j - 1)``, which
+    certifies the arities below; the pull blocks of an arity are read only
+    once the push blocks they transpose are certified.  Raises
+    ComplexError.  Memoised, so each arity is certified once per process.
 
-    With D_i the push deleting slot i (or the pull inserting it), the blocks
-    of the two differentials between arities k and k - 2 must satisfy, for
-    slots a < c of the size-k subset,
+    With D_i the push deleting slot i, the blocks of the two differentials
+    between arities k and k - 2 must satisfy, for slots a < c of the size-k
+    subset,
 
-        push:  D_a . D_c = D_(c-1) . D_a     (delete c then a, or a then c - 1)
-        pull:  D_c . D_a = D_a . D_(c-1)     (insert a then c, or c - 1 then a)
+        D_a . D_c = D_(c-1) . D_a     (delete c then a, or a then c - 1)
 
-    the simplicial and cosimplicial identities (Weibel, *An Introduction to
-    Homological Algebra*, section 8.1), and their Koszul signs must be
-    opposite: sign(k - 2, a) sign(k - 1, c) = -sign(k - 2, c - 1) sign(k - 1, a).
+    the simplicial identity (Weibel, *An Introduction to Homological
+    Algebra*, section 8.1), and their Koszul signs must be opposite:
+    sign(k - 2, a) sign(k - 1, c) = -sign(k - 2, c - 1) sign(k - 1, a).  The
+    pull blocks satisfy its transpose, the cosimplicial identity, the
+    halving at the fixed arity 0 a factor of both sides.
     """
     first = 1 if orbit_type == FREE else 0
     upper, lower = (j + 1, orbit_type), (j, orbit_type)
-    ends = (upper, lower) if kind == "push" else (lower, upper)
-    rows, cols = _arity_size(*ends[1]), _arity_size(*ends[0])
-    high = tuple(_orbit_block(kind, first + idx, *ends) for idx in range(j + 1))
+    if kind == "pull":
+        _slot_matrices("push", j, orbit_type)
+        return tuple(_orbit_block(kind, first + idx, lower, upper) for idx in range(j + 1))
+    rows, cols = _arity_size(*lower), _arity_size(*upper)
+    high = tuple(_orbit_block(kind, first + idx, upper, lower) for idx in range(j + 1))
     for idx, block in enumerate(high):
         if (block.rows, block.cols) != (rows, cols):
             raise ComplexError(f"the {kind} slot {idx} block between arities {j} and {j + 1} "
                                f"({orbit_type}) does not fit its {rows} x {cols} shape")
     low = _slot_matrices(kind, j - 1, orbit_type) if j else ()
     for a, c in combinations(range(j + 1), 2):
-        if kind == "push":
-            same = low[a] @ high[c] == low[c - 1] @ high[a]
-        else:
-            same = high[c] @ low[a] == high[a] @ low[c - 1]
+        same = low[a] @ high[c] == low[c - 1] @ high[a]
         opposite = (_koszul_sign(j - 1, a) * _koszul_sign(j, c)
                     == -_koszul_sign(j - 1, c - 1) * _koszul_sign(j, a))
         if not (same and opposite):
             raise ComplexError(f"{kind} {'blocks' if not same else 'Koszul signs'} of arity "
                                f"{j + 1} ({orbit_type}) fail the coface identity at slots "
                                f"{a} < {c}")
-    half = j == 0 and orbit_type == FIXED       # the push counts 2 there, the pull 1
-    for idx, block in enumerate(high if kind == "pull" else ()):
-        if not (block.scale(2) if half else block).is_transpose_of(
-                _orbit_block("push", first + idx, upper, lower)):
-            raise ComplexError(f"the pull slot {idx} block between arities {j} and {j + 1} "
-                               f"({orbit_type}) is not {'half ' * half}the transpose of its "
-                               f"push block")
     return high
 
 
@@ -262,22 +296,22 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     signs as the function that the build reads.  The pull case is the
     transpose of the same argument.  So once each arity 2..|n| is certified,
     the complex is built without ``validate``.
-    The blocks land where the lemma puts them: the subset of rank k in
-    ``_subset_index`` starts at column k * _arity_size(j), and the build
-    checks that each arity's index ranks its subsets 0, 1, ... in order;
-    ``_slot_matrices`` checks that each block fits its shape, and
-    ``IntegerMatrix.from_bands`` that no block ends past its component or
-    overlaps another in its band, so every entry lies in its subset's block.
+    The blocks land where the lemma puts them: each differential is placed
+    by the incidence list ``_faces(|n|, j)``, whose rows are the size-(j + 1)
+    subsets in rank order, each listing the ranks of its faces in slot
+    order, certified by the simplicial identity on subsets, that is, the two
+    orders of deleting u_a and u_c above reach one subset; the subset of
+    rank k starts at column k * _arity_size(j), ``_slot_matrices`` checks
+    that each block fits its shape, and ``IntegerMatrix.from_bands`` that
+    no block ends past its component or overlaps another in its band, so
+    every entry lies in its subset's block.
 
     Each differential is one ``from_bands`` call, one band per subset of
-    the rows' arity, each with its (offset, signed block) sources: for a
-    push, the band of S gathers the supersets T of S in lexicographic
-    order; for a pull, the band of T gathers its slots 0..j.  Each row
-    lists its columns in that order.
-
-    The pull complex at -n is the twin of the push complex at n by
-    construction: both assemble the same signed slots over one layout, from
-    blocks that ``_slot_matrices`` certifies as transposes (module lemma).
+    the rows' arity, each with its (offset, signed block) sources, paired
+    from the one list: for a push, the band of S gathers the supersets T
+    of S in rank order; for a pull, the band of T gathers its slots 0..j.
+    Each row lists its columns in that order.  The pull complex at -n is
+    so the dual of the push complex at n by construction (module lemma).
 
     >>> build_sigma_complex(SigmaSpec(1)).differential(-1).to_rows()
     [[2]]
@@ -295,24 +329,18 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
     kind = "push" if push else "pull"
     _slot_matrices(kind, m - 1, orbit_type)   # certifies the arities 2..m
     comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
-    indexes = [_checked_index(m, j, n, orbit_type) for j in range(m + 1)]
     diffs: Dict[int, IntegerMatrix] = {}
     for j in range(m):
         # d joins arity j + 1 and arity j, slot idx with its Koszul sign
-        smalls, bigs = indexes[j], indexes[j + 1]
         small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
         blocks = [block if _koszul_sign(j, idx) == 1 else -block
                   for idx, block in enumerate(_slot_matrices(kind, j, orbit_type))]
-        if push:
-            sources = [[] for _ in smalls]
-            for big, k in bigs.items():
-                for idx, block in enumerate(blocks):
-                    sources[smalls[big[:idx] + big[idx + 1:]]].append((k * big_size, block))
-            height = small_size
-        else:
-            sources = [[(smalls[big[:idx] + big[idx + 1:]] * small_size, block)
-                        for idx, block in enumerate(blocks)] for big in bigs]
-            height = big_size
+        height, bands = (small_size, comb(m, j)) if push else (big_size, comb(m, j + 1))
+        sources: List[list] = [[] for _ in range(bands)]
+        for k, row in enumerate(_faces(m, j)):
+            for small, block in zip(row, blocks):
+                band, off = (small, k * big_size) if push else (k, small * small_size)
+                sources[band].append((off, block))
         src = -(j + 1) if push else j
         diffs[src] = IntegerMatrix.from_bands(comps[src], [(height, pairs) for pairs in sources])
     return CochainComplex._certified(comps, diffs)
@@ -362,13 +390,13 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind: str) -> bool:
+def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str) -> bool:
     """The orbit blocks of kind at arities j and j + 1 fit their shapes and
-    commute with every slot block between them; raises ComplexError.
+    commute with every push slot block between them; raises ComplexError.
 
-    With phi_i the block of kind at arity i and D_idx, D'_idx the slot blocks
-    of the source and target type: phi_j D_idx = D'_idx phi_(j+1) for a push,
-    phi_(j+1) D_idx = D'_idx phi_j for a pull.  Memoised per arity.
+    With phi_i the block of kind at arity i and D_idx, D'_idx the push slot
+    blocks of the source and target type: phi_j D_idx = D'_idx phi_(j+1).
+    Memoised per arity.
     """
     lo, hi = (_orbit_block(kind, 0, (i, src_type), (i, tgt_type)) for i in (j, j + 1))
     for i, block in ((j, lo), (j + 1, hi)):
@@ -376,15 +404,11 @@ def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, diff_kind:
         if (block.rows, block.cols) != (rows, cols):
             raise ComplexError(f"the {kind} block of arity {i} does not fit its {rows} x {cols} "
                                f"shape")
-    pairs = zip(_slot_matrices(diff_kind, j, src_type), _slot_matrices(diff_kind, j, tgt_type))
+    pairs = zip(_slot_matrices("push", j, src_type), _slot_matrices("push", j, tgt_type))
     for idx, (d_src, d_tgt) in enumerate(pairs):
-        if diff_kind == "push":
-            same = lo @ d_src == d_tgt @ hi
-        else:
-            same = hi @ d_src == d_tgt @ lo
-        if not same:
-            raise ComplexError(f"{kind} block does not commute with the {diff_kind} block "
-                               f"of slot {idx} between arities {j} and {j + 1}")
+        if lo @ d_src != d_tgt @ hi:
+            raise ComplexError(f"{kind} block does not commute with the push block of slot "
+                               f"{idx} between arities {j} and {j + 1}")
     return True
 
 
@@ -394,19 +418,23 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
     component (same subset layout on both sides), built after its certificate.
 
     Lemma (a chain map by construction).  The map is block-diagonal over the
-    subsets, with the block phi_j of kind on each subset of size j.  The
-    block from T to T minus its slot idx of f.d is phi_j (-1)^(j - idx) D_idx
-    for a push (phi_(j+1) (-1)^(j - idx) D_idx from T minus slot idx to T for
-    a pull), and that of d.f is (-1)^(j - idx) D'_idx phi_(j+1) (or
-    (-1)^(j - idx) D'_idx phi_j): the same sign and the same position, so
-    f.d = d.f once ``_map_certificate`` holds for every arity j < |n|.
+    subsets, with the block phi_j of kind on each subset of size j.  For a
+    push, the block from T to T minus its slot idx of f.d is
+    phi_j (-1)^(j - idx) D_idx, and that of d.f is (-1)^(j - idx) D'_idx
+    phi_(j+1): the same sign and the same position, so f.d = d.f once
+    ``_map_certificate`` holds for every arity j < |n|.  For a pull, the
+    square phi_(j+1) P_idx = P'_idx phi_j is the transpose of the push
+    square of the dual kind (tr and res, the flip its own), with the source
+    and target types swapped: the pull blocks and the dual blocks are the
+    push blocks and phi transposed, and where one side is halved at the
+    fixed arity 0 so is the other.  So at n < 0 the dual kind is certified.
     """
     m = abs(n)
     source = _cached(SigmaSpec(n, orbit_type_src))
     target = _cached(SigmaSpec(n, orbit_type_tgt))
-    diff_kind = "push" if n > 0 else "pull"
+    types = (orbit_type_src, orbit_type_tgt)
     for j in range(m):
-        _map_certificate(kind, j, orbit_type_src, orbit_type_tgt, diff_kind)
+        _map_certificate(kind if n > 0 else _DUAL[kind], j, *(types if n > 0 else types[::-1]))
     blocks = _map_blocks(kind, m, orbit_type_src, orbit_type_tgt)
     return ChainMap._certified(source, target,
                                {(-j if n > 0 else j): a for j, a in enumerate(blocks)})

@@ -2,6 +2,7 @@
 
 import gc
 import re
+from bisect import bisect_left
 from itertools import combinations, product
 
 import pytest
@@ -330,6 +331,21 @@ class TestFastAssembly:
                     assert_same_rows(f.component(d), a, (p, k, d))
 
 
+class TestIncidences:
+    def test_against_the_subsets(self):
+        # each row of _faces(m, j) lists, in slot order, the ranks of the
+        # faces of the size-(j + 1) subset of its rank, at every m a build
+        # within the shift bound uses; ranks found by bisection in the
+        # sorted subsets, faces by dropping one element
+        for m in range(1, sigmacx.SHIFT_BOUND + 1):
+            for j in range(m):
+                smalls = sorted(combinations(range(1, m + 1), j))
+                want = tuple(tuple(bisect_left(smalls, tuple(x for x in big if x != drop))
+                                   for drop in big)
+                             for big in sorted(combinations(range(1, m + 1), j + 1)))
+                assert sigmacx._faces(m, j) == want, (m, j)
+
+
 def _row_dicts(matrix):
     """The dicts that a matrix holds, one per row, found through the garbage
     collector so that the test does not read abgrp's private layout."""
@@ -382,12 +398,12 @@ class TestOrbitMemo:
 
 @pytest.fixture
 def fresh_memos():
-    """Empty the orbit blocks, their matrices, the certificates, the map
-    blocks, the complexes and the registry of built complexes that group
+    """Empty the orbit blocks, the incidence lists, their matrices, the
+    certificates, the map blocks, the complexes and the registry of built complexes that group
     queries find twins in, before and after a test, so that a planted block
     is certified and built afresh and leaves nothing behind."""
-    memos = (sigmacx._orbit_block, sigmacx._slot_matrices, sigmacx._map_certificate,
-             sigmacx._map_blocks, build_sigma_complex)
+    memos = (sigmacx._orbit_block, sigmacx._faces, sigmacx._slot_matrices,
+             sigmacx._map_certificate, sigmacx._map_blocks, build_sigma_complex)
 
     def empty():
         for memo in memos:
@@ -420,8 +436,8 @@ def _assert_layout_refused(monkeypatch, capsys, n, orbit_type, arity, change):
     line at the fixed point."""
     original = sigmacx._subset_index
     monkeypatch.setattr(sigmacx, "_subset_index", lambda m, j: change(j, original(m, j)))
-    message = (f"the arity-{arity} subset layout of shift {n} ({orbit_type}) does not rank "
-               f"its {len(original(abs(n), arity))} subsets 0, 1, ... in order")
+    message = (f"the arity-{arity} subset layout of {{1..{abs(n)}}} does not rank its "
+               f"{len(original(abs(n), arity))} subsets 0, 1, ... in order")
     with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
         build_sigma_complex(SigmaSpec(n, orbit_type))
     if orbit_type == FIXED:
@@ -455,29 +471,29 @@ class TestCertificates:
         cone(transfer_map(3))
         assert calls == []
 
-    @pytest.mark.parametrize("kind,n", [("push", 4), ("pull", -4)])
+    # a pull block is the transpose of its push block, so a defect planted
+    # in a push block reaches the pull complex too, and fails its build
+    @pytest.mark.parametrize("n", [4, -4])
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     def test_a_changed_block_entry_fails_the_build(self, monkeypatch, fresh_memos,
-                                                   kind, n, orbit_type):
+                                                   n, orbit_type):
         first = 1 if orbit_type == FREE else 0
-        ends = ((3, orbit_type), (2, orbit_type))
-        key = (kind, first + 1) + (ends if kind == "push" else ends[::-1])
-        _plant(monkeypatch, key, _bump_first_entry)
+        _plant(monkeypatch, ("push", first + 1, (3, orbit_type), (2, orbit_type)),
+               _bump_first_entry)
         with pytest.raises(ComplexError, match="coface identity"):
             build_sigma_complex(SigmaSpec(n, orbit_type))
 
-    @pytest.mark.parametrize("kind,n", [("push", 5), ("pull", -5)])
+    @pytest.mark.parametrize("n", [5, -5])
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     def test_two_swapped_slot_blocks_fail_the_build(self, monkeypatch, fresh_memos,
-                                                    kind, n, orbit_type):
+                                                    n, orbit_type):
         first = 1 if orbit_type == FREE else 0
         ends = ((4, orbit_type), (3, orbit_type))
-        ends = ends if kind == "push" else ends[::-1]
         original = sigmacx._orbit_block
         swap = {first: first + 2, first + 2: first}
 
         def swapped(k, pos, src, tgt):
-            if k == kind and (src, tgt) == ends:
+            if k == "push" and (src, tgt) == ends:
                 pos = swap.get(pos, pos)
             return original(k, pos, src, tgt)
 
@@ -497,8 +513,10 @@ class TestCertificates:
         with pytest.raises(ComplexError, match="Koszul signs of arity .* coface identity"):
             build_sigma_complex(SigmaSpec(n, orbit_type))
 
+    # a res block is the transpose of its tr block, so the res map is
+    # planted through the tr block it is derived from
     @pytest.mark.parametrize("make,kind,src,tgt", [
-        (transfer_map, "tr", FREE, FIXED), (restriction_map, "res", FIXED, FREE),
+        (transfer_map, "tr", FREE, FIXED), (restriction_map, "tr", FREE, FIXED),
         (involution_map, "flip", FREE, FREE)])
     def test_a_changed_map_block_fails_the_map(self, monkeypatch, fresh_memos,
                                                make, kind, src, tgt):
@@ -507,24 +525,26 @@ class TestCertificates:
             with pytest.raises(ComplexError, match="does not commute"):
                 make(p)
 
-    @pytest.mark.parametrize("key", [("push", 1, (3, FIXED), (2, FIXED)),
-                                     ("pull", 2, (2, FREE), (3, FREE)),
-                                     ("res", 0, (2, FIXED), (2, FREE))])
-    def test_a_block_outside_its_shape_fails(self, monkeypatch, capsys, fresh_memos, key):
+    @pytest.mark.parametrize("key, n", [(("push", 1, (3, FIXED), (2, FIXED)), 4),
+                                        (("push", 2, (3, FREE), (2, FREE)), -4),
+                                        (("tr", 0, (2, FREE), (2, FIXED)), 3)])
+    def test_a_block_outside_its_shape_fails(self, monkeypatch, capsys, fresh_memos, key, n):
         # an entry 64 columns past the block's width, the block widened to
         # hold it, fails the shape check before a certificate's product or
-        # the assembly reads it: a one-line error, not a shape mismatch
+        # the assembly reads it: a one-line error, not a shape mismatch; a
+        # pull build (shift -4) and the res map (from the tr block) read the
+        # widened block transposed
         def widened(block):
             return IntegerMatrix(block.rows, block.cols + 64,
                                  {**dict(block.items()), (block.rows - 1, block.cols + 63): 1})
 
         _plant(monkeypatch, key, widened)
-        make = {"push": lambda: build_sigma_complex(SigmaSpec(4, FIXED)),
-                "pull": lambda: build_sigma_complex(SigmaSpec(-4, FREE)),
-                "res": lambda: restriction_map(3)}[key[0]]
         with pytest.raises(ComplexError, match="does not fit"):
-            make()
-        if key[0] == "push":
+            if key[0] == "tr":
+                restriction_map(n)
+            else:
+                build_sigma_complex(SigmaSpec(n, key[2][1]))
+        if n == 4:
             assert cli.main(["weight0", "--a", "0", "--p", "4"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("bredon: error: the push slot 1") and err.count("\n") == 1
@@ -567,6 +587,45 @@ class TestCertificates:
         _assert_layout_refused(monkeypatch, capsys, n, orbit_type, arity,
                                {"reversed": reversed_ranks, "merged": merged}[layout])
 
+    @pytest.mark.parametrize("n", [4, -4])
+    @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
+    def test_a_reversed_incidence_row_fails_the_build(self, monkeypatch, capsys, fresh_memos,
+                                                      n, orbit_type):
+        # the faces of (1, 2) served in reverse slot order: one list places
+        # both orientations, and the row of (1, 2, 3), whose face in slot 2
+        # is (1, 2), fails the simplicial identity against it, so the first
+        # build of either sign fails in one line
+        original = sigmacx._faces
+        monkeypatch.setattr(sigmacx, "_faces", lambda m, j: (
+            (original(m, j)[0][::-1],) + original(m, j)[1:] if (m, j) == (4, 1)
+            else original(m, j)))
+        message = "the faces of (1, 2, 3) in {1..4} fail the simplicial identity at slots 0 < 2"
+        with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+            build_sigma_complex(SigmaSpec(n, orbit_type))
+        if (n, orbit_type) == (-4, FIXED):     # the first build of the suite
+            assert cli.main(["check", "weight0-integral", "--p-max", "4"]) == 2
+            assert capsys.readouterr().err == f"bredon: error: {message}\n"
+
+    @pytest.mark.parametrize("n", [2, -4])
+    def test_two_subsets_ranked_out_of_order_fail_the_build(self, monkeypatch, fresh_memos, n):
+        # (2,) ranked 0 and (1,) ranked 1, in the layout's own order: the
+        # layout check passes, and the simplicial identity, vacuous between
+        # arities 2 and 1, cannot see it; the faces of (1, 2) then rise with
+        # the slot, which the slot-order half of the certificate refuses
+        original = sigmacx._subset_index
+
+        def swapped(m, j):
+            keys = list(original(m, j))
+            if j == 1:
+                keys[0], keys[1] = keys[1], keys[0]
+            return {s: k for k, s in enumerate(keys)}
+
+        monkeypatch.setattr(sigmacx, "_subset_index", swapped)
+        with pytest.raises(ComplexError, match=re.escape(
+                f"the faces of (1, 2) in {{1..{abs(n)}}} fail the simplicial identity at "
+                f"slots 0 < 1")):
+            build_sigma_complex(SigmaSpec(n, FIXED))
+
     def test_a_failed_certificate_fails_again(self, monkeypatch, fresh_memos):
         _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
         for _ in range(2):
@@ -574,14 +633,12 @@ class TestCertificates:
                 build_sigma_complex(SigmaSpec(4, FIXED))
 
 
-def _negate_arity(monkeypatch, kind, j, orbit_type):
-    """Every slot block of the kind differential between arities j and
-    j + 1 served negated, as if each of its Koszul signs were flipped; no
-    block of the other kind changes."""
+def _negate_arity(monkeypatch, j, orbit_type):
+    """Every push slot block between arities j + 1 and j served negated, as
+    if each of its Koszul signs were flipped; the pull blocks, their
+    transposes, are negated with them."""
     first = 1 if orbit_type == FREE else 0
-    ends = ((j, orbit_type), (j + 1, orbit_type))
-    ends = ends if kind == "pull" else ends[::-1]
-    keys = {(kind, first + idx, *ends) for idx in range(j + 1)}
+    keys = {("push", first + idx, (j + 1, orbit_type), (j, orbit_type)) for idx in range(j + 1)}
     original = sigmacx._orbit_block
     monkeypatch.setattr(sigmacx, "_orbit_block",
                         lambda *args: -original(*args) if args in keys else original(*args))
@@ -653,62 +710,67 @@ class TestTwins:
         for p in range(1, 10):
             push, pull = (build_sigma_complex(SigmaSpec(n, orbit_type)) for n in (p, -p))
             for k in range(p):
-                d, twin = pull.differential(k), push.differential(-k - 1)
+                d, twin = pull.differential(k), push.differential(-k - 1).transpose()
                 half = orbit_type == FIXED and k == 0
-                assert d.is_transpose_of(twin) != half, (p, k)
-                assert d.scale(2 if half else 1).is_transpose_of(twin), (p, k)
-
-    @pytest.mark.parametrize("orbit_type, suite", [(FIXED, "weight0-integral"),
-                                                   (FREE, "free-orbit")])
-    def test_a_sign_flipped_pull_arity_fails_the_twin_certificate(
-            self, monkeypatch, capsys, fresh_memos, orbit_type, suite):
-        # every sign of the pull differential from arity 2 flipped: d.d = 0
-        # still holds, but the pull blocks are no longer the transposes of
-        # the push blocks, so the first build that reads arity 2 fails
-        _negate_arity(monkeypatch, "pull", 2, orbit_type)
-        message = (f"the pull slot 0 block between arities 2 and 3 ({orbit_type}) is not the "
-                   f"transpose of its push block")
-        with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
-            build_sigma_complex(SigmaSpec(-4, orbit_type))
-        assert build_sigma_complex(SigmaSpec(-2, orbit_type)) is not None
-        # the suite runs p = -4, ..., 4, so shift -4 is its first build
-        assert cli.main(["check", suite, "--p-max", "4"]) == 2
-        assert capsys.readouterr().err == f"bredon: error: {message}\n"
-
-    def test_a_lone_query_with_a_flipped_pull_arity_fails_at_build(self, monkeypatch,
-                                                                 fresh_memos):
-        _negate_arity(monkeypatch, "pull", 2, FIXED)
-        with pytest.raises(ComplexError, match="^the pull slot 0 block between arities 2 and 3 "):
-            weight0(1, -3)
-        assert not sigmacx._built and build_sigma_complex.cache_info().currsize == 0
-
-    def test_a_negated_fixed_arity_zero_pull_block_fails_the_first_fixed_pull_build(
-            self, monkeypatch, fresh_memos):
-        # d.d = 0 cannot see it, arity 0 having one block, and the twins
-        # leave that differential uncovered; the duality certificate sees it
-        _negate_arity(monkeypatch, "pull", 0, FIXED)
-        assert build_sigma_complex(SigmaSpec(-1, FREE)) is not None
-        assert build_sigma_complex(SigmaSpec(1, FIXED)) is not None
-        with pytest.raises(ComplexError, match=re.escape(
-                "the pull slot 0 block between arities 0 and 1 (fixed) is not half the "
-                "transpose of its push block")):
-            build_sigma_complex(SigmaSpec(-1, FIXED))
+                assert (d == twin) != half and d.scale(2 if half else 1) == twin, (p, k)
 
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     @pytest.mark.parametrize("j", [0, 2])
-    def test_negated_push_blocks_of_one_arity_fail_the_first_pull_build(
-            self, monkeypatch, fresh_memos, orbit_type, j):
-        # every push block between arities j and j + 1 negated: the push
-        # complexes still pass d.d = 0, and the first pull build that reads
-        # arity j refuses its own, correct, blocks against them
-        _negate_arity(monkeypatch, "push", j, orbit_type)
+    def test_negated_push_blocks_of_one_arity_fail_the_first_map(
+            self, monkeypatch, fresh_memos, own_groups, orbit_type, j):
+        # every push block between arities j and j + 1 negated: d.d = 0 still
+        # holds, and the pull blocks are negated with them, so the complexes
+        # at +-(j + 1) are isomorphic to the true ones and keep their groups;
+        # the first transfer at either sign refuses its commuting square
+        _negate_arity(monkeypatch, j, orbit_type)
         assert validate(build_sigma_complex(SigmaSpec(j + 2, orbit_type)))
-        assert build_sigma_complex(SigmaSpec(-j, orbit_type)) is not None
-        half = "half " if j == 0 and orbit_type == FIXED else ""
-        with pytest.raises(ComplexError, match=re.escape(
-                f"the pull slot 0 block between arities {j} and {j + 1} ({orbit_type}) is not "
-                f"{half}the transpose of its push block")):
-            build_sigma_complex(SigmaSpec(-(j + 1), orbit_type))
+        for n in (j + 1, -j - 1):
+            c = build_sigma_complex(SigmaSpec(n, orbit_type))
+            assert validate(c)
+            assert (all_cohomology(c), all_cohomology(c, 2)) == own_groups[n, orbit_type], n
+            kind = "tr" if n > 0 else "res"
+            with pytest.raises(ComplexError, match=re.escape(
+                    f"{kind} block does not commute with the push block of slot 0 between "
+                    f"arities {j} and {j + 1}")):
+                transfer_map(n)
+
+    @pytest.mark.parametrize("orbit_type, suite", [(FIXED, "weight0-integral"),
+                                                   (FREE, "free-orbit")])
+    def test_a_sign_flipped_arity_is_refused_by_the_first_map_suite(
+            self, monkeypatch, capsys, fresh_memos, orbit_type, suite):
+        # every sign of the differential from arity 3 flipped, at both signs
+        # of the shift: the groups do not change, so the group suite passes,
+        # and transfer-restriction stops at its first map, shift -4
+        _negate_arity(monkeypatch, 2, orbit_type)
+        assert cli.main(["check", suite, "--p-max", "4"]) == 0
+        capsys.readouterr()
+        assert cli.main(["check", "transfer-restriction", "--p-max", "4"]) == 2
+        assert capsys.readouterr().err == ("bredon: error: res block does not commute with the "
+                                           "push block of slot 0 between arities 2 and 3\n")
+
+    def test_a_lone_pull_query_with_a_changed_push_block_fails_at_build(self, monkeypatch,
+                                                                       fresh_memos):
+        _plant(monkeypatch, ("push", 1, (3, FIXED), (2, FIXED)), _bump_first_entry)
+        with pytest.raises(ComplexError, match="^push blocks of arity 3 .fixed. fail the coface"):
+            weight0(1, -3)
+        assert not sigmacx._built and build_sigma_complex.cache_info().currsize == 0
+
+    def test_an_odd_fixed_arity_zero_push_entry_fails_the_first_fixed_pull_build(
+            self, monkeypatch, capsys, fresh_memos):
+        # the push block from the fixed arity 1 to 0 planted as [[3]]: d.d = 0
+        # cannot see it, arity 0 having one block, and the push coface
+        # identity through arity 2 still holds; the pull block, half its
+        # transpose, has no integral half, so the first fixed pull build fails
+        _plant(monkeypatch, ("push", 0, (1, FIXED), (0, FIXED)),
+               lambda block: IntegerMatrix.from_rows([[3]]))
+        assert build_sigma_complex(SigmaSpec(-1, FREE)) is not None
+        assert validate(build_sigma_complex(SigmaSpec(2, FIXED)))
+        message = ("the pull block from the fixed arity 0 to arity 1 (fixed) is half the "
+                   "transpose of its push block, which has an odd entry")
+        with pytest.raises(ComplexError, match=f"^{re.escape(message)}$"):
+            build_sigma_complex(SigmaSpec(-2, FIXED))
+        assert cli.main(["weight0", "--a", "0", "--p", "-1"]) == 2
+        assert capsys.readouterr().err == f"bredon: error: {message}\n"
 
     def test_a_lone_group_query_builds_one_complex(self, fresh_memos):
         assert weight0(2, -5) == weight0_closed_form(2, -5)
