@@ -18,22 +18,25 @@ Sign conventions are calibrated once and fixed:
 
 The coefficients are Z and Z/2, each with one engine.  A group of C is
 read from the Smith diagonals (over Z) or the ranks over Z/2 of C's
-differentials, C's own or its linked twin's.  Over Z each diagonal is
-one 1 per unit pivot of the sweep, then the diagonal of the differential
-of M that the record takes once, as ``explain`` reads it, and a chain map
-phi: S -> T induces the map of f_T phi g_S on H^k(M_S) -> H^k(M_T).  Over
+differentials, C's own or, when C is a mirror, its twin's.  Over Z each
+diagonal is one 1 per unit pivot of the sweep, then the diagonal of the
+differential of M that the record takes once, as ``explain`` reads it,
+and a chain map phi: S -> T induces the map of f_T phi g_S on
+H^k(M_S) -> H^k(M_T).  Over
 Z/2 the ranks are those of the differentials themselves, each taken once
 by the bitset kernel ``abgrp.rank_mod`` and kept on the complex; this path
 uses neither the integral engine nor M, so it stays an independent check
 of the universal-coefficient result over Z.
 
 A twin of C is a complex T whose differential from degree -k-1 is the
-transpose of C's d^k, for every k but at most one, the uncovered degree;
-T's components are then those of C in the opposite degrees, as for the
-dual complex Hom(C, Z).  A transpose has the Smith diagonal and the ranks
-of the matrix, so a group of C can be read off T's record and ranks.  Two
-complexes are linked (``_link_twin``) only where they are twins by
-construction, as the orbit complexes at n and -n (``sigmacx``).
+transpose of C's d^k, for every k but the lone ones; T's components are
+then those of C in the opposite degrees, as for the dual complex
+Hom(C, Z).  A transpose has the Smith diagonal and the ranks of the
+matrix, so a group of C can be read off T's record and ranks, and C need
+not be built: its mirror (``CochainComplex._mirror``) holds T, C's
+components and C's lone differentials alone, and serves groups only.
+Mirrors are made only where the twins are twins by construction, as the
+orbit complexes at n and -n (``sigmacx``).
 
 >>> zz = CochainComplex({-1: 1, 0: 1}, {-1: IntegerMatrix.from_rows([[2]])})  # Z --2--> Z
 >>> print(cohomology(zz, 0))
@@ -46,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .abgrp import (
     CohomologyPresentation,
@@ -77,17 +80,18 @@ class CochainComplex:
     caller data, by ``unit_complex`` or ``shift``.  Two constructions are
     certified instead, and skip only the validation, through the private
     ``_certified``: the orbit complexes of ``sigmacx.build_sigma_complex``,
-    after the coface certificate of their slot blocks, and ``cone`` of a map
-    known to be a chain map, by the cone lemma in its docstring.  A complex owns one ``MorseRecord`` of its
-    differentials, from its lowest degree to its highest, made when
-    something first sweeps it, and the rank over Z/2 of each differential,
-    taken when a group mod 2 first needs it.  A complex may be linked once
-    to a twin, and then keeps the Smith diagonal it reduced alone, of the
-    one differential the twin does not cover.
+    after the coface certificate of their slot blocks, and ``cone`` of a
+    map known to be a chain map, by the cone lemma in its docstring.  A
+    complex owns one ``MorseRecord`` of its differentials, from its lowest
+    degree to its highest, made when something first sweeps it, and the
+    rank over Z/2 of each differential, taken when a group mod 2 first
+    needs it.  A mirror (``_mirror``) has no record: it holds its twin and
+    keeps only the Smith diagonal and the rank over Z/2 of each lone
+    differential, reduced alone; it serves ``cohomology`` and nothing else.
     """
 
     __slots__ = ("components", "differentials", "_pres_cache", "_morse", "_mod2_ranks",
-                 "_twin", "_lone", "__weakref__")
+                 "_twin", "_lone")
 
     def __init__(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self._adopt(components, differentials)
@@ -102,14 +106,28 @@ class CochainComplex:
         c._adopt(components, differentials)
         return c
 
+    @classmethod
+    def _mirror(cls, twin: "CochainComplex", lone: Dict[int, IntegerMatrix]) -> "CochainComplex":
+        """The dual of twin, for its groups alone: twin's components in the
+        opposite degrees, and of its differentials only lone, nonzero, the
+        ones that are not the transpose of twin's d^(-k-1) by the
+        construction of both: the Smith diagonal of each is taken here, and
+        its rank over Z/2 when a group mod 2 first needs it.  Every other
+        group datum is read off twin's record and ranks, so nothing reads
+        its windows."""
+        c = cls._certified({-d: r for d, r in twin.components.items()}, lone)
+        c._twin = twin
+        c._lone = {k: tuple(snf_diagonal(d)) for k, d in c.differentials.items()}
+        return c
+
     def _adopt(self, components: Dict[int, int], differentials: Dict[int, IntegerMatrix]):
         self.components = {d: r for d, r in components.items() if r}
         self.differentials = {d: m for d, m in differentials.items() if not m.is_zero()}
         self._pres_cache: Dict[int, CohomologyPresentation] = {}
         self._morse: Optional[MorseRecord] = None
         self._mod2_ranks: Dict[int, int] = {}
-        self._twin: Optional[Tuple["CochainComplex", Optional[int]]] = None
-        self._lone: Optional[tuple] = None
+        self._twin: Optional["CochainComplex"] = None
+        self._lone: Dict[int, tuple] = {}
 
     # -- shape -----------------------------------------------------------
     def rank(self, degree: int) -> int:
@@ -170,48 +188,27 @@ class CochainComplex:
             pres = self._pres_cache[degree] = cohomology_presentation(d_in, d_out)
         return pres
 
-    def _link_twin(self, twin: "CochainComplex", lone: Optional[int]):
-        """Read groups through twin from now on: twin's d^(-k-1) is the
-        transpose of this d^k for every k but lone (None when the twin
-        covers every degree), by the construction of both.  The twin reads
-        through this complex too, unless it is linked already.  Each link
-        is set once."""
-        self._twin = (twin, lone)
-        if twin._twin is None:
-            twin._twin = (self, None if lone is None else -lone - 1)
-
     def _diagonal(self, degree: int) -> tuple:
         """The Smith diagonal of d^degree, empty for a zero differential.
 
-        From this complex's own record if it has one; else, when a linked
-        twin has a record, from the twin's, or by reducing d^degree alone
-        if the twin does not cover it; else this complex sweeps itself.
+        On a mirror, the twin's diagonal of d^(-degree-1), from the twin's
+        record, or, for a lone differential, the one the mirror took; else
+        from this complex's own record.
         """
-        d = self.differentials.get(degree)
-        if d is None:
-            return ()
-        if self._morse is None and self._twin is not None:
-            twin, lone = self._twin
-            if twin._morse is not None:
-                if degree != lone:
-                    return twin._morse.diagonal(-degree - 1 - twin.support()[0])
-                if self._lone is None:
-                    self._lone = tuple(snf_diagonal(d))
-                return self._lone
-        return self._record().diagonal(degree - self.support()[0])
+        if degree not in self.differentials:
+            return () if self._twin is None else self._twin._diagonal(-degree - 1)
+        if self._twin is None:
+            return self._record().diagonal(degree - self.support()[0])
+        return self._lone[degree]
 
     def _rank_mod2(self, degree: int) -> int:
-        """The rank of d^degree over Z/2, by the bitset kernel, once per
-        differential and twin: this complex's own, else a linked twin's if
-        the twin has taken it, else taken and kept here."""
+        """The rank of d^degree over Z/2, by the bitset kernel, taken once
+        and kept; on a mirror, the twin's of d^(-degree-1), but for a lone
+        differential."""
         d = self.differentials.get(degree)
         if d is None:
-            return 0
+            return 0 if self._twin is None else self._twin._rank_mod2(-degree - 1)
         r = self._mod2_ranks.get(degree)
-        if r is None and self._twin is not None:
-            twin, lone = self._twin
-            if degree != lone:
-                r = twin._mod2_ranks.get(-degree - 1)
         if r is None:
             r = self._mod2_ranks[degree] = rank_mod(d)
         return r
@@ -241,15 +238,15 @@ def cohomology(c: CochainComplex, degree: int, m: int = 0) -> FgAbelianGroup:
 
     C was verified when it was built, so no product d.d is formed here.
     The group is read from the Smith diagonals and Z/2 ranks of C's
-    differentials, its own or its linked twin's.  Over Z it is
+    differentials, its own or, on a mirror, its twin's.  Over Z it is
     Z^(rank C^k - r(k-1) - r(k)), with r(i) the length of the Smith
     diagonal of d^i, plus a Z/e for each entry e > 1 of the diagonal of
     d^(k-1).  The diagonals come from C's own Morse record, made by one
     sweep from the lowest degree up, which reduces each differential and
     each d_M once whatever degrees are asked for, in any order; a query
-    sweeps through the differential above its degree.  A complex that has
-    no record and a linked twin that has one reads the twin's instead,
-    and reduces alone only a differential the twin does not cover.  Mod 2
+    sweeps through the differential above its degree.  A mirror reads its
+    twin's record, sweeping the twin as far as the mirrored degree needs,
+    and reduces alone only its lone differentials.  Mod 2
     the group is (Z/2)^n with n = rank C^k - r(k-1) - r(k), where r(i) is
     the rank of d^i over Z/2: each differential is ranked once, by the
     bitset kernel, on C or on its twin, and the rank is kept, so d^k

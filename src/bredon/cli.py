@@ -147,18 +147,18 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "check":
-        reports = []
-        for suite in args.suites:
-            reports.extend(check(suite, p_max=args.p_max, n_max=args.n_max))
+        # one suite at a time, each report printed when it is made, so a
+        # suite that raises leaves the reports before it on record
         failed = False
-        for report in reports:
-            print(report.summary())
-            shown = report.failures if not args.verbose else report.cells
-            for cell in shown[:20]:
-                mark = "ok " if cell.ok else "FAIL"
-                print(f"  {mark} {cell.key}: got {cell.got}, expected {cell.expected}"
-                      + (f"  [{cell.citation}]" if cell.citation else ""))
-            failed |= not report.passed
+        for name in [n for suite in args.suites for n in (SUITES if suite == "all" else [suite])]:
+            for report in check(name, p_max=args.p_max, n_max=args.n_max):
+                print(report.summary(), flush=True)
+                shown = report.failures if not args.verbose else report.cells
+                for cell in shown[:20]:
+                    mark = "ok " if cell.ok else "FAIL"
+                    print(f"  {mark} {cell.key}: got {cell.got}, expected {cell.expected}"
+                          + (f"  [{cell.citation}]" if cell.citation else ""), flush=True)
+                failed |= not report.passed
         return 1 if failed else 0
 
     return 2

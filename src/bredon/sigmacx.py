@@ -64,12 +64,15 @@ and for k >= 1 at the fixed point, where the one from degree 0 is half the
 transpose.  Nothing on the pull side is certified apart: its cosimplicial
 identities and commuting squares are the push side's transposed, the
 halvings a common factor of both sides.  The tests keep the pullback rule
-as the oracle of the derived blocks.  ``_cached`` links each complex it
-hands out to its twin when the cache already holds that twin, so a group
-of either is read off the Smith diagonals and Z/2 ranks of whichever one
-was swept (``chaincx.cohomology``).  A lone query never builds a twin, and
-a complex built through ``build_sigma_complex.__wrapped__`` is never
-linked.
+as the oracle of the derived blocks.  So a group query builds at most one
+complex per pair (``_group_complex``): when the module holds the complex
+at n or at -n, a group of either is read off that complex's Smith
+diagonals and Z/2 ranks at the mirrored degrees (``chaincx.cohomology``),
+and the other side is only its components and, at the fixed point, its
+arity-0 differential, assembled alone; when it holds neither, the query
+builds the complex it names.  Maps and cones build the complexes they
+name, and a complex built through ``build_sigma_complex.__wrapped__`` is
+not held.
 
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
 about triples per step in n; the default grid bound keeps n at most 8
@@ -94,7 +97,6 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 from typing import Dict, List, Tuple
-from weakref import WeakValueDictionary
 
 from .abgrp import FgAbelianGroup, IntegerMatrix, check_modulus
 from .chaincx import (ChainMap, CochainComplex, ComplexError, all_cohomology, cohomology, cone,
@@ -325,43 +327,65 @@ def build_sigma_complex(spec: SigmaSpec) -> CochainComplex:
             "(ranks grow like 3^n; raise sigmacx.SHIFT_BOUND to override)")
     if n == 0:
         return unit_complex()
-    m, push = abs(n), n > 0
-    kind = "push" if push else "pull"
+    m, kind = abs(n), "push" if n > 0 else "pull"
     _slot_matrices(kind, m - 1, orbit_type)   # certifies the arities 2..m
-    comps = {(-j if push else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
-    diffs: Dict[int, IntegerMatrix] = {}
+    comps = {(-j if n > 0 else j): comb(m, j) * _arity_size(j, orbit_type) for j in range(m + 1)}
+    diffs = {}
     for j in range(m):
-        # d joins arity j + 1 and arity j, slot idx with its Koszul sign
-        small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
-        blocks = [block if _koszul_sign(j, idx) == 1 else -block
-                  for idx, block in enumerate(_slot_matrices(kind, j, orbit_type))]
-        height, bands = (small_size, comb(m, j)) if push else (big_size, comb(m, j + 1))
-        sources: List[list] = [[] for _ in range(bands)]
-        for k, row in enumerate(_faces(m, j)):
-            for small, block in zip(row, blocks):
-                band, off = (small, k * big_size) if push else (k, small * small_size)
-                sources[band].append((off, block))
-        src = -(j + 1) if push else j
-        diffs[src] = IntegerMatrix.from_bands(comps[src], [(height, pairs) for pairs in sources])
+        src, d = _differential(n, j, orbit_type)
+        diffs[src] = d
     return CochainComplex._certified(comps, diffs)
 
 
-# the complexes that the cache of build_sigma_complex has handed to this
-# module, by spec, held weakly: _cached looks a twin up here, so it never
-# builds one, and a complex built through __wrapped__ is never here
-_built: "WeakValueDictionary[SigmaSpec, CochainComplex]" = WeakValueDictionary()
+def _differential(n: int, j: int, orbit_type: str) -> Tuple[int, IntegerMatrix]:
+    """The differential of the complex at n between arities j + 1 and j,
+    with its source degree: one ``from_bands`` call over its (offset,
+    signed slot block) sources, paired from ``_faces(|n|, j)`` (the lemma of
+    ``build_sigma_complex``)."""
+    m, kind = abs(n), "push" if n > 0 else "pull"
+    small_size, big_size = _arity_size(j, orbit_type), _arity_size(j + 1, orbit_type)
+    blocks = [block if _koszul_sign(j, idx) == 1 else -block
+              for idx, block in enumerate(_slot_matrices(kind, j, orbit_type))]
+    height, bands = (small_size, comb(m, j)) if n > 0 else (big_size, comb(m, j + 1))
+    sources: List[list] = [[] for _ in range(bands)]
+    for k, row in enumerate(_faces(m, j)):
+        for small, block in zip(row, blocks):
+            band, off = (small, k * big_size) if n > 0 else (k, small * small_size)
+            sources[band].append((off, block))
+    cols = comb(m, j + 1) * big_size if n > 0 else comb(m, j) * small_size
+    d = IntegerMatrix.from_bands(cols, [(height, pairs) for pairs in sources])
+    return (-(j + 1) if n > 0 else j), d
 
 
-def _cached(spec: SigmaSpec) -> CochainComplex:
-    """build_sigma_complex(spec), recorded in ``_built``, and linked to its
-    twin at -n when ``_built`` holds that twin.  The two are transposes by
-    construction but at the fixed arity-0 differential, which the link
-    leaves uncovered (the duality lemma of the module)."""
-    c = _built[spec] = build_sigma_complex(spec)
-    if spec.n and c._twin is None:
-        twin = _built.get(SigmaSpec(-spec.n, spec.orbit_type))
-        if twin is not None:
-            c._link_twin(twin, (-1 if spec.n > 0 else 0) if spec.orbit_type == FIXED else None)
+# per spec, the complex that its groups are read from: the first complex of
+# its pair (n, -n) that this module built, or the mirror of that one (see
+# _group_complex); held strongly, like the cache of build_sigma_complex, and
+# emptied with it by the tests' fresh_memos fixture
+_readers: Dict[SigmaSpec, CochainComplex] = {}
+
+
+def _complex(spec: SigmaSpec) -> CochainComplex:
+    """build_sigma_complex(spec), for a map or a cone, which owns the complex
+    it names; the first complex of a pair also reads the groups of both."""
+    c = build_sigma_complex(spec)
+    _readers.setdefault(spec, c)
+    return c
+
+
+def _group_complex(spec: SigmaSpec) -> CochainComplex:
+    """The complex that a group of spec is read from, so that group queries
+    build at most one complex per pair: the one ``_readers`` holds for
+    spec; else, when it holds the twin at -n, the mirror of that twin
+    (``CochainComplex._mirror``), with the one differential the twin does
+    not cover, the fixed arity-0 one, assembled alone; else the complex of
+    spec, built."""
+    c = _readers.get(spec)
+    if c is None:
+        twin = _readers.get(SigmaSpec(-spec.n, spec.orbit_type))
+        if twin is None:
+            return _complex(spec)
+        lone = [_differential(spec.n, 0, FIXED)] if spec.orbit_type == FIXED else []
+        c = _readers.setdefault(spec, CochainComplex._mirror(twin, dict(lone)))
     return c
 
 
@@ -369,7 +393,9 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     """Weight-0 equivariant cohomology in cohomological index a + p*sigma.
 
     Computed directly as H^a of the fixed-point complex for the shift by
-    p*sigma, integrally (m = 0) or with Z/2 coefficients (m = 2).
+    p*sigma, integrally (m = 0) or with Z/2 coefficients (m = 2), read off
+    the complex at -p when the module holds that one instead
+    (``_group_complex``).
 
     >>> print(weight0(0, 1))
     Z/2
@@ -382,7 +408,7 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
     lo, hi = (-p, 0) if p >= 0 else (0, -p)
     if a < lo or a > hi:
         return FgAbelianGroup.zero()
-    return cohomology(_cached(SigmaSpec(p, FIXED)), a, m)
+    return cohomology(_group_complex(SigmaSpec(p, FIXED)), a, m)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +416,13 @@ def weight0(a: int, p: int, m: int = 0) -> FgAbelianGroup:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str) -> bool:
+def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, side: str = "push") -> bool:
     """The orbit blocks of kind at arities j and j + 1 fit their shapes and
-    commute with every push slot block between them; raises ComplexError.
+    commute with every slot block of side between them; raises ComplexError.
 
     With phi_i the block of kind at arity i and D_idx, D'_idx the push slot
-    blocks of the source and target type: phi_j D_idx = D'_idx phi_(j+1).
+    blocks of the source and target type: phi_j D_idx = D'_idx phi_(j+1);
+    with P_idx, P'_idx the pull slot blocks: phi_(j+1) P_idx = P'_idx phi_j.
     Memoised per arity.
     """
     lo, hi = (_orbit_block(kind, 0, (i, src_type), (i, tgt_type)) for i in (j, j + 1))
@@ -404,10 +431,10 @@ def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str) -> bool:
         if (block.rows, block.cols) != (rows, cols):
             raise ComplexError(f"the {kind} block of arity {i} does not fit its {rows} x {cols} "
                                f"shape")
-    pairs = zip(_slot_matrices("push", j, src_type), _slot_matrices("push", j, tgt_type))
+    pairs = zip(_slot_matrices(side, j, src_type), _slot_matrices(side, j, tgt_type))
     for idx, (d_src, d_tgt) in enumerate(pairs):
-        if lo @ d_src != d_tgt @ hi:
-            raise ComplexError(f"{kind} block does not commute with the push block of slot "
+        if (lo @ d_src != d_tgt @ hi) if side == "push" else (hi @ d_src != d_tgt @ lo):
+            raise ComplexError(f"{kind} block does not commute with the {side} block of slot "
                                f"{idx} between arities {j} and {j + 1}")
     return True
 
@@ -427,14 +454,16 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
     square of the dual kind (tr and res, the flip its own), with the source
     and target types swapped: the pull blocks and the dual blocks are the
     push blocks and phi transposed, and where one side is halved at the
-    fixed arity 0 so is the other.  So at n < 0 the dual kind is certified.
+    fixed arity 0 so is the other.  So at n < 0 the dual kind is certified,
+    and so, on the derived blocks themselves, is the pull square at arity 0,
+    where the halving makes the pull side more than a transpose.
     """
-    m = abs(n)
-    source = _cached(SigmaSpec(n, orbit_type_src))
-    target = _cached(SigmaSpec(n, orbit_type_tgt))
-    types = (orbit_type_src, orbit_type_tgt)
+    m, types = abs(n), (orbit_type_src, orbit_type_tgt)
+    source, target = (_complex(SigmaSpec(n, orbit_type)) for orbit_type in types)
     for j in range(m):
         _map_certificate(kind if n > 0 else _DUAL[kind], j, *(types if n > 0 else types[::-1]))
+    if n < 0:
+        _map_certificate(kind, 0, *types, "pull")
     blocks = _map_blocks(kind, m, orbit_type_src, orbit_type_tgt)
     return ChainMap._certified(source, target,
                                {(-j if n > 0 else j): a for j, a in enumerate(blocks)})
@@ -482,11 +511,14 @@ class CheckFailure(AssertionError):
 def free_orbit_acyclicity(p: int, m: int = 0) -> bool:
     """The free-orbit complex has the coefficient group at degree -p only.
 
+    Its groups are read like those of ``weight0``, off the free-orbit
+    complex at -p when the module holds that one instead.
+
     >>> free_orbit_acyclicity(1)
     True
     """
     check_modulus(m)
-    c = _cached(SigmaSpec(p, FREE))
+    c = _group_complex(SigmaSpec(p, FREE))
     expected = FgAbelianGroup.free(1) if m == 0 else FgAbelianGroup.cyclic(m)
     lo, hi = c.support()
     for a in range(lo, hi + 1):
@@ -566,7 +598,7 @@ def cone_tower_check(p: int) -> bool:
     """
     tr = transfer_map(p)
     cn = cone(tr)
-    target = _cached(SigmaSpec(p + 1, FIXED))
+    target = _complex(SigmaSpec(p + 1, FIXED))
     if {d: r for d, r in cn.components.items()} != dict(target.components):
         raise CheckFailure(f"cone ranks at shift {p} do not match shift {p + 1}")
     perms = cone_identification(p)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,9 +10,11 @@ from pathlib import Path
 
 import pytest
 
-from bredon import sigmacx, tables
+from bredon import cli, sigmacx, tables
+from bredon.chaincx import ComplexError
 from bredon.cli import main
 from bredon.formal import PROFILES
+from bredon.tables import checks
 from bredon.tables.checks import SUITES
 
 
@@ -152,6 +155,18 @@ def without(*keys):
     return edit
 
 
+# what `check fixture-coverage corner-values` prints before a refused
+# fixture stops it: nothing when fixture-coverage reads the file, else the
+# report of fixture-coverage, printed before corner-values runs
+BEFORE_CORNER_VALUES = ("", "PASS fixture-coverage: 8/8 cells\n")
+
+
+def only_reports(out: str) -> bool:
+    """Every line of out is a suite's summary or one of its cell lines."""
+    return all(re.fullmatch(r"(PASS|FAIL) [a-z0-9-]+: \d+/\d+ cells|  (ok |FAIL) .*", line)
+               for line in out.splitlines())
+
+
 @pytest.mark.parametrize("name, keys", [
     ("weight0_integral.json", ("rows", 0, "when")),
     ("weight1_integral.json", ("kind",)),
@@ -164,7 +179,7 @@ def test_fixture_without_a_required_key_is_one_line_exit_two(capsys, tmp_path, m
     path = use_fixture_copy(tmp_path, monkeypatch, name, without(*keys))
     code = main(["check", "fixture-coverage", "corner-values"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    assert code == 2 and captured.out in BEFORE_CORNER_VALUES
     assert captured.err == f"bredon: error: fixture {path} lacks the key {keys[-1]!r}\n"
 
 
@@ -278,7 +293,7 @@ def test_fixture_of_the_wrong_shape_is_one_line_exit_two(capsys, tmp_path, monke
     path = use_fixture_copy(tmp_path, monkeypatch, name, edit)
     code = main(["check", "fixture-coverage", "corner-values"])
     captured = capsys.readouterr()
-    assert code == 2 and captured.out == ""
+    assert code == 2 and captured.out in BEFORE_CORNER_VALUES
     assert captured.err == f"bredon: error: fixture {path}{error}\n"
 
 
@@ -303,8 +318,8 @@ def keys_the_loader_reads(data: dict):
 
 
 def test_every_json_type_in_every_fixture_key(capsys, tmp_path, monkeypatch):
-    # a value the loader cannot use is one line naming the file, exit code 2;
-    # every value it takes runs every suite to a verdict.  The suites that read
+    # a value the loader cannot use is one line naming the file, exit code 2,
+    # after the reports of the suites run before the one that read it; every value it takes runs every suite to a verdict.  The suites that read
     # the most files for the least work go first and the coverage sweep last,
     # so a refused file stops the run early
     src = tables.fixture_dir()
@@ -330,7 +345,7 @@ def test_every_json_type_in_every_fixture_key(capsys, tmp_path, monkeypatch):
                 except Exception as exc:
                     code = f"{type(exc).__name__}: {exc}"
                 out, err = capsys.readouterr()
-                refused = (code == 2 and out == "" and err.count("\n") == 1
+                refused = (code == 2 and only_reports(out) and err.count("\n") == 1
                            and err.startswith(f"bredon: error: fixture {path}"))
                 if not (refused or code in (0, 1) and err == ""):
                     faults.append(f"{name} {keys} = {value!r}: {code}, {err!r}")
@@ -385,6 +400,28 @@ def test_unknown_suite_is_one_line_exit_two(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert err.count("\n") == 1 and "unknown suite 'nosuch'" in err
+
+
+def test_check_all_keeps_the_reports_before_a_suite_that_raises(capsys, monkeypatch):
+    # a suite planted after weight0-integral raises: the reports of the
+    # suites before it are printed as each alone prints them, then the one
+    # error line, exit 2
+    names = list(SUITES)
+    cut = names.index("weight0-integral") + 1
+    assert main(["check", *names[:cut], "--p-max", "3"]) == 0
+    before = capsys.readouterr().out
+
+    def planted(p_max: int = 8):
+        raise ComplexError(f"planted at p_max {p_max}")
+
+    suites = {**dict(list(SUITES.items())[:cut]), "planted": planted,
+              **dict(list(SUITES.items())[cut:])}
+    monkeypatch.setattr(checks, "SUITES", suites)
+    monkeypatch.setattr(cli, "SUITES", suites)
+    assert main(["check", "all", "--p-max", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == before and before.count("PASS") == cut
+    assert captured.err == "bredon: error: planted at p_max 3\n"
 
 
 def test_source_must_exist_for_the_weight(capsys):
