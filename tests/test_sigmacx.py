@@ -658,9 +658,10 @@ def own_groups():
 
 
 class TestTwins:
-    """The complexes at p and -p are twins: a group of one is read off the
-    Smith diagonals and Z/2 ranks the other has taken, after the transpose
-    certificate, and the groups do not depend on which one was swept."""
+    """The complexes at p and -p are twins: a group of either is read off
+    the Smith diagonals and Z/2 ranks of the one the module holds, so group
+    queries build one complex per pair, and the groups do not depend on
+    which one was built."""
 
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     @pytest.mark.parametrize("first", [1, -1])
