@@ -28,7 +28,11 @@ every part in a fresh process, one at a time:
   the pivot paths of a reduction (so U, V, f, g and induced maps) follow it.
 
 Every reach and check process also times the benchmark's calibration
-kernel, so the host's speed at that moment is on record next to the times.
+kernel, so the host's speed at that moment is on record next to the times,
+and records its times in reference seconds as well, scaled as
+``bench/worker.py`` scales a pass: by CALIBRATION_REF_S over the kernel's
+median time, a CPU time by the kernel's CPU time and a wall time by its
+wall time (the ``*_ref_s`` fields, beside the raw ones).
 
 The file also records the machine facts and the git sha of the checkout.
 Compare two snapshots taken on the same host, one after the other.
@@ -195,15 +199,23 @@ def digest(repo: Path) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def _kernel(repo: Path) -> tuple:
+    """The reference time of the benchmark's calibration kernel, and the
+    medians of its wall and CPU time over three runs in this process."""
+    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
+    from worker import CALIBRATION_REF_S, _calibrate  # the benchmark's fixed kernel
+
+    runs = [_calibrate() for _ in range(3)]
+    return (CALIBRATION_REF_S, statistics.median(w for w, _ in runs),
+            statistics.median(c for _, c in runs))
+
+
 def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
     """Build one complex and all its integral groups in this process."""
-    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
-    from worker import _calibrate  # the benchmark's fixed kernel
-
+    ref, _, kernel = _kernel(repo)
     from bredon.chaincx import all_cohomology
     from bredon.sigmacx import SigmaSpec, build_sigma_complex
 
-    kernel = statistics.median(_calibrate()[1] for _ in range(3))
     start = time.process_time()
     c = build_sigma_complex.__wrapped__(SigmaSpec(shift, orbit_type))
     built = time.process_time()
@@ -211,6 +223,8 @@ def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
     done = time.process_time()
     rendered = json.dumps({str(k): g.render() for k, g in sorted(groups.items())})
     return {"build_cpu_s": built - start, "h_cpu_s": done - built,
+            "build_cpu_ref_s": (built - start) * ref / kernel,
+            "h_cpu_ref_s": (done - built) * ref / kernel,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
             "kernel_cpu_s": kernel,
             "groups_sha256": hashlib.sha256(rendered.encode()).hexdigest()}
@@ -218,17 +232,16 @@ def reach_once(shift: int, orbit_type: str, repo: Path) -> dict:
 
 def check_once(suites: str, option: str, value: str, repo: Path) -> dict:
     """Run check suites through the command line's entry in this process."""
-    sys.path[:0] = [str(repo / "src"), str(repo / "bench")]
-    from worker import _calibrate  # the benchmark's fixed kernel
-
+    ref, kernel_wall, kernel_cpu = _kernel(repo)
     from bredon.cli import main as bredon
 
-    kernel = statistics.median(_calibrate()[1] for _ in range(3))
     wall, cpu = time.perf_counter(), time.process_time()
     with contextlib.redirect_stdout(io.StringIO()) as out:
         code = bredon(["check", *suites.split(), f"--{option}", value])
-    return {"wall_s": time.perf_counter() - wall, "cpu_s": time.process_time() - cpu,
-            "kernel_cpu_s": kernel, "exit_code": code,
+    wall, cpu = time.perf_counter() - wall, time.process_time() - cpu
+    return {"wall_s": wall, "cpu_s": cpu, "wall_ref_s": wall * ref / kernel_wall,
+            "cpu_ref_s": cpu * ref / kernel_cpu, "kernel_wall_s": kernel_wall,
+            "kernel_cpu_s": kernel_cpu, "exit_code": code,
             "summary": "; ".join(out.getvalue().splitlines())}
 
 
@@ -254,7 +267,8 @@ def _repeated(flag: list, repo: Path, keys: tuple, same: str) -> dict:
 def reach(repo: Path) -> list:
     return [{"shift": shift, "orbit_type": orbit_type,
              **_repeated(["--reach-one", str(shift), orbit_type], repo,
-                         ("build_cpu_s", "h_cpu_s", "peak_rss_mb", "kernel_cpu_s"),
+                         ("build_cpu_s", "h_cpu_s", "build_cpu_ref_s", "h_cpu_ref_s",
+                          "peak_rss_mb", "kernel_cpu_s"),
                          "groups_sha256")}
             for shift, orbit_type in REACH]
 
@@ -262,7 +276,8 @@ def reach(repo: Path) -> list:
 def checks(repo: Path) -> list:
     return [{"suite": suites, option.replace("-", "_"): value,
              **_repeated(["--check-one", suites, option, str(value)], repo,
-                         ("wall_s", "cpu_s", "kernel_cpu_s"), "summary")}
+                         ("wall_s", "cpu_s", "wall_ref_s", "cpu_ref_s", "kernel_wall_s",
+                          "kernel_cpu_s"), "summary")}
             for suites, option, value in CHECKS]
 
 

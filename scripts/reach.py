@@ -41,10 +41,10 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 
-# definitions that no entry point calls, each kept for its reason; direction 6
+# definitions that no entry point calls, each kept for its reason; direction 7
 # of ROADMAP.md retires the name-wrapping benchmark tracer, and these with it
-_TRACER = "until direction 6: bench/spans.py wraps it by name"
-_UNDER_TRACER = "until direction 6: only functions that bench/spans.py wraps call it"
+_TRACER = "until direction 7: bench/spans.py wraps it by name"
+_UNDER_TRACER = "until direction 7: only functions that bench/spans.py wraps call it"
 ALLOWED = {
     "chaincx.check_cone_les": _TRACER,
     "chaincx.cone_inclusion": _TRACER,

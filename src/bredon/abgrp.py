@@ -509,12 +509,18 @@ def rank(a: IntegerMatrix) -> int:
 
 
 class _Swept(NamedTuple):
-    """The positions a ``MorseRecord`` has reduced, published as one value."""
+    """The positions a ``MorseRecord`` has reduced, published as one value.
+
+    A fresh record's ``pending`` is the empty log below position 0, no row
+    operations, no live rows and no M^(-1), so the step at position 0 reads
+    f^0 (U = 1 on M^0) and d_M^(-1) (out of the zero group) like every
+    other step, and ``d[t]`` is d_M^(t-1) at every position t.
+    """
 
     f: tuple            # f^t: M^t x C^t for each reduced position
     g: tuple            # g^t: C^t x M^t
-    d: tuple            # d_M^t: M^(t+1) x M^t, one position behind until the top
-    diag: tuple         # the Smith diagonal of each d_M^t, taken once when it is fixed
+    d: tuple            # d[t] = d_M^(t-1): M^t x M^(t-1), one position behind until the top
+    diag: tuple         # diag[t], the Smith diagonal of d[t], taken once when it is fixed
     units: tuple        # the number of unit pivots of each reduced d^t
     faces: tuple        # how many of them were free faces, taken by the collapse
     paired: frozenset   # the rows of the last reduced d^t's unit pivots
@@ -555,10 +561,12 @@ class MorseRecord:
     and f^0 is the projection onto M^0; f @ g = 1 on M.  Both are read off
     the logs by ``_replay``, the replay that builds every transform, on M's
     generators alone, and each log is dropped once it has been read.  The
-    sweep takes the Smith diagonal of each d_M^t once, when it fixes d_M^t,
-    and ``diagonal`` hands out the whole Smith diagonal of d^t.  A group
-    of C is fixed by these diagonals and the ranks of C: H^t is
-    Z^(rank C^t - r(t-1) - r(t)), with r the lengths of the diagonals of
+    sweep starts from the empty log below position 0, so f^0 is read the
+    same way, and its first d_M is d_M^(-1), the k x 0 matrix out of the
+    zero group.  It takes the Smith diagonal of each d_M^t once, when it
+    fixes d_M^t, and ``diagonal`` hands out the whole Smith diagonal of
+    d^t.  A group of C is fixed by these diagonals and the ranks of C: H^t
+    is Z^(rank C^t - r(t-1) - r(t)), with r the lengths of the diagonals of
     d^(t-1) and d^t, plus a Z/e for each entry e > 1 of the diagonal of
     d^(t-1) (``chaincx.cohomology``).
 
@@ -571,7 +579,7 @@ class MorseRecord:
 
     def __init__(self, differentials: Sequence[IntegerMatrix]):
         self.differentials = tuple(differentials)
-        self._swept = _Swept((), (), (), (), (), (), frozenset(), None)
+        self._swept = _Swept((), (), (), (), (), (), frozenset(), ([], {}, []))
 
     def sweep(self, t: int) -> _Swept:
         """Reduce the positions up to t (at most n) that no earlier sweep reduced."""
@@ -587,14 +595,13 @@ class MorseRecord:
             zero = IntegerMatrix.zeros(0, 0)
             return zero, zero, zero, zero
         s = self.sweep(t + 1)
-        d_in = s.d[t - 1] if t else IntegerMatrix.zeros(s.g[0].cols, 0)
-        return d_in, s.d[t], s.f[t], s.g[t]
+        return s.d[t], s.d[t + 1], s.f[t], s.g[t]
 
     def diagonal(self, t: int) -> tuple:
         """The Smith diagonal of d^t (0 <= t <= n), sweeping through t + 1:
         one 1 per unit pivot, then the diagonal of d_M^t."""
         s = self.sweep(t + 1)
-        return (1,) * s.units[t] + s.diag[t]
+        return (1,) * s.units[t] + s.diag[t + 1]
 
     def _step(self, s: _Swept) -> _Swept:
         t = len(s.g)
@@ -605,12 +612,9 @@ class MorseRecord:
         unit_cols = {j for _, j, _ in red.pivots}
         keep = [j for j in range(a.cols) if j not in s.paired and j not in unit_cols]
         g = _replay(red.col_ops, keep, a.cols)
-        if t:
-            row_ops, below, below_keep = s.pending
-            f = _replay(row_ops, keep, a.cols, transpose=True)
-            d = s.d + (_submatrix(below, keep, below_keep),)
-        else:
-            f, d = IntegerMatrix.from_row_dicts([{j: 1} for j in keep], a.cols), s.d
+        row_ops, below, below_keep = s.pending
+        f = _replay(row_ops, keep, a.cols, transpose=True)
+        d = s.d + (_submatrix(below, keep, below_keep),)
         paired = frozenset(i for i, _, _ in red.pivots)
         live = {i: red.rows[i] for i in red.live_rows if red.rows[i]}
         pending = (red.row_ops, live, keep)

@@ -65,14 +65,15 @@ transpose.  Nothing on the pull side is certified apart: its cosimplicial
 identities and commuting squares are the push side's transposed, the
 halvings a common factor of both sides.  The tests keep the pullback rule
 as the oracle of the derived blocks.  So a group query builds at most one
-complex per pair (``_group_complex``): when the module holds the complex
-at n or at -n, a group of either is read off that complex's Smith
+complex per pair (``_group_complex``): when its registry holds the
+complex at n or at -n, a group of either is read off that complex's Smith
 diagonals and Z/2 ranks at the mirrored degrees (``chaincx.cohomology``),
 and the other side is only its components and, at the fixed point, its
 arity-0 differential, assembled alone; when it holds neither, the query
-builds the complex it names.  Maps and cones build the complexes they
-name, and a complex built through ``build_sigma_complex.__wrapped__`` is
-not held.
+builds the complex it names.  ``_group_complex`` is the one writer of that
+registry: maps, cones and ``--explain`` build the complexes they name
+through the cache of ``build_sigma_complex`` and register nothing, and a
+complex built through ``build_sigma_complex.__wrapped__`` is not held.
 
 The per-degree ranks grow like binomial(n, j) * 2^(j-1), so the total rank
 about triples per step in n; the default grid bound keeps n at most 8
@@ -84,10 +85,7 @@ Xeon host (medians of three): at n = 11 the fixed-point complex takes
 115 MB, and the free-orbit one 0.3 s and 1.2 s within 200 MB; n = 12 (the
 ``SHIFT_BOUND``) takes 0.5 s and 2.0 s within 290 MB at the fixed point
 (total rank 265721), and 1.2 s and 4.1 s within 555 MB at the free orbit.
-About half of each build is its certificates.  When rows were gathered
-block by block, and classes were tuples, the builds took 0.33 s and 0.64 s
-(n = 11) and 1.3 s and 2.1 s (n = 12); when every build formed d.d, 1.3 s
-and 2.5 s (n = 11).
+About half of each build is its certificates.
 """
 
 from __future__ import annotations
@@ -357,19 +355,11 @@ def _differential(n: int, j: int, orbit_type: str) -> Tuple[int, IntegerMatrix]:
     return (-(j + 1) if n > 0 else j), d
 
 
-# per spec, the complex that its groups are read from: the first complex of
-# its pair (n, -n) that this module built, or the mirror of that one (see
-# _group_complex); held strongly, like the cache of build_sigma_complex, and
+# per spec, the complex that its groups are read from: the complex or mirror
+# that the first group query of its pair (n, -n) read (see _group_complex),
+# its only writer; held strongly, like the cache of build_sigma_complex, and
 # emptied with it by the tests' fresh_memos fixture
 _readers: Dict[SigmaSpec, CochainComplex] = {}
-
-
-def _complex(spec: SigmaSpec) -> CochainComplex:
-    """build_sigma_complex(spec), for a map or a cone, which owns the complex
-    it names; the first complex of a pair also reads the groups of both."""
-    c = build_sigma_complex(spec)
-    _readers.setdefault(spec, c)
-    return c
 
 
 def _group_complex(spec: SigmaSpec) -> CochainComplex:
@@ -378,12 +368,15 @@ def _group_complex(spec: SigmaSpec) -> CochainComplex:
     spec; else, when it holds the twin at -n, the mirror of that twin
     (``CochainComplex._mirror``), with the one differential the twin does
     not cover, the fixed arity-0 one, assembled alone; else the complex of
-    spec, built."""
+    spec, through the cache of ``build_sigma_complex``.  The one writer of
+    ``_readers``: maps, cones and ``--explain`` build through the cache and
+    register nothing, so a map's complexes and the groups that a group
+    query reads off a mirror are assembled apart."""
     c = _readers.get(spec)
     if c is None:
         twin = _readers.get(SigmaSpec(-spec.n, spec.orbit_type))
         if twin is None:
-            return _complex(spec)
+            return _readers.setdefault(spec, build_sigma_complex(spec))
         lone = [_differential(spec.n, 0, FIXED)] if spec.orbit_type == FIXED else []
         c = _readers.setdefault(spec, CochainComplex._mirror(twin, dict(lone)))
     return c
@@ -442,7 +435,9 @@ def _map_certificate(kind: str, j: int, src_type: str, tgt_type: str, side: str 
 def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
                    kind: str) -> ChainMap:
     """The chain map that the orbit block of kind gives on each subset's
-    component (same subset layout on both sides), built after its certificate.
+    component (same subset layout on both sides), built after its certificate,
+    between the complexes that ``build_sigma_complex`` caches; it registers
+    neither for group queries (``_group_complex``).
 
     Lemma (a chain map by construction).  The map is block-diagonal over the
     subsets, with the block phi_j of kind on each subset of size j.  For a
@@ -459,7 +454,7 @@ def _per_arity_map(n: int, orbit_type_src: str, orbit_type_tgt: str,
     where the halving makes the pull side more than a transpose.
     """
     m, types = abs(n), (orbit_type_src, orbit_type_tgt)
-    source, target = (_complex(SigmaSpec(n, orbit_type)) for orbit_type in types)
+    source, target = (build_sigma_complex(SigmaSpec(n, orbit_type)) for orbit_type in types)
     for j in range(m):
         _map_certificate(kind if n > 0 else _DUAL[kind], j, *(types if n > 0 else types[::-1]))
     if n < 0:
@@ -535,7 +530,14 @@ def transfer_restriction_check(p: int) -> bool:
 
     Asserts tr . res = 2 id on the fixed-point complex and res . tr = id + t
     with t the free-coordinate involution, then classifies the induced
-    endomorphism of every cohomology group as multiplication by 2.
+    endomorphism of every cohomology group as multiplication by 2.  Each
+    group that the induced map acts on, from the presentation of the map's
+    own complex, is held against ``weight0`` at the same cell, which reads
+    the complex that the first group query of the pair read.  Once the
+    queries at -p have run, as the suite's upward walk runs them, that is a
+    mirror of the complex at -p, so the two groups come from complexes
+    assembled apart, and a misplaced push or pull block shows as a
+    mismatch.
     """
     tr = transfer_map(p)
     res = restriction_map(p)
@@ -556,6 +558,10 @@ def transfer_restriction_check(p: int) -> bool:
     lo, hi = fixed_cx.support()
     for a in range(lo, hi + 1):
         ind = induced_map(tr_res, a)
+        group = weight0(a, p)
+        if ind.source_group != group:
+            raise CheckFailure(f"H^{a} of shift {p} is {ind.source_group} by its presentation "
+                               f"and {group} by the group query")
         if not ind.is_multiplication_by(2):
             raise CheckFailure(
                 f"induced map of tr.res at degree {a}, shift {p} is not multiplication by 2")
@@ -598,7 +604,7 @@ def cone_tower_check(p: int) -> bool:
     """
     tr = transfer_map(p)
     cn = cone(tr)
-    target = _complex(SigmaSpec(p + 1, FIXED))
+    target = build_sigma_complex(SigmaSpec(p + 1, FIXED))
     if {d: r for d, r in cn.components.items()} != dict(target.components):
         raise CheckFailure(f"cone ranks at shift {p} do not match shift {p + 1}")
     perms = cone_identification(p)

@@ -644,6 +644,24 @@ def _negate_arity(monkeypatch, j, orbit_type):
                         lambda *args: -original(*args) if args in keys else original(*args))
 
 
+def _rotate_bands(monkeypatch, side):
+    """Each row band of every differential of side, push or pull, moved to
+    the next subset's band, cyclically: every push (or pull) source is
+    placed in the band of the next subset.  A no-op where the rows form one
+    band (the push at arity 0, the pull at the top arity)."""
+    original = sigmacx._differential
+
+    def rotated(n, j, orbit_type):
+        src, d = original(n, j, orbit_type)
+        if (n > 0) != (side == "push"):
+            return src, d
+        height = sigmacx._arity_size(j if n > 0 else j + 1, orbit_type)
+        return src, IntegerMatrix(d.rows, d.cols, {((i + height) % d.rows, k): v
+                                                   for (i, k), v in d.items()})
+
+    monkeypatch.setattr(sigmacx, "_differential", rotated)
+
+
 @pytest.fixture(scope="module")
 def own_groups():
     """(p, orbit type) -> the nonzero groups over Z and over Z/2 of every
@@ -743,6 +761,35 @@ class TestTwins:
             assert (all_cohomology(c), all_cohomology(c, 2)) == own_groups[-p, t]
             assert (all_cohomology(build_sigma_complex(SigmaSpec(-p, t))),
                     all_cohomology(build_sigma_complex(SigmaSpec(-p, t)), 2)) == own_groups[-p, t]
+
+    def test_maps_and_cones_register_nothing_for_group_queries(self, fresh_memos):
+        # only a group query writes the registry: after a transfer, a
+        # restriction and a cone tower it is empty, and the next group query
+        # registers the complex that the maps built, without building it again
+        transfer_map(3), restriction_map(-3), cone_tower_check(2)
+        assert not sigmacx._readers
+        misses = build_sigma_complex.cache_info().misses
+        weight0(0, -3)
+        spec = SigmaSpec(-3, FIXED)
+        assert list(sigmacx._readers) == [spec]
+        assert sigmacx._readers[spec] is build_sigma_complex(spec)
+        assert build_sigma_complex.cache_info().misses == misses
+
+    @pytest.mark.parametrize("side, by_presentation, by_query", [("push", "Z", "0"),
+                                                                 ("pull", "0", "Z")])
+    def test_a_rotated_band_fails_transfer_restriction(self, monkeypatch, capsys, fresh_memos,
+                                                       side, by_presentation, by_query):
+        # every push (or pull) source placed in the next subset's band: every
+        # build and map certificate passes; at p < 0 the maps and the
+        # group queries read the same complexes, but at p = 4 the maps read
+        # the complexes they built at 4 and the group query a mirror of the
+        # complex at -4, assembled apart, and H^-3 differs
+        _rotate_bands(monkeypatch, side)
+        assert cli.main(["check", "transfer-restriction", "--p-max", "4"]) == 1
+        assert capsys.readouterr().out == (
+            "FAIL transfer-restriction: 8/9 cells\n"
+            f"  FAIL (p=4): got H^-3 of shift 4 is {by_presentation} by its presentation and "
+            f"{by_query} by the group query, expected ok\n")
 
     @pytest.mark.parametrize("orbit_type", [FIXED, FREE])
     def test_the_fixed_arity_zero_differential_is_half_the_transpose(self, orbit_type):
